@@ -19,6 +19,7 @@ independent set search at desk scale.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -34,6 +35,14 @@ Vectorish = Union[SignVector, Sequence[int]]
 # the evidence instead.
 _RANK_ROWS_CAP = 8000
 _RANK_COLS_CAP = 4000
+
+# rank_mod_p: columns per panel, rows sampled for a panel's pivots, and
+# the float64 exactness limit; rows per matmul in its trailing update and
+# in sigma_gram, which bounds their temporaries
+_PANEL = 96
+_PANEL_SAMPLE = 128
+_EXACT = 2 ** 53
+_ROW_CHUNK = 1024
 
 _EXACT_MIS_CAP = 12
 
@@ -53,13 +62,17 @@ def _entries(x: Vectorish) -> Tuple[int, ...]:
 
 
 def sigma_gram(n: int) -> np.ndarray:
-    """All pairwise inner products over Sigma(n), enumeration order.
+    """All pairwise inner products over Sigma(n), enumeration order, int16.
 
-    Goes through float64 so the product hits BLAS; exact since every
-    entry is an integer of magnitude at most n.
+    Goes through float64 so the product hits BLAS, _ROW_CHUNK rows at a
+    time so that no full float64 copy exists; exact since every entry is
+    an integer of magnitude at most n.
     """
     Xf = sigma_matrix(n).astype(np.float64)
-    return (Xf @ Xf.T).astype(np.int64)
+    G = np.empty((Xf.shape[0], Xf.shape[0]), dtype=np.int16)
+    for lo in range(0, Xf.shape[0], _ROW_CHUNK):
+        G[lo:lo + _ROW_CHUNK] = Xf[lo:lo + _ROW_CHUNK] @ Xf.T
+    return G
 
 
 def dimension_bound(n: int, p: int) -> int:
@@ -459,53 +472,137 @@ def independence_verify(family: AvoidingFamily, p: int, a: int) -> bool:
     return evaluation_certificate(family.matrix(), p, a)
 
 
-def rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Rank over GF(p) by in-place forward elimination.
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in [0, p), for integer-valued float64 x with |x| <= 2**53 - p.
 
-    int16 holds every intermediate while (p-1)^2 stays below 2^15; the
-    wide fallback covers larger primes.
+    Exact there: |x / p| < 2**53 / p, where float64 spacing is below 2/p,
+    so rounding moves x / p by less than 1/p and never past an integer;
+    floor then gives the true quotient, and p times it stays within
+    2**53.  (np.fmod is exact too, but several times slower on large
+    entries.)
     """
-    dtype = np.int16 if (p - 1) ** 2 < 2 ** 15 else np.int64
-    A = np.array(matrix, dtype=dtype) % p
-    rows, cols = A.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
+    return x - p * np.floor(x / p)
+
+
+def _gauss_jordan(A: np.ndarray, p: int, width: int) -> Tuple[List[int], List[int]]:
+    """Reduce int64 A mod p in place on its first width columns.
+
+    Each pivot row is made monic and cleared from every other row, so the
+    pivot rows end in reduced row-echelon form.  Returns (rows, cols) of
+    the pivots in the order found.
+    """
+    rows: List[int] = []
+    cols: List[int] = []
+    free = np.ones(A.shape[0], dtype=bool)
+    for j in range(width):
+        cand = np.flatnonzero((A[:, j] != 0) & free)
+        if cand.size == 0:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        if inv != 1:
-            A[r, c:] = (A[r, c:] * inv) % p
-        tail = A[r + 1:, c:]
-        hit = np.flatnonzero(tail[:, 0])
+        i = int(cand[0])
+        A[i] = A[i] * pow(int(A[i, j]), -1, p) % p
+        hit = np.flatnonzero(A[:, j])
+        hit = hit[hit != i]
         if hit.size:
-            f = tail[hit, 0][:, None]
-            tail[hit] = (tail[hit] - f * A[r, c:]) % p
-        r += 1
+            A[hit] = (A[hit] - A[hit, j:j + 1] * A[i]) % p
+        free[i] = False
+        rows.append(i)
+        cols.append(j)
+    return rows, cols
+
+
+def _panel_pivots(P: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pivots of a reduced panel P: rows whose span is P's row space.
+
+    Gauss-Jordan runs on an evenly spaced sample of rows, augmented with
+    the identity so that it also yields minv, the inverse of the pivot
+    block P[rows][:, cols].  Every row of P is then reduced against the
+    sample's pivots; rows left nonzero join the sample and the search
+    repeats, each round adding at least one pivot.  The residues checked
+    stay below p - 1 + k (p-1)^2 for a panel of k columns, within _mod's
+    range since k is at most rank_mod_p's panel width.
+    """
+    m, k = P.shape
+    sample = np.arange(0, m, max(1, m // _PANEL_SAMPLE))
+    while True:
+        s = sample.size
+        A = np.zeros((s, k + s), dtype=np.int64)
+        A[:, :k] = P[sample]
+        A[:, k:] = np.eye(s, dtype=np.int64)
+        rows, cols = _gauss_jordan(A, p, k)
+        left = P - P[:, cols] @ A[rows, :k].astype(np.float64)
+        live = np.flatnonzero(_mod(left, p).any(axis=1))
+        if live.size == 0:
+            minv = A[np.ix_(rows, [k + i for i in rows])]
+            return sample[rows], np.array(cols, dtype=np.intp), minv
+        sample = np.union1d(sample[rows], live[:_PANEL_SAMPLE])
+
+
+def rank_mod_p(matrix: np.ndarray, p: int) -> int:
+    """Rank over GF(p) by blocked right-looking elimination.
+
+    Works on a float64 copy oriented to have at least as many rows as
+    columns, _PANEL columns at a time (Dumas, Giorgi, Pernet, ACM TOMS
+    2008).  The panel's pivot rows are found by a small int64
+    elimination and swapped to the top; their reduced row-echelon form
+    then clears the panel from every other row, and the trailing columns
+    take the same step as one matmul, T -= X @ U.
+
+    Every intermediate is an integer of magnitude at most 2**53 - p, so
+    float64 holds it exactly and _mod reduces it exactly: the panel and
+    the pivot rows are reduced mod p before use, and the trailing block
+    only when its tracked bound, grown by k (p-1)^2 per panel of k
+    pivots, would pass that limit.  p must be prime with
+    (p-1)^2 + p < 2**53; the largest such prime, 94906249, still has
+    p - 1 + (p-1)^2 below 2**53 - p by 3 * 10**9, so one pivot per panel
+    always fits.
+    """
+    p = operator.index(p)
+    if not is_prime(p):
+        raise ValueError("p = %d is not prime" % p)
+    step = (p - 1) ** 2
+    if step + p >= _EXACT:
+        raise ValueError("p = %d too large for exact float64 elimination" % p)
+    limit = _EXACT - p
+    A = np.asarray(matrix)
+    if A.dtype.kind not in "iu":
+        A = A.astype(np.int64)
+    if A.shape[0] < A.shape[1]:
+        A = A.T
+    m, n = A.shape
+    W = np.empty((m, n))
+    np.fmod(A, np.int64(p), out=W)
+    width = min(_PANEL, (limit - (p - 1)) // step)
+    bound = p - 1  # on |entries| of the active rows past the last panel
+    r = 0
+    for c0 in range(0, n, width):
+        if r == m:
+            break
+        c1 = min(n, c0 + width)
+        P = _mod(W[r:, c0:c1], p)
+        rows, cols, minv = _panel_pivots(P, p)
+        kp = rows.size
+        if kp == 0:
+            continue
+        order = np.argsort(rows)
+        rows, cols, minv = rows[order], cols[order], minv[np.ix_(order, order)]
+        # sorted, each pivot row still sits at its index when its turn comes
+        for t, i in enumerate(rows.tolist()):
+            if i != t:
+                W[[r + t, r + i], c1:] = W[[r + i, r + t], c1:]
+                P[[t, i]] = P[[i, t]]
+        if c1 < n and r + kp < m:
+            U = _mod(minv.astype(np.float64) @ _mod(W[r:r + kp, c1:], p), p)
+            X = P[kp:, cols]
+            T = W[r + kp:, c1:]
+            reduce = bound + kp * step > limit
+            bound = (p - 1 if reduce else bound) + kp * step
+            for lo in range(0, T.shape[0], _ROW_CHUNK):
+                block = T[lo:lo + _ROW_CHUNK]
+                if reduce:
+                    block[...] = _mod(block, p)
+                block -= X[lo:lo + _ROW_CHUNK] @ U
+        r += kp
     return r
-
-
-def rank_gfp(polys: Sequence[ReducedPolynomial], p: int) -> int:
-    """Rank of reduced polynomials as vectors of monomial coefficients."""
-    if not polys:
-        return 0
-    n = polys[0].n
-    if any(q.n != n or q.p != p for q in polys):
-        raise ValueError("mixed (n, p) in rank computation")
-    masks = sorted(
-        {m for q in polys for m in q.coefficients}, key=lambda m: (m.bit_count(), m)
-    )
-    index = {m: j for j, m in enumerate(masks)}
-    A = np.zeros((len(polys), len(masks)), dtype=np.int16)
-    for i, q in enumerate(polys):
-        for m, c in q.coefficients.items():
-            A[i, index[m]] = c
-    return rank_mod_p(A, p)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from borsuk import algebra
 from borsuk.algebra import (
     AvoidingFamily,
     certify_bound,
@@ -20,7 +22,6 @@ from borsuk.algebra import (
     monomial_basis,
     property_check,
     property_check_exhaustive,
-    rank_gfp,
     rank_mod_p,
     reduce_multilinear,
     reduced_indicator,
@@ -213,6 +214,50 @@ def _rank_oracle(rows, p):
     return rank
 
 
+def _rank_loop(matrix, p):
+    # one pivot at a time, in place: the unblocked numpy elimination that
+    # rank_mod_p replaced; int64 holds every intermediate for p < 3 * 10**9
+    A = np.array(matrix, dtype=np.int64) % p
+    rows, cols = A.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            A[[r, pr]] = A[[pr, r]]
+        inv = pow(int(A[r, c]), p - 2, p)
+        if inv != 1:
+            A[r, c:] = (A[r, c:] * inv) % p
+        tail = A[r + 1:, c:]
+        hit = np.flatnonzero(tail[:, 0])
+        if hit.size:
+            f = tail[hit, 0][:, None]
+            tail[hit] = (tail[hit] - f * A[r, c:]) % p
+        r += 1
+    return r
+
+
+def _rank_gfp(polys, p):
+    # rank of reduced polynomials as vectors of monomial coefficients
+    masks = sorted(
+        {m for q in polys for m in q.coefficients}, key=lambda m: (m.bit_count(), m)
+    )
+    index = {m: j for j, m in enumerate(masks)}
+    A = np.zeros((len(polys), len(masks)), dtype=np.int64)
+    for i, q in enumerate(polys):
+        for m, c in q.coefficients.items():
+            A[i, index[m]] = c
+    return rank_mod_p(A, p)
+
+
+# largest prime with (p-1)^2 + p < 2^53, the edge of rank_mod_p's domain
+_P_EDGE = 94906249
+
+
 def test_rank_mod_p_against_oracle():
     rng = np.random.default_rng(11)
     for p in (3, 5, 7):
@@ -224,10 +269,87 @@ def test_rank_mod_p_against_oracle():
     assert rank_mod_p(M, 7) == 2
 
 
+def _low_rank(m, n, k, p, seed):
+    # L @ R mod p: rank at most k, and exactly k for most draws
+    rng = np.random.default_rng(seed)
+    L = rng.integers(0, p, size=(m, k), dtype=np.int64)
+    R = rng.integers(0, p, size=(k, n), dtype=np.int64)
+    return (L @ R) % p
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(0, 24),
+    n=st.integers(0, 24),
+    k=st.integers(0, 24),
+    p=st.sampled_from([2, 3, 5, 7, 31, _P_EDGE]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(m=0, n=7, k=3, p=5, seed=0)  # empty, no rows
+@example(m=7, n=0, k=3, p=5, seed=0)  # empty, no columns
+@example(m=1, n=9, k=1, p=3, seed=1)  # single row
+@example(m=24, n=5, k=4, p=7, seed=2)  # tall
+@example(m=5, n=24, k=4, p=31, seed=3)  # wide
+@example(m=12, n=12, k=0, p=2, seed=4)  # all zero
+@example(m=20, n=20, k=20, p=_P_EDGE, seed=5)  # full rank at the edge
+def test_rank_mod_p_property_low_rank(m, n, k, p, seed):
+    M = _low_rank(m, n, k, p, seed)
+    got = rank_mod_p(M, p)
+    assert got == _rank_oracle(M.tolist(), p) == _rank_loop(M, p)
+    assert got <= min(m, n, k)
+
+
+def test_rank_mod_p_full_rank_and_negative_entries():
+    for p in (2, 5, 31, _P_EDGE):
+        unit = np.triu(np.arange(1, 31 * 31 + 1).reshape(31, 31)) % p
+        np.fill_diagonal(unit, 1)
+        assert rank_mod_p(unit, p) == 31
+        assert rank_mod_p(-unit[:, :17], p) == 17
+        assert rank_mod_p(unit[5:9].T, p) == 4
+
+
+def test_rank_mod_p_trailing_reduction():
+    # with p just below 2^24 each pivot adds up to (p-1)^2 ~ 2^48 to the
+    # trailing entries, p^2/4 on average, so 160 pivots carry them past
+    # 2^53 unless the trailing block is reduced mod p on the way
+    p = 16777213
+    assert 160 * (p - 1) ** 2 // 4 > 2 ** 53
+    M = _low_rank(200, 180, 160, p, seed=9)
+    assert rank_mod_p(M, p) == _rank_loop(M, p) == 160
+
+
+def test_rank_mod_p_pivots_outside_sample():
+    # a panel's pivot search starts on every (rows // _PANEL_SAMPLE)-th
+    # row; here those rows are zero or of rank 3, so the pivots must come
+    # from the rows the first sample left out
+    rows = 2 * algebra._PANEL_SAMPLE + 1
+    for p in (2, 7):
+        M = _low_rank(rows, 70, 45, p, seed=p)
+        M[::2] = 0
+        assert rank_mod_p(M, p) == _rank_loop(M, p)
+        M[::2] = _low_rank(rows // 2 + 1, 70, 3, p, seed=p + 1)
+        assert rank_mod_p(M, p) == _rank_loop(M, p)
+
+
+def test_rank_mod_p_rejects_non_prime():
+    for p in (4, 1, 0, -5):
+        with pytest.raises(ValueError, match="not prime"):
+            rank_mod_p(np.array([[2]]), p)
+
+
+def test_rank_mod_p_rejects_inexact_prime():
+    assert rank_mod_p(np.array([[2, 1], [1, 3]]), _P_EDGE) == 2
+    with pytest.raises(ValueError, match="too large"):
+        rank_mod_p(np.array([[2]]), 94906297)  # next prime past the edge
+
+
 def test_rank_of_full_family_frozen():
     # rank over GF(p) of all reduced polynomials; observed C(n-1, p-1)
     assert rank_mod_p(coefficient_matrix(8, 3, 4), 3) == 21 == binomial(7, 2)
+    assert rank_mod_p(coefficient_matrix(8, 5, 12), 5) == 35 == binomial(7, 4)
     assert rank_mod_p(coefficient_matrix(12, 5, 8), 5) == 330 == binomial(11, 4)
+    assert rank_mod_p(coefficient_matrix(12, 7, 16), 7) == 462 == binomial(11, 6)
+    assert rank_mod_p(coefficient_matrix(16, 5, 4), 5) == 1365 == binomial(15, 4)
     assert 330 <= dimension_bound(12, 5)
 
 
@@ -248,7 +370,7 @@ def test_rank_gfp_certifies_family_independence():
     n, p, a = 12, 5, 8
     fam = greedy_avoiding_family(n, -a, seed=1)
     polys = [reduced_indicator(m.entries, p, a) for m in fam.members]
-    assert rank_gfp(polys, p) == len(fam)
+    assert _rank_gfp(polys, p) == len(fam)
 
 
 def test_max_avoiding_exact_values():
