@@ -26,23 +26,27 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .exactnum import binomial, binomial_tail_sum, is_prime
-from .construction import SignVector, sigma_matrix, sign_vectors
+from .construction import SignVector, sigma_matrix
 
 Vectorish = Union[SignVector, Sequence[int]]
 
 # Full-family rank elimination is O(rows * cols * rank); these caps keep it
-# inside a few minutes.  Above them the sampled-family certificates carry
-# the evidence instead.
+# to a few seconds (n=16, 6435 x 2517, takes about one).  Above them the
+# sampled-family certificates carry the evidence instead.
 _RANK_ROWS_CAP = 8000
 _RANK_COLS_CAP = 4000
 
-# rank_mod_p: columns per panel, rows sampled for a panel's pivots, and
-# the float64 exactness limit; rows per matmul in its trailing update and
-# in sigma_gram, which bounds their temporaries
+# float32 and float64 hold every integer of magnitude up to these
+_EXACT32 = 2 ** 24
+_EXACT64 = 2 ** 53
+
+# rank_mod_p: columns per panel and rows sampled for a panel's pivots;
+# rows per matmul in its trailing update and in sigma_gram, and in
+# property_check_exhaustive, which bounds their temporaries
 _PANEL = 96
 _PANEL_SAMPLE = 128
-_EXACT = 2 ** 53
 _ROW_CHUNK = 1024
+_PROPERTY_CHUNK = 512
 
 _EXACT_MIS_CAP = 12
 
@@ -279,17 +283,21 @@ def _monomial_sign_matrix(X: np.ndarray, basis: List[int]) -> np.ndarray:
     """signs[i, j] = value of basis monomial j on +-1 row i.
 
     Fills columns size by size, reusing the column for the monomial with
-    the lowest variable removed; basis order guarantees it exists.
+    the lowest variable removed; basis order guarantees it exists.  The
+    columns are built as contiguous rows of the transpose, which is
+    returned as a (Fortran-ordered) view.
     """
     index = {mask: j for j, mask in enumerate(basis)}
-    signs = np.empty((X.shape[0], len(basis)), dtype=np.int8)
+    XT = np.ascontiguousarray(X.T)
+    signs = np.empty((len(basis), X.shape[0]), dtype=np.int8)
     for j, mask in enumerate(basis):
         if mask == 0:
-            signs[:, j] = 1
+            signs[j] = 1
         else:
             low = mask & -mask
-            signs[:, j] = signs[:, index[mask ^ low]] * X[:, low.bit_length() - 1]
-    return signs
+            np.multiply(signs[index[mask ^ low]], XT[low.bit_length() - 1],
+                        out=signs[j])
+    return signs.T
 
 
 def coefficient_matrix(
@@ -306,7 +314,8 @@ def coefficient_matrix(
     w = _reduced_profile_weights(n, p, a)
     signs = _monomial_sign_matrix(X, basis)
     wcol = np.array([w[mask.bit_count()] for mask in basis], dtype=np.int16)
-    return (signs.astype(np.int16) * wcol[None, :]) % p
+    # signs are +-1: pick w or -w, reduced mod p, per entry
+    return np.where(signs > 0, wcol % p, -wcol % p)
 
 
 def residue_value_table(p: int, a: int) -> np.ndarray:
@@ -353,23 +362,28 @@ def property_check(x: Vectorish, y: Vectorish, p: int, a: int) -> Tuple[bool, bo
 def property_check_exhaustive(n: int, p: int, a: int) -> int:
     """Number of pairs in Sigma(n)^2 violating the equivalence (0 expected).
 
-    Bulk form: evaluates every reduced polynomial on every sign vector
-    through matrix products (exact in float64 at desk scale, chunked to
-    bound memory).
+    Bulk form: evaluates every reduced polynomial on every sign vector as
+    the all-pairs product signs @ coef.T, in float32, _PROPERTY_CHUNK
+    sign vectors at a time; each chunk's inner products come from its own
+    Gram product.  With the coefficients centred in [-p//2, p//2] every
+    partial sum is an integer of magnitude at most len(basis) * (p//2),
+    which must stay within 2**24 - p, so float32 holds it exactly and _mod
+    tests it against zero mod p exactly.
     """
+    if dimension_bound(n, p) * (p // 2) > _EXACT32 - p:
+        raise ValueError("bulk evaluation would overflow exact float32: "
+                         "n=%d, p=%d" % (n, p))
     X = sigma_matrix(n)
-    basis = monomial_basis(n, p)
-    if len(basis) * (p - 1) >= 2 ** 52:
-        raise ValueError("bulk evaluation would overflow float64")
-    coef_t = coefficient_matrix(n, p, a).astype(np.float64).T
-    signs = _monomial_sign_matrix(X, basis)
-    lhs = (sigma_gram(n) + a) % p == 0
+    coef_t = coefficient_matrix(n, p, a).astype(np.float32).T
+    coef_t[coef_t > p // 2] -= p
+    signs = _monomial_sign_matrix(X, monomial_basis(n, p))
+    Xf = X.astype(np.float32)
     bad = 0
-    step = max(1, (1 << 27) // max(1, 8 * X.shape[0]))
-    for lo in range(0, X.shape[0], step):
-        chunk = signs[lo:lo + step].astype(np.float64) @ coef_t
-        rhs = np.mod(chunk.astype(np.int64), p) != 0  # rhs[y, x]
-        bad += int(np.count_nonzero(lhs[:, lo:lo + step] != rhs.T))
+    for lo in range(0, X.shape[0], _PROPERTY_CHUNK):
+        hi = lo + _PROPERTY_CHUNK
+        lhs = _mod(Xf[lo:hi] @ Xf.T + a, p) == 0
+        rhs = _mod(signs[lo:hi].astype(np.float32) @ coef_t, p) != 0  # rhs[y, x]
+        bad += int(np.count_nonzero(lhs != rhs))
     return bad
 
 
@@ -424,20 +438,20 @@ def greedy_avoiding_family(
     reproducible random permutation.  conflict caches the pair predicate
     matrix across repeated calls.  pool restricts the scan to a subset of
     Sigma positions, for sizes where the full pair matrix stops fitting
-    in memory; conflict is then indexed by pool position.
+    in memory; conflict is then indexed by pool position.  Only the
+    chosen rows of the int8 Sigma matrix become SignVector objects.
     """
-    vectors = sign_vectors(n)
-    if pool is None:
-        pool = np.arange(len(vectors))
+    X = sigma_matrix(n)
+    pool = np.arange(X.shape[0]) if pool is None else np.asarray(pool)
     if conflict is None:
-        sub = sigma_matrix(n)[pool].astype(np.float64)
+        sub = X[pool].astype(np.float64)
         conflict = (sub @ sub.T).astype(np.int64) == forbidden
     order = np.arange(len(pool))
     if seed is not None:
         order = np.random.default_rng(seed).permutation(len(pool))
-    chosen = _greedy_indices(conflict, order)
+    chosen = pool[_greedy_indices(conflict, order)]
     return AvoidingFamily(
-        members=tuple(vectors[int(pool[i])] for i in chosen),
+        members=tuple(SignVector(tuple(row)) for row in X[chosen].tolist()),
         forbidden=forbidden,
     )
 
@@ -473,12 +487,13 @@ def independence_verify(family: AvoidingFamily, p: int, a: int) -> bool:
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in [0, p), for integer-valued float64 x with |x| <= 2**53 - p.
+    """x mod p in [0, p), for integer-valued float x with |x| <= 2**b - p.
 
-    Exact there: |x / p| < 2**53 / p, where float64 spacing is below 2/p,
-    so rounding moves x / p by less than 1/p and never past an integer;
+    b is the significand width: 24 for float32, 53 for float64.  Exact
+    there: |x / p| < 2**b / p, where the float spacing is below 2/p, so
+    rounding moves x / p by less than 1/p and never past an integer;
     floor then gives the true quotient, and p times it stays within
-    2**53.  (np.fmod is exact too, but several times slower on large
+    2**b.  (np.fmod is exact too, but several times slower on large
     entries.)
     """
     return x - p * np.floor(x / p)
@@ -529,7 +544,7 @@ def _panel_pivots(P: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray, np.nda
         A[:, :k] = P[sample]
         A[:, k:] = np.eye(s, dtype=np.int64)
         rows, cols = _gauss_jordan(A, p, k)
-        left = P - P[:, cols] @ A[rows, :k].astype(np.float64)
+        left = P - P[:, cols] @ A[rows, :k].astype(P.dtype)
         live = np.flatnonzero(_mod(left, p).any(axis=1))
         if live.size == 0:
             minv = A[np.ix_(rows, [k + i for i in rows])]
@@ -540,36 +555,41 @@ def _panel_pivots(P: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray, np.nda
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     """Rank over GF(p) by blocked right-looking elimination.
 
-    Works on a float64 copy oriented to have at least as many rows as
+    Works on a float copy oriented to have at least as many rows as
     columns, _PANEL columns at a time (Dumas, Giorgi, Pernet, ACM TOMS
     2008).  The panel's pivot rows are found by a small int64
     elimination and swapped to the top; their reduced row-echelon form
     then clears the panel from every other row, and the trailing columns
     take the same step as one matmul, T -= X @ U.
 
-    Every intermediate is an integer of magnitude at most 2**53 - p, so
-    float64 holds it exactly and _mod reduces it exactly: the panel and
-    the pivot rows are reduced mod p before use, and the trailing block
-    only when its tracked bound, grown by k (p-1)^2 per panel of k
-    pivots, would pass that limit.  p must be prime with
-    (p-1)^2 + p < 2**53; the largest such prime, 94906249, still has
-    p - 1 + (p-1)^2 below 2**53 - p by 3 * 10**9, so one pivot per panel
-    always fits.
+    The copy is float32 when a full panel's growth fits in it,
+    (p-1)^2 _PANEL + 2p < 2**24 (p <= 419), and float64 otherwise.
+    Every intermediate is an integer of magnitude at most the limit
+    2**24 - p, or 2**53 - p, so the float type holds it exactly and _mod
+    reduces it exactly: the panel and the pivot rows are reduced mod p
+    before use, and the trailing block only when its tracked bound,
+    grown by k (p-1)^2 per panel of k pivots, would pass the limit.
+    p must be prime with (p-1)^2 + p < 2**53; the largest such prime,
+    94906249, still has p - 1 + (p-1)^2 below 2**53 - p by 3 * 10**9,
+    so one pivot per panel always fits.
     """
     p = operator.index(p)
     if not is_prime(p):
         raise ValueError("p = %d is not prime" % p)
     step = (p - 1) ** 2
-    if step + p >= _EXACT:
+    if step * _PANEL + 2 * p < _EXACT32:
+        dtype, limit = np.float32, _EXACT32 - p
+    elif step + p < _EXACT64:
+        dtype, limit = np.float64, _EXACT64 - p
+    else:
         raise ValueError("p = %d too large for exact float64 elimination" % p)
-    limit = _EXACT - p
     A = np.asarray(matrix)
     if A.dtype.kind not in "iu":
         A = A.astype(np.int64)
     if A.shape[0] < A.shape[1]:
         A = A.T
     m, n = A.shape
-    W = np.empty((m, n))
+    W = np.empty((m, n), dtype=dtype)
     np.fmod(A, np.int64(p), out=W)
     width = min(_PANEL, (limit - (p - 1)) // step)
     bound = p - 1  # on |entries| of the active rows past the last panel
@@ -591,7 +611,7 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
                 W[[r + t, r + i], c1:] = W[[r + i, r + t], c1:]
                 P[[t, i]] = P[[i, t]]
         if c1 < n and r + kp < m:
-            U = _mod(minv.astype(np.float64) @ _mod(W[r:r + kp, c1:], p), p)
+            U = _mod(minv.astype(dtype) @ _mod(W[r:r + kp, c1:], p), p)
             X = P[kp:, cols]
             T = W[r + kp:, c1:]
             reduce = bound + kp * step > limit
@@ -776,6 +796,8 @@ def certify_bound(
     """
     if n - 4 * p != -a:
         raise ValueError("construction relation violated: n - 4p != -a")
+    if not is_prime(p):
+        raise ValueError("p = %d is not prime" % p)
     bound = dimension_bound(n, p)
     sigma_size = binomial(n - 1, n // 2 - 1)
     forbidden = -a

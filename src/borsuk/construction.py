@@ -51,16 +51,8 @@ class SignVector:
 
 def iter_sign_vectors(n: int) -> Iterator[SignVector]:
     """Yield Sigma(n) ordered by the positions of the +1 entries."""
-    if n % 4 != 0 or n <= 0:
-        raise ValueError("vector length must be a positive multiple of 4")
-    if n > ENUMERATION_CAP:
-        raise ValueError("enumeration too large: n=%d > %d" % (n, ENUMERATION_CAP))
-    for plus in combinations(range(1, n), n // 2 - 1):
-        entries = [-1] * n
-        entries[0] = 1
-        for i in plus:
-            entries[i] = 1
-        yield SignVector(tuple(entries))
+    for row in sigma_matrix(n).tolist():
+        yield SignVector(tuple(row))
 
 
 def sign_vectors(n: int) -> List[SignVector]:
@@ -69,9 +61,19 @@ def sign_vectors(n: int) -> List[SignVector]:
 
 
 def sigma_matrix(n: int) -> np.ndarray:
-    """Sigma(n) stacked as an int8 matrix, same order as sign_vectors."""
-    rows = [v.entries for v in iter_sign_vectors(n)]
-    return np.array(rows, dtype=np.int8)
+    """Sigma(n) stacked as an int8 matrix, rows ordered by +1 positions.
+
+    The one enumeration of Sigma: sign_vectors wraps these rows.
+    """
+    if n % 4 != 0 or n <= 0:
+        raise ValueError("vector length must be a positive multiple of 4")
+    if n > ENUMERATION_CAP:
+        raise ValueError("enumeration too large: n=%d > %d" % (n, ENUMERATION_CAP))
+    plus = np.array(list(combinations(range(1, n), n // 2 - 1)), dtype=np.intp)
+    X = np.full((plus.shape[0], n), -1, dtype=np.int8)
+    X[:, 0] = 1
+    np.put_along_axis(X, plus, 1, axis=1)
+    return X
 
 
 def inner(x: SignVector, y: SignVector) -> int:

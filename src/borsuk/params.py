@@ -127,6 +127,9 @@ def solve_a0(rsq: Number, k: int, tol: float = 1e-12) -> Fraction:
             if u_out <= rsq_mp - margin / 2:
                 break
             out += step
+        else:
+            raise ValueError("a0 nudge failed to restore the margin: rsq=%s k=%d"
+                             % (rsq, k))
         return out
 
 

@@ -138,6 +138,34 @@ def test_property_equivalence_exhaustive_desk(n, p, a):
     assert property_check_exhaustive(n, p, a) == 0
 
 
+def test_property_check_detects_a_wrong_weight(monkeypatch):
+    # the check must be able to fail: one perturbed weight of the
+    # symmetric profile corrupts the coefficient matrix it evaluates
+    weights = algebra._reduced_profile_weights
+
+    def perturbed(n, p, a):
+        w = weights(n, p, a)
+        w[1] = (w[1] + 1) % p
+        return w
+
+    monkeypatch.setattr(algebra, "_reduced_profile_weights", perturbed)
+    assert property_check_exhaustive(12, 5, 8) > 0
+
+
+def test_property_check_refuses_inexact_float32(monkeypatch):
+    # (13 // 2) * sum_{i<13} C(24, i) passes 2**24: refused before
+    # Sigma(24), 1.35 million rows, or its monomial basis is built
+    assert 6 * dimension_bound(24, 13) > 2 ** 24
+
+    def no_build(*args):
+        raise AssertionError("built before the exactness guard")
+
+    monkeypatch.setattr(algebra, "sigma_matrix", no_build)
+    monkeypatch.setattr(algebra, "monomial_basis", no_build)
+    with pytest.raises(ValueError, match="exact float32"):
+        property_check_exhaustive(24, 13, 28)
+
+
 def test_evaluation_matrix_structure():
     n, p, a = 12, 5, 8
     fam = greedy_avoiding_family(n, -a)
@@ -282,7 +310,7 @@ def _low_rank(m, n, k, p, seed):
     m=st.integers(0, 24),
     n=st.integers(0, 24),
     k=st.integers(0, 24),
-    p=st.sampled_from([2, 3, 5, 7, 31, _P_EDGE]),
+    p=st.sampled_from([2, 3, 5, 7, 31, 409, _P_EDGE]),
     seed=st.integers(0, 2 ** 32 - 1),
 )
 @example(m=0, n=7, k=3, p=5, seed=0)  # empty, no rows
@@ -316,6 +344,17 @@ def test_rank_mod_p_trailing_reduction():
     assert 160 * (p - 1) ** 2 // 4 > 2 ** 53
     M = _low_rank(200, 180, 160, p, seed=9)
     assert rank_mod_p(M, p) == _rank_loop(M, p) == 160
+
+
+def test_rank_mod_p_float32_trailing_reduction():
+    # p = 409 runs in float32, where a panel of 96 pivots adds up to
+    # 96 (p-1)^2 ~ 2^24 to the trailing entries: from the second panel on
+    # the trailing block must be reduced mod p before every update, and
+    # 390 pivots take five panels, enough to go wrong without it
+    p = 409
+    assert (p - 1) ** 2 * algebra._PANEL + 2 * p < 2 ** 24
+    M = _low_rank(420, 400, 390, p, seed=0)
+    assert rank_mod_p(M, p) == _rank_loop(M, p) == 390
 
 
 def test_rank_mod_p_pivots_outside_sample():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -97,6 +98,24 @@ def test_certify_with_overrides(capsys):
     assert doc["bound"] == "794"
     assert doc["mis_exact"] == "210"
     assert doc["vacuous"] is True
+
+
+def test_certify_composite_p_exits_2_at_once(capsys, monkeypatch):
+    # n - 4p = -a holds for (12, 4, 4); p = 4 must be refused before the
+    # greedy families and the exact search, which take minutes at n = 12
+    from borsuk import algebra
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("Sigma work ran before the prime check")
+
+    monkeypatch.setattr(algebra, "sigma_gram", no_work)
+    monkeypatch.setattr(algebra, "sigma_matrix", no_work)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["certify", "--n", "12", "--p", "4", "--a", "4"])
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert "p = 4 is not prime" in err
 
 
 def test_certify_partial_overrides_error(capsys):

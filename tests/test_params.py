@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from borsuk import params
 from borsuk.params import (
     CheckFailed,
     ParamSet,
@@ -87,6 +88,15 @@ def test_solve_a0_large_k_fallback():
     a0 = solve_a0(rsq, 100)
     assert 0 < a0 < 2
     assert float(compressed_radius_sq(float(a0), 100)) <= float(rsq)
+
+
+def test_solve_a0_large_k_nudge_exhausted(monkeypatch):
+    # a profile stuck at 1/2 never clears the margin below rsq, so the
+    # nudge after the mpmath bisection runs out and must raise rather
+    # than return an a0 it could not certify
+    monkeypatch.setattr(params, "compressed_radius_sq", lambda a0, k: 0.5)
+    with pytest.raises(ValueError, match="nudge failed"):
+        solve_a0(Fraction(13, 50), 100)
 
 
 def _choose_n_brute(d, k):
