@@ -11,10 +11,10 @@ multilinear monomials of degree at most p-1, a space of dimension
 sum_{i<p} C(n, i).  Polynomials attached to a family avoiding the inner
 product -a are linearly independent (diagonal nonzero, off-diagonal zero
 in the evaluation matrix), so no avoiding family can outgrow that
-dimension.  This module builds the polynomials both symbolically and in
-bulk, certifies independence two independent ways (coefficient rank and
-evaluation matrix), and cross-checks the bound against exact maximum
-independent set search at desk scale.
+dimension.  This module builds the reduced polynomials in bulk from one
+symmetric weight profile, certifies independence two independent ways
+(coefficient rank and evaluation matrix), and cross-checks the bound
+against exact maximum independent set search at desk scale.
 """
 
 from __future__ import annotations
@@ -98,35 +98,6 @@ def residue_excluded_dots(n: int, p: int) -> Tuple[int, ...]:
     return tuple(n - j * p for j in (1, 2, 3, 5, 6, 7))
 
 
-# ---------------------------------------------------------------------------
-# symbolic route: explicit products, then multilinear reduction
-
-
-@dataclass(frozen=True)
-class FormalPolynomial:
-    """Dense-exponent polynomial mod p: exponent tuple -> coefficient."""
-
-    n: int
-    p: int
-    coefficients: Dict[Tuple[int, ...], int]
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.coefficients), default=0)
-
-    def evaluate(self, y: Vectorish) -> int:
-        ey = _entries(y)
-        if len(ey) != self.n:
-            raise ValueError("length mismatch")
-        total = 0
-        for expo, c in self.coefficients.items():
-            v = 1
-            for e, yi in zip(expo, ey):
-                if e:
-                    v *= yi ** e
-            total += c * v
-        return total % self.p
-
-
 @dataclass(frozen=True)
 class ReducedPolynomial:
     """Multilinear polynomial mod p: monomial bitmask -> coefficient."""
@@ -159,60 +130,8 @@ class ReducedPolynomial:
         return total % self.p
 
 
-def residue_product_polynomial(x: Vectorish, p: int, a: int) -> FormalPolynomial:
-    """The formal product prod_{i != -a mod p} (i - (x, y)) over GF(p).
-
-    Expanded in exponent vectors without reduction; degree p-1.  This is
-    the reference route, kept deliberately naive; reduced_indicator below
-    is the bulk route and must agree with reduce_multilinear of this.
-    """
-    if not is_prime(p):
-        raise ValueError("p is not prime")
-    if a % 4 != 0 or a <= 0:
-        raise ValueError("offset must be a positive multiple of 4")
-    ex = _entries(x)
-    n = len(ex)
-    skip = excluded_residue(p, a)
-    zero = (0,) * n
-    poly: Dict[Tuple[int, ...], int] = {zero: 1}
-    for i in range(p):
-        if i == skip:
-            continue
-        nxt: Dict[Tuple[int, ...], int] = {}
-        for expo, c in poly.items():
-            if i:
-                nxt[expo] = (nxt.get(expo, 0) + i * c) % p
-            for j in range(n):
-                cc = (-c * ex[j]) % p
-                if cc == 0:
-                    continue
-                e2 = expo[:j] + (expo[j] + 1,) + expo[j + 1:]
-                nxt[e2] = (nxt.get(e2, 0) + cc) % p
-        poly = {e: c for e, c in nxt.items() if c}
-    return FormalPolynomial(n=n, p=p, coefficients=poly)
-
-
-def reduce_multilinear(poly: FormalPolynomial, p: int) -> ReducedPolynomial:
-    """Drop even exponents, set odd exponents to 1, merge coefficients mod p.
-
-    Valid on +-1 inputs, where y**2 = 1.
-    """
-    if p != poly.p:
-        raise ValueError("prime mismatch")
-    out: Dict[int, int] = {}
-    for expo, c in poly.coefficients.items():
-        mask = 0
-        for j, e in enumerate(expo):
-            if e & 1:
-                mask |= 1 << j
-        out[mask] = (out.get(mask, 0) + c) % p
-    return ReducedPolynomial(
-        n=poly.n, p=p, coefficients={m: c for m, c in out.items() if c}
-    )
-
-
 # ---------------------------------------------------------------------------
-# bulk route: one symmetric weight profile serves every x
+# reduced polynomials in bulk: one symmetric weight profile serves every x
 
 
 def _reduced_profile_weights(n: int, p: int, a: int) -> List[int]:
@@ -243,7 +162,9 @@ def _reduced_profile_weights(n: int, p: int, a: int) -> List[int]:
 def reduced_indicator(x: Vectorish, p: int, a: int) -> ReducedPolynomial:
     """Multilinear polynomial that is nonzero mod p iff (x, y) = -a mod p.
 
-    Bulk form of reduce_multilinear(residue_product_polynomial(x, p, a)).
+    The multilinear reduction of prod_{i != -a mod p} (i - (x, y)) over
+    GF(p).  tests/test_algebra.py expands that product symbolically and
+    reduces it monomial by monomial as the oracle for this bulk route.
     """
     ex = _entries(x)
     n = len(ex)

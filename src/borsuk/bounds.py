@@ -9,14 +9,13 @@ then gives
 The construction succeeds at dimension d once that ratio beats d+1 (d+2
 in the shrinking-radius regime).  This module evaluates the ratio exactly
 at desk scale and in log space always, locates the first dimension where
-it wins, extracts the asymptotic growth base, and replays the whole
-shrinking-radius inequality chain at a given d, recording each check.
+it wins, extracts the asymptotic growth base, and closes the recorded
+shrinking-radius chain of params.shrinking_chain with the count ratio.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -32,15 +31,13 @@ from .exactnum import (
 )
 from .params import (
     CheckFailed,
+    CheckRecord,
     ParamSet,
+    ShrinkingRadiusReport,
     choose_a,
-    choose_n,
-    compressed_radius_sq,
-    drift,
-    plan_fixed,
-    power_threshold,
-    solve_a0,
-    solve_k,
+    fixed_params,
+    fixed_profile,
+    shrinking_chain,
 )
 
 _EXACT_N_CAP = 10 ** 4
@@ -191,15 +188,10 @@ def find_d0(r: float, tol: float = 1e-12) -> D0Result:
     between consecutive candidates the planned n, and with it the ratio,
     is constant while the threshold d+1 only grows, so within each window
     the passing dimensions form a prefix.  The first passing grid point
-    is therefore the least passing d overall.
+    is therefore the least passing d overall.  The profile (rsq, k, a0)
+    depends on r alone, so it is solved once, as plan_fixed solves it.
     """
-    rsq = Fraction(r) ** 2
-    if rsq <= Fraction(1, 4):
-        raise ValueError("radius not above one half: r=%r" % (r,))
-    k = solve_k(rsq)
-    # the planner resolves a0 from (rsq, k) alone; hoist it out of the walk
-    target = rsq if rsq < Fraction(1, 2) else Fraction(7, 16)
-    a0 = solve_a0(target, k, tol)
+    rsq, k, a0 = fixed_profile(r, tol)
     n = 8
     while True:
         d = n ** (2 * k) + 1
@@ -217,14 +209,13 @@ def find_d0(r: float, tol: float = 1e-12) -> D0Result:
         if certainly_fails:
             n += 4
             continue
-        ps = plan_fixed(r, d, tol)
-        assert ps.n == n and ps.p == p, "grid walk desynced from planner"
+        ps = fixed_params(r, rsq, k, a0, d)
         cb = lower_bound(ps)
         if cb.passes:
             prev_passes = False
             try:
                 prev_d = d - 1
-                prev_passes = lower_bound(plan_fixed(r, d - 1, tol)).passes
+                prev_passes = lower_bound(fixed_params(r, rsq, k, a0, d - 1)).passes
             except (CheckFailed, ValueError):
                 prev_d = None
             return D0Result(
@@ -238,102 +229,21 @@ def find_d0(r: float, tol: float = 1e-12) -> D0Result:
         n += 4
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    """One inequality in the shrinking-radius chain."""
-
-    name: str
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ShrinkingRadiusReport:
-    """Every check behind the shrinking-radius claim, evaluated at one d.
-
-    Failures are recorded, never raised: the point of the report is to
-    say which inequality gives out when d is too small.  Later fields are
-    None when an earlier step already failed structurally.
-    """
-
-    d: int
-    c_phi: float
-    phi: float
-    k: int
-    a0: Optional[Fraction]
-    n: Optional[int]
-    a: Optional[int]
-    p: Optional[int]
-    checks: Tuple[CheckRecord, ...]
-    final_ratio_log: Optional[LogReal]
-    passes: bool
-
-
 def shrinking_radius_check(d: int, c_phi: float = 6.0) -> ShrinkingRadiusReport:
-    """Replay the inequality chain at radius 1/2 + phi(d), recording all.
+    """params.shrinking_chain at d, completed by the count ratio vs d+2.
 
-    Checks, in dependency order: the power threshold sits below r^2; the
-    compressed radius at a0 = 2 - phi/2 sits below r^2 (exact rational
-    comparison); a dimension window admits n; the offset lands below n;
-    the prime lands in [n/2 - phi*n/20]; and the count ratio beats d+2
-    in log space.
+    The ratio is evaluated in log space whenever the chain reached a
+    prime, whether or not its other checks passed.
     """
-    dr = drift(d, c_phi)
-    phi = dr.phi
-    phi_f = Fraction(phi)
-    rsq = (Fraction(1, 2) + phi_f) ** 2
-    k = math.ceil(1 / phi)
-    checks: List[CheckRecord] = []
-
-    def record(name: str, lhs: float, rhs: float, passed: bool) -> bool:
-        checks.append(CheckRecord(name=name, lhs=lhs, rhs=rhs, passed=passed))
-        return passed
-
-    def report(a0=None, n=None, a=None, p=None, ratio=None) -> ShrinkingRadiusReport:
-        return ShrinkingRadiusReport(
-            d=d,
-            c_phi=float(c_phi),
-            phi=phi,
-            k=k,
-            a0=a0,
-            n=n,
-            a=a,
-            p=p,
-            checks=tuple(checks),
-            final_ratio_log=ratio,
-            passes=all(c.passed for c in checks),
-        )
-
-    thr = power_threshold(k)
-    record("power_margin", float(thr), float(rsq), thr < rsq)
-
-    a0 = Fraction(2) - phi_f / 2
-    if not 0 < a0 < 2:
-        record("tail_parameter_range", float(a0), 2.0, False)
-        return report()
-    u = compressed_radius_sq(a0, k)
-    record("compression", float(u), float(rsq), u < rsq)
-
-    try:
-        n = choose_n(d, k)
-    except ValueError:
-        record("dimension_window", float(d), float(4 ** (2 * k)), False)
-        return report(a0=a0)
-    try:
-        a, p = choose_a(a0, n)
-    except ValueError:
-        record("prime_scan", float(n), 0.0, False)
-        return report(a0=a0, n=n)
-
-    record("offset_below_n", float(a), float(n), a < n)
-    window = Fraction(n, 2) - phi_f * n / 20
-    record("prime_window", float(p), float(window), Fraction(p) <= window)
-
+    rep = shrinking_chain(d, c_phi)
+    if rep.p is None:
+        return rep
+    n, p = rep.n, rep.p
     with mp.workprec(PRECISION_BITS):
         half_central = log_binomial(n, n // 2) / LogReal.from_int(2)
         ratio = half_central / log_binomial_tail_sum(n, p)
         target = mp.log(mp.mpf(d) + 2)
         lhs = ratio.log_abs if ratio.sign > 0 else mp.mpf("-inf")
-        record("count_ratio", float(lhs), float(target), bool(lhs > target))
-    return report(a0=a0, n=n, a=a, p=p, ratio=ratio)
+        count = CheckRecord("count_ratio", float(lhs), float(target), bool(lhs > target))
+    return replace(rep, checks=rep.checks + (count,), final_ratio_log=ratio,
+                   passes=rep.passes and count.passed)

@@ -223,20 +223,14 @@ def cmd_upper(args: argparse.Namespace) -> int:
     if args.d_max < args.d_min:
         raise ValueError("--d-max below --d-min")
     reports = upper.partition_table(
-        list(range(args.d_min, args.d_max + 1)),
-        c_r=args.c_r,
-        restarts=args.restarts,
-        seed=args.seed,
+        list(range(args.d_min, args.d_max + 1)), c_r=args.c_r
     )
     rows = [
         {
             "d": str(rep.d),
             "r": rep.r,
             "piece_diam": rep.piece_diam,
-            "c_fit": rep.c_fit,
-            "residual": rep.residual,
             "pass": rep.passes,
-            "extrapolated": rep.extrapolated,
         }
         for rep in reports
     ]
@@ -352,8 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=int, default=12, dest="d_max")
     p.add_argument("--c-r", type=float, default=0.01, dest="c_r",
                    help="radius margin constant; r = 1/2 + c_r/d")
-    p.add_argument("--restarts", type=int, default=50,
-                   help="random restarts for the piece diameter search")
     p.set_defaults(func=cmd_upper)
 
     p = sub.add_parser("optimal-poly", parents=[common],

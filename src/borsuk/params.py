@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from mpmath import mp
 
-from .exactnum import PRECISION_BITS, is_prime
+from .exactnum import PRECISION_BITS, LogReal, is_prime
 
 Number = Union[int, float, Fraction]
 
@@ -216,12 +216,15 @@ class ParamSet:
             raise ValueError("offset below a0*n/2")
         if not is_prime(self.p):
             raise ValueError("p is not prime")
+        if self.p % 2 == 0:
+            raise ValueError("p = %d is even: the residue argument needs an odd prime"
+                             % self.p)
         if self.n - 4 * self.p != -self.a:
             raise ValueError("construction relation violated: n - 4p != -a")
 
 
-def plan_fixed(r: float, d: int, tol: float = 1e-12) -> ParamSet:
-    """Plan parameters for a fixed radius r > 1/2 and dimension d.
+def fixed_profile(r: float, tol: float = 1e-12) -> Tuple[Fraction, int, Fraction]:
+    """(rsq, k, a0) for a fixed radius r; none of it depends on d.
 
     For r at or above 1/sqrt(2) any tail parameter compresses far enough,
     so the profile root is taken at the canonical interior target 7/16
@@ -232,12 +235,21 @@ def plan_fixed(r: float, d: int, tol: float = 1e-12) -> ParamSet:
         raise ValueError("radius not above one half: r=%r" % (r,))
     k = solve_k(rsq)
     target = rsq if rsq < Fraction(1, 2) else Fraction(7, 16)
-    a0 = solve_a0(target, k, tol)
+    return rsq, k, solve_a0(target, k, tol)
+
+
+def fixed_params(r: float, rsq: Fraction, k: int, a0: Fraction, d: int) -> ParamSet:
+    """The validated fixed-radius ParamSet at d for a profile (rsq, k, a0)."""
     n = choose_n(d, k)
     a, p = choose_a(a0, n)
     ps = ParamSet(r=float(r), rsq=rsq, k=k, a0=a0, n=n, a=a, p=p, d=d, mode="fixed")
     ps.validate()
     return ps
+
+
+def plan_fixed(r: float, d: int, tol: float = 1e-12) -> ParamSet:
+    """Plan parameters for a fixed radius r > 1/2 and dimension d."""
+    return fixed_params(r, *fixed_profile(r, tol), d)
 
 
 @dataclass(frozen=True)
@@ -260,36 +272,117 @@ def drift(d: int, c_phi: float = 6.0) -> Drift:
     return Drift(d=d, c_phi=float(c_phi), phi=phi)
 
 
+@dataclass(frozen=True)
+class CheckRecord:
+    """One inequality in the shrinking-radius chain."""
+
+    name: str
+    lhs: float
+    rhs: float
+    passed: bool
+
+
+@dataclass(frozen=True)
+class ShrinkingRadiusReport:
+    """Every check behind the shrinking-radius claim, evaluated at one d.
+
+    Failures are recorded, never raised: the point of the report is to
+    say which inequality gives out when d is too small.  Later fields are
+    None when an earlier step already failed structurally, and
+    final_ratio_log is None until bounds.shrinking_radius_check adds the
+    count ratio.
+    """
+
+    d: int
+    c_phi: float
+    phi: float
+    k: int
+    a0: Optional[Fraction]
+    n: Optional[int]
+    a: Optional[int]
+    p: Optional[int]
+    checks: Tuple[CheckRecord, ...]
+    final_ratio_log: Optional[LogReal]
+    passes: bool
+
+
+# plan_shrinking's message for each failed check, given (lhs, rhs)
+_CHAIN_FAILURES = {
+    "power_margin": "(2k+1)/(8k) < r^2 fails",
+    "tail_parameter_range": "tail parameter 2 - phi/2 <= 0",
+    "compression": "compressed radius check fails",
+    "dimension_window": "no admissible n: d={0:.0f} requires d > {1:.0f}",
+    "prime_scan": "prime gap anomaly: no prime (a+n)/4 for n={0:.0f}",
+    "offset_below_n": "offset a={0:.0f} not below n={1:.0f}",
+    "prime_window": "prime window p <= n/2 - phi*n/20 fails",
+}
+
+
+def shrinking_chain(d: int, c_phi: float = 6.0) -> ShrinkingRadiusReport:
+    """The chain at radius r = 1/2 + phi(d), phi = c_phi*lnln d/ln d.
+
+    Checks, in dependency order: the power threshold sits below r^2
+    (k = ceil(1/phi)); a0 = 2 - phi/2 lies in (0, 2); the compressed
+    radius at a0 sits below r^2 (exact rational comparison); a dimension
+    window admits n; the prime scan finds a; the offset lands below n;
+    the prime lands in [n/2 - phi*n/20].  A structural failure (a0, n or
+    the prime missing) ends the chain.  The count ratio is not here.
+    """
+    phi = drift(d, c_phi).phi
+    rsq = Fraction(0.5 + phi) ** 2
+    k = math.ceil(1 / phi)
+    checks: List[CheckRecord] = []
+
+    def record(name: str, lhs, rhs, passed: bool) -> None:
+        checks.append(CheckRecord(name, float(lhs), float(rhs), passed))
+
+    def report(a0=None, n=None, a=None, p=None) -> ShrinkingRadiusReport:
+        return ShrinkingRadiusReport(
+            d=d, c_phi=float(c_phi), phi=phi, k=k, a0=a0, n=n, a=a, p=p,
+            checks=tuple(checks), final_ratio_log=None,
+            passes=all(c.passed for c in checks),
+        )
+
+    thr = power_threshold(k)
+    record("power_margin", thr, rsq, thr < rsq)
+    a0 = Fraction(2) - Fraction(phi) / 2
+    if not 0 < a0 < 2:
+        record("tail_parameter_range", a0, 2, False)
+        return report()
+    u = compressed_radius_sq(a0, k)
+    record("compression", u, rsq, u < rsq)
+    try:
+        n = choose_n(d, k)
+    except ValueError:
+        record("dimension_window", d, 4 ** (2 * k), False)
+        return report(a0)
+    try:
+        a, p = choose_a(a0, n)
+    except ValueError:
+        record("prime_scan", n, 0, False)
+        return report(a0, n)
+    record("offset_below_n", a, n, a < n)
+    window = Fraction(n, 2) - Fraction(phi) * n / 20
+    record("prime_window", p, window, Fraction(p) <= window)
+    return report(a0, n, a, p)
+
+
 def plan_shrinking(d: int, c_phi: float = 6.0, tol: float = 1e-12) -> ParamSet:
     """Plan parameters at radius r = 1/2 + phi(d), phi = c_phi*lnln d/ln d.
 
-    Raises CheckFailed naming the first violated inequality when d is too
-    small for the parameter pipeline to close.  The final counting
-    inequality is not checked here; see bounds.shrinking_radius_check.
+    Raises CheckFailed naming the first failed check of shrinking_chain
+    when d is too small for the parameter pipeline to close.  The final
+    counting inequality is not checked here; see
+    bounds.shrinking_radius_check.  tol is unused: a0 = 2 - phi/2 needs
+    no root solve.
     """
-    dr = drift(d, c_phi)
-    phi = dr.phi
-    if phi >= 4:
-        raise CheckFailed("d below threshold d0: tail parameter 2 - phi/2 <= 0")
-    r = 0.5 + phi
-    rsq = Fraction(r) ** 2
-    k = math.ceil(1 / phi)
-    if power_threshold(k) >= rsq:
-        raise CheckFailed("d below threshold d0: (2k+1)/(8k) < r^2 fails")
-    a0 = Fraction(2) - Fraction(phi) / 2
-    if not compressed_radius_sq(a0, k) < rsq:
-        raise CheckFailed("d below threshold d0: compressed radius check fails")
-    try:
-        n = choose_n(d, k)
-    except ValueError as exc:
-        raise CheckFailed("d below threshold d0: %s" % exc) from exc
-    a, p = choose_a(a0, n)
-    if not a < n:
-        raise CheckFailed("d below threshold d0: offset a=%d not below n=%d" % (a, n))
-    if not Fraction(p) <= Fraction(n, 2) - Fraction(phi) * n / 20:
-        raise CheckFailed("d below threshold d0: prime window p <= n/2 - phi*n/20 fails")
-    ps = ParamSet(
-        r=r, rsq=rsq, k=k, a0=a0, n=n, a=a, p=p, d=d, mode="shrinking", phi=phi
-    )
+    rep = shrinking_chain(d, c_phi)
+    for c in rep.checks:
+        if not c.passed:
+            raise CheckFailed("d below threshold d0: "
+                              + _CHAIN_FAILURES[c.name].format(c.lhs, c.rhs))
+    r = 0.5 + rep.phi
+    ps = ParamSet(r=r, rsq=Fraction(r) ** 2, k=rep.k, a0=rep.a0, n=rep.n, a=rep.a,
+                  p=rep.p, d=d, mode="shrinking", phi=rep.phi)
     ps.validate()
     return ps

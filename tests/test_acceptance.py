@@ -315,7 +315,7 @@ def test_criterion_12_cli_determinism(capsys):
         ["certify", "--n", "12", "--p", "5", "--a", "8", "--seeds", "6"],
         ["bound", "--n", "8", "--p", "5", "--d", "65"],
         ["find-d0", "--r", "0.71"],
-        ["upper", "--d-min", "2", "--d-max", "5", "--restarts", "10", "--seed", "3",
+        ["upper", "--d-min", "2", "--d-max", "5", "--seed", "3",
          "--format", "csv"],
         ["optimal-poly", "--m", "4", "--n", "2", "--samples", "1000", "--seed", "11"],
     ]

@@ -1,5 +1,6 @@
 """Residue-product polynomials, multilinear reduction, rank and MIS oracles."""
 
+import dataclasses
 import itertools
 import math
 
@@ -23,16 +24,93 @@ from borsuk.algebra import (
     property_check,
     property_check_exhaustive,
     rank_mod_p,
-    reduce_multilinear,
     reduced_indicator,
     residue_excluded_dots,
-    residue_product_polynomial,
     residue_value_table,
     sigma_gram,
-    FormalPolynomial,
+    ReducedPolynomial,
 )
-from borsuk.construction import sign_vectors, sigma_matrix
-from borsuk.exactnum import binomial
+from borsuk.construction import SignVector, sign_vectors, sigma_matrix
+from borsuk.exactnum import binomial, is_prime
+
+
+# ---------------------------------------------------------------------------
+# symbolic oracle: the residue product expanded in dense exponent vectors,
+# then reduced monomial by monomial; deliberately naive, and independent
+# of the weight-profile recurrence behind reduced_indicator
+
+
+def _signs(x):
+    return x.entries if isinstance(x, SignVector) else tuple(int(v) for v in x)
+
+
+@dataclasses.dataclass(frozen=True)
+class FormalPolynomial:
+    """Dense-exponent polynomial mod p: exponent tuple -> coefficient."""
+
+    n: int
+    p: int
+    coefficients: dict
+
+    def degree(self):
+        return max((sum(e) for e in self.coefficients), default=0)
+
+    def evaluate(self, y):
+        ey = _signs(y)
+        assert len(ey) == self.n
+        total = 0
+        for expo, c in self.coefficients.items():
+            v = 1
+            for e, yi in zip(expo, ey):
+                if e:
+                    v *= yi ** e
+            total += c * v
+        return total % self.p
+
+
+def residue_product_polynomial(x, p, a):
+    """The formal product prod_{i != -a mod p} (i - (x, y)) over GF(p)."""
+    if not is_prime(p):
+        raise ValueError("p is not prime")
+    if a % 4 != 0 or a <= 0:
+        raise ValueError("offset must be a positive multiple of 4")
+    ex = _signs(x)
+    n = len(ex)
+    skip = excluded_residue(p, a)
+    poly = {(0,) * n: 1}
+    for i in range(p):
+        if i == skip:
+            continue
+        nxt = {}
+        for expo, c in poly.items():
+            if i:
+                nxt[expo] = (nxt.get(expo, 0) + i * c) % p
+            for j in range(n):
+                cc = (-c * ex[j]) % p
+                if cc == 0:
+                    continue
+                e2 = expo[:j] + (expo[j] + 1,) + expo[j + 1:]
+                nxt[e2] = (nxt.get(e2, 0) + cc) % p
+        poly = {e: c for e, c in nxt.items() if c}
+    return FormalPolynomial(n=n, p=p, coefficients=poly)
+
+
+def reduce_multilinear(poly, p):
+    """Drop even exponents, set odd ones to 1, merge coefficients mod p.
+
+    Valid on +-1 inputs, where y**2 = 1.
+    """
+    assert p == poly.p
+    out = {}
+    for expo, c in poly.coefficients.items():
+        mask = 0
+        for j, e in enumerate(expo):
+            if e & 1:
+                mask |= 1 << j
+        out[mask] = (out.get(mask, 0) + c) % p
+    return ReducedPolynomial(
+        n=poly.n, p=p, coefficients={m: c for m, c in out.items() if c}
+    )
 
 
 def test_dimension_bound_values():

@@ -17,7 +17,7 @@ from borsuk.bounds import (
     shrinking_radius_check,
 )
 from borsuk.exactnum import binomial, binomial_tail_sum
-from borsuk.params import CheckFailed, plan_fixed, plan_shrinking
+from borsuk.params import CheckFailed, plan_fixed, plan_shrinking, shrinking_chain
 
 
 def test_count_bound_frozen_small_case():
@@ -147,6 +147,21 @@ def test_find_d0_frozen_at_071():
     assert not lower_bound(plan_fixed(0.71, res.d0 - 1)).passes
 
 
+def test_find_d0_solves_a0_once(monkeypatch):
+    from borsuk import params
+
+    calls = []
+    solve = params.solve_a0
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(params, "solve_a0", counted)
+    assert find_d0(0.65).d0 == 1032257
+    assert len(calls) == 1
+
+
 def test_find_d0_smaller_radius_needs_more_dimensions():
     res06 = find_d0(0.6)
     assert res06.d0 == 1802703502561537
@@ -193,3 +208,9 @@ def test_shrinking_check_agrees_with_planner():
     assert (rep.n, rep.a, rep.p, rep.k) == (ps.n, ps.a, ps.p, ps.k)
     with pytest.raises(CheckFailed):
         plan_shrinking(100)
+    # the report is the planner's chain plus the count ratio
+    for d in (100, 10 ** 12):
+        ch = shrinking_chain(d)
+        rep = shrinking_radius_check(d)
+        assert rep.checks[:-1] == ch.checks
+        assert rep.checks[-1].name == "count_ratio"

@@ -135,14 +135,44 @@ def test_find_d0_output(capsys):
 def test_upper_csv_format(capsys):
     code, out, _ = _run(
         capsys,
-        ["upper", "--d-min", "2", "--d-max", "4", "--restarts", "8", "--format", "csv"],
+        ["upper", "--d-min", "2", "--d-max", "4", "--format", "csv"],
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "d,r,piece_diam,c_fit,residual,pass,extrapolated"
+    assert lines[0] == "d,r,piece_diam,pass"
     assert len(lines) == 4
     assert lines[1].split(",")[0] == "2"
-    assert lines[1].split(",")[5] == "true"
+    assert lines[1].split(",")[3] == "true"
+
+
+def test_upper_closed_form_past_d12(capsys):
+    code, out, _ = _run(
+        capsys, ["upper", "--d-min", "13", "--d-max", "14", "--format", "csv"]
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    # r * sqrt(2 + 2 sqrt(q)) at the balanced split, no fitted trend
+    assert [round(float(row[2]), 5) for row in rows] == [0.96741, 0.96963]
+    code, out, _ = _run(
+        capsys, ["upper", "--d-min", "40", "--d-max", "40", "--c-r", "0.3"]
+    )
+    assert code == 1
+    assert json.loads(out)[0]["pass"] is False
+
+
+def test_upper_restarts_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["upper", "--restarts", "5"])
+    assert exc.value.code == 2
+    assert "--restarts" in capsys.readouterr().err
+
+
+def test_plan_even_prime_exit_2(capsys):
+    # n = 4 forces a = 4 and p = 2, where the residue argument is void
+    code, out, err = _run(capsys, ["plan", "--r", "0.5005", "--d", str(10 ** 400)])
+    assert code == 2
+    assert out == ""
+    assert "p = 2 is even" in err
 
 
 def test_optimal_poly_gap(capsys):
@@ -205,7 +235,7 @@ def test_repeat_invocations_byte_identical(capsys):
     samples = [
         ["plan", "--r", "0.9", "--d", "256"],
         ["bound", "--shrinking", "--d", "100000000"],
-        ["upper", "--d-min", "2", "--d-max", "3", "--restarts", "6", "--seed", "1"],
+        ["upper", "--d-min", "2", "--d-max", "3", "--seed", "1"],
         ["optimal-poly", "--m", "2", "--n", "1", "--samples", "1000", "--seed", "7"],
     ]
     for argv in samples:

@@ -15,9 +15,12 @@ from borsuk.params import (
     choose_n,
     compressed_radius_sq,
     drift,
+    fixed_params,
+    fixed_profile,
     plan_fixed,
     plan_shrinking,
     power_threshold,
+    shrinking_chain,
     solve_a0,
     solve_k,
 )
@@ -161,6 +164,24 @@ def test_plan_fixed_errors():
         plan_fixed(0.9, 16)
 
 
+def test_plan_fixed_rejects_even_prime():
+    # n = 4 leaves a = 4 and p = 2: prime, but the residue argument needs p odd
+    with pytest.raises(ValueError, match="p = 2 is even"):
+        plan_fixed(0.9, 64)
+    # a >= n alone stays accepted (GeometryReport.degenerate flags it)
+    ps = plan_fixed(0.64, 65)
+    assert ps.a >= ps.n and ps.p == 5
+
+
+def test_plan_fixed_is_profile_then_params():
+    profile = fixed_profile(0.64)
+    assert profile == (Fraction(0.64) ** 2, 1, plan_fixed(0.64, 65).a0)
+    for d in (65, 257, 10 ** 6):
+        assert fixed_params(0.64, *profile, d) == plan_fixed(0.64, d)
+    with pytest.raises(ValueError, match="radius not above one half"):
+        fixed_profile(0.5)
+
+
 def test_paramset_validate_catches_tampering():
     ps = plan_fixed(0.9, 256)
     bad = dataclasses.replace(ps, p=ps.p + 1)
@@ -212,6 +233,37 @@ def test_plan_shrinking_small_d_fails_named():
         plan_shrinking(100)
     with pytest.raises(CheckFailed, match="prime window"):
         plan_shrinking(1000)
+
+
+def test_plan_shrinking_raises_first_failed_chain_check():
+    messages = {100: "offset a=12 not below n=8", 1000: "prime window",
+                10 ** 10: "prime window"}
+    for d, message in messages.items():
+        rep = shrinking_chain(d)
+        assert rep.final_ratio_log is None and not rep.passes
+        with pytest.raises(CheckFailed, match=message):
+            plan_shrinking(d)
+    # d = 100 fails two checks; the planner names the first
+    assert [(c.name, c.passed) for c in shrinking_chain(100).checks] == [
+        ("power_margin", True), ("compression", True),
+        ("offset_below_n", False), ("prime_window", False)]
+    rep = shrinking_chain(10 ** 12)
+    assert rep.passes and all(c.passed for c in rep.checks)
+    ps = plan_shrinking(10 ** 12)
+    assert (ps.k, ps.a0, ps.n, ps.a, ps.p, ps.phi) == (
+        rep.k, rep.a0, rep.n, rep.a, rep.p, rep.phi)
+    # the chain compares against the planner's r^2
+    assert rep.checks[0].rhs == float(ps.rsq)
+
+
+def test_shrinking_chain_structural_failure_stops(monkeypatch):
+    # no dimension window: the chain records it and leaves n, a, p unset
+    monkeypatch.setattr(params, "choose_n", lambda d, k: choose_n(3, k))
+    rep = shrinking_chain(10 ** 12)
+    assert rep.checks[-1].name == "dimension_window" and not rep.checks[-1].passed
+    assert rep.a0 is not None and rep.n is None and rep.p is None
+    with pytest.raises(CheckFailed, match="no admissible n: d=1000000000000 requires d > 256"):
+        plan_shrinking(10 ** 12)
 
 
 def test_plan_shrinking_modes_are_consistent():
