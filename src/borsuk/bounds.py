@@ -230,20 +230,20 @@ def find_d0(r: float, tol: float = 1e-12) -> D0Result:
 
 
 def shrinking_radius_check(d: int, c_phi: float = 6.0) -> ShrinkingRadiusReport:
-    """params.shrinking_chain at d, completed by the count ratio vs d+2.
+    """params.shrinking_chain at d, completed by count_bound(n, p, d + 2).
 
-    The ratio is evaluated in log space whenever the chain reached a
-    prime, whether or not its other checks passed.
+    The count ratio is evaluated whenever the chain reached a prime,
+    whether or not its other checks passed; its record keeps the ratio's
+    log against ln(d + 2), and count_bound's verdict.
     """
     rep = shrinking_chain(d, c_phi)
     if rep.p is None:
         return rep
-    n, p = rep.n, rep.p
+    cb = count_bound(rep.n, rep.p, d + 2)
+    ratio = cb.ratio_log
     with mp.workprec(PRECISION_BITS):
-        half_central = log_binomial(n, n // 2) / LogReal.from_int(2)
-        ratio = half_central / log_binomial_tail_sum(n, p)
-        target = mp.log(mp.mpf(d) + 2)
         lhs = ratio.log_abs if ratio.sign > 0 else mp.mpf("-inf")
-        count = CheckRecord("count_ratio", float(lhs), float(target), bool(lhs > target))
+        target = mp.log(mp.mpf(d) + 2)
+    count = CheckRecord("count_ratio", float(lhs), float(target), cb.passes)
     return replace(rep, checks=rep.checks + (count,), final_ratio_log=ratio,
                    passes=rep.passes and count.passed)

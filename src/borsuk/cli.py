@@ -3,7 +3,7 @@
 Subcommands mirror the library surface: plan parameters, build point
 sets, certify the independence bound, evaluate lower bounds, locate the
 first winning dimension, extract the asymptotic base, tabulate the
-simplex partition upper bound, and search the polynomial class.
+simplex partition upper bound, and optimise the polynomial class exactly.
 
 Exit codes: 0 on success, 1 when a mathematical check evaluates false
 (a bound that does not pass, a failed certificate), 2 on usage or
@@ -25,6 +25,8 @@ from typing import Any, Dict, List, Optional, Sequence
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
+
+_DEFAULT_TOL = 1e-12
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -127,10 +129,11 @@ def _resolve_params(args: argparse.Namespace):
     if getattr(args, "shrinking", False):
         if args.d is None:
             raise ValueError("--d is required")
-        return params.plan_shrinking(args.d, c_phi=args.c_phi, tol=args.tol)
+        return params.plan_shrinking(args.d, c_phi=args.c_phi)
     if args.r is None or args.d is None:
         raise ValueError("--r and --d are required unless --shrinking is given")
-    return params.plan_fixed(args.r, args.d, tol=args.tol)
+    # certify has no --tol and plans at the default
+    return params.plan_fixed(args.r, args.d, tol=getattr(args, "tol", _DEFAULT_TOL))
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -241,29 +244,31 @@ def cmd_upper(args: argparse.Namespace) -> int:
 def cmd_optimal_poly(args: argparse.Namespace) -> int:
     from . import optimality
 
-    result = optimality.search_optimum(
-        args.m, args.n, samples=args.samples, seed=args.seed
-    )
-    ref_degree = args.m if args.m % 2 == 0 else args.m - 1
-    exact = optimality.ratio(optimality.extremal_polynomial(ref_degree, args.n))
-    gap = result.best_ratio - float(exact.value)
+    result = optimality.search_optimum(args.m, args.n)
+    exact = optimality.ratio(optimality.extremal_polynomial(args.m - args.m % 2, args.n))
     row = {
         "m": str(args.m),
         "n": str(args.n),
-        "best_ratio": result.best_ratio,
+        "best_ratio": _jsonable(result.best_ratio),
+        "corner": _jsonable(result.corner),
         "exact_bound": _jsonable(exact.value),
-        "gap": gap,
+        "gap": float(result.best_ratio - exact.value),
     }
-    ok = gap >= -1e-9
+    ok = result.best_ratio == exact.value
     if args.a_grid:
-        grid = [float(x) for x in args.a_grid.split(",")]
-        report = optimality.offset_reduction_check(
-            args.m, args.n, grid, samples=args.offset_samples, seed=args.seed
-        )
+        grid = [Fraction(x) for x in args.a_grid.split(",")]
+        report = optimality.offset_reduction_check(args.m, args.n, grid)
         row["offset_check"] = _jsonable(report)
         ok = ok and report.passed
     _emit(row, args)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def _add_tol(container) -> None:
+    container.add_argument(
+        "--tol", type=float, default=_DEFAULT_TOL,
+        help="tolerance of the fixed-radius a0 root solve",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -278,22 +283,30 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cap worker threads (also via BORSUK_THREADS); results do not "
         "depend on it",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized work")
     common.add_argument(
-        "--tol", type=float, default=1e-12, help="tolerance for parameter solving"
+        "--seed", type=int, default=0,
+        help="accepted and ignored: no command reads it",
     )
 
-    plan_like = argparse.ArgumentParser(add_help=False)
-    plan_like.add_argument("--r", type=float, default=None, help="sphere radius")
-    plan_like.add_argument("--d", type=int, default=None, help="ambient dimension")
-    plan_like.add_argument(
-        "--shrinking", action="store_true",
-        help="use the shrinking-radius planner (radius from d)",
-    )
-    plan_like.add_argument(
-        "--c-phi", type=float, default=6.0, dest="c_phi",
-        help="drift constant for the shrinking-radius regime",
-    )
+    def planner(tol: bool) -> argparse.ArgumentParser:
+        opts = argparse.ArgumentParser(add_help=False)
+        opts.add_argument("--r", type=float, default=None, help="sphere radius")
+        opts.add_argument("--d", type=int, default=None, help="ambient dimension")
+        # a0 = 2 - phi/2 in the shrinking mode needs no root solve
+        mode = opts.add_mutually_exclusive_group()
+        mode.add_argument(
+            "--shrinking", action="store_true",
+            help="use the shrinking-radius planner (radius from d)",
+        )
+        if tol:
+            _add_tol(mode)
+        opts.add_argument(
+            "--c-phi", type=float, default=6.0, dest="c_phi",
+            help="drift constant for the shrinking-radius regime",
+        )
+        return opts
+
+    plan_like, plan_tol = planner(tol=False), planner(tol=True)
 
     parser = argparse.ArgumentParser(
         prog="borsuk",
@@ -302,11 +315,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("plan", parents=[common, plan_like],
+    p = sub.add_parser("plan", parents=[common, plan_tol],
                        help="solve construction parameters for (r, d)")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("build", parents=[common, plan_like],
+    p = sub.add_parser("build", parents=[common, plan_tol],
                        help="export the embedded point set")
     p.add_argument("--limit", type=int, default=None,
                    help="export at most this many points")
@@ -321,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="number of greedy families to verify")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("bound", parents=[common, plan_like],
+    p = sub.add_parser("bound", parents=[common, plan_tol],
                        help="exact lower bound on the partition number")
     p.add_argument("--n", type=int, default=None,
                    help="raw mode: base length (bypasses the planner)")
@@ -331,9 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-d0", parents=[common],
                        help="least dimension where the bound beats d+1")
     p.add_argument("--r", type=float, required=True, help="sphere radius")
+    _add_tol(p)
     p.set_defaults(func=cmd_find_d0)
 
-    p = sub.add_parser("asymptotic", parents=[common, plan_like],
+    p = sub.add_parser("asymptotic", parents=[common, plan_tol],
                        help="asymptotic growth base of the bound")
     p.add_argument("--cert-sizes", type=int, nargs="+",
                    default=[400, 800, 1600], dest="cert_sizes",
@@ -349,16 +363,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_upper)
 
     p = sub.add_parser("optimal-poly", parents=[common],
-                       help="search the polynomial class for the best quotient")
+                       help="exact best quotient in the polynomial class")
     p.add_argument("--m", type=int, required=True, help="polynomial degree")
     p.add_argument("--n", type=int, required=True, help="interval endpoint")
-    p.add_argument("--samples", type=int, default=10 ** 4,
-                   help="random candidates to draw (minimum 10^3)")
     p.add_argument("--a-grid", default=None, dest="a_grid",
-                   help="comma separated offsets for the reduction check")
-    p.add_argument("--offset-samples", type=int, default=2000,
-                   dest="offset_samples",
-                   help="samples per offset in the reduction check")
+                   help="comma separated offsets in (0, n], strictly increasing "
+                   "(decimals or p/q): exact optimum at each")
     p.set_defaults(func=cmd_optimal_poly)
 
     return parser

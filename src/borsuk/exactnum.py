@@ -45,6 +45,9 @@ def binomial_tail_sum(n: int, p: int) -> int:
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# is_prime decides every m below this; the planner refuses to need more
+PRIME_LIMIT = 1 << 64
+
 
 def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin, valid for every m below 2**64."""
@@ -55,7 +58,7 @@ def is_prime(m: int) -> bool:
             return True
         if m % q == 0:
             return False
-    if m >= 1 << 64:
+    if m >= PRIME_LIMIT:
         raise ValueError("primality domain exceeded: %d >= 2**64" % m)
     d = m - 1
     s = 0

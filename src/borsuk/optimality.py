@@ -11,7 +11,35 @@ with quotient (m+1)/(4m) and |h*(-n)|/h*(n) = (m-1)/(m+1).  The
 construction's own polynomial t**(2k) + 2k a**(2k-1) t is the a-offset
 copy of h*, so no other admissible polynomial improves the radius.  This
 module evaluates the quotient exactly, verifies class membership
-numerically, and confirms extremality by constrained random search.
+numerically, and proves extremality by an exact enumeration:
+
+Drop "minimum at -a" from the class and scale to h(n) = 1.  What is left
+is a linear-fractional program (Charnes & Cooper, Naval Res. Logist. Q. 9
+(1962)): maximise -h(-a) over u >= 0 with h(n) = 1 and h'(-a) = 0.  Each
+u_j n**j is at most 1, so the feasible set is a bounded polytope cut by 2
+equalities, and the linear objective peaks at a vertex, a point with at
+most 2 nonzero coefficients.  A lone u_j needs j u_j a**(j-1) = 0, so it
+is the constant, objective -1.  In h'(-a) = sum j u_j (-a)**(j-1) the
+even exponents count negative and the odd ones positive, so a vertex with
+2 nonzero coefficients is a pair (j even >= 2, i odd).  Scaled to u_j = 1
+it has u_i = (j/i) a**(j-i), and with x = a/n it scores
+
+    -h(-a)/h(n) = (j-i) x**j / (i + j x**(j-i)).
+
+For j > i the score is positive and its log-derivative in x is
+j i (1 + x**(j-i)) / (x (i + j x**(j-i))) > 0, so it strictly increases
+in a; for j < i it is negative.  (2, 1) scores above 0, so the best pair
+has j > i, and the per-offset maximum, a maximum of strictly increasing
+functions, strictly increases in a.  At a = n the pair scores
+(j-i)/(j+i), largest at the top even exponent and i = 1: (m-1)/(m+1) at
+(m, 1) for even m, (m-2)/m at (m-1, 1) for odd m.  h*' = m (t**(m-1) +
+n**(m-1)) has -n as its only real root, so h* is in the class and attains
+that maximum.  The relaxation contains the class, so no member at any
+offset in (0, n] has a quotient below (m+1)/(4m): the bound and the
+reduction to a = n in one argument.  Each pair with j > i is itself a
+member (its derivative j t**(i-1) (t**(j-i) + a**(j-i)) vanishes only at
+-a and, for i > 1, at 0, where h = 0 > h(-a)), so the per-offset maxima
+are attained in the class.
 """
 
 from __future__ import annotations
@@ -19,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -193,251 +221,94 @@ def odd_even_split_check(h: CandidatePolynomial) -> OddEvenSplit:
     )
 
 
+
+
 # ---------------------------------------------------------------------------
-# constrained random search
+# exact optimum over the extreme rays
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The exact optimum at one offset: the best pair and its value.
+
+    best is the pair's polynomial scaled to h(n) = 1 and corner its
+    exponents (j, i).  evaluated counts the pairs scored; resampled is
+    always 0, because the enumeration rejects nothing (perfbench's tracer
+    reads both fields).
+    """
+
     best: CandidatePolynomial
-    best_ratio: float
-    best_objective: float
+    corner: Tuple[int, int]
+    best_objective: Fraction
+    best_ratio: Fraction
     evaluated: int
-    resampled: int
+    resampled: int = 0
 
 
-def _corner_candidates(m: int, n: int, a: float) -> List[np.ndarray]:
-    """One even and one odd exponent, derivative balanced at -a.
+def search_optimum(m: int, n: int, a: Optional[Rational] = None) -> SearchResult:
+    """Maximum of |h(-a)|/h(n) over the class of degree m, a = n by default.
 
-    Includes the extremal polynomial itself at (even=m, odd=1).
+    Scores every pair (j even >= 2, i odd) in Fractions and keeps the
+    best; the module docstring proves that this is the class optimum.  The
+    quotient 1/(2 + 2*objective) falls as the objective rises.
     """
-    corners = []
-    for j in range(2, m + 1, 2):
-        for i in range(1, m + 1, 2):
-            u = np.zeros(m + 1)
-            u[j] = 1.0
-            u[i] = j * a ** (j - 1) / (i * a ** (i - 1))
-            corners.append(u)
-    return corners
-
-
-def _sample_candidate(m: int, n: int, a: float, rng: np.random.Generator) -> np.ndarray:
-    """Random nonnegative coefficients with the derivative zeroed at -a."""
-    evens = list(range(2, m + 1, 2))
-    odds = list(range(1, m + 1, 2))
-    u = np.zeros(m + 1)
-    u[evens] = rng.exponential(1.0, size=len(evens))
-    mass = float(sum(j * u[j] * a ** (j - 1) for j in evens))
-    weights = rng.dirichlet(np.ones(len(odds)))
-    for w, i in zip(weights, odds):
-        u[i] = mass * w / (i * a ** (i - 1))
-    return u
-
-
-def _class_member(u: np.ndarray, n: int, a: float) -> bool:
-    """Cheap membership test used inside the search loop."""
-    dcf = u[1:] * np.arange(1, len(u))
-    h_min = float(np.polynomial.polynomial.polyval(-a, u))
-    ts = np.linspace(-n, n, 513)
-    if np.polynomial.polynomial.polyval(ts, u).min() < h_min - 1e-12 * max(
-        1.0, abs(h_min)
-    ):
-        return False
-    if len(dcf) > 1:
-        for z in np.roots(dcf[::-1]):
-            if abs(z.imag) <= 1e-9 * (1 + abs(z)) and -n <= z.real <= n:
-                if float(np.polynomial.polynomial.polyval(z.real, u)) < h_min - 1e-12:
-                    return False
-    return True
-
-
-def _objective(u: np.ndarray, n: int, a: float) -> Optional[float]:
-    """|h(-a)|/h(n) for reduced-class members, None outside."""
-    hn = float(np.polynomial.polynomial.polyval(n, u))
-    hma = float(np.polynomial.polynomial.polyval(-a, u))
-    if hn <= 0 or hma > 0:
-        return None
-    return -hma / hn
-
-
-def _rebalance(u: np.ndarray, a: float) -> Optional[np.ndarray]:
-    """Restore the derivative-at--a constraint by rescaling the odd part."""
-    m = len(u) - 1
-    evens = list(range(2, m + 1, 2))
-    odds = list(range(1, m + 1, 2))
-    even_mass = float(sum(j * u[j] * a ** (j - 1) for j in evens))
-    odd_mass = float(sum(j * u[j] * a ** (j - 1) for j in odds))
-    if even_mass <= 0 or odd_mass <= 0:
-        return None
-    out = u.copy()
-    out[odds] *= even_mass / odd_mass
-    return out
-
-
-def _refine(u: np.ndarray, n: int, a: float, obj: float) -> Tuple[np.ndarray, float]:
-    """Deterministic coordinate descent around an improving candidate."""
-    best_u, best_obj = u, obj
-    step = 0.5
-    sweeps = 0
-    while step > 1e-5 and sweeps < 200:
-        sweeps += 1
-        improved = False
-        for j in range(1, len(u)):
-            for fac in (1.0 + step, 1.0 / (1.0 + step)):
-                cand = best_u.copy()
-                cand[j] *= fac
-                cand2 = _rebalance(cand, a)
-                if cand2 is None or not _class_member(cand2, n, a):
-                    continue
-                o = _objective(cand2, n, a)
-                if o is not None and o > best_obj + 1e-15:
-                    best_u, best_obj = cand2, o
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return best_u, best_obj
-
-
-def _constrained_search(
-    m: int, n: int, a: float, samples: int, seed: int
-) -> Tuple[np.ndarray, float, int, int]:
-    """Maximize |h(-a)|/h(n) over the class; returns (u, obj, evals, resamples).
-
-    Deterministic corner candidates come first, then one candidate per
-    sample index from its own seeded stream, so enlarging samples only
-    extends the sequence (the incumbent never gets worse).  Improving
-    candidates get a deterministic local refinement pass.
-    """
-    best_u: Optional[np.ndarray] = None
-    best_obj = -1.0
-    evals = 0
-    resampled = 0
-    for u in _corner_candidates(m, n, a):
-        if not _class_member(u, n, a):
-            continue
-        obj = _objective(u, n, a)
-        evals += 1
-        if obj is not None and obj > best_obj:
-            best_u, best_obj = u, obj
-    for t in range(samples):
-        u = None
-        for attempt in range(16):
-            cand = _sample_candidate(
-                m, n, a, np.random.default_rng([seed, t, attempt])
-            )
-            if _class_member(cand, n, a):
-                u = cand
-                break
-            resampled += 1
-        if u is None:
-            continue
-        obj = _objective(u, n, a)
-        evals += 1
-        if obj is not None and obj > best_obj + 1e-15:
-            u2, obj2 = _refine(u, n, a, obj)
-            best_u, best_obj = u2, obj2
-    if best_u is None:
-        raise ValueError("search never produced a class member")
-    return best_u, best_obj, evals, resampled
-
-
-def search_optimum(m: int, n: int, samples: int = 10 ** 4, seed: int = 0) -> SearchResult:
-    """Search the class at offset a = n for the best quotient.
-
-    The quotient 1/(2 + 2*objective) falls as the objective |h(-n)|/h(n)
-    rises, so the search maximizes the objective.  For even m nothing
-    found ever beats the extremal polynomial; for odd m nothing beats the
-    degree m-1 optimum.
-    """
-    if samples < 10 ** 3:
-        raise ValueError("samples below the search floor 10^3")
     if m < 2:
         raise ValueError("degree must be at least 2")
-    u, obj, evals, resampled = _constrained_search(m, n, float(n), samples, seed)
-    # normalize h(n) = 1; the objective is scale invariant
-    u = u / float(np.polynomial.polynomial.polyval(n, u))
-    best = CandidatePolynomial(coefficients=tuple(float(c) for c in u), a=n, n=n)
+    if n < 1:
+        raise ValueError("interval endpoint must be positive")
+    a = Fraction(n if a is None else a)
+    if not 0 < a <= n:
+        raise ValueError("offset %s outside (0, n]" % a)
+    x = a / n
+    pairs = [(j, i) for j in range(2, m + 1, 2) for i in range(1, m + 1, 2)]
+    obj, j, i = max(
+        ((j - i) * x ** j / (i + j * x ** (j - i)), j, i) for j, i in pairs
+    )
+    coeffs = [Fraction(0)] * (m + 1)
+    coeffs[j] = Fraction(1)
+    coeffs[i] = Fraction(j, i) * a ** (j - i)
+    hn = n ** j + coeffs[i] * n ** i
+    best = CandidatePolynomial(coefficients=tuple(c / hn for c in coeffs), a=a, n=n)
     return SearchResult(
         best=best,
-        best_ratio=1.0 / (2.0 + 2.0 * obj),
+        corner=(j, i),
         best_objective=obj,
-        evaluated=evals,
-        resampled=resampled,
+        best_ratio=1 / (2 + 2 * obj),
+        evaluated=len(pairs),
     )
-
-
-def sample_members(
-    m: int, n: int, count: int, seed: int = 0
-) -> List[CandidatePolynomial]:
-    """Draw validated class members at offset a = n, rejection sampled.
-
-    The same per-index streams as the optimum search, so the sequence is
-    stable under count extension.  Members come out with a zero constant
-    term, which keeps them inside the split inequality's hypotheses.
-    """
-    if m < 2:
-        raise ValueError("degree must be at least 2")
-    out: List[CandidatePolynomial] = []
-    a = float(n)
-    t = 0
-    while len(out) < count:
-        for attempt in range(16):
-            u = _sample_candidate(m, n, a, np.random.default_rng([seed, t, attempt]))
-            if _class_member(u, n, a):
-                out.append(
-                    CandidatePolynomial(
-                        coefficients=tuple(float(c) for c in u), a=n, n=n
-                    )
-                )
-                break
-        t += 1
-    return out
 
 
 @dataclass(frozen=True)
 class OffsetReductionReport:
-    """Best objective per offset; must not decrease on the way to a = n."""
+    """Exact optimum per offset; must strictly climb to the value at a = n."""
 
-    a_grid: Tuple[float, ...]
-    objectives: Tuple[float, ...]
-    reference: float  # extremal objective at a = n
+    a_grid: Tuple[Fraction, ...]
+    objectives: Tuple[Fraction, ...]
+    reference: Fraction  # objective of the extremal polynomial at a = n
     passed: bool
 
 
 def offset_reduction_check(
-    m: int,
-    n: int,
-    a_grid: Sequence[float],
-    samples: int = 2000,
-    seed: int = 0,
-    tol: float = 1e-4,
+    m: int, n: int, a_grid: Sequence[Rational]
 ) -> OffsetReductionReport:
-    """Search at each offset; the best objective must climb toward a = n.
+    """Exact optima along a strictly increasing grid of offsets in (0, n].
 
-    Confirms that restricting attention to a = n loses nothing: the
-    objective improves monotonically along the grid and lands on the
-    extremal value there.
+    Passes when they strictly increase and end at the extremal objective:
+    on the last grid point if that is n, just above it otherwise.
     """
-    grid = [float(x) for x in a_grid]
-    if any(not 0 < x <= n for x in grid):
+    grid = [Fraction(a) for a in a_grid]
+    if not grid:
+        raise ValueError("offset grid is empty")
+    if any(not 0 < a <= n for a in grid):
         raise ValueError("offsets must lie in (0, n]")
-    if sorted(grid) != grid:
-        raise ValueError("offset grid must be increasing")
-    objs: List[float] = []
-    for i, a in enumerate(grid):
-        _, obj, _, _ = _constrained_search(m, n, a, samples, seed + i)
-        objs.append(obj)
-    if m % 2 == 0:
-        ref = float(ratio(extremal_polynomial(m, n)).objective)
-    else:
-        ref = float(ratio(extremal_polynomial(m - 1, n)).objective) if m > 2 else 0.0
-    monotone = all(y >= x - tol for x, y in zip(objs, objs[1:]))
-    tail_ok = True
-    if grid and grid[-1] == float(n):
-        tail_ok = abs(objs[-1] - ref) <= tol
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("offset grid must be strictly increasing")
+    objs = [search_optimum(m, n, a).best_objective for a in grid]
+    ref = ratio(extremal_polynomial(m - m % 2, n)).objective
+    chain = objs if grid[-1] == n else objs + [ref]
     return OffsetReductionReport(
         a_grid=tuple(grid),
         objectives=tuple(objs),
         reference=ref,
-        passed=monotone and tail_ok,
+        passed=all(u < v for u, v in zip(chain, chain[1:])) and chain[-1] == ref,
     )

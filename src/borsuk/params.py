@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple, Union
 
 from mpmath import mp
 
-from .exactnum import PRECISION_BITS, LogReal, is_prime
+from .exactnum import PRECISION_BITS, PRIME_LIMIT, LogReal, is_prime
 
 Number = Union[int, float, Fraction]
 
@@ -170,6 +170,9 @@ def choose_a(a0: Number, n: int) -> Tuple[int, int]:
     start = max(4, 4 * ((math.ceil(need) + 3) // 4))
     for a in range(start, _A_SCAN_LIMIT_FACTOR * n + 1, 4):
         p = (a + n) // 4
+        if p >= PRIME_LIMIT:
+            raise ValueError("n = %d needs a prime p = (a+n)/4 >= 2^64, past the "
+                             "deterministic Miller-Rabin range" % n)
         if is_prime(p):
             return a, p
     raise ValueError("prime gap anomaly: no prime (a+n)/4 with a <= %dn" % _A_SCAN_LIMIT_FACTOR)
@@ -206,6 +209,8 @@ class ParamSet:
             raise ValueError("tensor power not minimal")
         if not 0 < Fraction(self.a0) < 2:
             raise ValueError("tail parameter outside (0, 2)")
+        if compressed_radius_sq(Fraction(self.a0), self.k) > self.rsq:
+            raise ValueError("compressed radius at a0 exceeds r^2")
         if self.n % 4 != 0 or self.n <= 0:
             raise ValueError("vector length not a positive multiple of 4")
         if not self.n ** (2 * self.k) < self.d <= (self.n + 4) ** (2 * self.k):
@@ -367,14 +372,13 @@ def shrinking_chain(d: int, c_phi: float = 6.0) -> ShrinkingRadiusReport:
     return report(a0, n, a, p)
 
 
-def plan_shrinking(d: int, c_phi: float = 6.0, tol: float = 1e-12) -> ParamSet:
+def plan_shrinking(d: int, c_phi: float = 6.0) -> ParamSet:
     """Plan parameters at radius r = 1/2 + phi(d), phi = c_phi*lnln d/ln d.
 
     Raises CheckFailed naming the first failed check of shrinking_chain
     when d is too small for the parameter pipeline to close.  The final
     counting inequality is not checked here; see
-    bounds.shrinking_radius_check.  tol is unused: a0 = 2 - phi/2 needs
-    no root solve.
+    bounds.shrinking_radius_check.
     """
     rep = shrinking_chain(d, c_phi)
     for c in rep.checks:

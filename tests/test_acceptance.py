@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import conftest
+import search_oracle
 
 from borsuk import algebra, bounds, construction, optimality, params, upper
 from borsuk.cli import main as cli_main
@@ -179,13 +180,17 @@ def test_criterion_07_polynomial_quotient_optimality():
             ok = False
         if r.value != Fraction(m + 1, 4 * m):
             ok = False
-        res = optimality.search_optimum(m, 2, samples=10 ** 4, seed=0)
-        gap = res.best_objective - float(Fraction(m - 1, m + 1))
+        # the exact optimum over the extreme rays is the extremal quotient
+        exact = optimality.search_optimum(m, 2)
+        if exact.best_ratio != r.value or exact.corner != (m, 1):
+            ok = False
+        res = search_oracle.random_search(m, 2, samples=10 ** 4, seed=0)
+        gap = res.best_objective - float(exact.best_objective)
         gaps.append(gap)
         if gap > 1e-9:
             ok = False
         # split inequality on sampled members, equality at the extremal
-        for h in optimality.sample_members(m, 2, 50, seed=m):
+        for h in search_oracle.sample_members(m, 2, 50, seed=m):
             s = optimality.odd_even_split_check(h)
             if not s.passed:
                 ok = False
@@ -194,7 +199,8 @@ def test_criterion_07_polynomial_quotient_optimality():
             ok = False
     elapsed = time.time() - t0
     ok = ok and elapsed < 120
-    _report(7, ok, "extremal quotient exact, search never beats it, split inequality",
+    _report(7, ok, "extremal quotient exact and optimal, search never beats it, "
+            "split inequality",
             "max search gap %.1e, %.1fs" % (max(gaps), elapsed))
     assert ok
 
@@ -317,7 +323,7 @@ def test_criterion_12_cli_determinism(capsys):
         ["find-d0", "--r", "0.71"],
         ["upper", "--d-min", "2", "--d-max", "5", "--seed", "3",
          "--format", "csv"],
-        ["optimal-poly", "--m", "4", "--n", "2", "--samples", "1000", "--seed", "11"],
+        ["optimal-poly", "--m", "4", "--n", "2", "--seed", "11"],
     ]
     ok = True
     for argv in invocations:
@@ -329,7 +335,7 @@ def test_criterion_12_cli_determinism(capsys):
             ok = False
     # fresh interpreters: guards against per-process hash or thread state
     cmd = [sys.executable, "-m", "borsuk", "optimal-poly", "--m", "4", "--n", "2",
-           "--samples", "1000", "--seed", "11"]
+           "--seed", "11"]
     run1 = subprocess.run(cmd, capture_output=True, text=True)
     run2 = subprocess.run(cmd, capture_output=True, text=True)
     # two runs that fail alike (say, on import) would compare equal

@@ -214,3 +214,26 @@ def test_shrinking_check_agrees_with_planner():
         rep = shrinking_radius_check(d)
         assert rep.checks[:-1] == ch.checks
         assert rep.checks[-1].name == "count_ratio"
+
+
+def test_shrinking_check_count_is_count_bound(monkeypatch):
+    import borsuk.bounds as bounds
+
+    calls = []
+
+    def spy(n, p, threshold):
+        calls.append((n, p, threshold))
+        return count_bound(n, p, threshold)
+
+    monkeypatch.setattr(bounds, "count_bound", spy)
+    # n = 996, 176, 996, 5620 take the exact route, n = 31620 the log one
+    for d in (10 ** 6, 10 ** 9, 10 ** 12, 10 ** 15, 10 ** 18):
+        rep = shrinking_radius_check(d)
+        cb = count_bound(rep.n, rep.p, d + 2)
+        assert calls[-1] == (rep.n, rep.p, d + 2)
+        count = rep.checks[-1]
+        assert count.name == "count_ratio" and count.passed == cb.passes
+        assert rep.final_ratio_log == cb.ratio_log
+        assert count.lhs == float(cb.ratio_log.log_abs)
+        assert (cb.numerator is not None) == (rep.n <= 10 ** 4)
+    assert len(calls) == 5

@@ -177,7 +177,7 @@ def test_plan_even_prime_exit_2(capsys):
 
 def test_optimal_poly_gap(capsys):
     code, out, _ = _run(
-        capsys, ["optimal-poly", "--m", "4", "--n", "2", "--samples", "1000"]
+        capsys, ["optimal-poly", "--m", "4", "--n", "2"]
     )
     assert code == 0
     doc = json.loads(out)
@@ -189,14 +189,108 @@ def test_optimal_poly_offset_grid(capsys):
     code, out, _ = _run(
         capsys,
         [
-            "optimal-poly", "--m", "2", "--n", "4",
-            "--samples", "1000", "--a-grid", "2.0,4.0",
-            "--offset-samples", "1000",
+            "optimal-poly", "--m", "2", "--n", "4", "--a-grid", "2.0,4.0",
         ],
     )
     assert code == 0
     doc = json.loads(out)
     assert doc["offset_check"]["passed"] is True
+
+
+def test_optimal_poly_reports_exact_optimum(capsys):
+    code, out, _ = _run(capsys, ["optimal-poly", "--m", "7", "--n", "3",
+                                 "--a-grid", "1/2,1.5,3"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["best_ratio"] == doc["exact_bound"] == "7/24"
+    assert doc["corner"] == ["6", "1"] and doc["gap"] == 0.0
+    assert doc["offset_check"]["a_grid"] == ["1/2", "3/2", "3/1"]
+    assert doc["offset_check"]["objectives"][-1] == "5/7"
+    # offsets outside (0, n], an unsorted grid and m < 2 are usage errors
+    for argv in (["--m", "4", "--n", "2", "--a-grid", "1,3"],
+                 ["--m", "4", "--n", "2", "--a-grid", "0,1"],
+                 ["--m", "4", "--n", "2", "--a-grid", "2,1"],
+                 ["--m", "4", "--n", "2", "--a-grid", "x"],
+                 ["--m", "1", "--n", "2"]):
+        code, out, err = _run(capsys, ["optimal-poly"] + argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_optimal_poly_exit_1_when_a_check_fails(capsys, monkeypatch):
+    from borsuk import optimality
+
+    exact = optimality.search_optimum
+    # an enumeration that misses the top even exponent falls short of h*
+    monkeypatch.setattr(optimality, "search_optimum",
+                        lambda m, n, a=None: exact(m - 2, n, a))
+    code, out, _ = _run(capsys, ["optimal-poly", "--m", "6", "--n", "3",
+                                 "--a-grid", "1,2,3"])
+    doc = json.loads(out)
+    assert code == 1 and doc["gap"] > 0
+    assert doc["offset_check"]["passed"] is False
+    # one that ignores the offset is flat along the grid, not rising
+    monkeypatch.setattr(optimality, "search_optimum", lambda m, n, a=None: exact(m, n))
+    code, out, _ = _run(capsys, ["optimal-poly", "--m", "6", "--n", "3",
+                                 "--a-grid", "1,3"])
+    doc = json.loads(out)
+    assert code == 1 and doc["gap"] == 0.0
+    assert doc["offset_check"]["passed"] is False
+
+
+@pytest.mark.parametrize("option", ["--samples", "--offset-samples"])
+def test_optimal_poly_sampling_options_are_gone(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["optimal-poly", "--m", "4", "--n", "2", option, "1000"])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--shrinking", "--d", str(10 ** 12), "--tol", "0.5"],
+    ["bound", "--shrinking", "--d", str(10 ** 12), "--tol", "0.5"],
+    ["build", "--shrinking", "--d", str(10 ** 12), "--tol", "1e-12"],
+    ["asymptotic", "--tol", "0.5", "--shrinking", "--d", str(10 ** 12)],
+])
+def test_tol_with_shrinking_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not allowed with argument" in err
+    assert "--tol" in err and "--shrinking" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--n", "8", "--p", "5", "--a", "12", "--tol", "7"],
+    ["upper", "--tol", "0.5"],
+    ["optimal-poly", "--m", "4", "--n", "2", "--tol", "0.5"],
+])
+def test_tol_only_where_a0_is_solved(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_tol_reaches_the_fixed_radius_solve(capsys):
+    for cmd in ("plan", "bound", "asymptotic"):
+        _, loose, _ = _run(capsys, [cmd, "--r", "0.71", "--d", str(10 ** 6),
+                                    "--tol", "1e-3"])
+        _, tight, _ = _run(capsys, [cmd, "--r", "0.71", "--d", str(10 ** 6)])
+        assert loose and tight and loose != tight
+    code, out, _ = _run(capsys, ["build", "--r", "0.71", "--d", "256", "--limit", "1",
+                                 "--tol", "1e-3"])
+    assert code == 0 and out.startswith("# borsuk-omega d=256 ")
+    code, loose, _ = _run(capsys, ["find-d0", "--r", "0.71", "--tol", "1e-3"])
+    assert code == 0
+    _, tight, _ = _run(capsys, ["find-d0", "--r", "0.71"])
+    assert json.loads(loose)["params"]["a0"] != json.loads(tight)["params"]["a0"]
+
+
+def test_plan_past_miller_rabin_range_exit_2(capsys):
+    code, out, err = _run(capsys, ["plan", "--r", "0.9", "--d", str(2 ** 132 + 1)])
+    assert code == 2 and out == ""
+    assert "Miller-Rabin" in err and "n = %d" % 2 ** 66 in err
 
 
 def test_build_writes_points(tmp_path, capsys):
@@ -236,7 +330,7 @@ def test_repeat_invocations_byte_identical(capsys):
         ["plan", "--r", "0.9", "--d", "256"],
         ["bound", "--shrinking", "--d", "100000000"],
         ["upper", "--d-min", "2", "--d-max", "3", "--seed", "1"],
-        ["optimal-poly", "--m", "2", "--n", "1", "--samples", "1000", "--seed", "7"],
+        ["optimal-poly", "--m", "2", "--n", "1", "--seed", "7"],
     ]
     for argv in samples:
         _, out1, _ = _run(capsys, argv)

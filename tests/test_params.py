@@ -271,3 +271,31 @@ def test_plan_shrinking_modes_are_consistent():
     assert 0.5 < ps.r < 1.5
     assert ps.rsq == Fraction(ps.r) ** 2
     assert ps.n ** (2 * ps.k) < ps.d
+
+
+def test_plan_shrinking_takes_no_tol():
+    # a0 = 2 - phi/2 needs no root solve, so there is nothing to tune
+    with pytest.raises(TypeError, match="tol"):
+        plan_shrinking(10 ** 12, tol=0.5)
+
+
+def test_paramset_validate_checks_compression_exactly():
+    ps = plan_fixed(0.64, 65)
+    # the solved a0 sits within 1e-10 of the root: a hair less overshoots r^2
+    bad = dataclasses.replace(ps, a0=ps.a0 - Fraction(1, 10 ** 6))
+    assert compressed_radius_sq(bad.a0, bad.k) > bad.rsq
+    with pytest.raises(ValueError, match="compressed radius at a0 exceeds r\\^2"):
+        bad.validate()
+    for ps in (plan_fixed(0.58, 5000), plan_fixed(0.9, 256), plan_shrinking(10 ** 12)):
+        ps.validate()
+
+
+def test_choose_a_refuses_past_miller_rabin_range():
+    n = 1 << 66  # p = (a+n)/4 starts above 2^64
+    with pytest.raises(ValueError, match="n = %d .*2\\^64.*Miller-Rabin" % n):
+        choose_a(1, n)
+    with pytest.raises(ValueError, match="Miller-Rabin"):
+        plan_fixed(0.9, n ** 2 + 1)
+    # just below the limit the scan still finds its prime
+    a, p = choose_a(1, n - 4 * 10 ** 19)
+    assert p < 1 << 64
