@@ -221,8 +221,6 @@ def odd_even_split_check(h: CandidatePolynomial) -> OddEvenSplit:
     )
 
 
-
-
 # ---------------------------------------------------------------------------
 # exact optimum over the extreme rays
 

@@ -223,6 +223,8 @@ def test_optimal_poly_exit_1_when_a_check_fails(capsys, monkeypatch):
     # an enumeration that misses the top even exponent falls short of h*
     monkeypatch.setattr(optimality, "search_optimum",
                         lambda m, n, a=None: exact(m - 2, n, a))
+    code, out, _ = _run(capsys, ["optimal-poly", "--m", "6", "--n", "3"])
+    assert code == 1 and json.loads(out)["gap"] > 0
     code, out, _ = _run(capsys, ["optimal-poly", "--m", "6", "--n", "3",
                                  "--a-grid", "1,2,3"])
     doc = json.loads(out)
