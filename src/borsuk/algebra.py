@@ -41,12 +41,11 @@ _EXACT32 = 2 ** 24
 _EXACT64 = 2 ** 53
 
 # rank_mod_p: columns per panel and rows sampled for a panel's pivots;
-# rows per matmul in its trailing update and in sigma_gram, and in
-# property_check_exhaustive, which bounds their temporaries
+# rows per matmul in its trailing update, in sigma_gram and in
+# _conflict_matrix, which bounds their temporaries
 _PANEL = 96
 _PANEL_SAMPLE = 128
 _ROW_CHUNK = 1024
-_PROPERTY_CHUNK = 512
 
 _EXACT_MIS_CAP = 12
 
@@ -283,29 +282,50 @@ def property_check(x: Vectorish, y: Vectorish, p: int, a: int) -> Tuple[bool, bo
 def property_check_exhaustive(n: int, p: int, a: int) -> int:
     """Number of pairs in Sigma(n)^2 violating the equivalence (0 expected).
 
-    Bulk form: evaluates every reduced polynomial on every sign vector as
-    the all-pairs product signs @ coef.T, in float32, _PROPERTY_CHUNK
-    sign vectors at a time; each chunk's inner products come from its own
-    Gram product.  With the coefficients centred in [-p//2, p//2] every
-    partial sum is an integer of magnitude at most len(basis) * (p//2),
-    which must stay within 2**24 - p, so float32 holds it exactly and _mod
-    tests it against zero mod p exactly.
+    An exact count in integers over Krawtchouk values, at every n; no
+    polynomial is built or evaluated.
+
+    Value.  The reduced polynomial of x has coefficient w[|S|] x_S at y_S
+    (_reduced_profile_weights, w[s] = 0 for s >= p), so with z = x o y,
+    P_x(y) = sum_s w[s] e_s(z), e_s the elementary symmetric polynomial.
+    For a +-1 vector z with m entries -1, e_s(z) is the Krawtchouk value
+    K_s(m; n) = sum_i (-1)^i C(m, i) C(n-m, s-i), and m = (n - (x, y)) / 2.
+    Both sides of the equivalence therefore depend on the pair only
+    through m.  K_0 = 1, K_1 = n - 2m, and the three-term recurrence
+    (s+1) K_{s+1} = (n-2m) K_s - (n-s+1) K_{s-1} gives the rest mod p:
+    s + 1 <= p - 1 is invertible mod p for prime p.
+
+    Attainable m.  A member of Sigma(n) has x_1 = +1 and n/2 entries +1.
+    For x, y in Sigma(n) let j be the number of coordinates with x = +1,
+    y = -1; since both have n/2 entries +1, as many have x = -1, y = +1,
+    so m = 2j.  Coordinate 1 is +1 in both, so 0 <= j <= n/2 - 1, and
+    each such j is attained.  So m runs over 0, 2, ..., n - 2.
+
+    Pair counts.  For fixed x, a y at m = 2j turns j of the n/2 - 1 entries
+    +1 of x past coordinate 1 to -1 and j of its n/2 entries -1 to +1:
+    C(n/2 - 1, j) C(n/2, j) choices, the same for every x.  By Vandermonde
+    they sum to C(n-1, n/2-1) = |Sigma(n)|.  The violating pairs number
+    |Sigma(n)| times the sum of these counts over the j where
+    (n - 4j + a) = 0 mod p and P_x(y) != 0 mod p disagree.
     """
-    if dimension_bound(n, p) * (p // 2) > _EXACT32 - p:
-        raise ValueError("bulk evaluation would overflow exact float32: "
-                         "n=%d, p=%d" % (n, p))
-    X = sigma_matrix(n)
-    coef_t = coefficient_matrix(n, p, a).astype(np.float32).T
-    coef_t[coef_t > p // 2] -= p
-    signs = _monomial_sign_matrix(X, monomial_basis(n, p))
-    Xf = X.astype(np.float32)
+    if n % 4 != 0 or n <= 0:
+        raise ValueError("vector length must be a positive multiple of 4")
+    if not is_prime(p):
+        raise ValueError("p = %d is not prime" % p)
+    w = _reduced_profile_weights(n, p, a)
+    top = min(p - 1, n)
+    inverse = [0] + [pow(s, -1, p) for s in range(1, top + 1)]
+    half = n // 2
     bad = 0
-    for lo in range(0, X.shape[0], _PROPERTY_CHUNK):
-        hi = lo + _PROPERTY_CHUNK
-        lhs = _mod(Xf[lo:hi] @ Xf.T + a, p) == 0
-        rhs = _mod(signs[lo:hi].astype(np.float32) @ coef_t, p) != 0  # rhs[y, x]
-        bad += int(np.count_nonzero(lhs != rhs))
-    return bad
+    for j in range(half):
+        dot = n - 4 * j
+        k_prev, k, value = 0, 1, w[0]
+        for s in range(top):
+            k_prev, k = k, (dot * k - (n - s + 1) * k_prev) * inverse[s + 1] % p
+            value += w[s + 1] * k
+        if ((dot + a) % p == 0) != (value % p != 0):
+            bad += binomial(half - 1, j) * binomial(half, j)
+    return binomial(n - 1, half - 1) * bad
 
 
 # ---------------------------------------------------------------------------
@@ -346,27 +366,43 @@ def _greedy_indices(conflict: np.ndarray, order: np.ndarray) -> List[int]:
     return chosen
 
 
+def _conflict_matrix(X: np.ndarray, forbidden: int) -> np.ndarray:
+    """Bool matrix of (x, y) == forbidden over all pairs of rows of X.
+
+    Each _ROW_CHUNK rows take one float32 product, compared straight into
+    the result, so no full-size integer or float matrix exists; exact
+    since every entry is an integer of magnitude at most n < 2**24.
+    """
+    Xf = X.astype(np.float32)
+    out = np.empty((X.shape[0], X.shape[0]), dtype=bool)
+    for lo in range(0, X.shape[0], _ROW_CHUNK):
+        np.equal(Xf[lo:lo + _ROW_CHUNK] @ Xf.T, forbidden,
+                 out=out[lo:lo + _ROW_CHUNK])
+    return out
+
+
 def greedy_avoiding_family(
     n: int,
     forbidden: int,
     seed: Optional[int] = None,
     conflict: Optional[np.ndarray] = None,
     pool: Optional[np.ndarray] = None,
+    sigma: Optional[np.ndarray] = None,
 ) -> AvoidingFamily:
     """Greedy maximal family: scan Sigma(n), accept whatever stays legal.
 
     seed None scans in enumeration order; an integer seed scans a
     reproducible random permutation.  conflict caches the pair predicate
-    matrix across repeated calls.  pool restricts the scan to a subset of
-    Sigma positions, for sizes where the full pair matrix stops fitting
-    in memory; conflict is then indexed by pool position.  Only the
-    chosen rows of the int8 Sigma matrix become SignVector objects.
+    matrix across repeated calls, and sigma the sigma_matrix(n) behind
+    it.  pool restricts the scan to a subset of Sigma positions, for
+    sizes where the full pair matrix stops fitting in memory; conflict
+    is then indexed by pool position.  Only the chosen rows of the int8
+    Sigma matrix become SignVector objects.
     """
-    X = sigma_matrix(n)
+    X = sigma_matrix(n) if sigma is None else sigma
     pool = np.arange(X.shape[0]) if pool is None else np.asarray(pool)
     if conflict is None:
-        sub = X[pool].astype(np.float64)
-        conflict = (sub @ sub.T).astype(np.int64) == forbidden
+        conflict = _conflict_matrix(X[pool], forbidden)
     order = np.arange(len(pool))
     if seed is not None:
         order = np.random.default_rng(seed).permutation(len(pool))
@@ -698,6 +734,7 @@ class LemmaCertificate:
     rank_full_family: bool     # rank column computed over all of Sigma
     family_sizes: Tuple[int, ...]
     vacuous: bool              # bound at or above |Sigma|: nothing to prune
+    property_violations: int   # pairs breaking congruence iff nonzero value
     verdict: bool
 
 
@@ -712,8 +749,9 @@ def certify_bound(
 
     Greedy avoiding families (one per seed, plus the enumeration order)
     must all pass the evaluation-matrix certificate and stay at or below
-    the dimension bound; the exact search and the full-family rank join
-    in whenever feasible.
+    the dimension bound, and the exact property count must find no pair
+    where the congruence and the polynomial's value disagree; the exact
+    search and the full-family rank join in whenever feasible.
     """
     if n - 4 * p != -a:
         raise ValueError("construction relation violated: n - 4p != -a")
@@ -723,7 +761,8 @@ def certify_bound(
     sigma_size = binomial(n - 1, n // 2 - 1)
     forbidden = -a
 
-    conflict = sigma_gram(n) == forbidden if sigma_size <= _CONFLICT_CAP else None
+    X = sigma_matrix(n)
+    conflict = _conflict_matrix(X, forbidden) if sigma_size <= _CONFLICT_CAP else None
     sizes: List[int] = []
     all_verified = True
     for seed in [None] + list(range(max(0, seeds - 1))):
@@ -738,10 +777,11 @@ def certify_bound(
                 pool = np.sort(np.random.default_rng(seed).choice(
                     sigma_size, _FAMILY_POOL, replace=False))
         fam = greedy_avoiding_family(
-            n, forbidden, seed=seed, conflict=conflict, pool=pool)
+            n, forbidden, seed=seed, conflict=conflict, pool=pool, sigma=X)
         sizes.append(len(fam))
         if not independence_verify(fam, p, a):
             all_verified = False
+    del conflict  # 41 MB at n = 16, not needed by the rank below
 
     mis: Optional[int] = None
     if n <= _EXACT_MIS_CAP:
@@ -752,10 +792,12 @@ def certify_bound(
     if compute_rank is None:
         compute_rank = sigma_size <= _RANK_ROWS_CAP and bound <= _RANK_COLS_CAP
     if compute_rank:
-        rank = rank_mod_p(coefficient_matrix(n, p, a), p)
+        rank = rank_mod_p(coefficient_matrix(n, p, a, rows=X), p)
         rank_full_family = True
 
+    violations = property_check_exhaustive(n, p, a)
     checks = [
+        violations == 0,
         all_verified,
         max(sizes) <= bound,
         mis is None or mis <= bound,
@@ -774,5 +816,6 @@ def certify_bound(
         rank_full_family=rank_full_family,
         family_sizes=tuple(sizes),
         vacuous=bound >= sigma_size,
+        property_violations=violations,
         verdict=all(checks),
     )

@@ -25,6 +25,7 @@ import pytest
 
 import conftest
 import search_oracle
+from test_algebra import property_check_float32
 
 from borsuk import algebra, bounds, construction, optimality, params, upper
 from borsuk.cli import main as cli_main
@@ -99,13 +100,16 @@ def test_criterion_02_inner_product_divisibility():
 
 
 def test_criterion_03_property_equivalence_exhaustive():
+    # the library's exact Krawtchouk count and the all-pairs float32
+    # evaluation oracle must both read 0
     t0 = time.time()
-    bad_12 = algebra.property_check_exhaustive(12, 5, 8)
-    bad_16 = algebra.property_check_exhaustive(16, 5, 4)
+    bad = [count(n, p, a)
+           for count in (algebra.property_check_exhaustive, property_check_float32)
+           for n, p, a in ((12, 5, 8), (16, 5, 4))]
     elapsed = time.time() - t0
-    ok = bad_12 == 0 and bad_16 == 0 and elapsed < 300
+    ok = not any(bad) and elapsed < 300
     _report(3, ok, "congruence iff nonzero evaluation, all pairs (12,5,8) and (16,5,4)",
-            "violations %d+%d, %.1fs" % (bad_12, bad_16, elapsed))
+            "violations %d+%d exact, %d+%d all-pairs oracle, %.1fs" % (*bad, elapsed))
     assert ok
 
 

@@ -211,14 +211,92 @@ def test_property_check_pointwise():
     assert lhs and rhs
 
 
+# ---------------------------------------------------------------------------
+# all-pairs oracle: every reduced polynomial evaluated on every sign vector,
+# independent of the Krawtchouk count behind property_check_exhaustive
+
+_PROPERTY_CHUNK = 512
+
+
+def property_check_float32(n, p, a):
+    """Pairs in Sigma(n)^2 violating the equivalence, by all-pairs products.
+
+    Evaluates every row of coefficient_matrix on every sign vector as
+    signs @ coef.T in float32, _PROPERTY_CHUNK sign vectors at a time;
+    each chunk's inner products come from its own Gram product.  With the
+    coefficients centred in [-p//2, p//2] every partial sum is an integer
+    of magnitude at most len(basis) * (p//2), which must stay within
+    2**24 - p, so float32 holds it exactly and algebra._mod tests it
+    against zero mod p exactly.
+    """
+    if dimension_bound(n, p) * (p // 2) > algebra._EXACT32 - p:
+        raise ValueError("bulk evaluation would overflow exact float32: "
+                         "n=%d, p=%d" % (n, p))
+    X = algebra.sigma_matrix(n)
+    coef_t = coefficient_matrix(n, p, a).astype(np.float32).T
+    coef_t[coef_t > p // 2] -= p
+    signs = algebra._monomial_sign_matrix(X, algebra.monomial_basis(n, p))
+    Xf = X.astype(np.float32)
+    bad = 0
+    for lo in range(0, X.shape[0], _PROPERTY_CHUNK):
+        hi = lo + _PROPERTY_CHUNK
+        lhs = algebra._mod(Xf[lo:hi] @ Xf.T + a, p) == 0
+        rhs = algebra._mod(signs[lo:hi].astype(np.float32) @ coef_t, p) != 0
+        bad += int(np.count_nonzero(lhs != rhs))
+    return bad
+
+
 @pytest.mark.parametrize("n,p,a", [(8, 3, 4), (12, 5, 8)])
 def test_property_equivalence_exhaustive_desk(n, p, a):
     assert property_check_exhaustive(n, p, a) == 0
+    assert property_check_float32(n, p, a) == 0
+
+
+@pytest.mark.parametrize("n,p,a", [(572, 223, 320), (996, 431, 728)])
+def test_property_equivalence_at_planner_sizes(n, p, a):
+    # (572, 223, 320) is the plan at d0(0.71); (996, 431, 728) the
+    # shrinking-radius plan at d = 10^6.  Far past any enumeration.
+    assert n - 4 * p == -a
+    assert property_check_exhaustive(n, p, a) == 0
+
+
+def test_property_check_input_checks():
+    with pytest.raises(ValueError, match="positive multiple of 4"):
+        property_check_exhaustive(10, 3, 2)
+    with pytest.raises(ValueError, match="not prime"):
+        property_check_exhaustive(12, 4, 4)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_pair_counts_per_dot_value(n):
+    # each x in Sigma(n) meets C(n/2-1, j) C(n/2, j) partners y at
+    # (x, y) = n - 4j, j = 0..n/2-1, and no pair at any other value
+    G = sigma_gram(n)
+    size = G.shape[0]
+    values, counts = np.unique(G, return_counts=True)
+    half = n // 2
+    want = {n - 4 * j: size * binomial(half - 1, j) * binomial(half, j)
+            for j in range(half)}
+    assert dict(zip(values.tolist(), counts.tolist())) == want
+    assert sum(want.values()) == size ** 2
+
+
+@pytest.mark.parametrize("n,p,a", [(8, 3, 4), (12, 5, 8), (12, 7, 16)])
+def test_property_routes_agree_under_every_weight_perturbation(monkeypatch, n, p, a):
+    # weights of degree p and above never reach either route
+    exact = algebra._reduced_profile_weights(n, p, a)
+    for s in range(min(p, n + 1)):
+        for delta in range(1, p):
+            w = list(exact)
+            w[s] = (w[s] + delta) % p
+            monkeypatch.setattr(algebra, "_reduced_profile_weights",
+                                lambda *args, w=w: list(w))
+            assert property_check_exhaustive(n, p, a) == property_check_float32(n, p, a)
 
 
 def test_property_check_detects_a_wrong_weight(monkeypatch):
     # the check must be able to fail: one perturbed weight of the
-    # symmetric profile corrupts the coefficient matrix it evaluates
+    # symmetric profile corrupts the polynomials it evaluates
     weights = algebra._reduced_profile_weights
 
     def perturbed(n, p, a):
@@ -228,11 +306,12 @@ def test_property_check_detects_a_wrong_weight(monkeypatch):
 
     monkeypatch.setattr(algebra, "_reduced_profile_weights", perturbed)
     assert property_check_exhaustive(12, 5, 8) > 0
+    assert property_check_float32(12, 5, 8) > 0
 
 
 def test_property_check_refuses_inexact_float32(monkeypatch):
-    # (13 // 2) * sum_{i<13} C(24, i) passes 2**24: refused before
-    # Sigma(24), 1.35 million rows, or its monomial basis is built
+    # (13 // 2) * sum_{i<13} C(24, i) passes 2**24: the oracle refuses
+    # before Sigma(24), 1.35 million rows, or its monomial basis is built
     assert 6 * dimension_bound(24, 13) > 2 ** 24
 
     def no_build(*args):
@@ -241,7 +320,7 @@ def test_property_check_refuses_inexact_float32(monkeypatch):
     monkeypatch.setattr(algebra, "sigma_matrix", no_build)
     monkeypatch.setattr(algebra, "monomial_basis", no_build)
     with pytest.raises(ValueError, match="exact float32"):
-        property_check_exhaustive(24, 13, 28)
+        property_check_float32(24, 13, 28)
 
 
 def test_evaluation_matrix_structure():
@@ -288,6 +367,25 @@ def test_greedy_family_deterministic_and_seeded():
     f4 = greedy_avoiding_family(12, -8, seed=3)
     assert f3.members == f4.members
     assert len(f1) <= 210 and len(f3) <= 210
+
+
+def test_certify_bound_builds_sigma_once(monkeypatch):
+    # the families and the rank share one Sigma matrix (n = 16 has no
+    # exact search, which builds its own); passing it changes no family
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return sigma_matrix(n)
+
+    monkeypatch.setattr(algebra, "sigma_matrix", counted)
+    cert = certify_bound(16, 5, 4, seeds=3)
+    assert calls == [16]
+    assert cert.rank == 1365 and cert.verdict
+    sizes = tuple(len(greedy_avoiding_family(16, -4, seed=s)) for s in (None, 0, 1))
+    assert sizes == cert.family_sizes
+    assert (greedy_avoiding_family(12, -8, seed=3, sigma=sigma_matrix(12)).members
+            == greedy_avoiding_family(12, -8, seed=3).members)
 
 
 def test_greedy_family_pool_restriction():
@@ -509,8 +607,26 @@ def test_certify_bound_frozen_desk_case():
     assert cert.mis_exact == 210
     assert cert.rank == 330 and cert.rank_full_family
     assert cert.vacuous  # 794 >= 462
+    assert cert.property_violations == 0
     assert cert.verdict
     assert max(cert.family_sizes) <= cert.mis_exact
+
+
+def test_certify_bound_fails_on_property_violation(monkeypatch):
+    # a wrong weight leaves the families, the evaluation certificates and
+    # the rank bound intact; only the property count can catch it
+    weights = algebra._reduced_profile_weights
+
+    def perturbed(n, p, a):
+        w = weights(n, p, a)
+        w[2] = (w[2] + 1) % p
+        return w
+
+    monkeypatch.setattr(algebra, "_reduced_profile_weights", perturbed)
+    cert = certify_bound(8, 3, 4, seeds=2)
+    assert cert.property_violations > 0
+    assert cert.rank <= cert.bound and max(cert.family_sizes) <= cert.mis_exact
+    assert not cert.verdict
 
 
 def test_certify_bound_relation_check():

@@ -98,6 +98,8 @@ def test_certify_with_overrides(capsys):
     assert doc["bound"] == "794"
     assert doc["mis_exact"] == "210"
     assert doc["vacuous"] is True
+    assert doc["property_violations"] == "0"
+    assert list(doc)[-2:] == ["property_violations", "verdict"]
 
 
 def test_certify_composite_p_exits_2_at_once(capsys, monkeypatch):
