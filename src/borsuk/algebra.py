@@ -11,24 +11,25 @@ multilinear monomials of degree at most p-1, a space of dimension
 sum_{i<p} C(n, i).  Polynomials attached to a family avoiding the inner
 product -a are linearly independent (diagonal nonzero, off-diagonal zero
 in the evaluation matrix), so no avoiding family can outgrow that
-dimension.  This module builds the reduced polynomials in bulk from one
-symmetric weight profile, certifies independence two independent ways
-(coefficient rank and evaluation matrix), and cross-checks the bound
-against exact maximum independent set search at desk scale.
+dimension.  Sign vectors and families are int8 rows of
+construction.sigma_matrix(n) throughout; a polynomial is its row of
+coefficient_matrix, built in bulk from one symmetric weight profile.  This
+module certifies independence two independent ways (coefficient rank and
+evaluation matrix) and cross-checks the bound against exact maximum
+independent set search at desk scale.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import combinations
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exactnum import binomial, binomial_tail_sum, is_prime
-from .construction import SignVector, sigma_matrix
-
-Vectorish = Union[SignVector, Sequence[int]]
+from .construction import sigma_matrix
 
 # Full-family rank elimination is O(rows * cols * rank); these caps keep it
 # to a few seconds (n=16, 6435 x 2517, takes about one).  Above them the
@@ -53,15 +54,6 @@ _EXACT_MIS_CAP = 12
 # built inside seeded candidate pools of _FAMILY_POOL rows
 _CONFLICT_CAP = 20000
 _FAMILY_POOL = 4096
-
-
-def _entries(x: Vectorish) -> Tuple[int, ...]:
-    if isinstance(x, SignVector):
-        return x.entries
-    t = tuple(int(v) for v in x)
-    if any(v not in (-1, 1) for v in t):
-        raise ValueError("entries must be +-1")
-    return t
 
 
 def sigma_gram(n: int) -> np.ndarray:
@@ -97,38 +89,6 @@ def residue_excluded_dots(n: int, p: int) -> Tuple[int, ...]:
     return tuple(n - j * p for j in (1, 2, 3, 5, 6, 7))
 
 
-@dataclass(frozen=True)
-class ReducedPolynomial:
-    """Multilinear polynomial mod p: monomial bitmask -> coefficient."""
-
-    n: int
-    p: int
-    coefficients: Dict[int, int]
-
-    def __post_init__(self):
-        for mask, c in self.coefficients.items():
-            if not 0 <= mask < (1 << self.n):
-                raise ValueError("monomial outside variable range")
-            if not 0 < c < self.p:
-                raise ValueError("coefficient not a reduced nonzero residue")
-
-    def degree(self) -> int:
-        return max((m.bit_count() for m in self.coefficients), default=0)
-
-    def evaluate(self, y: Vectorish) -> int:
-        ey = _entries(y)
-        if len(ey) != self.n:
-            raise ValueError("length mismatch")
-        neg = 0
-        for i, v in enumerate(ey):
-            if v < 0:
-                neg |= 1 << i
-        total = 0
-        for mask, c in self.coefficients.items():
-            total += -c if (mask & neg).bit_count() & 1 else c
-        return total % self.p
-
-
 # ---------------------------------------------------------------------------
 # reduced polynomials in bulk: one symmetric weight profile serves every x
 
@@ -142,52 +102,26 @@ def _reduced_profile_weights(n: int, p: int, a: int) -> List[int]:
     Multiplying a symmetric reduced polynomial by sum_j z_j sends
     w[s] -> s*w[s-1] + (n-s)*w[s+1] (z_j**2 = 1 merges neighbours).
     Substituting z_j = x_j y_j turns the z-monomial z_S into x_S y_S.
+    After i factors the product has degree at most i, so each step only
+    fills sizes up to the degree reached; w[s] = 0 for s >= p.
     """
     skip = excluded_residue(p, a)
     w = [0] * (n + 2)
     w[0] = 1
+    deg = 0
     for i in range(p):
         if i == skip:
             continue
+        deg = min(deg + 1, n)
         nxt = [0] * (n + 2)
-        for s in range(n + 1):
+        for s in range(deg + 1):
             v = i * w[s] - (s * w[s - 1] if s else 0) - (n - s) * w[s + 1]
             nxt[s] = v % p
         w = nxt
-    assert all(w[s] == 0 for s in range(p, n + 2)), "degree above p-1 survived"
     return w[: n + 1]
 
 
-def reduced_indicator(x: Vectorish, p: int, a: int) -> ReducedPolynomial:
-    """Multilinear polynomial that is nonzero mod p iff (x, y) = -a mod p.
-
-    The multilinear reduction of prod_{i != -a mod p} (i - (x, y)) over
-    GF(p).  tests/test_algebra.py expands that product symbolically and
-    reduces it monomial by monomial as the oracle for this bulk route.
-    """
-    ex = _entries(x)
-    n = len(ex)
-    w = _reduced_profile_weights(n, p, a)
-    coeffs: Dict[int, int] = {}
-    for size in range(min(p - 1, n) + 1):
-        if w[size] == 0:
-            continue
-        for mask in _masks_of_size(n, size):
-            xs = 1
-            m = mask
-            while m:
-                j = (m & -m).bit_length() - 1
-                xs *= ex[j]
-                m &= m - 1
-            c = (w[size] * xs) % p
-            if c:
-                coeffs[mask] = c
-    return ReducedPolynomial(n=n, p=p, coefficients=coeffs)
-
-
 def _masks_of_size(n: int, size: int) -> List[int]:
-    from itertools import combinations
-
     return [sum(1 << j for j in c) for c in combinations(range(n), size)]
 
 
@@ -220,16 +154,17 @@ def _monomial_sign_matrix(X: np.ndarray, basis: List[int]) -> np.ndarray:
     return signs.T
 
 
-def coefficient_matrix(
-    n: int, p: int, a: int, rows: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Reduced coefficients for a stack of sign vectors, one row per vector.
+def coefficient_matrix(rows: np.ndarray, p: int, a: int) -> np.ndarray:
+    """Reduced polynomials of a stack of sign vectors, one row per vector.
 
-    Columns follow monomial_basis(n, p).  rows defaults to all of Sigma(n)
-    in enumeration order; pass a +-1 matrix to restrict.  Built from the
-    symmetric weight profile; tests pin it against the symbolic route.
+    Row i holds the coefficients mod p of the multilinear reduction of
+    prod_{j != -a mod p} (j - (x_i, y)), the polynomial that is nonzero
+    mod p iff (x_i, y) = -a mod p, in the columns of monomial_basis(n, p).
+    Built from the symmetric weight profile; tests/test_algebra.py expands
+    the product symbolically as the oracle for it.
     """
-    X = sigma_matrix(n) if rows is None else np.asarray(rows, dtype=np.int8)
+    X = np.asarray(rows, dtype=np.int8)
+    n = X.shape[1]
     basis = monomial_basis(n, p)
     w = _reduced_profile_weights(n, p, a)
     signs = _monomial_sign_matrix(X, basis)
@@ -265,18 +200,6 @@ def evaluation_matrix(members: np.ndarray, p: int, a: int) -> np.ndarray:
     table = residue_value_table(p, a)
     G = X @ X.T
     return table[G % p]
-
-
-def property_check(x: Vectorish, y: Vectorish, p: int, a: int) -> Tuple[bool, bool]:
-    """((x,y) = -a mod p,  reduced polynomial of x nonzero at y).
-
-    The two booleans must agree; their equivalence is what turns the
-    forbidden inner product into a linear-algebra statement.
-    """
-    ex, ey = _entries(x), _entries(y)
-    lhs = (sum(u * v for u, v in zip(ex, ey)) + a) % p == 0
-    rhs = reduced_indicator(ex, p, a).evaluate(ey) != 0
-    return lhs, rhs
 
 
 def property_check_exhaustive(n: int, p: int, a: int) -> int:
@@ -332,29 +255,6 @@ def property_check_exhaustive(n: int, p: int, a: int) -> int:
 # avoiding families, independence certificates, rank
 
 
-@dataclass(frozen=True)
-class AvoidingFamily:
-    """Sign vectors no two of which have inner product equal to forbidden."""
-
-    members: Tuple[SignVector, ...]
-    forbidden: int
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("empty family")
-        X = self.matrix()
-        G = X.astype(np.int64) @ X.T.astype(np.int64)
-        bad = (G == self.forbidden) & ~np.eye(len(self.members), dtype=bool)
-        if bad.any():
-            raise ValueError("family contains a forbidden pair")
-
-    def matrix(self) -> np.ndarray:
-        return np.array([m.entries for m in self.members], dtype=np.int8)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 def _greedy_indices(conflict: np.ndarray, order: np.ndarray) -> List[int]:
     allowed = np.ones(conflict.shape[0], dtype=bool)
     chosen: List[int] = []
@@ -382,65 +282,42 @@ def _conflict_matrix(X: np.ndarray, forbidden: int) -> np.ndarray:
 
 
 def greedy_avoiding_family(
-    n: int,
+    rows: np.ndarray,
     forbidden: int,
     seed: Optional[int] = None,
     conflict: Optional[np.ndarray] = None,
-    pool: Optional[np.ndarray] = None,
-    sigma: Optional[np.ndarray] = None,
-) -> AvoidingFamily:
-    """Greedy maximal family: scan Sigma(n), accept whatever stays legal.
+) -> np.ndarray:
+    """Greedy maximal family: scan rows, accept whatever stays legal.
 
-    seed None scans in enumeration order; an integer seed scans a
-    reproducible random permutation.  conflict caches the pair predicate
-    matrix across repeated calls, and sigma the sigma_matrix(n) behind
-    it.  pool restricts the scan to a subset of Sigma positions, for
-    sizes where the full pair matrix stops fitting in memory; conflict
-    is then indexed by pool position.  Only the chosen rows of the int8
-    Sigma matrix become SignVector objects.
+    Returns the chosen rows in their order in rows.  seed None scans in
+    row order; an integer seed scans a reproducible random permutation.
+    conflict caches _conflict_matrix(rows, forbidden) across repeated
+    calls.  Pass a slice of Sigma(n), such as a sampled pool, to restrict
+    the scan where the full pair matrix stops fitting in memory.
     """
-    X = sigma_matrix(n) if sigma is None else sigma
-    pool = np.arange(X.shape[0]) if pool is None else np.asarray(pool)
     if conflict is None:
-        conflict = _conflict_matrix(X[pool], forbidden)
-    order = np.arange(len(pool))
+        conflict = _conflict_matrix(rows, forbidden)
+    order = np.arange(rows.shape[0])
     if seed is not None:
-        order = np.random.default_rng(seed).permutation(len(pool))
-    chosen = pool[_greedy_indices(conflict, order)]
-    return AvoidingFamily(
-        members=tuple(SignVector(tuple(row)) for row in X[chosen].tolist()),
-        forbidden=forbidden,
-    )
+        order = np.random.default_rng(seed).permutation(rows.shape[0])
+    return rows[_greedy_indices(conflict, order)]
 
 
-def evaluation_certificate(members: np.ndarray, p: int, a: int) -> bool:
-    """Diagonal nonzero, off-diagonal zero in the evaluation matrix.
-
-    Takes a raw +-1 row matrix so that deliberately broken inputs can be
-    fed through; returns False on any violation rather than raising.
-    """
-    M = evaluation_matrix(members, p, a)
-    diag = np.diag(M)
-    off = M.copy()
-    np.fill_diagonal(off, 0)
-    return bool((diag != 0).all() and not off.any())
-
-
-def independence_verify(family: AvoidingFamily, p: int, a: int) -> bool:
+def independence_verify(members: np.ndarray, p: int, a: int) -> bool:
     """Certify linear independence through the evaluation matrix.
 
-    Diagonal entries must be nonzero (each vector satisfies its own
-    congruence, as n = -a mod p by construction) and off-diagonal entries
-    zero (no other pair dot is congruent to -a).  Rank then equals the
-    family size.
+    members are +-1 rows.  Diagonal entries must be nonzero (each vector
+    satisfies its own congruence, as n = -a mod p by construction) and
+    off-diagonal entries zero (no other pair dot is congruent to -a, so
+    in particular no pair attains -a).  Rank then equals the family size.
+    Returns False on any violation rather than raising.
     """
-    n = family.members[0].n
-    if n - 4 * p != -a:
+    if members.shape[1] - 4 * p != -a:
         raise ValueError("construction relation violated: n - 4p != -a")
-    if family.forbidden != -a:
-        raise ValueError("family avoids %d, certificate needs -a = %d"
-                         % (family.forbidden, -a))
-    return evaluation_certificate(family.matrix(), p, a)
+    M = evaluation_matrix(members, p, a)
+    off = M.copy()
+    np.fill_diagonal(off, 0)
+    return bool((np.diag(M) != 0).all() and not off.any())
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -586,20 +463,22 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
 # exact maximum avoiding family at desk scale
 
 
-def max_avoiding_exact(n: int, forbidden: int) -> int:
-    """Exact maximum size of an avoiding family, by branch and bound.
+def max_avoiding_exact(rows: np.ndarray, forbidden: int) -> int:
+    """Exact maximum size of an avoiding family among rows, by branch and bound.
 
-    The conflict graph on Sigma(n) has an edge where a pair attains the
-    forbidden inner product; the answer is its maximum independent set.
+    The conflict graph on the rows (all of Sigma(n) for the lemma) has an
+    edge where a pair attains the forbidden inner product; the answer is
+    its maximum independent set.
     """
+    n = rows.shape[1]
     if n > _EXACT_MIS_CAP:
         raise ValueError("exact search infeasible: n=%d > %d" % (n, _EXACT_MIS_CAP))
-    X = sigma_matrix(n)
-    conflict = (sigma_gram(n) == forbidden) & ~np.eye(X.shape[0], dtype=bool)
+    conflict = _conflict_matrix(rows, forbidden)
+    np.fill_diagonal(conflict, False)
     if not conflict.any():
-        return X.shape[0]
+        return rows.shape[0]
     adj = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in conflict]
-    return _mis_bitset(adj, conflict, X)
+    return _mis_bitset(adj, conflict, rows)
 
 
 def _greedy_independent(adj: List[int], order: Sequence[int]) -> int:
@@ -757,6 +636,8 @@ def certify_bound(
         raise ValueError("construction relation violated: n - 4p != -a")
     if not is_prime(p):
         raise ValueError("p = %d is not prime" % p)
+    if seeds < 1:
+        raise ValueError("seeds must be at least 1, got %d" % seeds)
     bound = dimension_bound(n, p)
     sigma_size = binomial(n - 1, n // 2 - 1)
     forbidden = -a
@@ -765,8 +646,7 @@ def certify_bound(
     conflict = _conflict_matrix(X, forbidden) if sigma_size <= _CONFLICT_CAP else None
     sizes: List[int] = []
     all_verified = True
-    for seed in [None] + list(range(max(0, seeds - 1))):
-        pool = None
+    for seed in [None] + list(range(seeds - 1)):
         if conflict is None:
             # sampled candidate pool; any greedy-maximal family inside it
             # is still a genuine avoiding family, which is all the
@@ -776,8 +656,9 @@ def certify_bound(
             else:
                 pool = np.sort(np.random.default_rng(seed).choice(
                     sigma_size, _FAMILY_POOL, replace=False))
-        fam = greedy_avoiding_family(
-            n, forbidden, seed=seed, conflict=conflict, pool=pool, sigma=X)
+            fam = greedy_avoiding_family(X[pool], forbidden, seed=seed)
+        else:
+            fam = greedy_avoiding_family(X, forbidden, seed=seed, conflict=conflict)
         sizes.append(len(fam))
         if not independence_verify(fam, p, a):
             all_verified = False
@@ -785,14 +666,14 @@ def certify_bound(
 
     mis: Optional[int] = None
     if n <= _EXACT_MIS_CAP:
-        mis = max_avoiding_exact(n, forbidden)
+        mis = max_avoiding_exact(X, forbidden)
 
     rank: Optional[int] = None
     rank_full_family = False
     if compute_rank is None:
         compute_rank = sigma_size <= _RANK_ROWS_CAP and bound <= _RANK_COLS_CAP
     if compute_rank:
-        rank = rank_mod_p(coefficient_matrix(n, p, a, rows=X), p)
+        rank = rank_mod_p(coefficient_matrix(X, p, a), p)
         rank_full_family = True
 
     violations = property_check_exhaustive(n, p, a)

@@ -145,17 +145,18 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     from . import construction
 
+    if args.limit is not None and args.limit < 0:
+        raise ValueError("--limit must be non-negative, got %d" % args.limit)
     ps = _resolve_params(args)
     geo = construction.geometry(ps)
-    vectors = construction.sign_vectors(ps.n)
-    if args.limit is not None:
-        vectors = vectors[: args.limit]
-    images = [construction.TensorImage(base=x, k=ps.k, a=ps.a) for x in vectors]
+    rows = construction.sigma_matrix(ps.n)[: args.limit]
+    # refuse before any output exists, so a failed build writes nothing
+    construction.check_dimension(ps)
     if args.out:
         with open(args.out, "w") as fh:
-            construction.export_points(fh, ps, geo, images)
+            construction.export_points(fh, ps, geo, rows)
     else:
-        construction.export_points(sys.stdout, ps, geo, images)
+        construction.export_points(sys.stdout, ps, geo, rows)
     return EXIT_OK
 
 

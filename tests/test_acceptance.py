@@ -50,27 +50,24 @@ def test_criterion_01_scalar_product_identity():
     worst = 0.0
     for n, k in [(4, 1), (4, 2), (8, 1)]:
         a = 4
-        imgs = [
-            construction.TensorImage(base=v, k=k, a=a)
-            for v in construction.sign_vectors(n)
-        ]
-        mats = [construction.materialize(im) for im in imgs]
-        tail_w = 2 * k * a ** (2 * k - 1)
-        for i, j in itertools.product(range(len(imgs)), repeat=2):
-            got = construction.tensor_inner(imgs[i], imgs[j])
+        X = construction.sigma_matrix(n).astype(np.int64)
+        H = construction.image_gram(X @ X.T, k, a)
+        mats = construction.materialize(X, k, a)
+        want = mats @ mats.T
+        for i, j in itertools.product(range(X.shape[0]), repeat=2):
+            got = H[i, j]
             # float route within 1e-9 relative
-            want = float(np.dot(mats[i], mats[j]))
-            if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+            err = abs(got - want[i, j]) / max(1.0, abs(want[i, j]))
+            if err > 1e-9:
                 ok = False
-            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+            worst = max(worst, err)
             # exact integer route with zero tolerance
-            x = np.array(imgs[i].base.entries, dtype=np.int64)
-            y = np.array(imgs[j].base.entries, dtype=np.int64)
+            x, y = X[i], X[j]
             wx, wy = x, y
             for _ in range(2 * k - 1):
                 wx = np.multiply.outer(wx, x).reshape(-1)
                 wy = np.multiply.outer(wy, y).reshape(-1)
-            exact = int(wx @ wy) + tail_w * int(x @ y)
+            exact = int(wx @ wy) + 2 * k * a ** (2 * k - 1) * int(x @ y)
             if got != exact:
                 ok = False
     elapsed = time.time() - t0
@@ -122,8 +119,9 @@ def test_criterion_04_rank_bound_and_certified_families():
     ok = ok and max(cert.family_sizes) <= cert.bound
     # explicit full-rank check on the coefficient rows of two families
     for seed in (0, 17):
-        fam = algebra.greedy_avoiding_family(16, -4, seed=seed)
-        M = algebra.coefficient_matrix(16, 5, 4, rows=fam.matrix())
+        fam = algebra.greedy_avoiding_family(
+            construction.sigma_matrix(16), -4, seed=seed)
+        M = algebra.coefficient_matrix(fam, 5, 4)
         if algebra.rank_mod_p(M, 5) != len(fam):
             ok = False
     elapsed = time.time() - t0
@@ -146,7 +144,7 @@ def test_criterion_05_lemma_bound_every_desk_triple():
     ok = True
     rows = []
     for n, p, a in triples:
-        mis = algebra.max_avoiding_exact(n, -a)
+        mis = algebra.max_avoiding_exact(construction.sigma_matrix(n), -a)
         bound = algebra.dimension_bound(n, p)
         rows.append((n, p, a, mis, bound))
         if mis > bound:
@@ -162,7 +160,7 @@ def test_criterion_06_counting_identities():
     t0 = time.time()
     ok = True
     for n in (4, 8, 12, 16):
-        if len(construction.sign_vectors(n)) != binomial(n - 1, n // 2 - 1):
+        if construction.sigma_matrix(n).shape[0] != binomial(n - 1, n // 2 - 1):
             ok = False
     for n in range(4, 65, 4):
         if 2 * binomial(n - 1, n // 2 - 1) != binomial(n, n // 2):

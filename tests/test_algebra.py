@@ -10,38 +10,33 @@ from hypothesis import example, given, settings, strategies as st
 
 from borsuk import algebra
 from borsuk.algebra import (
-    AvoidingFamily,
     certify_bound,
     coefficient_matrix,
     dimension_bound,
-    evaluation_certificate,
     evaluation_matrix,
     excluded_residue,
     greedy_avoiding_family,
     independence_verify,
     max_avoiding_exact,
     monomial_basis,
-    property_check,
     property_check_exhaustive,
     rank_mod_p,
-    reduced_indicator,
     residue_excluded_dots,
     residue_value_table,
     sigma_gram,
-    ReducedPolynomial,
 )
-from borsuk.construction import SignVector, sign_vectors, sigma_matrix
+from borsuk.construction import sigma_matrix
 from borsuk.exactnum import binomial, is_prime
 
 
 # ---------------------------------------------------------------------------
 # symbolic oracle: the residue product expanded in dense exponent vectors,
 # then reduced monomial by monomial; deliberately naive, and independent
-# of the weight-profile recurrence behind reduced_indicator
+# of the weight-profile recurrence behind coefficient_matrix
 
 
 def _signs(x):
-    return x.entries if isinstance(x, SignVector) else tuple(int(v) for v in x)
+    return tuple(int(v) for v in x)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,19 +93,26 @@ def residue_product_polynomial(x, p, a):
 def reduce_multilinear(poly, p):
     """Drop even exponents, set odd ones to 1, merge coefficients mod p.
 
-    Valid on +-1 inputs, where y**2 = 1.
+    Valid on +-1 inputs, where y**2 = 1.  The result has 0/1 exponents.
     """
     assert p == poly.p
     out = {}
     for expo, c in poly.coefficients.items():
-        mask = 0
-        for j, e in enumerate(expo):
-            if e & 1:
-                mask |= 1 << j
-        out[mask] = (out.get(mask, 0) + c) % p
-    return ReducedPolynomial(
-        n=poly.n, p=p, coefficients={m: c for m, c in out.items() if c}
+        odd = tuple(e & 1 for e in expo)
+        out[odd] = (out.get(odd, 0) + c) % p
+    return FormalPolynomial(
+        n=poly.n, p=p, coefficients={e: c for e, c in out.items() if c}
     )
+
+
+def symbolic_row(x, p, a, basis):
+    """The symbolic route's coefficients of x in coefficient_matrix's columns."""
+    red = reduce_multilinear(residue_product_polynomial(x, p, a), p)
+    index = {mask: j for j, mask in enumerate(basis)}
+    row = np.zeros(len(basis), dtype=np.int64)
+    for expo, c in red.coefficients.items():
+        row[index[sum(1 << j for j, e in enumerate(expo) if e)]] = c
+    return row
 
 
 def test_dimension_bound_values():
@@ -146,18 +148,18 @@ def test_residue_value_table_brute():
 
 def test_residue_product_polynomial_evaluations():
     p, a = 3, 4
-    vs = sign_vectors(8)
+    vs = sigma_matrix(8).tolist()
     x = vs[0]
     poly = residue_product_polynomial(x, p, a)
     assert poly.degree() == p - 1
     skip = excluded_residue(p, a)
     for y in vs[:12]:
-        dot = sum(u * v for u, v in zip(x.entries, y.entries))
+        dot = sum(u * v for u, v in zip(x, y))
         want = 1
         for i in range(p):
             if i != skip:
                 want = want * (i - dot) % p
-        assert poly.evaluate(y.entries) == want
+        assert poly.evaluate(y) == want
 
 
 def test_residue_product_polynomial_input_checks():
@@ -183,32 +185,26 @@ def test_reduce_multilinear_preserves_evaluations():
             assert poly.evaluate(signs) == red.evaluate(signs)
 
 
-def test_reduced_indicator_matches_symbolic_route_exhaustive():
-    n, p, a = 8, 3, 4
-    for x in sign_vectors(n):
-        bulk = reduced_indicator(x.entries, p, a)
-        symbolic = reduce_multilinear(residue_product_polynomial(x.entries, p, a), p)
-        assert bulk.coefficients == symbolic.coefficients
-
-
-def test_reduced_indicator_matches_symbolic_route_spot():
-    n, p, a = 12, 5, 8
-    for x in sign_vectors(n)[::97]:
-        bulk = reduced_indicator(x.entries, p, a)
-        symbolic = reduce_multilinear(residue_product_polynomial(x.entries, p, a), p)
-        assert bulk.coefficients == symbolic.coefficients
+def _evaluate_row(C_row, y, basis, p):
+    # one coefficient row evaluated at the +-1 vector y
+    signs = algebra._monomial_sign_matrix(np.array([y], dtype=np.int8), basis)
+    return int(signs[0].astype(np.int64) @ C_row) % p
 
 
 def test_property_check_pointwise():
-    vs = sign_vectors(12)
-    G = sigma_gram(12)
-    hit = np.argwhere(G == -8)
-    i, j = hit[0]
-    lhs, rhs = property_check(vs[i].entries, vs[j].entries, 5, 8)
-    assert lhs and rhs
+    n, p, a = 12, 5, 8
+    X = sigma_matrix(n)
+    C = coefficient_matrix(X, p, a)
+    basis = monomial_basis(n, p)
+    G = sigma_gram(n)
+    i, j = np.argwhere(G == -8)[0]
+    # (x, y) = -8: congruent to -a, polynomial nonzero
+    assert _evaluate_row(C[i], X[j], basis, p) != 0
     # self-pair: (x, x) = 12 = -8 mod 5, the diagonal congruence
-    lhs, rhs = property_check(vs[0].entries, vs[0].entries, 5, 8)
-    assert lhs and rhs
+    assert _evaluate_row(C[0], X[0], basis, p) != 0
+    # (x, y) = 4 is not congruent to -8 mod 5: polynomial vanishes
+    i, j = np.argwhere(G == 4)[0]
+    assert _evaluate_row(C[i], X[j], basis, p) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +229,7 @@ def property_check_float32(n, p, a):
         raise ValueError("bulk evaluation would overflow exact float32: "
                          "n=%d, p=%d" % (n, p))
     X = algebra.sigma_matrix(n)
-    coef_t = coefficient_matrix(n, p, a).astype(np.float32).T
+    coef_t = coefficient_matrix(X, p, a).astype(np.float32).T
     coef_t[coef_t > p // 2] -= p
     signs = algebra._monomial_sign_matrix(X, algebra.monomial_basis(n, p))
     Xf = X.astype(np.float32)
@@ -325,8 +321,8 @@ def test_property_check_refuses_inexact_float32(monkeypatch):
 
 def test_evaluation_matrix_structure():
     n, p, a = 12, 5, 8
-    fam = greedy_avoiding_family(n, -a)
-    M = evaluation_matrix(fam.matrix(), p, a)
+    fam = greedy_avoiding_family(sigma_matrix(n), -a)
+    M = evaluation_matrix(fam, p, a)
     assert (np.diag(M) != 0).all()
     off = M.copy()
     np.fill_diagonal(off, 0)
@@ -334,44 +330,45 @@ def test_evaluation_matrix_structure():
 
 
 def test_evaluation_certificate_rejects_forbidden_pair():
-    vs = sign_vectors(12)
+    X = sigma_matrix(12)
     G = sigma_gram(12)
     i, j = np.argwhere(G == -8)[0]
-    members = np.array([vs[i].entries, vs[j].entries], dtype=np.int8)
-    assert not evaluation_certificate(members, 5, 8)
-
-
-def test_avoiding_family_rejects_forbidden_pair():
-    vs = sign_vectors(12)
-    G = sigma_gram(12)
-    i, j = np.argwhere(G == -8)[0]
-    with pytest.raises(ValueError, match="forbidden pair"):
-        AvoidingFamily(members=(vs[i], vs[j]), forbidden=-8)
+    assert not independence_verify(X[[i, j]], 5, 8)
+    assert independence_verify(X[[i]], 5, 8)
 
 
 def test_independence_verify_input_checks():
-    fam = greedy_avoiding_family(12, -8)
+    X = sigma_matrix(12)
+    fam = greedy_avoiding_family(X, -8)
     assert independence_verify(fam, 5, 8)
     with pytest.raises(ValueError, match="n - 4p != -a"):
         independence_verify(fam, 5, 12)
-    fam4 = greedy_avoiding_family(12, -4)
-    with pytest.raises(ValueError, match="certificate needs -a"):
-        independence_verify(fam4, 5, 8)
+    # no pair of Sigma(12) attains -12, so all of it avoids -12; it holds
+    # pairs at -8 and fails the certificate for a = 8
+    assert len(greedy_avoiding_family(X, -12)) == len(X)
+    assert not independence_verify(X, 5, 8)
 
 
 def test_greedy_family_deterministic_and_seeded():
-    f1 = greedy_avoiding_family(12, -8)
-    f2 = greedy_avoiding_family(12, -8)
-    assert f1.members == f2.members
-    f3 = greedy_avoiding_family(12, -8, seed=3)
-    f4 = greedy_avoiding_family(12, -8, seed=3)
-    assert f3.members == f4.members
+    X = sigma_matrix(12)
+    f1 = greedy_avoiding_family(X, -8)
+    f2 = greedy_avoiding_family(X, -8)
+    assert (f1 == f2).all()
+    f3 = greedy_avoiding_family(X, -8, seed=3)
+    f4 = greedy_avoiding_family(X, -8, seed=3)
+    assert (f3 == f4).all()
     assert len(f1) <= 210 and len(f3) <= 210
+    for fam in (f1, f3):
+        G = fam.astype(np.int64) @ fam.T
+        assert not (G == -8).any()
+    # a cached conflict matrix changes no family
+    conflict = algebra._conflict_matrix(X, -8)
+    assert (greedy_avoiding_family(X, -8, seed=3, conflict=conflict) == f3).all()
 
 
 def test_certify_bound_builds_sigma_once(monkeypatch):
-    # the families and the rank share one Sigma matrix (n = 16 has no
-    # exact search, which builds its own); passing it changes no family
+    # the families, the exact search (n <= 12) and the rank share one
+    # Sigma matrix; passing it changes no family
     calls = []
 
     def counted(n):
@@ -379,21 +376,21 @@ def test_certify_bound_builds_sigma_once(monkeypatch):
         return sigma_matrix(n)
 
     monkeypatch.setattr(algebra, "sigma_matrix", counted)
-    cert = certify_bound(16, 5, 4, seeds=3)
-    assert calls == [16]
-    assert cert.rank == 1365 and cert.verdict
-    sizes = tuple(len(greedy_avoiding_family(16, -4, seed=s)) for s in (None, 0, 1))
-    assert sizes == cert.family_sizes
-    assert (greedy_avoiding_family(12, -8, seed=3, sigma=sigma_matrix(12)).members
-            == greedy_avoiding_family(12, -8, seed=3).members)
+    for n, p, a in [(16, 5, 4), (12, 5, 8)]:
+        calls.clear()
+        cert = certify_bound(n, p, a, seeds=3)
+        assert calls == [n]
+        assert cert.rank == binomial(n - 1, p - 1) and cert.verdict
+        X = sigma_matrix(n)
+        sizes = tuple(len(greedy_avoiding_family(X, -a, seed=s)) for s in (None, 0, 1))
+        assert sizes == cert.family_sizes
 
 
 def test_greedy_family_pool_restriction():
-    pool = np.arange(100)
-    fam = greedy_avoiding_family(12, -8, pool=pool)
-    vs = sign_vectors(12)
-    first100 = {v.entries for v in vs[:100]}
-    assert all(m.entries in first100 for m in fam.members)
+    X = sigma_matrix(12)
+    fam = greedy_avoiding_family(X[:100], -8)
+    first100 = {tuple(v) for v in X[:100].tolist()}
+    assert all(tuple(m) in first100 for m in fam.tolist())
 
 
 def _rank_oracle(rows, p):
@@ -443,19 +440,6 @@ def _rank_loop(matrix, p):
             tail[hit] = (tail[hit] - f * A[r, c:]) % p
         r += 1
     return r
-
-
-def _rank_gfp(polys, p):
-    # rank of reduced polynomials as vectors of monomial coefficients
-    masks = sorted(
-        {m for q in polys for m in q.coefficients}, key=lambda m: (m.bit_count(), m)
-    )
-    index = {m: j for j, m in enumerate(masks)}
-    A = np.zeros((len(polys), len(masks)), dtype=np.int64)
-    for i, q in enumerate(polys):
-        for m, c in q.coefficients.items():
-            A[i, index[m]] = c
-    return rank_mod_p(A, p)
 
 
 # largest prime with (p-1)^2 + p < 2^53, the edge of rank_mod_p's domain
@@ -560,44 +544,60 @@ def test_rank_mod_p_rejects_inexact_prime():
 
 def test_rank_of_full_family_frozen():
     # rank over GF(p) of all reduced polynomials; observed C(n-1, p-1)
-    assert rank_mod_p(coefficient_matrix(8, 3, 4), 3) == 21 == binomial(7, 2)
-    assert rank_mod_p(coefficient_matrix(8, 5, 12), 5) == 35 == binomial(7, 4)
-    assert rank_mod_p(coefficient_matrix(12, 5, 8), 5) == 330 == binomial(11, 4)
-    assert rank_mod_p(coefficient_matrix(12, 7, 16), 7) == 462 == binomial(11, 6)
-    assert rank_mod_p(coefficient_matrix(16, 5, 4), 5) == 1365 == binomial(15, 4)
+    def rank(n, p, a):
+        return rank_mod_p(coefficient_matrix(sigma_matrix(n), p, a), p)
+
+    assert rank(8, 3, 4) == 21 == binomial(7, 2)
+    assert rank(8, 5, 12) == 35 == binomial(7, 4)
+    assert rank(12, 5, 8) == 330 == binomial(11, 4)
+    assert rank(12, 7, 16) == 462 == binomial(11, 6)
+    assert rank(16, 5, 4) == 1365 == binomial(15, 4)
     assert 330 <= dimension_bound(12, 5)
 
 
 def test_coefficient_matrix_matches_symbolic_rows():
+    # every row at (8, 3, 4) against the expanded and reduced product
     n, p, a = 8, 3, 4
     basis = monomial_basis(n, p)
-    index = {m: j for j, m in enumerate(basis)}
-    C = coefficient_matrix(n, p, a)
-    for i, x in enumerate(sign_vectors(n)):
-        poly = reduced_indicator(x.entries, p, a)
-        row = np.zeros(len(basis), dtype=np.int64)
-        for mask, c in poly.coefficients.items():
-            row[index[mask]] = c
-        assert (C[i] % p == row % p).all()
+    X = sigma_matrix(n)
+    C = coefficient_matrix(X, p, a)
+    assert C.shape == (X.shape[0], len(basis))
+    for i, x in enumerate(X.tolist()):
+        assert (C[i] == symbolic_row(x, p, a, basis)).all()
+
+
+def test_coefficient_matrix_matches_symbolic_rows_spot():
+    n, p, a = 12, 5, 8
+    basis = monomial_basis(n, p)
+    X = sigma_matrix(n)
+    C = coefficient_matrix(X, p, a)
+    for i in range(0, X.shape[0], 97):
+        assert (C[i] == symbolic_row(X[i].tolist(), p, a, basis)).all()
+    # a restricted stack gives the same rows as the full one
+    assert (coefficient_matrix(X[::97], p, a) == C[::97]).all()
 
 
 def test_rank_gfp_certifies_family_independence():
     n, p, a = 12, 5, 8
-    fam = greedy_avoiding_family(n, -a, seed=1)
-    polys = [reduced_indicator(m.entries, p, a) for m in fam.members]
-    assert _rank_gfp(polys, p) == len(fam)
+    fam = greedy_avoiding_family(sigma_matrix(n), -a, seed=1)
+    C = coefficient_matrix(fam, p, a)
+    assert rank_mod_p(C, p) == _rank_loop(C, p) == len(fam)
 
 
 def test_max_avoiding_exact_values():
-    assert max_avoiding_exact(8, -4) == 15
-    assert max_avoiding_exact(4, -4) == 3  # no pair attains -4, whole set
-    assert max_avoiding_exact(8, 7) == binomial(7, 3)  # odd dot: empty graph
+    assert max_avoiding_exact(sigma_matrix(8), -4) == 15
+    # no pair attains -4, whole set
+    assert max_avoiding_exact(sigma_matrix(4), -4) == 3
+    # odd dot: empty graph
+    assert max_avoiding_exact(sigma_matrix(8), 7) == binomial(7, 3)
+    # the diagonal (x, x) = n is no edge
+    assert max_avoiding_exact(sigma_matrix(8), 8) == binomial(7, 3)
     with pytest.raises(ValueError, match="exact search infeasible"):
-        max_avoiding_exact(16, -4)
+        max_avoiding_exact(sigma_matrix(16), -4)
 
 
 def test_max_avoiding_exact_main_case():
-    assert max_avoiding_exact(12, -8) == 210
+    assert max_avoiding_exact(sigma_matrix(12), -8) == 210
 
 
 def test_certify_bound_frozen_desk_case():

@@ -1,5 +1,6 @@
 """Command line surface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -308,6 +309,57 @@ def test_build_writes_points(tmp_path, capsys):
     assert lines[0].startswith("# borsuk-omega d=256")
     assert len(lines) == 6
     assert len(lines[1].split()) == 256
+
+
+# sha256 of build stdout, pinned when each point was embedded on its own
+_BUILD_SHA256 = {
+    ("--r", "0.9", "--d", "256"):
+        "d37b8f4fb879f043a610a1a5393e4f960506ee4a1e50042beec30ed029504834",
+    ("--r", "0.9", "--d", "400", "--limit", "7"):
+        "aaf6a5e55273d2d7e9fdcdf6db10725c71f3a306dfb5e1f112df5c1a5a13dd64",
+    ("--r", "0.71", "--d", "256", "--limit", "3"):
+        "4d022bff5e1decc6a37ca30260ba0c9fd8f854a455bf2a06973d3cf688f9bc98",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_BUILD_SHA256))
+def test_build_stdout_golden_bytes(capsys, argv):
+    code, out, _ = _run(capsys, ["build", *argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _BUILD_SHA256[argv]
+
+
+def test_failed_build_writes_nothing(tmp_path, capsys):
+    # d = 65 < 8**2 + 8 + 1: refused before stdout or --out is touched
+    code, out, err = _run(capsys, ["build", "--r", "0.64", "--d", "65"])
+    assert code == 2
+    assert out == ""
+    assert "ambient dimension insufficient: d=65 < 73" in err
+    out_file = tmp_path / "points.txt"
+    code, out, _ = _run(capsys, ["build", "--r", "0.64", "--d", "65",
+                                 "--out", str(out_file)])
+    assert code == 2 and out == ""
+    assert not out_file.exists()
+
+
+def test_build_negative_limit_is_a_usage_error(tmp_path, capsys):
+    out_file = tmp_path / "points.txt"
+    code, out, err = _run(capsys, ["build", "--r", "0.9", "--d", "256",
+                                   "--limit", "-460", "--out", str(out_file)])
+    assert code == 2 and out == ""
+    assert "--limit must be non-negative" in err
+    assert not out_file.exists()
+    # --limit 0 is a header with no points
+    code, out, _ = _run(capsys, ["build", "--r", "0.9", "--d", "256", "--limit", "0"])
+    assert code == 0 and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_certify_seeds_below_one_is_a_usage_error(capsys, seeds):
+    code, out, err = _run(capsys, ["certify", "--n", "8", "--p", "3", "--a", "4",
+                                   "--seeds", seeds])
+    assert code == 2 and out == ""
+    assert "seeds must be at least 1, got %s" % seeds in err
 
 
 def test_out_flag_writes_json(tmp_path, capsys):

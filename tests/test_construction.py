@@ -1,5 +1,6 @@
-"""Sign-vector enumeration, tensor images, exact geometry, embedding."""
+"""Sigma(n) rows, the exact image Gram, exact geometry, embedding."""
 
+import dataclasses
 import io
 import itertools
 import math
@@ -9,19 +10,14 @@ import numpy as np
 import pytest
 
 from borsuk.construction import (
-    SignVector,
-    TensorImage,
     diameter_scan,
     embed,
     export_points,
     geometry,
-    inner,
-    iter_sign_vectors,
+    image_gram,
     materialize,
-    pair_distance_sq,
     sigma_matrix,
     sign_vectors,
-    tensor_inner,
 )
 from borsuk.exactnum import binomial
 from borsuk.params import plan_fixed
@@ -36,16 +32,22 @@ def _brute_sigma(n):
     return out
 
 
+def _rows(n):
+    return [tuple(row) for row in sigma_matrix(n).tolist()]
+
+
 def test_sign_vectors_against_brute_enumeration():
     for n in (4, 8, 12):
-        got = [v.entries for v in sign_vectors(n)]
+        got = _rows(n)
         want = _brute_sigma(n)
         assert sorted(got) == sorted(want)
         assert len(got) == binomial(n - 1, n // 2 - 1)
+    # the benchmark's per-layer name is the same function
+    assert sign_vectors is sigma_matrix
 
 
 def test_sign_vectors_pinned_n4():
-    assert [v.entries for v in sign_vectors(4)] == [
+    assert _rows(4) == [
         (1, 1, -1, -1),
         (1, -1, 1, -1),
         (1, -1, -1, 1),
@@ -53,65 +55,79 @@ def test_sign_vectors_pinned_n4():
 
 
 def test_sign_vector_invariants():
-    for v in iter_sign_vectors(8):
-        assert v.entries[0] == 1
-        assert sum(v.entries) == 0
-        assert all(e in (1, -1) for e in v.entries)
-    with pytest.raises(ValueError):
-        SignVector(entries=(1, 1, -1))  # odd length
-    with pytest.raises(ValueError):
-        SignVector(entries=(-1, 1, 1, -1))  # first entry not +1
-    with pytest.raises(ValueError):
-        SignVector(entries=(1, 1, 1, -1))  # nonzero sum
+    X = sigma_matrix(8)
+    assert X.dtype == np.int8
+    assert (X[:, 0] == 1).all()
+    assert (X.sum(axis=1) == 0).all()
+    assert np.isin(X, (1, -1)).all()
+    assert len(set(_rows(8))) == X.shape[0]
+    for n in (0, 6, -4):
+        with pytest.raises(ValueError, match="positive multiple of 4"):
+            sigma_matrix(n)
+    with pytest.raises(ValueError, match="enumeration too large"):
+        sigma_matrix(28)
 
 
 def test_inner_and_matrix_agree():
-    vs = sign_vectors(8)
-    M = sigma_matrix(8)
-    X = M.astype(np.int64)
-    G = X @ X.T
-    for i, x in enumerate(vs):
-        for j, y in enumerate(vs):
-            assert inner(x, y) == G[i, j]
+    # the int8 rows multiplied in int64 against plain Python ints
+    X = sigma_matrix(8)
+    G = X.astype(np.int64) @ X.T.astype(np.int64)
+    rows = _rows(8)
+    for i, x in enumerate(rows):
+        for j, y in enumerate(rows):
+            assert sum(u * v for u, v in zip(x, y)) == G[i, j]
 
 
 def test_tensor_inner_identity_against_materialized():
     # (x*, y*) = t^(2k) + 2k a^(2k-1) t with t the base inner product
     for n, k, a in [(4, 1, 4), (4, 2, 4), (8, 1, 4), (8, 1, 12)]:
-        vs = sign_vectors(n)
-        imgs = [TensorImage(base=v, k=k, a=a) for v in vs]
-        mats = [materialize(im) for im in imgs]
-        for i in range(len(vs)):
-            for j in range(len(vs)):
-                want = float(np.dot(mats[i], mats[j]))
-                got = tensor_inner(imgs[i], imgs[j])
-                assert got == pytest.approx(want, rel=1e-9)
+        X = sigma_matrix(n)
+        mats = materialize(X, k, a)
+        assert mats.shape == (X.shape[0], n ** (2 * k) + n)
+        H = image_gram(X.astype(np.int64) @ X.T, k, a)
+        want = mats @ mats.T
+        for i, j in itertools.product(range(X.shape[0]), repeat=2):
+            assert H[i, j] == pytest.approx(want[i, j], rel=1e-9)
 
 
 def test_tensor_inner_exact_integer_path():
     # word block dotted exactly in integers, tail block exactly via t
     n, k, a = 4, 2, 4
-    vs = sign_vectors(n)
-    imgs = [TensorImage(base=v, k=k, a=a) for v in vs]
+    X = sigma_matrix(n).astype(np.int64)
+    H = image_gram(X @ X.T, k, a)
     tail_w = 2 * k * a ** (2 * k - 1)
-    for u, v in itertools.product(imgs, repeat=2):
-        x = np.array(u.base.entries, dtype=np.int64)
-        y = np.array(v.base.entries, dtype=np.int64)
+    for i, j in itertools.product(range(X.shape[0]), repeat=2):
+        x, y = X[i], X[j]
         wx, wy = x, y
         for _ in range(2 * k - 1):
             wx = np.multiply.outer(wx, x).reshape(-1)
             wy = np.multiply.outer(wy, y).reshape(-1)
         t = int(x @ y)
         exact = int(wx @ wy) + tail_w * t
-        assert tensor_inner(u, v) == exact
+        assert H[i, j] == exact
+        assert type(H[i, j]) is int
+
+
+def test_image_gram_exact_past_int64():
+    # 24**30 is far past int64; the object route keeps every digit
+    H = image_gram(np.array([[24, -4]]), 15, 4)
+    assert H[0, 0] == 24 ** 30 + 30 * 4 ** 29 * 24
+    assert H[0, 1] == 4 ** 30 - 30 * 4 ** 29 * 4
+    with pytest.raises(ValueError, match="tensor power"):
+        image_gram(np.array([4]), 0, 4)
+    with pytest.raises(ValueError, match="multiple of 4"):
+        image_gram(np.array([4]), 1, 6)
 
 
 def test_pair_distance_sq_brute():
+    # |x* - y*|^2 = 2 h(n) - 2 h(t) against materialized coordinates
     n, k, a = 8, 1, 4
-    imgs = [TensorImage(base=v, k=k, a=a) for v in sign_vectors(n)]
-    for u, v in itertools.combinations(imgs, 2):
-        d2 = float(np.sum((materialize(u) - materialize(v)) ** 2))
-        assert pair_distance_sq(u, v) == pytest.approx(d2, rel=1e-9)
+    X = sigma_matrix(n)
+    mats = materialize(X, k, a)
+    H = image_gram(X.astype(np.int64) @ X.T, k, a)
+    for i, j in itertools.combinations(range(X.shape[0]), 2):
+        d2 = float(np.sum((mats[i] - mats[j]) ** 2))
+        assert 2 * H[i, i] - 2 * H[i, j] == pytest.approx(d2, rel=1e-9)
 
 
 def test_geometry_frozen_example():
@@ -129,8 +145,7 @@ def test_geometry_degenerate_flag():
     ps = plan_fixed(0.64, 65)  # a = 12 >= n = 8
     geo = geometry(ps)
     assert geo.degenerate
-    imgs = [TensorImage(base=v, k=ps.k, a=ps.a) for v in sign_vectors(ps.n)]
-    scan = diameter_scan(imgs)
+    scan = diameter_scan(sigma_matrix(ps.n), ps.k, ps.a)
     # closed form is only an upper bound here: nothing attains -a
     assert scan.diam_sq_scaled < 1
     assert scan.attaining_inner != -ps.a
@@ -139,30 +154,30 @@ def test_geometry_degenerate_flag():
 def test_diameter_scan_attains_closed_form():
     ps = plan_fixed(0.9, 256)
     geo = geometry(ps)
-    imgs = [TensorImage(base=v, k=ps.k, a=ps.a) for v in sign_vectors(ps.n)]
-    scan = diameter_scan(imgs)
+    X = sigma_matrix(ps.n)
+    scan = diameter_scan(X, ps.k, ps.a)
     assert scan.diam_sq == geo.diam_sq
     assert scan.diam_sq_scaled == 1
     assert scan.attaining_inner == -ps.a
     i, j = scan.pairs[0]
-    assert inner(imgs[i].base, imgs[j].base) == -ps.a
+    assert int(X[i].astype(np.int64) @ X[j]) == -ps.a
 
 
 def test_diameter_scan_input_checks():
     with pytest.raises(ValueError, match="empty point set"):
-        diameter_scan([])
-    a4 = [TensorImage(base=v, k=1, a=4) for v in sign_vectors(4)]
-    a8 = [TensorImage(base=v, k=1, a=8) for v in sign_vectors(4)]
-    with pytest.raises(ValueError, match="mismatched construction"):
-        diameter_scan(a4 + a8)
+        diameter_scan(sigma_matrix(4)[:0], 1, 4)
+    with pytest.raises(ValueError, match="multiple of 4"):
+        diameter_scan(sigma_matrix(4), 1, 6)
+    one = diameter_scan(sigma_matrix(4)[:1], 1, 4)
+    assert one.diam_sq == 0 and one.pairs == () and one.attaining_inner is None
 
 
 def test_embed_lands_on_sphere():
     ps = plan_fixed(0.9, 256)
     geo = geometry(ps)
-    imgs = [TensorImage(base=v, k=ps.k, a=ps.a) for v in sign_vectors(ps.n)]
-    pts = np.array([embed(ps, geo, im) for im in imgs])
-    assert pts.shape == (len(imgs), ps.d)
+    X = sigma_matrix(ps.n)
+    pts = embed(ps, geo, X)
+    assert pts.shape == (X.shape[0], ps.d)
     norms = np.linalg.norm(pts, axis=1)
     assert np.allclose(norms, 0.9, rtol=1e-12, atol=0)
     # pairwise diameter exactly 1 after scaling
@@ -173,20 +188,16 @@ def test_embed_lands_on_sphere():
 def test_embed_dimension_guard():
     ps = plan_fixed(0.9, 256)
     geo = geometry(ps)
-    img = TensorImage(base=sign_vectors(ps.n)[0], k=ps.k, a=ps.a)
-    import dataclasses
-
     small = dataclasses.replace(ps, d=100)
     with pytest.raises(ValueError, match="ambient dimension insufficient"):
-        embed(small, geo, img)
+        embed(small, geo, sigma_matrix(ps.n)[:1])
 
 
 def test_export_points_format():
     ps = plan_fixed(0.9, 256)
     geo = geometry(ps)
-    imgs = [TensorImage(base=v, k=ps.k, a=ps.a) for v in sign_vectors(ps.n)[:3]]
     buf = io.StringIO()
-    export_points(buf, ps, geo, imgs)
+    export_points(buf, ps, geo, sigma_matrix(ps.n)[:3])
     lines = buf.getvalue().splitlines()
     assert lines[0].startswith("# borsuk-omega d=256")
     assert len(lines) == 4
@@ -195,7 +206,24 @@ def test_export_points_format():
     assert np.linalg.norm(row) == pytest.approx(0.9, rel=1e-12)
 
 
+def test_export_points_blocks_match_one_pass(monkeypatch):
+    # block boundaries change nothing in the bytes written
+    from borsuk import construction
+
+    ps = plan_fixed(0.9, 256)
+    geo = geometry(ps)
+    X = sigma_matrix(ps.n)[:50]
+    whole = io.StringIO()
+    export_points(whole, ps, geo, X)
+    monkeypatch.setattr(construction, "_EXPORT_FLOATS", 7 * ps.d)
+    blocked = io.StringIO()
+    export_points(blocked, ps, geo, X)
+    assert blocked.getvalue() == whole.getvalue()
+    want = "".join(" ".join(repr(float(c)) for c in pt) + "\n"
+                   for pt in embed(ps, geo, X))
+    assert whole.getvalue().split("\n", 1)[1] == want
+
+
 def test_materialize_cap():
-    v = sign_vectors(12)[0]
     with pytest.raises(ValueError, match="materialization too large"):
-        materialize(TensorImage(base=v, k=4, a=4))
+        materialize(sigma_matrix(12)[:1], 4, 4)
