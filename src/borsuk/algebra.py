@@ -334,28 +334,41 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _gauss_jordan(A: np.ndarray, p: int, width: int) -> Tuple[List[int], List[int]]:
-    """Reduce int64 A mod p in place on its first width columns.
+    """Reduce float64 A, entries in [0, p), mod p in place on its first
+    width columns.
 
     Each pivot row is made monic and cleared from every other row, so the
     pivot rows end in reduced row-echelon form.  Returns (rows, cols) of
-    the pivots in the order found.
+    the pivots in the order found.  Only column j and the pivot row are
+    reduced before pivot j; its rank-1 update then moves every other
+    entry by at most (p-1)**2, and the whole of A is reduced only when
+    that tracked bound would pass 2**53 - p, and once at the end.
     """
+    limit = _EXACT64 - p
+    step = (p - 1) ** 2
+    bound = p - 1  # on |entries| of A
     rows: List[int] = []
     cols: List[int] = []
     free = np.ones(A.shape[0], dtype=bool)
     for j in range(width):
-        cand = np.flatnonzero((A[:, j] != 0) & free)
+        col = A[:, j] = _mod(A[:, j], p)
+        cand = np.flatnonzero(col.astype(bool) & free)
         if cand.size == 0:
             continue
         i = int(cand[0])
-        A[i] = A[i] * pow(int(A[i, j]), -1, p) % p
-        hit = np.flatnonzero(A[:, j])
+        A[i] = _mod(_mod(A[i], p) * pow(int(col[i]), -1, p), p)
+        hit = np.flatnonzero(col)
         hit = hit[hit != i]
         if hit.size:
-            A[hit] = (A[hit] - A[hit, j:j + 1] * A[i]) % p
+            if bound + step > limit:
+                A[...] = _mod(A, p)
+                bound = p - 1
+            A[hit] -= col[hit, None] * A[i]
+            bound += step
         free[i] = False
         rows.append(i)
         cols.append(j)
+    A[...] = _mod(A, p)
     return rows, cols
 
 
@@ -369,14 +382,26 @@ def _panel_pivots(P: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray, np.nda
     repeats, each round adding at least one pivot.  The residues checked
     stay below p - 1 + k (p-1)^2 for a panel of k columns, within _mod's
     range since k is at most rank_mod_p's panel width.
+
+    The Gauss-Jordan runs in float64 and is exact: the sample starts with
+    entries in [0, p); before each pivot its column and the pivot row are
+    reduced, so the monic scaling stays below (p-1)^2 and the rank-1
+    update moves any entry by at most (p-1)^2.  A bound on |entries|
+    grows by that much per pivot, and the whole array is reduced before
+    it would pass 2**53 - p (p - 1 + (p-1)^2 fits for every p rank_mod_p
+    accepts), so every intermediate is an integer float64 holds exactly
+    and _mod reduces exactly.  Each entry stays congruent to its value
+    in an elimination reduced at every step, and a pivot is chosen from
+    the reduced column, so the pivots and the final, fully reduced array
+    are the ones that elimination gives.
     """
     m, k = P.shape
     sample = np.arange(0, m, max(1, m // _PANEL_SAMPLE))
     while True:
         s = sample.size
-        A = np.zeros((s, k + s), dtype=np.int64)
+        A = np.zeros((s, k + s))
         A[:, :k] = P[sample]
-        A[:, k:] = np.eye(s, dtype=np.int64)
+        A[:, k:] = np.eye(s)
         rows, cols = _gauss_jordan(A, p, k)
         left = P - P[:, cols] @ A[rows, :k].astype(P.dtype)
         live = np.flatnonzero(_mod(left, p).any(axis=1))
@@ -391,8 +416,9 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
 
     Works on a float copy oriented to have at least as many rows as
     columns, _PANEL columns at a time (Dumas, Giorgi, Pernet, ACM TOMS
-    2008).  The panel's pivot rows are found by a small int64
-    elimination and swapped to the top; their reduced row-echelon form
+    2008).  The panel's pivot rows are found by a small float64
+    Gauss-Jordan on a sample of its rows, with the same delayed
+    reduction, and swapped to the top; their reduced row-echelon form
     then clears the panel from every other row, and the trailing columns
     take the same step as one matmul, T -= X @ U.
 
@@ -405,7 +431,8 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     grown by k (p-1)^2 per panel of k pivots, would pass the limit.
     p must be prime with (p-1)^2 + p < 2**53; the largest such prime,
     94906249, still has p - 1 + (p-1)^2 below 2**53 - p by 3 * 10**9,
-    so one pivot per panel always fits.
+    so one pivot per panel always fits, and in _gauss_jordan one pivot
+    between full reductions (_panel_pivots gives its exactness argument).
     """
     p = operator.index(p)
     if not is_prime(p):

@@ -87,7 +87,7 @@ def _csv_cell(value: Any) -> str:
 
 
 def _emit(payload: Any, args: argparse.Namespace) -> None:
-    fmt = getattr(args, "format", "json")
+    fmt = args.format
     rows: List[Dict[str, Any]]
     if isinstance(payload, list):
         rows = payload
@@ -274,10 +274,6 @@ def _add_tol(container) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json",
-        help="output format (default json)",
-    )
     common.add_argument("--out", help="write output to this file instead of stdout")
     common.add_argument(
         "--threads", type=int, default=None,
@@ -287,6 +283,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed", type=int, default=0,
         help="accepted and ignored: no command reads it",
+    )
+    # every command but build, whose output is the point file
+    report = argparse.ArgumentParser(add_help=False, parents=[common])
+    report.add_argument(
+        "--format", choices=("json", "csv", "text"), default="json",
+        help="output format (default json)",
     )
 
     def planner(tol: bool) -> argparse.ArgumentParser:
@@ -316,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("plan", parents=[common, plan_tol],
+    p = sub.add_parser("plan", parents=[report, plan_tol],
                        help="solve construction parameters for (r, d)")
     p.set_defaults(func=cmd_plan)
 
@@ -326,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="export at most this many points")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("certify", parents=[common, plan_like],
+    p = sub.add_parser("certify", parents=[report, plan_like],
                        help="certificate for the independence bound")
     p.add_argument("--n", type=int, default=None, help="override: base length")
     p.add_argument("--p", type=int, default=None, help="override: prime")
@@ -335,27 +337,27 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="number of greedy families to verify")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("bound", parents=[common, plan_tol],
+    p = sub.add_parser("bound", parents=[report, plan_tol],
                        help="exact lower bound on the partition number")
     p.add_argument("--n", type=int, default=None,
                    help="raw mode: base length (bypasses the planner)")
     p.add_argument("--p", type=int, default=None, help="raw mode: prime")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("find-d0", parents=[common],
+    p = sub.add_parser("find-d0", parents=[report],
                        help="least dimension where the bound beats d+1")
     p.add_argument("--r", type=float, required=True, help="sphere radius")
     _add_tol(p)
     p.set_defaults(func=cmd_find_d0)
 
-    p = sub.add_parser("asymptotic", parents=[common, plan_tol],
+    p = sub.add_parser("asymptotic", parents=[report, plan_tol],
                        help="asymptotic growth base of the bound")
     p.add_argument("--cert-sizes", type=int, nargs="+",
                    default=[400, 800, 1600], dest="cert_sizes",
                    help="base lengths for the certification table")
     p.set_defaults(func=cmd_asymptotic)
 
-    p = sub.add_parser("upper", parents=[common],
+    p = sub.add_parser("upper", parents=[report],
                        help="simplex partition upper bound table")
     p.add_argument("--d-min", type=int, default=2, dest="d_min")
     p.add_argument("--d-max", type=int, default=12, dest="d_max")
@@ -363,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="radius margin constant; r = 1/2 + c_r/d")
     p.set_defaults(func=cmd_upper)
 
-    p = sub.add_parser("optimal-poly", parents=[common],
+    p = sub.add_parser("optimal-poly", parents=[report],
                        help="exact best quotient in the polynomial class")
     p.add_argument("--m", type=int, required=True, help="polynomial degree")
     p.add_argument("--n", type=int, required=True, help="interval endpoint")

@@ -221,7 +221,8 @@ def export_points(
     """Write the embedded images of rows, one point per line, with a header.
 
     Rows are embedded and written a block of about _EXPORT_FLOATS
-    coordinates at a time, never the whole point set at once.
+    coordinates at a time, never the whole point set at once; each
+    distinct value of a block is formatted once.
     """
     fh.write(
         "# borsuk-omega d=%d r=%r n=%d k=%d a=%d p=%d\n"
@@ -229,5 +230,19 @@ def export_points(
     )
     block = max(1, _EXPORT_FLOATS // ps.d)
     for lo in range(0, len(rows), block):
-        pts = embed(ps, geo, rows[lo:lo + block])
-        fh.write("".join(" ".join(map(repr, pt)) + "\n" for pt in pts.tolist()))
+        fh.write(_format_block(embed(ps, geo, rows[lo:lo + block])))
+
+
+def _format_block(pts: np.ndarray) -> str:
+    """The rows of float64 pts as lines of repr(coordinate), space-separated.
+
+    A block of points holds a handful of distinct values (+-s, +-s w, the
+    lift h and 0.0), so each distinct value is formatted once and the
+    lines index into that table.  The table is keyed on bit patterns, not
+    values, so 0.0 and -0.0 keep their own text and the bytes are those of
+    repr on every coordinate.
+    """
+    bits, where = np.unique(pts.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    cells = text[where.reshape(pts.shape)]
+    return "".join(" ".join(line) + "\n" for line in cells.tolist())

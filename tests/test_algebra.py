@@ -530,6 +530,54 @@ def test_rank_mod_p_pivots_outside_sample():
         assert rank_mod_p(M, p) == _rank_loop(M, p)
 
 
+def _gauss_jordan_int64(A, p, width):
+    # the int64 elimination that _gauss_jordan replaced, every update
+    # reduced at once with %; int64 holds (p-1)**2 + p for every p that
+    # rank_mod_p accepts
+    rows, cols = [], []
+    free = np.ones(A.shape[0], dtype=bool)
+    for j in range(width):
+        cand = np.flatnonzero((A[:, j] != 0) & free)
+        if cand.size == 0:
+            continue
+        i = int(cand[0])
+        A[i] = A[i] * pow(int(A[i, j]), -1, p) % p
+        hit = np.flatnonzero(A[:, j])
+        hit = hit[hit != i]
+        if hit.size:
+            A[hit] = (A[hit] - A[hit, j:j + 1] * A[i]) % p
+        free[i] = False
+        rows.append(i)
+        cols.append(j)
+    return rows, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    s=st.integers(1, 40),
+    k=st.integers(0, 40),
+    r=st.integers(0, 40),
+    p=st.sampled_from([2, 3, 5, 409, 419, 16777213, _P_EDGE]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(s=1, k=0, r=0, p=2, seed=0)  # no columns to reduce
+@example(s=30, k=30, r=0, p=5, seed=1)  # zero panel: no pivot
+@example(s=20, k=20, r=20, p=_P_EDGE, seed=2)  # A is reduced before every update
+# 160 pivots at p just below 2^24: the tracked bound passes 2^53 - p
+# after 32 of them, and the entries themselves after about 128
+@example(s=170, k=180, r=160, p=16777213, seed=3)
+def test_gauss_jordan_matches_int64_oracle(s, k, r, p, seed):
+    # a panel sample as _panel_pivots lays it out: rows of a rank-r
+    # panel, then the identity that becomes the pivot block's inverse
+    A = np.zeros((s, k + s), dtype=np.int64)
+    A[:, :k] = _low_rank(s, k, r, p, seed)
+    A[:, k:] = np.eye(s, dtype=np.int64)
+    B = A.astype(np.float64)
+    want = _gauss_jordan_int64(A, p, k)
+    assert algebra._gauss_jordan(B, p, k) == want
+    assert np.array_equal(B, A)
+
+
 def test_rank_mod_p_rejects_non_prime():
     for p in (4, 1, 0, -5):
         with pytest.raises(ValueError, match="not prime"):

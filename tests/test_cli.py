@@ -315,6 +315,8 @@ def test_build_writes_points(tmp_path, capsys):
 _BUILD_SHA256 = {
     ("--r", "0.9", "--d", "256"):
         "d37b8f4fb879f043a610a1a5393e4f960506ee4a1e50042beec30ed029504834",
+    ("--r", "0.9", "--d", "400"):
+        "9273eaef1ff5508303574bc4a9212f8a14e3613adde2eb57bdf31e8d41506654",
     ("--r", "0.9", "--d", "400", "--limit", "7"):
         "aaf6a5e55273d2d7e9fdcdf6db10725c71f3a306dfb5e1f112df5c1a5a13dd64",
     ("--r", "0.71", "--d", "256", "--limit", "3"):
@@ -327,6 +329,19 @@ def test_build_stdout_golden_bytes(capsys, argv):
     code, out, _ = _run(capsys, ["build", *argv])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _BUILD_SHA256[argv]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+def test_build_format_is_a_usage_error(tmp_path, capsys, fmt):
+    # the point file has one layout; --format would be ignored
+    out_file = tmp_path / "points.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--r", "0.9", "--d", "256", "--format", fmt,
+              "--out", str(out_file)])
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "unrecognized arguments: --format" in cap.err
+    assert not out_file.exists()
 
 
 def test_failed_build_writes_nothing(tmp_path, capsys):

@@ -8,7 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from borsuk import construction
 from borsuk.construction import (
     diameter_scan,
     embed,
@@ -208,8 +211,6 @@ def test_export_points_format():
 
 def test_export_points_blocks_match_one_pass(monkeypatch):
     # block boundaries change nothing in the bytes written
-    from borsuk import construction
-
     ps = plan_fixed(0.9, 256)
     geo = geometry(ps)
     X = sigma_matrix(ps.n)[:50]
@@ -222,6 +223,29 @@ def test_export_points_blocks_match_one_pass(monkeypatch):
     want = "".join(" ".join(repr(float(c)) for c in pt) + "\n"
                    for pt in embed(ps, geo, X))
     assert whole.getvalue().split("\n", 1)[1] == want
+
+
+def _repr_lines(pts):
+    return "".join(" ".join(map(repr, row)) + "\n" for row in pts.tolist())
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.0, 0.1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+    elements=st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()),
+))
+@example(pts=np.full((4, 6), -0.0))  # all equal
+@example(pts=np.array([[0.0, -0.0], [-0.0, 0.0]]))  # equal values, distinct bits
+@example(pts=np.arange(60, dtype=np.float64).reshape(6, 10) / 7)  # all distinct
+@example(pts=np.array([[math.nan], [-math.inf], [5e-324], [-0.0]]))  # one column
+@example(pts=np.zeros((3, 0)))  # no columns: empty lines
+def test_format_block_is_repr_of_every_coordinate(pts):
+    assert construction._format_block(pts) == _repr_lines(pts)
 
 
 def test_materialize_cap():
