@@ -649,7 +649,6 @@ def certify_bound(
     p: int,
     a: int,
     seeds: int = 20,
-    compute_rank: Optional[bool] = None,
 ) -> LemmaCertificate:
     """Assemble the desk-scale certificate for the independence bound.
 
@@ -696,12 +695,8 @@ def certify_bound(
         mis = max_avoiding_exact(X, forbidden)
 
     rank: Optional[int] = None
-    rank_full_family = False
-    if compute_rank is None:
-        compute_rank = sigma_size <= _RANK_ROWS_CAP and bound <= _RANK_COLS_CAP
-    if compute_rank:
+    if sigma_size <= _RANK_ROWS_CAP and bound <= _RANK_COLS_CAP:
         rank = rank_mod_p(coefficient_matrix(X, p, a), p)
-        rank_full_family = True
 
     violations = property_check_exhaustive(n, p, a)
     checks = [
@@ -721,7 +716,7 @@ def certify_bound(
         excluded_residue=excluded_residue(p, a),
         mis_exact=mis,
         rank=rank,
-        rank_full_family=rank_full_family,
+        rank_full_family=rank is not None,
         family_sizes=tuple(sizes),
         vacuous=bound >= sigma_size,
         property_violations=violations,

@@ -181,7 +181,7 @@ class D0Result:
     previous_passes: bool
 
 
-def find_d0(r: float, tol: float = 1e-12) -> D0Result:
+def find_d0(r: float) -> D0Result:
     """Least d with lower_bound(plan_fixed(r, d)) > d+1, by grid walk.
 
     Candidates are d = n**(2k) + 1 for n running over multiples of 4:
@@ -191,7 +191,7 @@ def find_d0(r: float, tol: float = 1e-12) -> D0Result:
     is therefore the least passing d overall.  The profile (rsq, k, a0)
     depends on r alone, so it is solved once, as plan_fixed solves it.
     """
-    rsq, k, a0 = fixed_profile(r, tol)
+    rsq, k, a0 = fixed_profile(r)
     n = 8
     while True:
         d = n ** (2 * k) + 1

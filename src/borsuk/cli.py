@@ -26,8 +26,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
 
-_DEFAULT_TOL = 1e-12
-
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -132,8 +130,7 @@ def _resolve_params(args: argparse.Namespace):
         return params.plan_shrinking(args.d, c_phi=args.c_phi)
     if args.r is None or args.d is None:
         raise ValueError("--r and --d are required unless --shrinking is given")
-    # certify has no --tol and plans at the default
-    return params.plan_fixed(args.r, args.d, tol=getattr(args, "tol", _DEFAULT_TOL))
+    return params.plan_fixed(args.r, args.d)
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -199,7 +196,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_find_d0(args: argparse.Namespace) -> int:
     from . import bounds
 
-    result = bounds.find_d0(args.r, tol=args.tol)
+    result = bounds.find_d0(args.r)
     _emit(_jsonable(result), args)
     return EXIT_OK
 
@@ -265,13 +262,6 @@ def cmd_optimal_poly(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _add_tol(container) -> None:
-    container.add_argument(
-        "--tol", type=float, default=_DEFAULT_TOL,
-        help="tolerance of the fixed-radius a0 root solve",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this file instead of stdout")
@@ -280,10 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cap worker threads (also via BORSUK_THREADS); results do not "
         "depend on it",
     )
-    common.add_argument(
-        "--seed", type=int, default=0,
-        help="accepted and ignored: no command reads it",
-    )
     # every command but build, whose output is the point file
     report = argparse.ArgumentParser(add_help=False, parents=[common])
     report.add_argument(
@@ -291,25 +277,20 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default json)",
     )
 
-    def planner(tol: bool) -> argparse.ArgumentParser:
-        opts = argparse.ArgumentParser(add_help=False)
-        opts.add_argument("--r", type=float, default=None, help="sphere radius")
-        opts.add_argument("--d", type=int, default=None, help="ambient dimension")
-        # a0 = 2 - phi/2 in the shrinking mode needs no root solve
-        mode = opts.add_mutually_exclusive_group()
-        mode.add_argument(
-            "--shrinking", action="store_true",
-            help="use the shrinking-radius planner (radius from d)",
-        )
-        if tol:
-            _add_tol(mode)
-        opts.add_argument(
-            "--c-phi", type=float, default=6.0, dest="c_phi",
-            help="drift constant for the shrinking-radius regime",
-        )
-        return opts
-
-    plan_like, plan_tol = planner(tol=False), planner(tol=True)
+    planner = argparse.ArgumentParser(add_help=False)
+    planner.add_argument("--r", type=float, default=None, help="sphere radius")
+    planner.add_argument("--d", type=int, default=None, help="ambient dimension")
+    planner.add_argument(
+        "--shrinking", action="store_true",
+        help="use the shrinking-radius planner (radius from d)",
+    )
+    planner.add_argument(
+        "--c-phi", type=float, default=6.0, dest="c_phi",
+        help="drift constant for the shrinking-radius regime",
+    )
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="accepted and ignored: nothing is sampled")
 
     parser = argparse.ArgumentParser(
         prog="borsuk",
@@ -318,17 +299,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("plan", parents=[report, plan_tol],
+    p = sub.add_parser("plan", parents=[report, planner],
                        help="solve construction parameters for (r, d)")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("build", parents=[common, plan_tol],
+    p = sub.add_parser("build", parents=[common, planner],
                        help="export the embedded point set")
     p.add_argument("--limit", type=int, default=None,
                    help="export at most this many points")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("certify", parents=[report, plan_like],
+    p = sub.add_parser("certify", parents=[report, planner],
                        help="certificate for the independence bound")
     p.add_argument("--n", type=int, default=None, help="override: base length")
     p.add_argument("--p", type=int, default=None, help="override: prime")
@@ -337,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="number of greedy families to verify")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("bound", parents=[report, plan_tol],
+    p = sub.add_parser("bound", parents=[report, planner],
                        help="exact lower bound on the partition number")
     p.add_argument("--n", type=int, default=None,
                    help="raw mode: base length (bypasses the planner)")
@@ -347,17 +328,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-d0", parents=[report],
                        help="least dimension where the bound beats d+1")
     p.add_argument("--r", type=float, required=True, help="sphere radius")
-    _add_tol(p)
     p.set_defaults(func=cmd_find_d0)
 
-    p = sub.add_parser("asymptotic", parents=[report, plan_tol],
+    p = sub.add_parser("asymptotic", parents=[report, planner],
                        help="asymptotic growth base of the bound")
     p.add_argument("--cert-sizes", type=int, nargs="+",
                    default=[400, 800, 1600], dest="cert_sizes",
                    help="base lengths for the certification table")
     p.set_defaults(func=cmd_asymptotic)
 
-    p = sub.add_parser("upper", parents=[report],
+    p = sub.add_parser("upper", parents=[report, seeded],
                        help="simplex partition upper bound table")
     p.add_argument("--d-min", type=int, default=2, dest="d_min")
     p.add_argument("--d-max", type=int, default=12, dest="d_max")
@@ -365,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="radius margin constant; r = 1/2 + c_r/d")
     p.set_defaults(func=cmd_upper)
 
-    p = sub.add_parser("optimal-poly", parents=[report],
+    p = sub.add_parser("optimal-poly", parents=[report, seeded],
                        help="exact best quotient in the polynomial class")
     p.add_argument("--m", type=int, required=True, help="polynomial degree")
     p.add_argument("--n", type=int, required=True, help="interval endpoint")
@@ -374,6 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    "(decimals or p/q): exact optimum at each")
     p.set_defaults(func=cmd_optimal_poly)
 
+    # no prefix matching: certify --seed must not turn into --seeds
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return parser
 
 

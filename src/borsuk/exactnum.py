@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Union
 
 from mpmath import mp
 
 # 120-bit mantissa: comfortably beyond the 80-bit floor needed for 1e-12
 # round trips against exact integers.
 PRECISION_BITS = 120
-
-Number = Union[int, float, Fraction]
 
 
 def binomial(n: int, k: int) -> int:
@@ -84,8 +80,8 @@ class LogReal:
     """A real number as (sign, ln|x|) with a high-precision log part.
 
     sign is -1, 0 or +1; log_abs is an mpmath float (ignored when sign
-    is 0).  Multiplication, division and comparison stay in log space,
-    so values such as C(10**6, 5*10**5) never need to materialize.
+    is 0).  Division and comparison stay in log space, so values such
+    as C(10**6, 5*10**5) never need to materialize.
     """
 
     log_abs: object  # mpmath.mpf
@@ -103,30 +99,9 @@ class LogReal:
             return cls(mp.log(mp.mpf(abs(m))), 1 if m > 0 else -1)
 
     @classmethod
-    def from_fraction(cls, q: Fraction) -> "LogReal":
-        if q == 0:
-            return cls.zero()
-        with mp.workprec(PRECISION_BITS):
-            val = mp.log(mp.mpf(abs(q.numerator))) - mp.log(mp.mpf(q.denominator))
-        return cls(val, 1 if q > 0 else -1)
-
-    @classmethod
-    def from_float(cls, x: float) -> "LogReal":
-        if x == 0.0:
-            return cls.zero()
-        with mp.workprec(PRECISION_BITS):
-            return cls(mp.log(abs(mp.mpf(x))), 1 if x > 0 else -1)
-
-    @classmethod
     def from_log(cls, log_abs, sign: int = 1) -> "LogReal":
         with mp.workprec(PRECISION_BITS):
             return cls(mp.mpf(log_abs), sign)
-
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        if self.sign == 0 or other.sign == 0:
-            return LogReal.zero()
-        with mp.workprec(PRECISION_BITS):
-            return LogReal(self.log_abs + other.log_abs, self.sign * other.sign)
 
     def __truediv__(self, other: "LogReal") -> "LogReal":
         if other.sign == 0:
@@ -136,55 +111,16 @@ class LogReal:
         with mp.workprec(PRECISION_BITS):
             return LogReal(self.log_abs - other.log_abs, self.sign * other.sign)
 
-    def add(self, other: "LogReal") -> "LogReal":
-        """Log-space addition (log-sum-exp on the magnitudes)."""
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        with mp.workprec(PRECISION_BITS):
-            hi, lo = self, other
-            if lo.log_abs > hi.log_abs:
-                hi, lo = lo, hi
-            delta = mp.exp(lo.log_abs - hi.log_abs)
-            if hi.sign == lo.sign:
-                return LogReal(hi.log_abs + mp.log(1 + delta), hi.sign)
-            if delta == 1:
-                return LogReal.zero()
-            return LogReal(hi.log_abs + mp.log(1 - delta), hi.sign)
-
     def _key(self):
         if self.sign == 0:
             return (0, 0)
         return (self.sign, self.sign * self.log_abs)
 
-    def __lt__(self, other: "LogReal") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "LogReal") -> bool:
-        return self._key() <= other._key()
-
     def __gt__(self, other: "LogReal") -> bool:
         return self._key() > other._key()
 
-    def __ge__(self, other: "LogReal") -> bool:
-        return self._key() >= other._key()
-
-    def gt_number(self, x: Number) -> bool:
-        if isinstance(x, int):
-            return self > LogReal.from_int(x)
-        if isinstance(x, Fraction):
-            return self > LogReal.from_fraction(x)
-        return self > LogReal.from_float(x)
-
-    def to_mpf(self):
-        with mp.workprec(PRECISION_BITS):
-            if self.sign == 0:
-                return mp.mpf(0)
-            return self.sign * mp.exp(self.log_abs)
-
-    def to_float(self) -> float:
-        return float(self.to_mpf())
+    def gt_number(self, x: int) -> bool:
+        return self > LogReal.from_int(x)
 
     def __repr__(self) -> str:
         return "LogReal(sign=%d, log_abs=%s)" % (self.sign, mp.nstr(self.log_abs, 20))

@@ -112,7 +112,7 @@ def test_criterion_03_property_equivalence_exhaustive():
 
 def test_criterion_04_rank_bound_and_certified_families():
     t0 = time.time()
-    cert = algebra.certify_bound(16, 5, 4, seeds=100, compute_rank=True)
+    cert = algebra.certify_bound(16, 5, 4, seeds=100)
     ok = cert.rank is not None and cert.rank <= 2517
     ok = ok and cert.verdict and cert.rank_full_family
     ok = ok and len(cert.family_sizes) == 100

@@ -660,6 +660,20 @@ def test_certify_bound_frozen_desk_case():
     assert max(cert.family_sizes) <= cert.mis_exact
 
 
+def test_certify_bound_sampled_pool_branch():
+    # |Sigma(20)| = 92378 > _CONFLICT_CAP: families come from seeded
+    # pools of _FAMILY_POOL rows, with no exact search and no rank
+    assert binomial(19, 9) > algebra._CONFLICT_CAP
+    cert = certify_bound(20, 7, 8, seeds=2)
+    assert cert.sigma_size == 92378
+    assert cert.rank is None and not cert.rank_full_family
+    assert cert.mis_exact is None
+    assert len(cert.family_sizes) == 2
+    assert all(size <= cert.bound for size in cert.family_sizes)
+    assert cert.property_violations == 0
+    assert cert.verdict
+
+
 def test_certify_bound_fails_on_property_violation(monkeypatch):
     # a wrong weight leaves the families, the evaluation certificates and
     # the rank bound intact; only the property count can catch it

@@ -1,5 +1,6 @@
 """Command line surface: formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from borsuk.cli import main
+from borsuk.cli import _build_parser, main
 
 
 def _run(capsys, argv):
@@ -250,46 +251,57 @@ def test_optimal_poly_sampling_options_are_gone(capsys, option):
     assert option in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["plan", "--shrinking", "--d", str(10 ** 12), "--tol", "0.5"],
-    ["bound", "--shrinking", "--d", str(10 ** 12), "--tol", "0.5"],
-    ["build", "--shrinking", "--d", str(10 ** 12), "--tol", "1e-12"],
-    ["asymptotic", "--tol", "0.5", "--shrinking", "--d", str(10 ** 12)],
-])
-def test_tol_with_shrinking_is_a_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "not allowed with argument" in err
-    assert "--tol" in err and "--shrinking" in err
+# a valid invocation of each command, cheap to parse
+_MINIMAL_ARGV = {
+    "plan": ["--r", "0.9", "--d", "256"],
+    "build": ["--r", "0.9", "--d", "256", "--limit", "0"],
+    "certify": ["--n", "8", "--p", "5", "--a", "12"],
+    "bound": ["--n", "8", "--p", "5", "--d", "65"],
+    "find-d0": ["--r", "0.71"],
+    "asymptotic": ["--r", "0.9", "--d", "1000000"],
+    "upper": [],
+    "optimal-poly": ["--m", "4", "--n", "2"],
+}
 
 
-@pytest.mark.parametrize("argv", [
-    ["certify", "--n", "8", "--p", "5", "--a", "12", "--tol", "7"],
-    ["upper", "--tol", "0.5"],
-    ["optimal-poly", "--m", "4", "--n", "2", "--tol", "0.5"],
-])
-def test_tol_only_where_a0_is_solved(capsys, argv):
+def test_minimal_argv_covers_every_command():
+    (sub,) = [a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(_MINIMAL_ARGV)
+
+
+@pytest.mark.parametrize("command", sorted(_MINIMAL_ARGV))
+def test_tol_is_a_usage_error(capsys, command):
+    # the a0 solve is exact to a fixed tolerance; there is nothing to tune
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([command, *_MINIMAL_ARGV[command], "--tol", "1e-12"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
-def test_tol_reaches_the_fixed_radius_solve(capsys):
-    for cmd in ("plan", "bound", "asymptotic"):
-        _, loose, _ = _run(capsys, [cmd, "--r", "0.71", "--d", str(10 ** 6),
-                                    "--tol", "1e-3"])
-        _, tight, _ = _run(capsys, [cmd, "--r", "0.71", "--d", str(10 ** 6)])
-        assert loose and tight and loose != tight
-    code, out, _ = _run(capsys, ["build", "--r", "0.71", "--d", "256", "--limit", "1",
-                                 "--tol", "1e-3"])
-    assert code == 0 and out.startswith("# borsuk-omega d=256 ")
-    code, loose, _ = _run(capsys, ["find-d0", "--r", "0.71", "--tol", "1e-3"])
-    assert code == 0
-    _, tight, _ = _run(capsys, ["find-d0", "--r", "0.71"])
-    assert json.loads(loose)["params"]["a0"] != json.loads(tight)["params"]["a0"]
+@pytest.mark.parametrize("command",
+                         sorted(set(_MINIMAL_ARGV) - {"upper", "optimal-poly"}))
+def test_seed_is_a_usage_error_outside_upper_and_optimal_poly(capsys, command):
+    # no prefix matching either: certify --seed is not --seeds
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_MINIMAL_ARGV[command], "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def _readme_commands():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line.split("#", 1)[0].split()[1:]
+            for line in block.splitlines() if line.startswith("borsuk ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(_MINIMAL_ARGV)
+    for argv in commands:
+        _build_parser().parse_args(argv)
 
 
 def test_plan_past_miller_rabin_range_exit_2(capsys):

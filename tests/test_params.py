@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from borsuk import params
 from borsuk.params import (
@@ -80,26 +81,62 @@ def test_solve_a0_one_sided_bracketing():
             # one-sided: the compressed radius never overshoots the target
             assert compressed_radius_sq(a0, k) <= rsq
             assert rsq - compressed_radius_sq(a0, k) < Fraction(1, 10 ** 10)
+        # a dyadic root is a bisection point, and it comes back exactly
+        for root in (Fraction(1), Fraction(3, 4), Fraction(13, 8)):
+            assert solve_a0(compressed_radius_sq(root, k), k) == root
     with pytest.raises(ValueError, match="no root"):
         solve_a0(Fraction(1, 2), 1)
     with pytest.raises(ValueError, match="no root"):
         solve_a0(Fraction(3, 8), 1)
 
 
+def _solve_a0_fraction(rsq, k):
+    """The bisection of solve_a0 in Fraction arithmetic, as the oracle."""
+    rsq = Fraction(rsq)
+    lo, hi = Fraction(0), Fraction(2)
+    u_lo, u_hi = Fraction(1, 2), power_threshold(k)
+    tol_f = Fraction(params.A0_TOL)
+    while not (hi - lo <= tol_f and u_lo - u_hi <= tol_f):
+        mid = (lo + hi) / 2
+        u_mid = compressed_radius_sq(mid, k)
+        if u_mid <= rsq:
+            hi, u_hi = mid, u_mid
+        else:
+            lo, u_lo = mid, u_mid
+    return hi
+
+
+# squared radii of the find-d0 table and the README examples, as planned
+_PLANNED_RSQ = [Fraction(r) ** 2 for r in (0.58, 0.59, 0.6, 0.61, 0.63, 0.64, 0.65,
+                                           0.67, 0.69, 0.7)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 64), frac=st.fractions(0, 1).filter(lambda f: 0 < f < 1))
+@example(k=1, frac=Fraction(1, 2))
+@example(k=64, frac=Fraction(1, 10 ** 9))
+@example(k=64, frac=Fraction(10 ** 9 - 1, 10 ** 9))
+def test_solve_a0_matches_fraction_oracle(k, frac):
+    thr = power_threshold(k)
+    rsq = thr + (Fraction(1, 2) - thr) * frac
+    assert solve_a0(rsq, k) == _solve_a0_fraction(rsq, k)
+
+
+def test_solve_a0_matches_fraction_oracle_on_planned_radii():
+    for rsq in _PLANNED_RSQ + [Fraction(7, 16)]:
+        k = solve_k(rsq)
+        assert solve_a0(rsq, k) == _solve_a0_fraction(rsq, k)
+
+
 def test_solve_a0_large_k_fallback():
+    # large tensor powers: exact, one-sided and within 1e-10 of the root
     rsq = Fraction(13, 50)
-    a0 = solve_a0(rsq, 100)
-    assert 0 < a0 < 2
-    assert float(compressed_radius_sq(float(a0), 100)) <= float(rsq)
-
-
-def test_solve_a0_large_k_nudge_exhausted(monkeypatch):
-    # a profile stuck at 1/2 never clears the margin below rsq, so the
-    # nudge after the mpmath bisection runs out and must raise rather
-    # than return an a0 it could not certify
-    monkeypatch.setattr(params, "compressed_radius_sq", lambda a0, k: 0.5)
-    with pytest.raises(ValueError, match="nudge failed"):
-        solve_a0(Fraction(13, 50), 100)
+    for k in (100, 1000):
+        a0 = solve_a0(rsq, k)
+        assert 0 < a0 < 2
+        u = compressed_radius_sq(a0, k)
+        assert u <= rsq
+        assert rsq - u < Fraction(1, 10 ** 10)
 
 
 def _choose_n_brute(d, k):
