@@ -54,6 +54,8 @@ _EXACT_MIS_CAP = 12
 # built inside seeded candidate pools of _FAMILY_POOL rows
 _CONFLICT_CAP = 20000
 _FAMILY_POOL = 4096
+# the unseeded family's pool, drawn apart from the seeds 0, 1, ... of the rest
+_FIRST_POOL_SEED = 2 ** 32 - 1
 
 
 def sigma_gram(n: int) -> np.ndarray:
@@ -644,6 +646,17 @@ class LemmaCertificate:
     verdict: bool
 
 
+def _family_pool(sigma_size: int, seed: Optional[int]) -> np.ndarray:
+    """Sorted uniform sample of _FAMILY_POOL row indices for one family.
+
+    seed None draws from _FIRST_POOL_SEED, not enumeration order: rows
+    0..4095 of Sigma(20) all avoid -8, so that pool would itself be the
+    family rather than a greedy-maximal one cut short by conflicts.
+    """
+    rng = np.random.default_rng(_FIRST_POOL_SEED if seed is None else seed)
+    return np.sort(rng.choice(sigma_size, _FAMILY_POOL, replace=False))
+
+
 def certify_bound(
     n: int,
     p: int,
@@ -677,12 +690,8 @@ def certify_bound(
             # sampled candidate pool; any greedy-maximal family inside it
             # is still a genuine avoiding family, which is all the
             # certificate needs
-            if seed is None:
-                pool = np.arange(_FAMILY_POOL)
-            else:
-                pool = np.sort(np.random.default_rng(seed).choice(
-                    sigma_size, _FAMILY_POOL, replace=False))
-            fam = greedy_avoiding_family(X[pool], forbidden, seed=seed)
+            fam = greedy_avoiding_family(
+                X[_family_pool(sigma_size, seed)], forbidden, seed=seed)
         else:
             fam = greedy_avoiding_family(X, forbidden, seed=seed, conflict=conflict)
         sizes.append(len(fam))

@@ -140,21 +140,56 @@ def log_binomial(n: int, k: int) -> LogReal:
 
 
 def log_binomial_tail_sum(n: int, p: int) -> LogReal:
-    """ln of sum of C(n, i) for i < p, summed in log space.
+    """ln of S = sum of C(n, i) for i < p, from a fixed-point integer sum.
 
-    Terms are accumulated downward from i = p-1 with the exact step ratio
-    C(n, i-1)/C(n, i) = i/(n-i+1); the loop stops once the remaining terms
-    cannot move the total at working precision.
+    With top = min(p-1, n), S = C(n, top) * sum_i C(n, i)/C(n, top).  The
+    ratios are summed downward from i = top in plain integers with unit
+    2^-b, b = PRECISION_BITS + 32 + 2*bitlen(n+2): t starts at 2^b, each
+    step sets t = floor(t*i/(n-i+1)), the exact step ratio C(n, i-1)/C(n, i),
+    and adds t to total.  While the ratio exceeds 1 (only when p-1 > n/2)
+    t grows; once it reaches 2^(b+1), t and total are shifted right by the
+    same amount and the shift is kept as an exponent.  The loop stops when
+    t reaches 0.  Then S ~ C(n, top) * total * 2^(shift-b), and one
+    log_binomial and one log give the result.
+
+    Error bound: the computed sum is a lower bound on S with relative
+    error below (n+2)^2 * 2^-b <= 2^-(PRECISION_BITS+32).  Let
+    W_i = sum_{l<=i} C(n, l)/C(n, i), the share of the sum that one unit
+    of the term at i carries with it, and F = 2^shift * (total + t*(W_i-1))
+    with t the current term, at i.  Exact steps would keep F at its start,
+    2^b * S/C(n, top); each floor lowers it by less than one unit times
+    the weight of what it floors: flooring the new term at i loses less
+    than 2^shift * W_i, and a shift (1 for total, W_i - 1 for t) as much.
+    As total >= t, F >= 2^shift * t * W_i, so a loss of 2^shift * W_i is
+    at most F/t.  The ratio i/(n-i+1) falls as i falls, so the steps whose
+    ratio exceeds 1 come first:
+      - there t never drops below 2^b (the floor of t times a ratio above
+        1 is at least t, and a shift leaves at least 2^b), so each step
+        and each shift loses less than 2^-b of the starting F;
+      - after them i <= (n+1)/2, so C(n, l) <= C(n, i-1) for l < i and the
+        new term's W_{i-1} <= i <= n; total >= 2^b makes the final F at
+        least 2^(shift+b), so each step loses less than n * 2^-b of it.
+    Over at most n steps the loss is below (n^2 + 2n) * 2^-b of the start.
+    Once t is 0 it stays 0 with no further loss, so the dropped tail is
+    already counted, and at the end F = 2^shift * total, the computed
+    sum.  The two logs then add only mpmath's 120-bit rounding.
     """
     if n < 0 or p < 1:
         raise ValueError("invalid binomial tail: n=%r p=%r" % (n, p))
     top = min(p - 1, n)
+    bits = PRECISION_BITS + 32 + 2 * (n + 2).bit_length()
+    t = total = 1 << bits
+    shift = 0
+    for i in range(top, 0, -1):
+        t = t * i // (n - i + 1)
+        if not t:
+            break
+        total += t
+        excess = t.bit_length() - bits - 1
+        if excess > 0:
+            t >>= excess
+            total >>= excess
+            shift += excess
     with mp.workprec(PRECISION_BITS):
-        cur = log_binomial(n, top).log_abs
-        total = cur
-        for i in range(top, 0, -1):
-            cur = cur + mp.log(mp.mpf(i)) - mp.log(mp.mpf(n - i + 1))
-            total = total + mp.log(1 + mp.exp(cur - total))
-            if cur < total - (PRECISION_BITS + 16) * mp.log(2):
-                break
-    return LogReal.from_log(total, 1)
+        val = log_binomial(n, top).log_abs + mp.log(mp.ldexp(total, shift - bits))
+    return LogReal.from_log(val, 1)

@@ -674,6 +674,21 @@ def test_certify_bound_sampled_pool_branch():
     assert cert.verdict
 
 
+def test_certify_bound_first_pool_is_sampled():
+    # rows 0..4095 of Sigma(20) all avoid -8, so a first pool taken in
+    # enumeration order made the whole pool the first family
+    X = sigma_matrix(20)
+    assert len(greedy_avoiding_family(X[:algebra._FAMILY_POOL], -8)) == algebra._FAMILY_POOL
+    cert = certify_bound(20, 7, 8, seeds=2)
+    assert cert.family_sizes[0] < algebra._FAMILY_POOL
+    pools = [algebra._family_pool(cert.sigma_size, s) for s in (None, 0)]
+    assert not np.array_equal(pools[0], pools[1])
+    for pool, seed, size in zip(pools, (None, 0), cert.family_sizes):
+        fam = greedy_avoiding_family(X[pool], -8, seed=seed)
+        assert len(fam) == size
+        assert independence_verify(fam, 7, 8)
+
+
 def test_certify_bound_fails_on_property_violation(monkeypatch):
     # a wrong weight leaves the families, the evaluation certificates and
     # the rank bound intact; only the property count can catch it

@@ -136,6 +136,38 @@ def test_find_d0_output(capsys):
     assert doc["previous_passes"] is False
 
 
+# printed 25-digit log ratios of the d0 table and the README counting
+# commands, recorded from the mpmath log-space tail sum that the
+# fixed-point integer sum replaced: argv -> (exit code, ln string)
+_PINNED_LOGS = {
+    "find-d0 --r 0.59": (0, "37.54619070001658550299758"),
+    "find-d0 --r 0.61": (0, "33.62639785659018891074158"),
+    "find-d0 --r 0.63": (0, "17.24199704282161012748738"),
+    "find-d0 --r 0.65": (0, "14.14361703133730890735372"),
+    "find-d0 --r 0.67": (0, "12.0432875515114439334354"),
+    "find-d0 --r 0.69": (0, "11.50787103053171365822189"),
+    "find-d0 --r 0.71": (0, "12.74393173444029765787815"),
+    "bound --r 0.71 --d 327185": (0, "12.74393173444029765787815"),
+    "bound --r 0.71 --d 1000000000000000": (0, "818527.2023314797844160699"),
+    "bound --r 0.6 --d 100000000000000000000": (0, "571.6589462978836522785578"),
+    "bound --shrinking --d 1000000": (1, "7.227042982352298525895127"),
+    "bound --shrinking --d 1000000000": (1, "-0.9278500983410866098282315"),
+    "bound --shrinking --d 1000000000000": (1, "1.088964568744995612542138"),
+    "bound --shrinking --d 1000000000000000": (1, "11.85839788540074329607487"),
+    "bound --shrinking --d 1000000000000000000": (0, "68.90086924307528476922424"),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_PINNED_LOGS))
+def test_printed_log_ratio_pinned(capsys, cmd):
+    want_code, want_ln = _PINNED_LOGS[cmd]
+    code, out, _ = _run(capsys, cmd.split())
+    assert code == want_code
+    doc = json.loads(out)
+    got = doc["final_ratio_log"] if "--shrinking" in cmd else doc["bound"]["ratio_log"]
+    assert got == {"ln": want_ln, "sign": "1"}
+
+
 def test_upper_csv_format(capsys):
     code, out, _ = _run(
         capsys,

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from borsuk.exactnum import (
@@ -121,12 +122,37 @@ def test_log_binomial_matches_exact(n, k):
     assert err <= 1e-15 * max(1.0, abs(float(want)))
 
 
-def test_log_binomial_tail_sum_matches_exact():
-    for n in (16, 96, 200):
-        for p in (1, 2, 5, n // 2, n + 1):
-            got = log_binomial_tail_sum(n, p)
-            want = mp.log(mp.mpf(binomial_tail_sum(n, p)))
-            assert abs(float(got.log_abs - want)) <= 1e-15 * max(1.0, abs(float(want)))
+@st.composite
+def _tail_args(draw):
+    n = draw(st.integers(0, 3000))
+    return n, draw(st.integers(1, n + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tail_args())
+@example((0, 1))
+@example((3000, 1))
+@example((3000, 3001))  # the whole row, 2^3000
+@example((3000, 2900))  # p-1 > n/2: terms grow as i falls, then shrink
+@example((2999, 1500))  # p-1 = (n-1)/2: the step ratio reaches 1
+def test_log_binomial_tail_sum_matches_exact(args):
+    n, p = args
+    got = log_binomial_tail_sum(n, p)
+    with mp.workprec(200):
+        want = mp.log(mp.mpf(binomial_tail_sum(n, p)))
+        assert abs(got.log_abs - want) <= mp.mpf(2) ** -100 * max(1, abs(want))
+
+
+def test_log_binomial_tail_sum_renormalised():
+    # p-1 far above n/2: the term grows by ~2^10616 before it peaks at
+    # i = n/2, so the sum is shifted right many times.  The exact oracle
+    # is the complement, 2^n minus the short tail sum_{i <= n-p} C(n, i).
+    n, p = 20000, 18000
+    exact = (1 << n) - binomial_tail_sum(n, n - p + 1)
+    got = log_binomial_tail_sum(n, p)
+    with mp.workprec(200):
+        want = mp.log(mp.mpf(exact))
+        assert abs(got.log_abs - want) <= mp.mpf(2) ** -100 * abs(want)
 
 
 def test_log_binomial_tail_sum_huge_argument():
