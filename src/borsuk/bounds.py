@@ -15,6 +15,7 @@ shrinking-radius chain of params.shrinking_chain with the count ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -27,6 +28,8 @@ from .exactnum import (
     binomial,
     binomial_tail_sum,
     log_binomial,
+    log_binomial_bounds,
+    log_binomial_tail_lower,
     log_binomial_tail_sum,
 )
 from .params import (
@@ -50,7 +53,8 @@ class CountBound:
 
     numerator/denominator are exact integers when n is small enough to
     expand them (n <= 10^4); ratio_log always carries the value.  passes
-    compares the ratio against threshold = d+1, exactly when possible.
+    compares the ratio against threshold = d+1: exactly at n <= 10^4,
+    beyond that from ratio_log when its error bound allows, else exactly.
     """
 
     numerator: Optional[int]
@@ -60,11 +64,38 @@ class CountBound:
     passes: bool
 
 
+def _log_verdict(ratio_log: LogReal, n: int, threshold: int) -> Optional[bool]:
+    """ratio > threshold from count_bound's ratio_log, or None if too close.
+
+    ratio_log is ln C(n-1, n/2-1) - ln C(n, top) - ln(T), T the
+    fixed-point sum of log_binomial_tail_sum.  It is six mpmath loggamma
+    values at arguments up to n+1, each at most B = (n+1)(ln(n+1) + 1) in
+    size, one log of T * 2^e (at most n ln 2 <= B) and seven 120-bit
+    subtractions.  Taking each mpmath loggamma and log within 2^-110 of
+    itself in relative error (1024 ulps at 120 bits), the sum is off by
+    at most 7 * 2^-110 B + 7 * 2^-120 * 3B; T's relative error below
+    2^-152 adds 2^-151, rounding T to 120 bits 2^-120, and ln(threshold)
+    is off by 2^-110 of itself.  All of it is below
+    err = 2^-100 (B + ln threshold), and the verdict is taken from the log
+    only when the gap to ln threshold exceeds err.
+    """
+    if threshold < 1:
+        return True  # a positive ratio beats it
+    with mp.workprec(PRECISION_BITS):
+        gap = ratio_log.log_abs - mp.log(threshold)
+    err = 2.0 ** -100 * ((n + 1) * (math.log(n + 1) + 1) + math.log(threshold))
+    if abs(gap) <= err:
+        return None
+    return gap > 0
+
+
 def count_bound(n: int, p: int, threshold: int) -> CountBound:
     """The raw pigeonhole ratio |Sigma(n)| / sum_{i<p} C(n,i) vs threshold.
 
     Exact integers at desk scale, log space beyond; the two routes agree
     wherever both exist and the exact one decides passes when available.
+    Beyond desk scale passes comes from ratio_log when its stated error
+    bound (_log_verdict) decides it, and from exact integers otherwise.
     """
     if n < 4 or n % 4 != 0:
         raise ValueError("n must be a positive multiple of 4")
@@ -78,7 +109,9 @@ def count_bound(n: int, p: int, threshold: int) -> CountBound:
     else:
         num = None
         den = None
-        passes = ratio_log.gt_number(threshold)
+        passes = _log_verdict(ratio_log, n, threshold)
+        if passes is None:
+            passes = binomial(n - 1, n // 2 - 1) > binomial_tail_sum(n, p) * threshold
     return CountBound(
         numerator=num,
         denominator=den,
@@ -171,6 +204,8 @@ class D0Result:
 
     previous_d re-checks d0 - 1 directly (when the planner accepts it),
     so minimality is witnessed rather than inferred from the grid walk.
+    walk_steps counts the grid points the walk visited, full_evaluations
+    those that the float reject could not settle.
     """
 
     r: float
@@ -179,6 +214,23 @@ class D0Result:
     bound: CountBound
     previous_d: Optional[int]
     previous_passes: bool
+    walk_steps: int
+    full_evaluations: int
+
+
+def _walk_rejects(n: int, p: int, k: int) -> bool:
+    """True only if C(n-1, n/2-1) <= (d+1) * sum_{i<p} C(n, i), d = n^(2k)+1.
+
+    The float enclosures of exactnum bound the left side's log from above
+    and the sum's from below; ln(d+1) > 2k ln n, and the factor 1 - 2^-48
+    covers the 2^-50 of math.log and the two roundings of the product, so
+    ln_d_lo < ln(d+1).  fsum gives the sign of the exact sum of the three
+    floats, so a True here is a proof.
+    """
+    num_hi = log_binomial_bounds(n - 1, n // 2 - 1)[1]
+    den_lo = log_binomial_tail_lower(n, p)
+    ln_d_lo = 2 * k * math.log(n) * (1 - 2.0 ** -48)
+    return math.fsum((num_hi, -den_lo, -ln_d_lo)) <= 0
 
 
 def find_d0(r: float) -> D0Result:
@@ -190,25 +242,26 @@ def find_d0(r: float) -> D0Result:
     the passing dimensions form a prefix.  The first passing grid point
     is therefore the least passing d overall.  The profile (rsq, k, a0)
     depends on r alone, so it is solved once, as plan_fixed solves it.
+
+    Each step first tries _walk_rejects, a float64 enclosure with a
+    proven margin (Robbins' bounds on ln C(n-1, n/2-1), a geometric lower
+    bound on the tail sum): it rejects only steps whose ratio provably
+    stays at or below d+1, so no passing step is skipped.  Every other
+    step is a full evaluation, the validated ParamSet and lower_bound.
     """
     rsq, k, a0 = fixed_profile(r)
     n = 8
+    steps = evaluations = 0
     while True:
         d = n ** (2 * k) + 1
         if d > _D0_SCAN_CAP:
             raise CheckFailed("no d0 found below cap %d" % _D0_SCAN_CAP)
         _, p = choose_a(a0, n)
-        # single largest term lower-bounds the denominator, so this log
-        # comparison can only overestimate the ratio: sound fast reject
-        with mp.workprec(PRECISION_BITS):
-            upper_est = (
-                log_binomial(n - 1, n // 2 - 1).log_abs
-                - log_binomial(n, p - 1).log_abs
-            )
-            certainly_fails = upper_est <= mp.log(mp.mpf(d) + 1)
-        if certainly_fails:
+        steps += 1
+        if _walk_rejects(n, p, k):
             n += 4
             continue
+        evaluations += 1
         ps = fixed_params(r, rsq, k, a0, d)
         cb = lower_bound(ps)
         if cb.passes:
@@ -225,6 +278,8 @@ def find_d0(r: float) -> D0Result:
                 bound=cb,
                 previous_d=prev_d,
                 previous_passes=prev_passes,
+                walk_steps=steps,
+                full_evaluations=evaluations,
             )
         n += 4
 

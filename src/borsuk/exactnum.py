@@ -4,13 +4,16 @@ Exact counts are plain Python ints and exact ratios are fractions.Fraction,
 both arbitrary precision out of the box.  Quantities too large to
 materialize (binomial ratios at dimensions like 10**18) are mirrored in
 log space by LogReal, which stores ln|x| as an mpmath float with well
-over 80 bits of mantissa plus a sign flag.
+over 80 bits of mantissa plus a sign flag.  log_binomial_bounds and
+log_binomial_tail_lower enclose the same logs in float64 with a proven
+margin, for comparisons that need no more than that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from mpmath import mp
 
@@ -119,9 +122,6 @@ class LogReal:
     def __gt__(self, other: "LogReal") -> bool:
         return self._key() > other._key()
 
-    def gt_number(self, x: int) -> bool:
-        return self > LogReal.from_int(x)
-
     def __repr__(self) -> str:
         return "LogReal(sign=%d, log_abs=%s)" % (self.sign, mp.nstr(self.log_abs, 20))
 
@@ -193,3 +193,128 @@ def log_binomial_tail_sum(n: int, p: int) -> LogReal:
     with mp.workprec(PRECISION_BITS):
         val = log_binomial(n, top).log_abs + mp.log(mp.ldexp(total, shift - bits))
     return LogReal.from_log(val, 1)
+
+
+# ln(2 pi)/2, rounded to the nearest float64
+_HALF_LN_2PI = 0.9189385332046727
+
+# every integer below this is a float64, so n, k and n-k convert exactly
+_FLOAT_INT_LIMIT = 1 << 53
+
+
+def _enclose(terms: Sequence[float]) -> Tuple[float, float]:
+    """(lo, hi) around the exact sum of the reals that terms approximate.
+
+    The float error argument of log_binomial_bounds and
+    log_binomial_tail_lower.  It rests on IEEE 754 double arithmetic, where
+    +, -, *, / and Python's int/int true division are correctly rounded
+    (relative error below u = 2^-53) and math.fsum returns the exact sum of
+    its inputs rounded once, and on one assumption about the C library:
+    math.log, math.log1p and math.expm1 are within 2^-50 relative error of
+    the exact value, 4 ulps, where common libms document 1
+    (tests/test_exactnum.py samples it against mpmath).
+
+    Each term t' must be within 2^-48 * (|t| + 1) of its exact value t.
+    With N terms and X = sum(|t'| + 1), that gives
+    |t| + 1 <= (1 + 2^-47)(|t'| + 1), so the terms are off by at most
+    2^-48 (1 + 2^-47) X in total, and fsum adds at most 2^-53 X: s is
+    within 2^-47 X of the exact sum.  The margin 2^-44 * (fsum(|t'|) + N)
+    is at least 8 * 2^-47 X (1 - 3u) after its own two roundings, and
+    rounding s - margin and s + margin moves them by at most
+    u (X + margin) < 2^-52 X, so lo <= sum t <= hi.
+    """
+    s = math.fsum(terms)
+    margin = 2.0 ** -44 * (math.fsum(map(abs, terms)) + len(terms))
+    return s - margin, s + margin
+
+
+def _robbins_terms(n: int, k: int, upper: bool) -> List[float]:
+    """Float terms of a bound on ln C(n, k), for 1 <= k <= n/2, n < 2^53.
+
+    Robbins (Amer. Math. Monthly 62, 1955): for j >= 1,
+    ln j! = (j + 1/2) ln j - j + ln(2 pi)/2 + theta_j with
+    1/(12j + 1) < theta_j < 1/(12j).  With m = n - k and x = k/n the
+    Stirling parts for j = n, k, m combine to
+        -k ln x - m ln(1 - x) - (ln k)/2 - ln(1 - x)/2 - ln(2 pi)/2,
+    whose terms share no cancellation, and theta_n - theta_k - theta_m
+    lies between 1/(12n + 1) - 1/(12k) - 1/(12m) and
+    1/(12n) - 1/(12k + 1) - 1/(12m + 1); upper picks the second.
+    Each term is within 2^-49 of its value in relative error, as
+    _enclose asks: the fractions are one correctly rounded division; x
+    is rounded once (u), and as x <= 1/2, ln x and ln(1 - x) are at least
+    ln 2 and x in size, so that rounding moves ln x by at most 1.01u/ln 2
+    and log1p(-x) by at most 2.02u of itself; add 2^-50 for the libm call
+    and u for the product, and 2^-50 + 3.03u < 2^-49.
+    """
+    m = n - k
+    x = k / n
+    ln_rest = math.log1p(-x)
+    e = 1 if upper else 0
+    return [-k * math.log(x), -m * ln_rest, -0.5 * math.log(k), -0.5 * ln_rest,
+            -_HALF_LN_2PI,
+            1 / (12 * n + 1 - e), -1 / (12 * k + e), -1 / (12 * m + e)]
+
+
+def log_binomial_bounds(n: int, k: int) -> Tuple[float, float]:
+    """(lo, hi) floats with lo <= ln C(n, k) <= hi, closed form, no loop.
+
+    The lower and upper Robbins bounds of _robbins_terms, each summed by
+    _enclose, whose margin covers the float error.  The width is about
+    2^-43 * (ln C(n, k) + ln n) plus 1/(48 k^2) for k <= n/2.  Needs
+    n < 2^53.
+    """
+    if n < 0 or k < 0 or k > n:
+        raise ValueError("invalid binomial: C(%r, %r)" % (n, k))
+    if n >= _FLOAT_INT_LIMIT:
+        raise ValueError("float enclosure needs n < 2^53: n=%d" % n)
+    k = min(k, n - k)
+    if k == 0:
+        return 0.0, 0.0
+    return (_enclose(_robbins_terms(n, k, False))[0],
+            _enclose(_robbins_terms(n, k, True))[1])
+
+
+def log_binomial_tail_lower(n: int, p: int) -> float:
+    """A float lower bound on ln of S = sum of C(n, i) for i < p, no loop.
+
+    With top = min(p-1, n) and m = min(isqrt(n), top), S is at least its
+    m + 1 terms from C(n, top) down.  The step ratio C(n, i-1)/C(n, i) =
+    i/(n-i+1) falls as i falls, so over those terms it is at least
+    rho = a/b, a = top-m+1, b = n-top+m, and S >= C(n, top) * g with
+    g = sum_{j<=m} rho^j.  When rho >= 1, g >= m + 1.  Otherwise, with
+    c = b - a > 0, g = (1 - rho^(m+1))/(1 - rho), so
+        ln g = ln(-expm1((m+1) ln rho)) - ln(1 - rho),
+    where ln rho and ln(1 - rho) = ln(c/b) are taken as log and log1p of
+    whichever of a/b and c/b is at most 1/2.  As in _robbins_terms each
+    is then within 2^-49 of itself, and so is -ln(1 - rho).  The product
+    (m+1) ln rho adds u; through q(y) = ln(-expm1(y)), whose relative
+    condition |y| e^y/(1 - e^y) is at most 1 for y < 0, that moves the
+    first term by at most 1.1 * 2^-49, expm1 by 1.01 * 2^-50 and log by
+    2^-50 of itself: within 2^-48 (|t| + 1).  _enclose of these two
+    terms with the lower _robbins_terms of ln C(n, top) gives the result.
+
+    Taking rho at the bottom of the m + 1 terms costs about
+    (rho_top - rho)/(1 - rho) = O(1/sqrt(n)) nats when p - 1 < n/2: 0.21
+    at find_d0's (572, 223), 0.04 at (11504, 4000).
+    """
+    if n < 0 or p < 1:
+        raise ValueError("invalid binomial tail: n=%r p=%r" % (n, p))
+    if n >= _FLOAT_INT_LIMIT:
+        raise ValueError("float enclosure needs n < 2^53: n=%d" % n)
+    top = min(p - 1, n)
+    m = min(math.isqrt(n), top)
+    if m == 0:
+        return 0.0  # top = 0: S = 1
+    k = min(top, n - top)
+    terms = _robbins_terms(n, k, False) if k else []
+    a, b = top - m + 1, n - top + m
+    c = b - a
+    if c <= 0:
+        terms.append(math.log(m + 1))
+    else:
+        if 2 * a <= b:
+            ln_rho, ln_gap = math.log(a / b), math.log1p(-a / b)
+        else:
+            ln_rho, ln_gap = math.log1p(-c / b), math.log(c / b)
+        terms += [math.log(-math.expm1((m + 1) * ln_rho)), -ln_gap]
+    return _enclose(terms)[0]

@@ -148,8 +148,9 @@ def choose_a(a0: Number, n: int) -> Tuple[int, int]:
     """Least multiple of 4 at or above a0*n/2 whose p = (a+n)/4 is prime."""
     if n % 4 != 0 or n <= 0:
         raise ValueError("vector length must be a positive multiple of 4")
-    need = Fraction(a0) * n / 2
-    start = max(4, 4 * ((math.ceil(need) + 3) // 4))
+    num, den = a0.as_integer_ratio()
+    need = -(-num * n // (2 * den))  # ceil(a0*n/2) in integers
+    start = max(4, 4 * ((need + 3) // 4))
     for a in range(start, _A_SCAN_LIMIT_FACTOR * n + 1, 4):
         p = (a + n) // 4
         if p >= PRIME_LIMIT:

@@ -5,8 +5,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from borsuk import bounds
 from borsuk.bounds import (
     asymptotic_base,
     binary_entropy,
@@ -16,8 +18,15 @@ from borsuk.bounds import (
     lower_bound,
     shrinking_radius_check,
 )
-from borsuk.exactnum import binomial, binomial_tail_sum
-from borsuk.params import CheckFailed, plan_fixed, plan_shrinking, shrinking_chain
+from borsuk.exactnum import LogReal, binomial, binomial_tail_sum
+from borsuk.params import (
+    CheckFailed,
+    choose_a,
+    fixed_profile,
+    plan_fixed,
+    plan_shrinking,
+    shrinking_chain,
+)
 
 
 def test_count_bound_frozen_small_case():
@@ -167,6 +176,106 @@ def test_find_d0_smaller_radius_needs_more_dimensions():
     assert res06.d0 == 1802703502561537
     assert res06.params.k == 2
     assert res06.d0 > find_d0(0.71).d0
+
+
+# the seven radii of the d0-table benchmark: r -> (d0, n at d0, walk steps,
+# full evaluations)
+_D0_TABLE = {
+    0.59: (17514409198944257, 11504, 2875, 4),
+    0.61: (313547198365697, 4208, 1051, 2),
+    0.63: (30735937, 5544, 1385, 2),
+    0.65: (1032257, 1016, 253, 1),
+    0.67: (138385, 372, 92, 2),
+    0.69: (33857, 184, 45, 2),
+    0.71: (327185, 572, 142, 2),
+}
+
+
+def test_find_d0_every_table_radius():
+    results = {r: find_d0(r) for r in _D0_TABLE}
+    for r, res in results.items():
+        got = (res.d0, res.params.n, res.walk_steps, res.full_evaluations)
+        assert got == _D0_TABLE[r], r
+        assert res.bound.passes and not res.previous_passes
+        assert res.previous_d == res.d0 - 1
+    # the walk's counters are deterministic: a looser reject shows here as
+    # more full evaluations (211 with the old 120-bit point-value reject)
+    assert sum(res.walk_steps for res in results.values()) == 5843
+    assert sum(res.full_evaluations for res in results.values()) == 15
+
+
+def test_find_d0_walk_calls_no_mpmath(monkeypatch):
+    # loggamma is reached only from full evaluations: six per count_bound,
+    # one count_bound per full evaluation plus the d0 - 1 re-check
+    calls = []
+    loggamma = mp.loggamma
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loggamma(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "loggamma", counted)
+    res = find_d0(0.59)
+    assert res.walk_steps == 2875
+    assert len(calls) == 6 * (res.full_evaluations + 1)
+
+
+@pytest.mark.parametrize("r", [0.61, 0.63, 0.65, 0.67, 0.69, 0.71])
+def test_walk_reject_sound_in_exact_integers(r):
+    # every step the float reject throws away, at n <= 2000, really fails:
+    # C(n-1, n/2-1) <= (d+1) * sum_{i<p} C(n, i) with d = n^(2k) + 1
+    _, k, a0 = fixed_profile(r)
+    rejected = 0
+    for n in range(8, 2001, 4):
+        _, p = choose_a(a0, n)
+        if bounds._walk_rejects(n, p, k):
+            rejected += 1
+            assert binomial(n - 1, n // 2 - 1) <= (n ** (2 * k) + 2) * binomial_tail_sum(n, p)
+    # the oracle saw every reject the walk itself made at n <= 2000
+    _, _, steps, evaluations = _D0_TABLE[r]
+    assert rejected >= min(steps, 499) - evaluations
+
+
+def test_count_bound_log_verdict_is_certified():
+    # d0(0.59) is decided at n = 11504 by the log route, 0.144 nats clear
+    # of the threshold, far outside the stated error bound
+    res = find_d0(0.59)
+    assert res.bound.numerator is None
+    assert bounds._log_verdict(res.bound.ratio_log, 11504, res.d0 + 1) is True
+    # a log gap inside the error bound decides nothing
+    assert bounds._log_verdict(LogReal.from_int(10 ** 6), 20000, 10 ** 6) is None
+    assert bounds._log_verdict(LogReal.from_int(5), 20000, 0) is True
+
+
+def test_count_bound_falls_back_to_integers(monkeypatch):
+    # when the log gap is inside the error bound, exact integers decide,
+    # and the printed fields stay those of the log route
+    cases = [(11504, 5273, 17514409198944258), (11504, 5273, 10 ** 30), (10004, 3001, 1)]
+    want = [count_bound(*c) for c in cases]
+    monkeypatch.setattr(bounds, "_log_verdict", lambda *args: None)
+    for c, w in zip(cases, want):
+        got = count_bound(*c)
+        assert got == w
+        assert got.passes == (binomial(c[0] - 1, c[0] // 2 - 1)
+                              > binomial_tail_sum(c[0], c[1]) * c[2])
+
+
+@st.composite
+def _log_route_args(draw):
+    n = 4 * draw(st.integers(2501, 5000))
+    return n, draw(st.integers(1, n // 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_log_route_args())
+def test_ratio_log_within_stated_error(args):
+    # the error bound _log_verdict states, against exact integers
+    n, p = args
+    ratio = count_bound(n, p, 1).ratio_log
+    with mp.workprec(300):
+        exact = mp.log(mp.mpf(binomial(n - 1, n // 2 - 1))) - mp.log(
+            mp.mpf(binomial_tail_sum(n, p)))
+        assert abs(ratio.log_abs - exact) <= mp.mpf(2) ** -100 * (n + 1) * (mp.log(n + 1) + 1)
 
 
 def test_shrinking_check_small_d_names_failures():

@@ -134,6 +134,7 @@ def test_find_d0_output(capsys):
     doc = json.loads(out)
     assert doc["d0"] == "327185"
     assert doc["previous_passes"] is False
+    assert (doc["walk_steps"], doc["full_evaluations"]) == ("142", "2")
 
 
 # printed 25-digit log ratios of the d0 table and the README counting

@@ -12,6 +12,8 @@ from borsuk.exactnum import (
     binomial_tail_sum,
     is_prime,
     log_binomial,
+    log_binomial_bounds,
+    log_binomial_tail_lower,
     log_binomial_tail_sum,
 )
 
@@ -108,9 +110,6 @@ def test_logreal_ordering_total():
     for i, x in enumerate(vals):
         for j, y in enumerate(vals):
             assert (reals[i] > reals[j]) == (x > y)
-            assert reals[i].gt_number(y) == (x > y)
-    assert LogReal.from_int(10).gt_number(9)
-    assert not LogReal.from_int(10).gt_number(10)
 
 
 @pytest.mark.parametrize("n,k", [(96, 48), (96, 13), (400, 100), (10 ** 6, 10 ** 5)])
@@ -160,3 +159,82 @@ def test_log_binomial_tail_sum_huge_argument():
     big = log_binomial_tail_sum(10 ** 7, 10 ** 6)
     assert big.sign == 1
     assert float(big.log_abs) > 10 ** 6
+
+
+@st.composite
+def _binomial_args(draw):
+    n = draw(st.integers(2, 10 ** 12))
+    return n, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_binomial_args())
+@example((2, 1))
+@example((10 ** 12, 1))
+@example((10 ** 12, 5 * 10 ** 11))
+@example((10 ** 12, 10 ** 12 - 1))
+@example((573, 286))  # the walk's numerator at d0(0.71)
+def test_log_binomial_bounds_enclose_log_binomial(args):
+    n, k = args
+    lo, hi = log_binomial_bounds(n, k)
+    assert lo <= log_binomial(n, k).log_abs <= hi
+    # Robbins' theta gap and the float margin only
+    assert hi - lo <= 2.0 ** -42 * (hi + math.log(n) + 10) + 1 / (48 * min(k, n - k) ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_log_binomial_bounds_enclose_exact(args):
+    n, k = args
+    lo, hi = log_binomial_bounds(n, k)
+    with mp.workprec(200):
+        assert lo <= mp.log(mp.mpf(binomial(n, k))) <= hi
+
+
+def test_log_binomial_bounds_edges():
+    assert log_binomial_bounds(0, 0) == (0.0, 0.0)
+    assert log_binomial_bounds(7, 7) == (0.0, 0.0)
+    for n, k in [(-1, 0), (3, -1), (3, 4)]:
+        with pytest.raises(ValueError, match="invalid binomial"):
+            log_binomial_bounds(n, k)
+    with pytest.raises(ValueError, match="2\\^53"):
+        log_binomial_bounds(1 << 53, 5)
+    with pytest.raises(ValueError, match="2\\^53"):
+        log_binomial_tail_lower(1 << 53, 5)
+
+
+@st.composite
+def _tail_lower_args(draw):
+    # beyond 30000, p-1 <= 0.45n keeps the fixed-point oracle's loop short
+    n = draw(st.integers(0, 10 ** 9))
+    if n <= 30000:
+        return n, draw(st.integers(1, n + 2))
+    return n, draw(st.integers(1, int(0.45 * n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tail_lower_args())
+@example((0, 1))
+@example((3000, 1))
+@example((3000, 2))  # S = n + 1: the geometric bound is exact
+@example((3000, 3001))
+@example((3000, 2900))  # step ratios above 1 over the whole bound
+@example((2999, 1500))
+@example((11504, 5273))  # the walk's denominator at d0(0.59)
+def test_log_binomial_tail_lower_below_tail_sum(args):
+    n, p = args
+    assert log_binomial_tail_lower(n, p) <= log_binomial_tail_sum(n, p).log_abs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=2.0 ** -60, max_value=2.0 ** 53),
+       st.floats(min_value=0.0, max_value=0.5),
+       st.floats(min_value=-750.0, max_value=-(2.0 ** -60)))
+@example(1.0, 0.5, -1e-12)
+def test_libm_within_assumed_error(x, w, y):
+    # the float enclosures take math.log, log1p and expm1 to be within
+    # 2^-50 relative error of the exact value; sample it against mpmath
+    with mp.workprec(200):
+        for got, want in [(math.log(x), mp.log(x)), (math.log1p(-w), mp.log1p(-w)),
+                          (math.expm1(y), mp.expm1(y))]:
+            assert abs(got - want) <= mp.mpf(2) ** -50 * abs(want)

@@ -170,6 +170,31 @@ def test_choose_a_prime_scan():
         choose_a(1, 10)
 
 
+def _choose_a_by_fraction(a0, n):
+    # the Fraction ceiling that choose_a's integer ceiling replaced
+    need = Fraction(a0) * n / 2
+    start = max(4, 4 * ((math.ceil(need) + 3) // 4))
+    for a in range(start, 8 * n + 1, 4):
+        if params.is_prime((a + n) // 4):
+            return a, (a + n) // 4
+
+
+_a0_values = st.one_of(
+    st.fractions(min_value=Fraction(1, 10 ** 6), max_value=2, max_denominator=10 ** 15),
+    st.floats(min_value=1e-6, max_value=2.0),
+    st.integers(1, 2),
+    st.sampled_from([fixed_profile(r)[2] for r in (0.59, 0.61, 0.63, 0.71, 0.9)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_a0_values, st.integers(1, 10 ** 6).map(lambda m: 4 * m))
+@example(Fraction(4, 3), 12)
+@example(2, 8)  # a0*n/2 = 8 exactly
+def test_choose_a_integer_ceiling_matches_fraction(a0, n):
+    assert choose_a(a0, n) == _choose_a_by_fraction(a0, n)
+
+
 def test_plan_fixed_frozen_example():
     ps = plan_fixed(0.9, 256)
     assert (ps.k, ps.n, ps.a, ps.p) == (1, 12, 8, 5)
