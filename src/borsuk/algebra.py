@@ -16,7 +16,12 @@ construction.sigma_matrix(n) throughout; a polynomial is its row of
 coefficient_matrix, built in bulk from one symmetric weight profile.  This
 module certifies independence two independent ways (coefficient rank and
 evaluation matrix) and cross-checks the bound against exact maximum
-independent set search at desk scale.
+independent set search at desk scale.  Every row of Sigma(n) has x_1 = +1,
+so the coefficient columns of y_S and y_{S u {1}} are both multiples of
+the +-1 column x_S; the coefficient rank is therefore taken on the
+columns x_S for the monomials S in the n - 1 free coordinates 2..n
+(_free_sign_matrix, whose docstring proves the ranks equal): 1941
+columns in place of 2517 at n = 16.
 """
 
 from __future__ import annotations
@@ -32,8 +37,10 @@ from .exactnum import binomial, binomial_tail_sum, is_prime
 from .construction import sigma_matrix
 
 # Full-family rank elimination is O(rows * cols * rank); these caps keep it
-# to a few seconds (n=16, 6435 x 2517, takes about one).  Above them the
-# sampled-family certificates carry the evidence instead.
+# to a few seconds.  The column cap applies to the dimension bound, the
+# coefficient matrix's column count, though the rank runs on fewer
+# (_free_sign_matrix; n=16 is 6435 x 1941 and takes under one).  Above
+# them the sampled-family certificates carry the evidence instead.
 _RANK_ROWS_CAP = 8000
 _RANK_COLS_CAP = 4000
 
@@ -173,6 +180,34 @@ def coefficient_matrix(rows: np.ndarray, p: int, a: int) -> np.ndarray:
     wcol = np.array([w[mask.bit_count()] for mask in basis], dtype=np.int16)
     # signs are +-1: pick w or -w, reduced mod p, per entry
     return np.where(signs > 0, wcol % p, -wcol % p)
+
+
+def _free_sign_matrix(X: np.ndarray, p: int, a: int) -> np.ndarray:
+    """A +-1 int8 matrix with the GF(p) rank of coefficient_matrix(X, p, a).
+
+    Every row of X must have x_1 = +1, as every row of Sigma(n) does.
+    The columns are the monomials of monomial_basis(n - 1, p) in the n - 1
+    free coordinates 2..n: column S holds x_S over the rows.
+
+    Same rank.  For S within {2..n}, coefficient_matrix has column
+    w[|S|] x_S at y_S and w[|S|+1] x_S at y_{S u {1}}, since x_1 = +1
+    (w[s] = 0 for s >= p stands for the monomials the basis leaves out).
+    Both lie in the span of x_S over GF(p), and together they span it
+    unless w[|S|] = w[|S|+1] = 0 mod p, when both are zero.  The two
+    matrices therefore have the same column space, hence the same rank,
+    once the columns of S at such levels are dropped.  They are dropped
+    after the signs are built, since _monomial_sign_matrix builds each
+    column from its parent's.  No triple (n, p, 4p - n) with n <= 40 and
+    0 < a <= 3n has two neighbouring zero weights, so there every column
+    stays.
+    """
+    n = X.shape[1]
+    w = _reduced_profile_weights(n, p, a)
+    basis = monomial_basis(n - 1, p)
+    signs = _monomial_sign_matrix(X[:, 1:], basis)
+    live = [bool(w[s] % p or w[s + 1] % p) for s in range(n)]
+    keep = np.array([live[mask.bit_count()] for mask in basis], dtype=bool)
+    return signs if keep.all() else signs[:, keep]
 
 
 def residue_value_table(p: int, a: int) -> np.ndarray:
@@ -639,6 +674,7 @@ class LemmaCertificate:
     excluded_residue: int      # -a mod p; 0 is a legal but notable edge
     mis_exact: Optional[int]   # exact max avoiding family, desk scale only
     rank: Optional[int]        # rank of the full polynomial family
+    rank_columns: Optional[int]  # columns the rank ran on, free coordinates
     rank_full_family: bool     # rank column computed over all of Sigma
     family_sizes: Tuple[int, ...]
     vacuous: bool              # bound at or above |Sigma|: nothing to prune
@@ -704,8 +740,11 @@ def certify_bound(
         mis = max_avoiding_exact(X, forbidden)
 
     rank: Optional[int] = None
+    rank_columns: Optional[int] = None
     if sigma_size <= _RANK_ROWS_CAP and bound <= _RANK_COLS_CAP:
-        rank = rank_mod_p(coefficient_matrix(X, p, a), p)
+        signs = _free_sign_matrix(X, p, a)
+        rank_columns = signs.shape[1]
+        rank = rank_mod_p(signs, p)
 
     violations = property_check_exhaustive(n, p, a)
     checks = [
@@ -725,6 +764,7 @@ def certify_bound(
         excluded_residue=excluded_residue(p, a),
         mis_exact=mis,
         rank=rank,
+        rank_columns=rank_columns,
         rank_full_family=rank is not None,
         family_sizes=tuple(sizes),
         vacuous=bound >= sigma_size,

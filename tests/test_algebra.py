@@ -590,10 +590,85 @@ def test_rank_mod_p_rejects_inexact_prime():
         rank_mod_p(np.array([[2]]), 94906297)  # next prime past the edge
 
 
+def test_rank_mod_p_int8_signs():
+    # certify_bound's rank input: +-1 int8 entries, a transposed
+    # (Fortran-ordered) view as _monomial_sign_matrix returns it, with
+    # 40 columns and 40 rows planted as signed copies of others; p = 419
+    # is the largest prime rank_mod_p runs in float32
+    rng = np.random.default_rng(7)
+    MT = rng.choice(np.array([-1, 1], dtype=np.int8), size=(200, 300))
+    MT[160:] = MT[rng.integers(0, 160, 40)] * rng.choice([-1, 1], (40, 1))
+    MT[:, 260:] = MT[:, rng.integers(0, 260, 40)] * rng.choice([-1, 1], 40)
+    M = MT.T
+    assert M.dtype == np.int8 and not M.flags.c_contiguous
+    for p in (5, 419):
+        assert rank_mod_p(M, p) == _rank_loop(M, p) == 160
+    assert (418 ** 2 * algebra._PANEL + 2 * 419 < 2 ** 24
+            < 420 ** 2 * algebra._PANEL)
+
+
+def _sigma_sample(n, size, seed):
+    # uniform members of Sigma(n): x_1 = +1 and n/2 - 1 more +1 entries
+    rng = np.random.default_rng(seed)
+    X = -np.ones((size, n), dtype=np.int8)
+    X[:, 0] = 1
+    for row in X:
+        row[1 + rng.choice(n - 1, n // 2 - 1, replace=False)] = 1
+    return X
+
+
+@pytest.mark.parametrize("n, p, a, zero", [(16, 13, 36, 9), (24, 7, 4, 4)])
+def test_free_sign_matrix_at_zero_weights(n, p, a, zero):
+    # on rows with x_1 = +1 the coefficient columns of S and S u {1}
+    # (S within coordinates 2..n) are w_s x_S and w_{s+1} x_S mod p; a
+    # zero w_s must not cost S its column while w_{s+1} is nonzero
+    w = np.array(algebra._reduced_profile_weights(n, p, a))
+    assert w[zero] == 0 and w[zero + 1] != 0
+    X = _sigma_sample(n, 64, seed=n)
+    assert (X.sum(axis=1) == 0).all()
+    free = monomial_basis(n - 1, p)
+    sizes = np.array([mask.bit_count() for mask in free])
+    signs = algebra._monomial_sign_matrix(X[:, 1:], free)
+    column = {mask: j for j, mask in enumerate(monomial_basis(n, p))}
+    C = coefficient_matrix(X, p, a)
+    cols = [column[mask << 1] for mask in free]
+    assert np.array_equal(C[:, cols], w[sizes] * signs % p)
+    up = sizes + 1 < p  # S u {1} is in the basis
+    cols = [column[mask << 1 | 1] for mask in np.array(free)[up].tolist()]
+    assert np.array_equal(C[:, cols], w[sizes[up] + 1] * signs[:, up] % p)
+    live = (w[sizes] != 0) | (w[sizes + 1] != 0)
+    assert np.array_equal(algebra._free_sign_matrix(X, p, a), signs[:, live])
+
+
+def test_free_sign_matrix_drops_doubly_zero_levels(monkeypatch):
+    # no triple up to n = 40 has two neighbouring zero weights; planted
+    # at p = 5, w_3 = w_4 = 0 (and w_5 = 0 past the degree) zero both
+    # columns of every S of size 3 and 4, which then go, and the rank
+    # stays that of coefficient_matrix
+    weights = algebra._reduced_profile_weights
+
+    def planted(n, p, a):
+        w = weights(n, p, a)
+        w[3] = w[4] = 0
+        return w
+
+    monkeypatch.setattr(algebra, "_reduced_profile_weights", planted)
+    n, p, a = 12, 5, 8
+    X = sigma_matrix(n)
+    signs = algebra._free_sign_matrix(X, p, a)
+    assert signs.shape == (462, 1 + 11 + binomial(11, 2))
+    full = rank_mod_p(coefficient_matrix(X, p, a), p)
+    assert rank_mod_p(signs, p) == full < 330
+
+
 def test_rank_of_full_family_frozen():
-    # rank over GF(p) of all reduced polynomials; observed C(n-1, p-1)
+    # rank over GF(p) of all reduced polynomials; observed C(n-1, p-1);
+    # the rank on the free coordinates is the same
     def rank(n, p, a):
-        return rank_mod_p(coefficient_matrix(sigma_matrix(n), p, a), p)
+        X = sigma_matrix(n)
+        full = rank_mod_p(coefficient_matrix(X, p, a), p)
+        assert rank_mod_p(algebra._free_sign_matrix(X, p, a), p) == full
+        return full
 
     assert rank(8, 3, 4) == 21 == binomial(7, 2)
     assert rank(8, 5, 12) == 35 == binomial(7, 4)
