@@ -18,10 +18,13 @@ module certifies independence two independent ways (coefficient rank and
 evaluation matrix) and cross-checks the bound against exact maximum
 independent set search at desk scale.  Every row of Sigma(n) has x_1 = +1,
 so the coefficient columns of y_S and y_{S u {1}} are both multiples of
-the +-1 column x_S; the coefficient rank is therefore taken on the
-columns x_S for the monomials S in the n - 1 free coordinates 2..n
-(_free_sign_matrix, whose docstring proves the ranks equal): 1941
-columns in place of 2517 at n = 16.
+the +-1 column x_S in the n - 1 free coordinates 2..n.  There Sigma(n)
+is the slice of k-subsets, k = n/2 - 1, on which low-degree functions
+are spanned by one top level of 0/1 subset indicators and the levels
+congruent to k mod p (the inclusion matrices of Frankl & Wilson,
+Combinatorica 1, 1981).  The coefficient rank is taken on those
+columns (_free_sign_matrix, whose docstring proves the ranks equal):
+1470 columns in place of 2517 at n = 16.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .construction import sigma_matrix
 # Full-family rank elimination is O(rows * cols * rank); these caps keep it
 # to a few seconds.  The column cap applies to the dimension bound, the
 # coefficient matrix's column count, though the rank runs on fewer
-# (_free_sign_matrix; n=16 is 6435 x 1941 and takes under one).  Above
+# (_free_sign_matrix; n=16 is 6435 x 1470 and takes under one).  Above
 # them the sampled-family certificates carry the evidence instead.
 _RANK_ROWS_CAP = 8000
 _RANK_COLS_CAP = 4000
@@ -143,12 +146,13 @@ def monomial_basis(n: int, p: int) -> List[int]:
 
 
 def _monomial_sign_matrix(X: np.ndarray, basis: List[int]) -> np.ndarray:
-    """signs[i, j] = value of basis monomial j on +-1 row i.
+    """signs[i, j] = value of basis monomial j on int8 row i.
 
-    Fills columns size by size, reusing the column for the monomial with
-    the lowest variable removed; basis order guarantees it exists.  The
-    columns are built as contiguous rows of the transpose, which is
-    returned as a (Fortran-ordered) view.
+    The rows hold +-1 signs or 0/1 indicators.  Fills columns size by
+    size, reusing the column for the monomial with the lowest variable
+    removed; basis order guarantees it exists.  The columns are built as
+    contiguous rows of the transpose, which is returned as a
+    (Fortran-ordered) view.
     """
     index = {mask: j for j, mask in enumerate(basis)}
     XT = np.ascontiguousarray(X.T)
@@ -183,31 +187,56 @@ def coefficient_matrix(rows: np.ndarray, p: int, a: int) -> np.ndarray:
 
 
 def _free_sign_matrix(X: np.ndarray, p: int, a: int) -> np.ndarray:
-    """A +-1 int8 matrix with the GF(p) rank of coefficient_matrix(X, p, a).
+    """A 0/1 int8 matrix with the GF(p) rank of coefficient_matrix(X, p, a).
 
-    Every row of X must have x_1 = +1, as every row of Sigma(n) does.
-    The columns are the monomials of monomial_basis(n - 1, p) in the n - 1
-    free coordinates 2..n: column S holds x_S over the rows.
+    The rows of X must lie in Sigma(n): x_1 = +1 and k = n/2 - 1 more +1
+    entries.  In the n - 1 free coordinates 2..n let y_j = (1 + x_j)/2,
+    the indicator of x_j = +1, and y_T the product over T.  With
+    e = min(p - 1, k), the columns are y_T for |T| = e and for the
+    levels |T| = t < e with t = k mod p, in monomial_basis order: 1470
+    columns at (16, 5, 4), where the +-1 columns x_S, |S| < p, number
+    1941.  For p = 2 the matrix is one all-ones column.
 
-    Same rank.  For S within {2..n}, coefficient_matrix has column
-    w[|S|] x_S at y_S and w[|S|+1] x_S at y_{S u {1}}, since x_1 = +1
-    (w[s] = 0 for s >= p stands for the monomials the basis leaves out).
-    Both lie in the span of x_S over GF(p), and together they span it
-    unless w[|S|] = w[|S|+1] = 0 mod p, when both are zero.  The two
-    matrices therefore have the same column space, hence the same rank,
-    once the columns of S at such levels are dropped.  They are dropped
-    after the signs are built, since _monomial_sign_matrix builds each
-    column from its parent's.  No triple (n, p, 4p - n) with n <= 40 and
-    0 < a <= 3n has two neighbouring zero weights, so there every column
-    stays.
+    Same rank, as column spaces over GF(p) of functions on the rows.
+    Let d = min(p - 1, n - 1) and level s live when w[s] or w[s+1] is
+    nonzero mod p (w[s] = 0 for s >= p).
+    1. For S within {2..n}, coefficient_matrix has column w[|S|] x_S at
+       y_S and w[|S|+1] x_S at y_{S u {1}}, since x_1 = +1.  With every
+       level s <= d live they span exactly span{x_S : |S| <= d}.  A dead
+       level would drop its x_S and break steps 2-4, so it raises
+       ValueError; no triple certify_bound ranks with p < 20000 has one.
+    2. p = 2: x_j = 1 mod 2, so every x_S is the all-ones column.
+    3. p odd: x_S = prod_{j in S} (2 y_j - 1)
+       = sum_{T within S} 2^|T| (-1)^|S - T| y_T, a triangular change of
+       basis with diagonal 2^|S|, invertible mod p.  So the span is
+       span{y_T : |T| <= d}.
+    4. Every row has sum_j y_j = k, and y_T y_j = y_T for j in T, so
+       y_T k = (k - |T|) y_T + sum_{j not in T} y_{T u {j}}.  Hence
+       sum_{j not in T} y_{T u {j}} = (k - |T|) y_T, and y_T = 0 when
+       |T| > k.  Levels above e are therefore zero, and by downward
+       induction from e each level t < e lies in the span of the chosen
+       columns: in the span of level t + 1 when k - t is nonzero mod p,
+       chosen itself when t = k mod p.
     """
     n = X.shape[1]
+    k = n // 2 - 1
     w = _reduced_profile_weights(n, p, a)
-    basis = monomial_basis(n - 1, p)
-    signs = _monomial_sign_matrix(X[:, 1:], basis)
-    live = [bool(w[s] % p or w[s + 1] % p) for s in range(n)]
-    keep = np.array([live[mask.bit_count()] for mask in basis], dtype=bool)
-    return signs if keep.all() else signs[:, keep]
+    dead = [s for s in range(min(p - 1, n - 1) + 1)
+            if not (w[s] % p or w[s + 1] % p)]
+    if dead:
+        raise ValueError("no coefficient column at level %d for (n, p, a) = "
+                         "(%d, %d, %d)" % (dead[0], n, p, a))
+    Y = (X[:, 1:] > 0).astype(np.int8)
+    if not ((np.abs(X) == 1).all() and (X[:, 0] == 1).all()
+            and (Y.sum(axis=1) == k).all()):
+        raise ValueError("rows must lie in Sigma(%d)" % n)
+    if p == 2:
+        return np.ones((X.shape[0], 1), dtype=np.int8)
+    e = min(p - 1, k)
+    levels = [t for t in range(e) if (k - t) % p == 0] + [e]
+    basis = monomial_basis(n - 1, e + 1)
+    keep = np.isin([mask.bit_count() for mask in basis], levels)
+    return _monomial_sign_matrix(Y, basis).T[keep].T
 
 
 def residue_value_table(p: int, a: int) -> np.ndarray:
@@ -742,9 +771,14 @@ def certify_bound(
     rank: Optional[int] = None
     rank_columns: Optional[int] = None
     if sigma_size <= _RANK_ROWS_CAP and bound <= _RANK_COLS_CAP:
-        signs = _free_sign_matrix(X, p, a)
-        rank_columns = signs.shape[1]
-        rank = rank_mod_p(signs, p)
+        try:
+            columns = _free_sign_matrix(X, p, a)
+        except ValueError:
+            # a dead level (none at a ranked triple with p < 20000): the
+            # 0/1 columns miss the coefficient span, so rank it directly
+            columns = coefficient_matrix(X, p, a)
+        rank_columns = columns.shape[1]
+        rank = rank_mod_p(columns, p)
 
     violations = property_check_exhaustive(n, p, a)
     checks = [

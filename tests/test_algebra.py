@@ -591,18 +591,21 @@ def test_rank_mod_p_rejects_inexact_prime():
 
 
 def test_rank_mod_p_int8_signs():
-    # certify_bound's rank input: +-1 int8 entries, a transposed
-    # (Fortran-ordered) view as _monomial_sign_matrix returns it, with
-    # 40 columns and 40 rows planted as signed copies of others; p = 419
-    # is the largest prime rank_mod_p runs in float32
+    # int8 matrices read as transposed (Fortran-ordered) views, as
+    # _monomial_sign_matrix returns them: +-1 signs, with 40 columns and
+    # 40 rows planted as signed copies of others, and the 0/1 indicators
+    # certify_bound ranks, with plain copies; p = 419 is the largest
+    # prime rank_mod_p runs in float32
     rng = np.random.default_rng(7)
-    MT = rng.choice(np.array([-1, 1], dtype=np.int8), size=(200, 300))
-    MT[160:] = MT[rng.integers(0, 160, 40)] * rng.choice([-1, 1], (40, 1))
-    MT[:, 260:] = MT[:, rng.integers(0, 260, 40)] * rng.choice([-1, 1], 40)
-    M = MT.T
-    assert M.dtype == np.int8 and not M.flags.c_contiguous
-    for p in (5, 419):
-        assert rank_mod_p(M, p) == _rank_loop(M, p) == 160
+    for values, flips in (([-1, 1], [-1, 1]), ([0, 1], [1])):
+        MT = rng.choice(np.array(values, dtype=np.int8), size=(200, 300))
+        MT[160:] = MT[rng.integers(0, 160, 40)] * rng.choice(flips, (40, 1))
+        MT[:, 260:] = MT[:, rng.integers(0, 260, 40)] * rng.choice(flips, 40)
+        M = MT.T
+        assert M.dtype == np.int8 and not M.flags.c_contiguous
+        assert set(np.unique(M)) == set(values)
+        for p in (5, 419):
+            assert rank_mod_p(M, p) == _rank_loop(M, p) == 160
     assert (418 ** 2 * algebra._PANEL + 2 * 419 < 2 ** 24
             < 420 ** 2 * algebra._PANEL)
 
@@ -615,6 +618,14 @@ def _sigma_sample(n, size, seed):
     for row in X:
         row[1 + rng.choice(n - 1, n // 2 - 1, replace=False)] = 1
     return X
+
+
+# every triple certify_bound ranks with p < 4n: |Sigma(n)| within
+# _RANK_ROWS_CAP (n <= 16), a = 4p - n > 0 and the dimension bound
+# within _RANK_COLS_CAP
+_RANKED = [(n, p, 4 * p - n) for n in (4, 8, 12, 16) for p in range(2, 4 * n)
+           if is_prime(p) and 4 * p > n
+           and dimension_bound(n, p) <= algebra._RANK_COLS_CAP]
 
 
 @pytest.mark.parametrize("n, p, a, zero", [(16, 13, 36, 9), (24, 7, 4, 4)])
@@ -636,16 +647,18 @@ def test_free_sign_matrix_at_zero_weights(n, p, a, zero):
     up = sizes + 1 < p  # S u {1} is in the basis
     cols = [column[mask << 1 | 1] for mask in np.array(free)[up].tolist()]
     assert np.array_equal(C[:, cols], w[sizes[up] + 1] * signs[:, up] % p)
-    live = (w[sizes] != 0) | (w[sizes + 1] != 0)
-    assert np.array_equal(algebra._free_sign_matrix(X, p, a), signs[:, live])
+    assert rank_mod_p(algebra._free_sign_matrix(X, p, a), p) == rank_mod_p(C, p)
 
 
-def test_free_sign_matrix_drops_doubly_zero_levels(monkeypatch):
-    # no triple up to n = 40 has two neighbouring zero weights; planted
-    # at p = 5, w_3 = w_4 = 0 (and w_5 = 0 past the degree) zero both
-    # columns of every S of size 3 and 4, which then go, and the rank
-    # stays that of coefficient_matrix
+def test_free_sign_matrix_refuses_dead_level(monkeypatch):
+    # no ranked triple has two neighbouring zero weights; planted at
+    # p = 5, w_3 = w_4 = 0 (and w_5 = 0 past the degree) zero both
+    # coefficient columns of every S of size 3 and 4, which the 0/1
+    # columns cannot express, so the helper refuses
     weights = algebra._reduced_profile_weights
+    for n, p, a in _RANKED:
+        w = weights(n, p, a)
+        assert all(w[s] or w[s + 1] for s in range(min(p - 1, n - 1) + 1))
 
     def planted(n, p, a):
         w = weights(n, p, a)
@@ -653,29 +666,87 @@ def test_free_sign_matrix_drops_doubly_zero_levels(monkeypatch):
         return w
 
     monkeypatch.setattr(algebra, "_reduced_profile_weights", planted)
-    n, p, a = 12, 5, 8
+    with pytest.raises(ValueError, match="no coefficient column at level 3"):
+        algebra._free_sign_matrix(sigma_matrix(12), 5, 8)
+
+
+def test_free_sign_matrix_refuses_rows_outside_sigma():
+    X = sigma_matrix(8)
+    for bad in (-X, np.roll(X, 1, axis=1)):
+        with pytest.raises(ValueError, match="rows must lie in Sigma"):
+            algebra._free_sign_matrix(bad, 3, 4)
+
+
+def test_free_sign_matrix_p2_is_one_column():
+    # x_j = 1 mod 2, so every +-1 column x_S is the all-ones column and
+    # the coefficient rank is 1; the 0/1 indicators y_j have rank 3 mod 2
+    # at (4, 2, 4), since 2 is not invertible there
+    X = sigma_matrix(4)
+    F = algebra._free_sign_matrix(X, 2, 4)
+    assert F.shape == (3, 1) and (F == 1).all()
+    assert rank_mod_p(F, 2) == rank_mod_p(coefficient_matrix(X, 2, 4), 2) == 1
+    assert rank_mod_p(X[:, 1:] > 0, 2) == 3
+    cert = certify_bound(4, 2, 4, seeds=2)
+    assert cert.rank == cert.rank_columns == 1
+
+
+def test_slice_inclusion_identity():
+    # on every row of Sigma(n), sum_{j not in T} y_{T u {j}} = (k - t) y_T
+    # for |T| = t, k = n/2 - 1, with the 0/1 columns as
+    # _monomial_sign_matrix builds them; t runs over every level below
+    # min(p - 1, k) at each ranked triple, and at n <= 8 up to k, where
+    # it makes level k + 1 vanish
+    for n in (4, 8, 12, 16):
+        k = n // 2 - 1
+        top = min(k, 4)
+        Y = (sigma_matrix(n)[:, 1:] > 0).astype(np.int8)
+        basis = monomial_basis(n - 1, top + 2)
+        index = {mask: j for j, mask in enumerate(basis)}
+        cols = algebra._monomial_sign_matrix(Y, basis).T
+        for mask in basis:
+            t = mask.bit_count()
+            if t > top:
+                break
+            up = sum(cols[index[mask | 1 << j]].astype(np.int64)
+                     for j in range(n - 1) if not mask >> j & 1)
+            assert np.array_equal(up, (k - t) * cols[index[mask]])
+
+
+@pytest.mark.parametrize("n, p, a", _RANKED)
+def test_free_sign_matrix_rank_matches_coefficient_matrix(n, p, a):
     X = sigma_matrix(n)
-    signs = algebra._free_sign_matrix(X, p, a)
-    assert signs.shape == (462, 1 + 11 + binomial(11, 2))
     full = rank_mod_p(coefficient_matrix(X, p, a), p)
-    assert rank_mod_p(signs, p) == full < 330
+    assert rank_mod_p(algebra._free_sign_matrix(X, p, a), p) == full
+
+
+def test_free_sign_matrix_columns_pinned():
+    # columns the rank runs on: level min(p - 1, k) and the levels below
+    # it congruent to k mod p; 1941, 4, 7, 29, 99, 127, 562 and 1486
+    # +-1 columns before, in the order below
+    columns = {(16, 5, 4): 1470, (4, 2, 4): 1, (4, 3, 8): 3, (8, 3, 4): 22,
+               (8, 5, 12): 35, (8, 7, 20): 35, (12, 5, 8): 331,
+               (12, 7, 16): 462}
+    for (n, p, a), count in columns.items():
+        F = algebra._free_sign_matrix(sigma_matrix(n), p, a)
+        assert F.shape == (binomial(n - 1, n // 2 - 1), count)
+        assert F.dtype == np.int8 and set(np.unique(F)) <= {0, 1}
+    assert len(_RANKED) == 19
+    assert dimension_bound(12, 11) > algebra._RANK_COLS_CAP  # (12, 11, 32): no rank
 
 
 def test_rank_of_full_family_frozen():
-    # rank over GF(p) of all reduced polynomials; observed C(n-1, p-1);
-    # the rank on the free coordinates is the same
-    def rank(n, p, a):
-        X = sigma_matrix(n)
-        full = rank_mod_p(coefficient_matrix(X, p, a), p)
-        assert rank_mod_p(algebra._free_sign_matrix(X, p, a), p) == full
-        return full
-
-    assert rank(8, 3, 4) == 21 == binomial(7, 2)
-    assert rank(8, 5, 12) == 35 == binomial(7, 4)
-    assert rank(12, 5, 8) == 330 == binomial(11, 4)
-    assert rank(12, 7, 16) == 462 == binomial(11, 6)
-    assert rank(16, 5, 4) == 1365 == binomial(15, 4)
+    # rank over GF(p) of all reduced polynomials (that of the free
+    # columns, by the test above): C(n-1, min(p-1, n/2-1)) at every odd p
+    rank = {(n, p, a): rank_mod_p(algebra._free_sign_matrix(sigma_matrix(n), p, a), p)
+            for n, p, a in _RANKED}
+    assert rank[8, 3, 4] == 21 == binomial(7, 2)
+    assert rank[8, 5, 12] == 35 == binomial(7, 4)
+    assert rank[12, 5, 8] == 330 == binomial(11, 4)
+    assert rank[12, 7, 16] == 462 == binomial(11, 6)
+    assert rank[16, 5, 4] == 1365 == binomial(15, 4)
     assert 330 <= dimension_bound(12, 5)
+    for (n, p, a), r in rank.items():
+        assert r == (1 if p == 2 else binomial(n - 1, min(p - 1, n // 2 - 1)))
 
 
 def test_coefficient_matrix_matches_symbolic_rows():
@@ -729,6 +800,7 @@ def test_certify_bound_frozen_desk_case():
     assert cert.sigma_size == 462
     assert cert.mis_exact == 210
     assert cert.rank == 330 and cert.rank_full_family
+    assert cert.rank_columns == 331
     assert cert.vacuous  # 794 >= 462
     assert cert.property_violations == 0
     assert cert.verdict
@@ -777,6 +849,9 @@ def test_certify_bound_fails_on_property_violation(monkeypatch):
     monkeypatch.setattr(algebra, "_reduced_profile_weights", perturbed)
     cert = certify_bound(8, 3, 4, seeds=2)
     assert cert.property_violations > 0
+    # w_2 = w_3 = 0 now: the 0/1 columns refuse, and the rank runs on
+    # the coefficient matrix
+    assert cert.rank_columns == cert.bound
     assert cert.rank <= cert.bound and max(cert.family_sizes) <= cert.mis_exact
     assert not cert.verdict
 
