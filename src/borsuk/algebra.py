@@ -32,7 +32,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -381,9 +381,7 @@ def independence_verify(members: np.ndarray, p: int, a: int) -> bool:
     if members.shape[1] - 4 * p != -a:
         raise ValueError("construction relation violated: n - 4p != -a")
     M = evaluation_matrix(members, p, a)
-    off = M.copy()
-    np.fill_diagonal(off, 0)
-    return bool((np.diag(M) != 0).all() and not off.any())
+    return bool(np.diag(M).all() and np.count_nonzero(M) == M.shape[0])
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -561,7 +559,26 @@ def max_avoiding_exact(rows: np.ndarray, forbidden: int) -> int:
 
     The conflict graph on the rows (all of Sigma(n) for the lemma) has an
     edge where a pair attains the forbidden inner product; the answer is
-    its maximum independent set.
+    its maximum independent set.  The incumbent is the best greedy family
+    over the pivot-first orders (rows with x_j = +1 first, for each j; the
+    stars of Erdos-Ko-Rado look like this).  Each node is pruned by its
+    size bound and by the inertia bound of Cvetkovic (1971): an
+    independent set of a graph is at most n0 + min(n+, n-), counting the
+    zero, positive and negative eigenvalues of its adjacency matrix.
+    Otherwise it branches on a vertex of maximum degree, inclusion first.
+
+    The eigenvalues come from float64 eigvalsh, counted against 1e-6, and
+    the bound stays valid.  The solver is backward stable: each computed
+    eigenvalue lies within c(m) 2**-52 ||A|| of a true one (Weyl), c a
+    modest polynomial in the order m and ||A|| at most the maximum degree,
+    far below 1e-6 at the few hundred vertices certify passes.  So a true
+    zero counts as zero, and a nonzero eigenvalue keeps its sign or counts
+    as zero; moving one eigenvalue from n+ or n- to n0 changes
+    n0 + min(n+, n-) by 0 or +1, so a miscount only loosens the bound.
+    The instances certify runs are conflict-free or the Kneser graphs
+    K(7, 3) (n = 8, a = 4) and K(11, 5) (n = 12, a = 8), whose eigenvalues
+    are all nonzero integers (Lovasz, 1979): there the bound is exact, 15
+    and 210, equals the star family, and settles the root node.
     """
     n = rows.shape[1]
     if n > _EXACT_MIS_CAP:
@@ -570,120 +587,28 @@ def max_avoiding_exact(rows: np.ndarray, forbidden: int) -> int:
     np.fill_diagonal(conflict, False)
     if not conflict.any():
         return rows.shape[0]
-    adj = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in conflict]
-    return _mis_bitset(adj, conflict, rows)
-
-
-def _greedy_independent(adj: List[int], order: Sequence[int]) -> int:
-    blocked = 0
-    count = 0
-    for v in order:
-        v = int(v)
-        b = 1 << v
-        if not blocked & b:
-            blocked |= b | adj[v]
-            count += 1
-    return count
-
-
-def _greedy_matching(adj: List[int], alive: int) -> int:
-    m = 0
-    temp = alive
-    while temp:
-        vbit = temp & -temp
-        temp ^= vbit
-        nb = adj[(vbit.bit_length() - 1)] & temp
-        if nb:
-            temp ^= nb & -nb
-            m += 1
-    return m
-
-
-def _mis_bitset(adj: List[int], conflict: np.ndarray, X: np.ndarray) -> int:
-    nv = len(adj)
-    adjf = conflict.astype(np.float64)
-
-    # Incumbents: enumeration order, static degree order, pivot-first
-    # orders (vectors sharing a fixed +1 coordinate first; the extremal
-    # families of intersection type look like this), then seeded shuffles.
-    orders: List[Sequence[int]] = [range(nv)]
-    deg = conflict.sum(axis=1)
-    orders.append(np.argsort(deg, kind="stable"))
-    for j in range(1, X.shape[1]):
-        orders.append(np.argsort(X[:, j] != 1, kind="stable"))
-    for s in range(16):
-        orders.append(np.random.default_rng(s).permutation(nv))
-    best = max(_greedy_independent(adj, order) for order in orders)
-
-    inertia_cache: Dict[int, int] = {}
-
-    def inertia_bound(alive: int) -> int:
-        cached = inertia_cache.get(alive)
-        if cached is not None:
-            return cached
-        idx = []
-        temp = alive
-        while temp:
-            b = temp & -temp
-            idx.append(b.bit_length() - 1)
-            temp ^= b
-        ev = np.linalg.eigvalsh(adjf[np.ix_(idx, idx)])
-        eps = 1e-6
-        n0 = int(np.count_nonzero(np.abs(ev) <= eps))
-        npos = int(np.count_nonzero(ev > eps))
-        nneg = int(np.count_nonzero(ev < -eps))
-        out = n0 + min(npos, nneg)
-        inertia_cache[alive] = out
-        return out
-
-    def solve(alive: int, size: int) -> None:
-        nonlocal best
-        # take isolated and degree-1 vertices outright
-        while True:
-            changed = False
-            temp = alive
-            while temp:
-                vbit = temp & -temp
-                temp ^= vbit
-                if not alive & vbit:
-                    continue
-                nb = adj[vbit.bit_length() - 1] & alive
-                d = nb.bit_count()
-                if d == 0:
-                    alive ^= vbit
-                    size += 1
-                    changed = True
-                elif d == 1:
-                    alive &= ~(vbit | nb)
-                    size += 1
-                    changed = True
-            if not changed:
-                break
-        if alive == 0:
-            if size > best:
-                best = size
-            return
-        cnt = alive.bit_count()
-        if size + cnt <= best:
-            return
-        if size + cnt - _greedy_matching(adj, alive) <= best:
-            return
-        if cnt >= 40 and size + inertia_bound(alive) <= best:
-            return
-        # branch on a maximum-degree vertex, inclusion first
-        vb, vdeg = 0, -1
-        temp = alive
-        while temp:
-            b = temp & -temp
-            temp ^= b
-            d = (adj[b.bit_length() - 1] & alive).bit_count()
-            if d > vdeg:
-                vb, vdeg = b, d
-        v = vb.bit_length() - 1
-        solve(alive & ~(adj[v] | vb), size + 1)
-        solve(alive & ~vb, size)
-
-    solve((1 << nv) - 1, 0)
+    orders = (np.argsort(rows[:, j] != 1, kind="stable") for j in range(n))
+    best = max(len(_greedy_indices(conflict, order)) for order in orders)
+    stack = [(np.arange(rows.shape[0]), 0)]
+    while stack:
+        alive, size = stack.pop()
+        if size + alive.size <= best:
+            continue
+        sub = conflict[np.ix_(alive, alive)]
+        deg = sub.sum(axis=1)
+        if not deg.any():
+            best = size + alive.size
+            continue
+        ev = np.linalg.eigvalsh(sub.astype(np.float64))
+        zero = int(np.count_nonzero(np.abs(ev) <= 1e-6))
+        pos = int(np.count_nonzero(ev > 1e-6))
+        if size + zero + min(pos, ev.size - zero - pos) <= best:
+            continue
+        v = int(np.argmax(deg))
+        keep = ~sub[v]
+        keep[v] = False
+        stack.append((np.delete(alive, v), size))
+        stack.append((alive[keep], size + 1))
     return best
 
 
@@ -734,10 +659,14 @@ def certify_bound(
     must all pass the evaluation-matrix certificate and stay at or below
     the dimension bound, and the exact property count must find no pair
     where the congruence and the polynomial's value disagree; the exact
-    search and the full-family rank join in whenever feasible.
+    search and the full-family rank join in whenever feasible.  The offset
+    a must be at least 4, as in the planner: below it, at n = 12, the
+    exact search meets conflict graphs far harder than K(11, 5).
     """
     if n - 4 * p != -a:
         raise ValueError("construction relation violated: n - 4p != -a")
+    if a < 4:
+        raise ValueError("offset a = %d below 4" % a)
     if not is_prime(p):
         raise ValueError("p = %d is not prime" % p)
     if seeds < 1:
@@ -751,14 +680,11 @@ def certify_bound(
     sizes: List[int] = []
     all_verified = True
     for seed in [None] + list(range(seeds - 1)):
-        if conflict is None:
-            # sampled candidate pool; any greedy-maximal family inside it
-            # is still a genuine avoiding family, which is all the
-            # certificate needs
-            fam = greedy_avoiding_family(
-                X[_family_pool(sigma_size, seed)], forbidden, seed=seed)
-        else:
-            fam = greedy_avoiding_family(X, forbidden, seed=seed, conflict=conflict)
+        # without the pair matrix, a sampled candidate pool; any
+        # greedy-maximal family inside it is still a genuine avoiding
+        # family, which is all the certificate needs
+        rows = X if conflict is not None else X[_family_pool(sigma_size, seed)]
+        fam = greedy_avoiding_family(rows, forbidden, seed=seed, conflict=conflict)
         sizes.append(len(fam))
         if not independence_verify(fam, p, a):
             all_verified = False

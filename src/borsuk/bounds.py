@@ -191,8 +191,6 @@ def growth_exponent(ps: ParamSet) -> float:
     that as a small-instance artifact, not an error.
     """
     lb = lower_bound(ps)
-    if lb.ratio_log.sign <= 0:
-        raise ValueError("count ratio not positive")
     with mp.workprec(PRECISION_BITS):
         scale = mp.mpf(ps.d) ** (mp.mpf(1) / (2 * ps.k))
         return float(lb.ratio_log.log_abs / scale)
@@ -295,10 +293,9 @@ def shrinking_radius_check(d: int, c_phi: float = 6.0) -> ShrinkingRadiusReport:
     if rep.p is None:
         return rep
     cb = count_bound(rep.n, rep.p, d + 2)
-    ratio = cb.ratio_log
     with mp.workprec(PRECISION_BITS):
-        lhs = ratio.log_abs if ratio.sign > 0 else mp.mpf("-inf")
         target = mp.log(mp.mpf(d) + 2)
-    count = CheckRecord("count_ratio", float(lhs), float(target), cb.passes)
-    return replace(rep, checks=rep.checks + (count,), final_ratio_log=ratio,
+    count = CheckRecord("count_ratio", float(cb.ratio_log.log_abs), float(target),
+                        cb.passes)
+    return replace(rep, checks=rep.checks + (count,), final_ratio_log=cb.ratio_log,
                    passes=rep.passes and count.passed)

@@ -1,6 +1,7 @@
 """Residue-product polynomials, multilinear reduction, rank and MIS oracles."""
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -794,6 +795,93 @@ def test_max_avoiding_exact_main_case():
     assert max_avoiding_exact(sigma_matrix(12), -8) == 210
 
 
+# ---------------------------------------------------------------------------
+# brute-force oracle for the exact search: plain recursion, no bounds
+
+
+def _pair_conflicts(rows, forbidden):
+    X = rows.astype(np.int64)
+    C = X @ X.T == forbidden
+    np.fill_diagonal(C, False)
+    return C
+
+
+def _mis_brute(conflict):
+    """Maximum independent set: the lowest vertex is left out or taken."""
+    m = conflict.shape[0]
+    assert m <= 35
+    closed = [(1 << v) | sum(1 << int(j) for j in np.flatnonzero(row))
+              for v, row in enumerate(conflict)]
+
+    @functools.lru_cache(maxsize=None)
+    def mis(alive):
+        if not alive:
+            return 0
+        v = (alive & -alive).bit_length() - 1
+        return max(mis(alive & ~(1 << v)), 1 + mis(alive & ~closed[v]))
+
+    return mis((1 << m) - 1)
+
+
+def _record_eigvalsh(monkeypatch):
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(A):
+        ev = eigvalsh(A)
+        seen.append(ev)
+        return ev
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("forbidden, expected", [(0, 5), (4, 7)])
+def test_max_avoiding_exact_branches_on_sigma8(monkeypatch, forbidden, expected):
+    # the root's inertia bound leaves a gap here, so the search branches
+    X = sigma_matrix(8)
+    assert _mis_brute(_pair_conflicts(X, forbidden)) == expected
+    seen = _record_eigvalsh(monkeypatch)
+    assert max_avoiding_exact(X, forbidden) == expected
+    assert len(seen) > 1
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("forbidden", [-4, 0, 4])
+def test_max_avoiding_exact_matches_brute_force_on_subsets(n, forbidden):
+    X = sigma_matrix(n)
+    rng = np.random.default_rng(100 * n + forbidden)
+    for _ in range(4):
+        size = int(rng.integers(16, min(X.shape[0], 35) + 1))
+        rows = X[np.sort(rng.choice(X.shape[0], size, replace=False))]
+        C = _pair_conflicts(rows, forbidden)
+        assert C.any()
+        assert max_avoiding_exact(rows, forbidden) == _mis_brute(C)
+
+
+def test_max_avoiding_exact_certify_instances_settle_at_root(monkeypatch):
+    # every search certify_bound runs: n <= 12, prime p, a = 4p - n >= 4
+    # (a <= 3n here; past a = n - 4 no pair attains -a at all).  Only
+    # K(7, 3) and K(11, 5) have conflicts, and one eigendecomposition,
+    # of integer eigenvalues, settles each
+    seen = _record_eigvalsh(monkeypatch)
+    searched = []
+    for n in (4, 8, 12):
+        for p in range(2, n + 1):
+            a = 4 * p - n
+            if not is_prime(p) or a < 4:
+                continue
+            seen.clear()
+            mis = max_avoiding_exact(sigma_matrix(n), -a)
+            assert len(seen) <= 1
+            if seen:
+                nearest = np.round(seen[0])
+                assert (nearest != 0).all()
+                assert np.abs(seen[0] - nearest).max() < 1e-9
+                searched.append((n, p, a, mis))
+    assert searched == [(8, 3, 4, 15), (12, 5, 8, 210)]
+
+
 def test_certify_bound_frozen_desk_case():
     cert = certify_bound(12, 5, 8, seeds=8)
     assert cert.bound == 794
@@ -859,3 +947,11 @@ def test_certify_bound_fails_on_property_violation(monkeypatch):
 def test_certify_bound_relation_check():
     with pytest.raises(ValueError, match="n - 4p != -a"):
         certify_bound(12, 5, 4)
+
+
+@pytest.mark.parametrize("p, a", [(3, 0), (2, -4)])
+def test_certify_bound_refuses_offset_below_4(p, a):
+    # n - 4p = -a holds with p prime; the exact search on Sigma(12) at
+    # these offsets ran for minutes
+    with pytest.raises(ValueError, match="offset a = %d below 4" % a):
+        certify_bound(12, p, a)

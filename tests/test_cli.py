@@ -122,6 +122,23 @@ def test_certify_composite_p_exits_2_at_once(capsys, monkeypatch):
     assert "p = 4 is not prime" in err
 
 
+@pytest.mark.parametrize("p, a", [("3", "0"), ("2", "-4")])
+def test_certify_offset_below_4_exits_2_at_once(capsys, monkeypatch, p, a):
+    # n - 4p = -a holds and p is prime, yet the exact search at these
+    # offsets ran for minutes at n = 12; the offset is refused first
+    from borsuk import algebra
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("Sigma work ran before the offset check")
+
+    monkeypatch.setattr(algebra, "sigma_matrix", no_work)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["certify", "--n", "12", "--p", p, "--a", a])
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert "offset a = %s below 4" % a in err
+
+
 def test_certify_partial_overrides_error(capsys):
     code, _, err = _run(capsys, ["certify", "--n", "12", "--p", "5"])
     assert code == 2
