@@ -24,7 +24,10 @@ are spanned by one top level of 0/1 subset indicators and the levels
 congruent to k mod p (the inclusion matrices of Frankl & Wilson,
 Combinatorica 1, 1981).  The coefficient rank is taken on those
 columns (_free_sign_matrix, whose docstring proves the ranks equal):
-1470 columns in place of 2517 at n = 16.
+1470 columns in place of 2517 at n = 16.  Over Q their rank is at most
+C(n-1, e), e = min(p-1, k), so evenly spaced rows whose GF(p) rank
+reaches it decide the full rank (_slice_rank): C(n-1, e) + 8 rows, 1373
+of 6435 at n = 16, with a fall-back to all rows.
 """
 
 from __future__ import annotations
@@ -41,11 +44,14 @@ from .construction import sigma_matrix
 
 # Full-family rank elimination is O(rows * cols * rank); these caps keep it
 # to a few seconds.  The column cap applies to the dimension bound, the
-# coefficient matrix's column count, though the rank runs on fewer
-# (_free_sign_matrix; n=16 is 6435 x 1470 and takes under one).  Above
-# them the sampled-family certificates carry the evidence instead.
+# coefficient matrix's column count, though the rank runs on fewer columns
+# (_free_sign_matrix) and, when they reach the slice bound, on fewer rows
+# (_slice_rank; n=16 decides on 1373 x 1470 in place of 6435 x 1470).
+# Above them the sampled-family certificates carry the evidence instead.
 _RANK_ROWS_CAP = 8000
 _RANK_COLS_CAP = 4000
+# rows past the slice bound that _slice_rank ranks first
+_SLICE_SPARE = 8
 
 # float32 and float64 hold every integer of magnitude up to these
 _EXACT32 = 2 ** 24
@@ -239,6 +245,38 @@ def _free_sign_matrix(X: np.ndarray, p: int, a: int) -> np.ndarray:
     return _monomial_sign_matrix(Y, basis).T[keep].T
 
 
+def _slice_rank_bound(n: int, p: int) -> int:
+    """C(n-1, e), a bound on the rank of _free_sign_matrix(X, p, a) mod p.
+
+    e = min(p - 1, k), k = n/2 - 1, and 1 for p = 2, whose matrix is one
+    column.  For p odd, step 4 of _free_sign_matrix holds over Q too,
+    with (k - t) y_T = sum_{j not in T} y_{T u {j}}, and k - t > 0 for
+    every chosen level t < e <= k.  So each chosen column below level e
+    lies in the Q-span of the C(n-1, e) columns of level e.  The GF(p)
+    rank of an integer matrix is at most its rank over Q (every larger
+    minor is the integer 0, so 0 mod p), and a row subset's at most the
+    full matrix's.
+    """
+    return 1 if p == 2 else binomial(n - 1, min(p - 1, n // 2 - 1))
+
+
+def _slice_rank(columns: np.ndarray, p: int, bound: int) -> Tuple[int, int]:
+    """(GF(p) rank, rows ranked) of columns whose full rank is at most bound.
+
+    First ranks bound + _SLICE_SPARE evenly spaced rows (no randomness):
+    if they reach bound, so does the whole matrix, and that is its rank.
+    Otherwise, or when the subset would be every row, ranks all rows.
+    bound must hold, as _slice_rank_bound does for _free_sign_matrix.
+    """
+    m = columns.shape[0]
+    count = bound + _SLICE_SPARE
+    if count < m:
+        rank = rank_mod_p(columns[np.arange(count) * m // count], p)
+        if rank == bound:
+            return rank, count
+    return rank_mod_p(columns, p), m
+
+
 def residue_value_table(p: int, a: int) -> np.ndarray:
     """q[s] = prod_{i != -a mod p} (i - s) mod p for s in 0..p-1.
 
@@ -260,12 +298,23 @@ def evaluation_matrix(members: np.ndarray, p: int, a: int) -> np.ndarray:
     """M[i, j] = reduced polynomial of row i evaluated at row j, mod p.
 
     Uses the evaluation identity through the Gram matrix, an independent
-    route from the coefficient expansion.
+    route from the coefficient expansion.  The Gram is one float32
+    product, exact since every entry is an integer of magnitude at most
+    n < 2**24; shifted by n it indexes the values of every dot in [-n, n],
+    reduced mod p in Python integers.  The index and the result take the
+    narrowest unsigned dtypes that hold them (uint16 and uint8 for
+    certify), so no |F|^2 int64 array is formed.
     """
-    X = np.asarray(members, dtype=np.int64)
+    X = np.asarray(members, dtype=np.float32)
+    n = X.shape[1]
+    if n >= _EXACT32:
+        raise ValueError("vector length %d too large for an exact float32 Gram" % n)
     table = residue_value_table(p, a)
-    G = X @ X.T
-    return table[G % p]
+    values = np.array([table[dot % p] for dot in range(-n, n + 1)],
+                      dtype=np.min_scalar_type(p - 1))
+    index = np.empty((X.shape[0], X.shape[0]), dtype=np.min_scalar_type(2 * n))
+    np.add(X @ X.T, n, out=index, casting="unsafe")
+    return values[index]
 
 
 def property_check_exhaustive(n: int, p: int, a: int) -> int:
@@ -629,7 +678,9 @@ class LemmaCertificate:
     mis_exact: Optional[int]   # exact max avoiding family, desk scale only
     rank: Optional[int]        # rank of the full polynomial family
     rank_columns: Optional[int]  # columns the rank ran on, free coordinates
-    rank_full_family: bool     # rank column computed over all of Sigma
+    rank_rows: Optional[int]   # rows the deciding rank ran on
+    rank_full_family: bool     # rank is that of all of Sigma; a row subset
+                               # certifies it by reaching the slice bound
     family_sizes: Tuple[int, ...]
     vacuous: bool              # bound at or above |Sigma|: nothing to prune
     property_violations: int   # pairs breaking congruence iff nonzero value
@@ -696,15 +747,21 @@ def certify_bound(
 
     rank: Optional[int] = None
     rank_columns: Optional[int] = None
+    rank_rows: Optional[int] = None
+    slice_bound: Optional[int] = None
     if sigma_size <= _RANK_ROWS_CAP and bound <= _RANK_COLS_CAP:
         try:
             columns = _free_sign_matrix(X, p, a)
         except ValueError:
             # a dead level (none at a ranked triple with p < 20000): the
-            # 0/1 columns miss the coefficient span, so rank it directly
+            # 0/1 columns miss the coefficient span, so rank it directly,
+            # on all rows, as no bound over Q is known for it
             columns = coefficient_matrix(X, p, a)
+            rank, rank_rows = rank_mod_p(columns, p), sigma_size
+        else:
+            slice_bound = _slice_rank_bound(n, p)
+            rank, rank_rows = _slice_rank(columns, p, slice_bound)
         rank_columns = columns.shape[1]
-        rank = rank_mod_p(columns, p)
 
     violations = property_check_exhaustive(n, p, a)
     checks = [
@@ -714,6 +771,7 @@ def certify_bound(
         mis is None or mis <= bound,
         mis is None or max(sizes) <= mis,
         rank is None or rank <= bound,
+        slice_bound is None or rank == slice_bound,
     ]
     return LemmaCertificate(
         n=n,
@@ -725,6 +783,7 @@ def certify_bound(
         mis_exact=mis,
         rank=rank,
         rank_columns=rank_columns,
+        rank_rows=rank_rows,
         rank_full_family=rank is not None,
         family_sizes=tuple(sizes),
         vacuous=bound >= sigma_size,

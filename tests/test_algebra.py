@@ -330,6 +330,27 @@ def test_evaluation_matrix_structure():
     assert not off.any()
 
 
+# the eight certify triples of the desk: a = 4p - n, prime p < 50, 4 <= a <= 3n
+_DESK = [(4, 2, 4), (4, 3, 8), (8, 3, 4), (8, 5, 12), (8, 7, 20), (12, 5, 8),
+         (12, 7, 16), (12, 11, 32)]
+
+
+@pytest.mark.parametrize("n, p, a", _DESK)
+def test_evaluation_matrix_matches_int64_route(n, p, a):
+    # the narrow float32 Gram and dot-value table against the int64 Gram
+    # reduced mod p and looked up in the residue table, on all of Sigma(n)
+    # and on the greedy family certify builds first
+    X = sigma_matrix(n)
+    fam = greedy_avoiding_family(X, -a)
+    for rows in (X, fam):
+        X64 = rows.astype(np.int64)
+        want = residue_value_table(p, a)[(X64 @ X64.T) % p]
+        got = evaluation_matrix(rows, p, a)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+    assert independence_verify(fam, p, a) == (p != 2)
+
+
 def test_evaluation_certificate_rejects_forbidden_pair():
     X = sigma_matrix(12)
     G = sigma_gram(12)
@@ -735,6 +756,48 @@ def test_free_sign_matrix_columns_pinned():
     assert dimension_bound(12, 11) > algebra._RANK_COLS_CAP  # (12, 11, 32): no rank
 
 
+@pytest.mark.parametrize("n, p, a", _RANKED)
+def test_subset_rank_matches_full_rows(n, p, a):
+    # the certificate's rank, decided on evenly spaced rows when they
+    # reach the slice bound, against rank_mod_p on all rows
+    cert = certify_bound(n, p, a, seeds=1)
+    X = sigma_matrix(n)
+    full = rank_mod_p(algebra._free_sign_matrix(X, p, a), p)
+    assert cert.rank == full == algebra._slice_rank_bound(n, p)
+    assert cert.rank_rows == min(full + algebra._SLICE_SPARE, cert.sigma_size)
+    assert cert.rank_full_family and cert.verdict == (p != 2)
+
+
+def test_slice_rank_falls_back_to_all_rows():
+    # slice columns at (12, 5, 8), rank 330, laid out so that the evenly
+    # spaced rows _slice_rank takes first are all copies of one row: they
+    # fall short of the bound, and the rank comes from every row
+    F = algebra._free_sign_matrix(sigma_matrix(12), 5, 8)
+    bound = algebra._slice_rank_bound(12, 5)
+    count = bound + algebra._SLICE_SPARE
+    m = count + F.shape[0]
+    chosen = np.arange(count) * m // count
+    planted = np.empty((m, F.shape[1]), dtype=F.dtype)
+    planted[chosen] = F[0]
+    planted[np.setdiff1d(np.arange(m), chosen)] = F
+    assert rank_mod_p(planted[chosen], 5) == 1
+    assert algebra._slice_rank(planted, 5, bound) == (330, m)
+    # the unplanted columns decide on the subset
+    assert algebra._slice_rank(F, 5, bound) == (330, count)
+
+
+def test_certify_bound_fails_when_rank_misses_slice_bound(monkeypatch):
+    # rank == C(n-1, e) can fail: against a bound one too high, the
+    # evenly spaced rows fall short, all 462 rows are ranked and still
+    # give 330, so the verdict is false
+    true_bound = algebra._slice_rank_bound
+    monkeypatch.setattr(algebra, "_slice_rank_bound",
+                        lambda n, p: true_bound(n, p) + 1)
+    cert = certify_bound(12, 5, 8, seeds=2)
+    assert cert.rank == 330 and cert.rank_rows == cert.sigma_size == 462
+    assert cert.property_violations == 0 and not cert.verdict
+
+
 def test_rank_of_full_family_frozen():
     # rank over GF(p) of all reduced polynomials (that of the free
     # columns, by the test above): C(n-1, min(p-1, n/2-1)) at every odd p
@@ -889,6 +952,7 @@ def test_certify_bound_frozen_desk_case():
     assert cert.mis_exact == 210
     assert cert.rank == 330 and cert.rank_full_family
     assert cert.rank_columns == 331
+    assert cert.rank_rows == 338  # C(11, 4) + 8 evenly spaced rows of 462
     assert cert.vacuous  # 794 >= 462
     assert cert.property_violations == 0
     assert cert.verdict
@@ -938,8 +1002,9 @@ def test_certify_bound_fails_on_property_violation(monkeypatch):
     cert = certify_bound(8, 3, 4, seeds=2)
     assert cert.property_violations > 0
     # w_2 = w_3 = 0 now: the 0/1 columns refuse, and the rank runs on
-    # the coefficient matrix
+    # the coefficient matrix, over all rows, as it has no slice bound
     assert cert.rank_columns == cert.bound
+    assert cert.rank_rows == cert.sigma_size
     assert cert.rank <= cert.bound and max(cert.family_sizes) <= cert.mis_exact
     assert not cert.verdict
 

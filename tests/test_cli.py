@@ -102,6 +102,10 @@ def test_certify_with_overrides(capsys):
     assert doc["vacuous"] is True
     assert doc["property_violations"] == "0"
     assert list(doc)[-2:] == ["property_violations", "verdict"]
+    keys = list(doc)
+    assert keys[keys.index("rank_columns"):][:3] == [
+        "rank_columns", "rank_rows", "rank_full_family"]
+    assert doc["rank_rows"] == "338"
 
 
 def test_certify_composite_p_exits_2_at_once(capsys, monkeypatch):
