@@ -210,7 +210,10 @@ def _free_sign_matrix(X: np.ndarray, p: int, a: int) -> np.ndarray:
        y_S and w[|S|+1] x_S at y_{S u {1}}, since x_1 = +1.  With every
        level s <= d live they span exactly span{x_S : |S| <= d}.  A dead
        level would drop its x_S and break steps 2-4, so it raises
-       ValueError; no triple certify_bound ranks with p < 20000 has one.
+       ValueError.  certify_bound meets none: for p > 2n the product is
+       -[z = all ones] on the cube (Wilson's theorem; -a = n mod p and
+       |sum z| <= n < p/2), so every w[s] = -2^-n mod p, and the ranked
+       triples with p <= 2n, all at n <= 16, are scanned in the tests.
     2. p = 2: x_j = 1 mod 2, so every x_S is the all-ones column.
     3. p odd: x_S = prod_{j in S} (2 y_j - 1)
        = sum_{T within S} 2^|T| (-1)^|S - T| y_T, a triangular change of
@@ -745,22 +748,11 @@ def certify_bound(
     if n <= _EXACT_MIS_CAP:
         mis = max_avoiding_exact(X, forbidden)
 
-    rank: Optional[int] = None
-    rank_columns: Optional[int] = None
-    rank_rows: Optional[int] = None
-    slice_bound: Optional[int] = None
+    rank = rank_columns = rank_rows = slice_bound = None
     if sigma_size <= _RANK_ROWS_CAP and bound <= _RANK_COLS_CAP:
-        try:
-            columns = _free_sign_matrix(X, p, a)
-        except ValueError:
-            # a dead level (none at a ranked triple with p < 20000): the
-            # 0/1 columns miss the coefficient span, so rank it directly,
-            # on all rows, as no bound over Q is known for it
-            columns = coefficient_matrix(X, p, a)
-            rank, rank_rows = rank_mod_p(columns, p), sigma_size
-        else:
-            slice_bound = _slice_rank_bound(n, p)
-            rank, rank_rows = _slice_rank(columns, p, slice_bound)
+        columns = _free_sign_matrix(X, p, a)
+        slice_bound = _slice_rank_bound(n, p)
+        rank, rank_rows = _slice_rank(columns, p, slice_bound)
         rank_columns = columns.shape[1]
 
     violations = property_check_exhaustive(n, p, a)

@@ -7,10 +7,10 @@ then gives
     parts needed >= |Sigma| / sum_{i<p} C(n, i).
 
 The construction succeeds at dimension d once that ratio beats d+1 (d+2
-in the shrinking-radius regime).  This module evaluates the ratio exactly
-at desk scale and in log space always, locates the first dimension where
-it wins, extracts the asymptotic growth base, and closes the recorded
-shrinking-radius chain of params.shrinking_chain with the count ratio.
+in the shrinking-radius regime).  This module prints the ratio's log, and
+decides it in exact integers or, through _count_verdict, from proven float64
+enclosures; it locates the first dimension where the ratio wins, extracts the
+growth base, and closes params.shrinking_chain with the count ratio.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from mpmath import mp
 
 from .exactnum import (
     PRECISION_BITS,
+    FixedPointTail,
     LogReal,
     binomial,
     binomial_tail_sum,
@@ -54,7 +55,7 @@ class CountBound:
     numerator/denominator are exact integers when n is small enough to
     expand them (n <= 10^4); ratio_log always carries the value.  passes
     compares the ratio against threshold = d+1: exactly at n <= 10^4,
-    beyond that from ratio_log when its error bound allows, else exactly.
+    beyond that from proven float64 enclosures, else exactly.
     """
 
     numerator: Optional[int]
@@ -64,29 +65,22 @@ class CountBound:
     passes: bool
 
 
-def _log_verdict(ratio_log: LogReal, n: int, threshold: int) -> Optional[bool]:
-    """ratio > threshold from count_bound's ratio_log, or None if too close.
+def _count_verdict(num: Tuple[float, float], den: Tuple[float, float],
+                   threshold: int) -> Optional[bool]:
+    """Whether num/den > threshold, or None if the bounds cannot tell.
 
-    ratio_log is ln C(n-1, n/2-1) - ln C(n, top) - ln(T), T the
-    fixed-point sum of log_binomial_tail_sum.  It is six mpmath loggamma
-    values at arguments up to n+1, each at most B = (n+1)(ln(n+1) + 1) in
-    size, one log of T * 2^e (at most n ln 2 <= B) and seven 120-bit
-    subtractions.  Taking each mpmath loggamma and log within 2^-110 of
-    itself in relative error (1024 ulps at 120 bits), the sum is off by
-    at most 7 * 2^-110 B + 7 * 2^-120 * 3B; T's relative error below
-    2^-152 adds 2^-151, rounding T to 120 bits 2^-120, and ln(threshold)
-    is off by 2^-110 of itself.  All of it is below
-    err = 2^-100 (B + ln threshold), and the verdict is taken from the log
-    only when the gap to ln threshold exceeds err.
+    num and den are (lo, hi) floats around ln num and ln den (den's hi may
+    be inf), and slack covers math.log(threshold)'s error, 2^-49 (ln + 1)
+    (exactnum._enclose).  math.fsum rounds the exact sum once, and a nonzero
+    sum of floats is at least the least subnormal: each sign is a proof.
     """
-    if threshold < 1:
-        return True  # a positive ratio beats it
-    with mp.workprec(PRECISION_BITS):
-        gap = ratio_log.log_abs - mp.log(threshold)
-    err = 2.0 ** -100 * ((n + 1) * (math.log(n + 1) + 1) + math.log(threshold))
-    if abs(gap) <= err:
-        return None
-    return gap > 0
+    ln_t = math.log(threshold)
+    slack = 2.0 ** -48 * (ln_t + 1)
+    if math.fsum((num[1], -den[0], -ln_t, slack)) <= 0:
+        return False
+    if math.fsum((num[0], -den[1], -ln_t, -slack)) > 0:
+        return True
+    return None
 
 
 def count_bound(n: int, p: int, threshold: int) -> CountBound:
@@ -94,31 +88,28 @@ def count_bound(n: int, p: int, threshold: int) -> CountBound:
 
     Exact integers at desk scale, log space beyond; the two routes agree
     wherever both exist and the exact one decides passes when available.
-    Beyond desk scale passes comes from ratio_log when its stated error
-    bound (_log_verdict) decides it, and from exact integers otherwise.
+    Beyond it, _count_verdict decides passes from log_binomial_bounds and
+    FixedPointTail.log_bounds (the fixed-point sum of ratio_log), and exact
+    integers only what those proven float64 enclosures leave.
     """
     if n < 4 or n % 4 != 0:
         raise ValueError("n must be a positive multiple of 4")
     if p < 1:
         raise ValueError("p must be positive")
-    ratio_log = log_binomial(n - 1, n // 2 - 1) / log_binomial_tail_sum(n, p)
+    if threshold < 1:
+        raise ValueError("threshold must be at least 1, got %d" % threshold)
+    tail = FixedPointTail(n, p)
+    ratio_log = log_binomial(n - 1, n // 2 - 1) / tail.log()
+    num = den = None
     if n <= _EXACT_N_CAP:
-        num = binomial(n - 1, n // 2 - 1)
-        den = binomial_tail_sum(n, p)
+        num, den = binomial(n - 1, n // 2 - 1), binomial_tail_sum(n, p)
         passes = num > den * threshold
     else:
-        num = None
-        den = None
-        passes = _log_verdict(ratio_log, n, threshold)
+        passes = _count_verdict(log_binomial_bounds(n - 1, n // 2 - 1),
+                                tail.log_bounds(), threshold)
         if passes is None:
             passes = binomial(n - 1, n // 2 - 1) > binomial_tail_sum(n, p) * threshold
-    return CountBound(
-        numerator=num,
-        denominator=den,
-        ratio_log=ratio_log,
-        threshold=threshold,
-        passes=passes,
-    )
+    return CountBound(num, den, ratio_log, threshold, passes)
 
 
 def lower_bound(ps: ParamSet) -> CountBound:
@@ -216,21 +207,6 @@ class D0Result:
     full_evaluations: int
 
 
-def _walk_rejects(n: int, p: int, k: int) -> bool:
-    """True only if C(n-1, n/2-1) <= (d+1) * sum_{i<p} C(n, i), d = n^(2k)+1.
-
-    The float enclosures of exactnum bound the left side's log from above
-    and the sum's from below; ln(d+1) > 2k ln n, and the factor 1 - 2^-48
-    covers the 2^-50 of math.log and the two roundings of the product, so
-    ln_d_lo < ln(d+1).  fsum gives the sign of the exact sum of the three
-    floats, so a True here is a proof.
-    """
-    num_hi = log_binomial_bounds(n - 1, n // 2 - 1)[1]
-    den_lo = log_binomial_tail_lower(n, p)
-    ln_d_lo = 2 * k * math.log(n) * (1 - 2.0 ** -48)
-    return math.fsum((num_hi, -den_lo, -ln_d_lo)) <= 0
-
-
 def find_d0(r: float) -> D0Result:
     """Least d with lower_bound(plan_fixed(r, d)) > d+1, by grid walk.
 
@@ -241,11 +217,12 @@ def find_d0(r: float) -> D0Result:
     is therefore the least passing d overall.  The profile (rsq, k, a0)
     depends on r alone, so it is solved once, as plan_fixed solves it.
 
-    Each step first tries _walk_rejects, a float64 enclosure with a
-    proven margin (Robbins' bounds on ln C(n-1, n/2-1), a geometric lower
-    bound on the tail sum): it rejects only steps whose ratio provably
-    stays at or below d+1, so no passing step is skipped.  Every other
-    step is a full evaluation, the validated ParamSet and lower_bound.
+    Each step first tries _count_verdict on closed-form float64
+    enclosures with a proven margin (Robbins' bounds on ln C(n-1, n/2-1),
+    the geometric lower bound log_binomial_tail_lower on the tail sum): it
+    rejects only steps whose ratio provably stays at or below d+1, so no
+    passing step is skipped.  Every other step is a full evaluation, the
+    validated ParamSet and lower_bound.
     """
     rsq, k, a0 = fixed_profile(r)
     n = 8
@@ -256,7 +233,8 @@ def find_d0(r: float) -> D0Result:
             raise CheckFailed("no d0 found below cap %d" % _D0_SCAN_CAP)
         _, p = choose_a(a0, n)
         steps += 1
-        if _walk_rejects(n, p, k):
+        num = log_binomial_bounds(n - 1, n // 2 - 1)
+        if _count_verdict(num, (log_binomial_tail_lower(n, p), math.inf), d + 1) is False:
             n += 4
             continue
         evaluations += 1

@@ -184,6 +184,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if args.n is not None or args.p is not None:
         if None in (args.n, args.p, args.d):
             raise ValueError("raw mode needs --n, --p and --d together")
+        if args.d < 1:
+            raise ValueError("--d must be at least 1, got %d" % args.d)
         cb = bounds.count_bound(args.n, args.p, args.d + 1)
         _emit({"bound": _jsonable(cb)}, args)
         return EXIT_OK if cb.passes else EXIT_CHECK_FAILED

@@ -4,9 +4,9 @@ Exact counts are plain Python ints and exact ratios are fractions.Fraction,
 both arbitrary precision out of the box.  Quantities too large to
 materialize (binomial ratios at dimensions like 10**18) are mirrored in
 log space by LogReal, which stores ln|x| as an mpmath float with well
-over 80 bits of mantissa plus a sign flag.  log_binomial_bounds and
-log_binomial_tail_lower enclose the same logs in float64 with a proven
-margin, for comparisons that need no more than that.
+over 80 bits of mantissa plus a sign flag, for printing.  Verdicts take
+float64 enclosures with a proven margin: log_binomial_bounds,
+log_binomial_tail_lower and FixedPointTail.log_bounds.
 """
 
 from __future__ import annotations
@@ -139,8 +139,11 @@ def log_binomial(n: int, k: int) -> LogReal:
     return LogReal.from_log(val, 1)
 
 
-def log_binomial_tail_sum(n: int, p: int) -> LogReal:
-    """ln of S = sum of C(n, i) for i < p, from a fixed-point integer sum.
+class FixedPointTail:
+    """S = sum of C(n, i) for i < p as C(n, top) * total * 2^exponent.
+
+    __init__ sums it in fixed point; log gives ln S at 120 bits, for
+    printing, and log_bounds float64 bounds on it, for verdicts.
 
     With top = min(p-1, n), S = C(n, top) * sum_i C(n, i)/C(n, top).  The
     ratios are summed downward from i = top in plain integers with unit
@@ -149,8 +152,7 @@ def log_binomial_tail_sum(n: int, p: int) -> LogReal:
     and adds t to total.  While the ratio exceeds 1 (only when p-1 > n/2)
     t grows; once it reaches 2^(b+1), t and total are shifted right by the
     same amount and the shift is kept as an exponent.  The loop stops when
-    t reaches 0.  Then S ~ C(n, top) * total * 2^(shift-b), and one
-    log_binomial and one log give the result.
+    t reaches 0.  Then S ~ C(n, top) * total * 2^(shift-b) from below.
 
     Error bound: the computed sum is a lower bound on S with relative
     error below (n+2)^2 * 2^-b <= 2^-(PRECISION_BITS+32).  Let
@@ -172,47 +174,71 @@ def log_binomial_tail_sum(n: int, p: int) -> LogReal:
     Over at most n steps the loss is below (n^2 + 2n) * 2^-b of the start.
     Once t is 0 it stays 0 with no further loss, so the dropped tail is
     already counted, and at the end F = 2^shift * total, the computed
-    sum.  The two logs then add only mpmath's 120-bit rounding.
+    sum.
     """
-    if n < 0 or p < 1:
-        raise ValueError("invalid binomial tail: n=%r p=%r" % (n, p))
-    top = min(p - 1, n)
-    bits = PRECISION_BITS + 32 + 2 * (n + 2).bit_length()
-    t = total = 1 << bits
-    shift = 0
-    for i in range(top, 0, -1):
-        t = t * i // (n - i + 1)
-        if not t:
-            break
-        total += t
-        excess = t.bit_length() - bits - 1
-        if excess > 0:
-            t >>= excess
-            total >>= excess
-            shift += excess
-    with mp.workprec(PRECISION_BITS):
-        val = log_binomial(n, top).log_abs + mp.log(mp.ldexp(total, shift - bits))
-    return LogReal.from_log(val, 1)
+
+    def __init__(self, n: int, p: int) -> None:
+        if n < 0 or p < 1:
+            raise ValueError("invalid binomial tail: n=%r p=%r" % (n, p))
+        top = min(p - 1, n)
+        bits = PRECISION_BITS + 32 + 2 * (n + 2).bit_length()
+        t = total = 1 << bits
+        shift = 0
+        for i in range(top, 0, -1):
+            t = t * i // (n - i + 1)
+            if not t:
+                break
+            total += t
+            excess = t.bit_length() - bits - 1
+            if excess > 0:
+                t >>= excess
+                total >>= excess
+                shift += excess
+        self.n, self.top, self.total, self.exponent = n, top, total, shift - bits
+
+    def log(self) -> LogReal:
+        """ln S at 120 bits, for printing."""
+        with mp.workprec(PRECISION_BITS):
+            val = (log_binomial(self.n, self.top).log_abs
+                   + mp.log(mp.ldexp(self.total, self.exponent)))
+        return LogReal.from_log(val, 1)
+
+    def log_bounds(self) -> Tuple[float, float]:
+        """(lo, hi) floats with lo <= ln S <= hi, for verdicts.
+
+        _enclose sums the Robbins terms of ln C(n, top) (n < 2^1000),
+        log(total), within 2^-49 (|t| + 1) of ln total and so, as total's
+        error is below 2^-152, within 2^-48 (|t| + 1) of the exact log, and
+        exponent * log(2), within 2u + 2^-50.  The width is below 1/(48 k^2),
+        k = min(top, n - top), plus the margin: 1.4e-9 nats at (11504, 5273).
+        """
+        k = min(self.top, self.n - self.top)
+        rest = [math.log(self.total), self.exponent * math.log(2)]
+        return (_enclose(_robbins_terms(self.n, k, False) + rest)[0],
+                _enclose(_robbins_terms(self.n, k, True) + rest)[1])
+
+
+def log_binomial_tail_sum(n: int, p: int) -> LogReal:
+    """ln of sum_{i<p} C(n, i) at 120 bits, from FixedPointTail."""
+    return FixedPointTail(n, p).log()
 
 
 # ln(2 pi)/2, rounded to the nearest float64
 _HALF_LN_2PI = 0.9189385332046727
 
-# every integer below this is a float64, so n, k and n-k convert exactly
-_FLOAT_INT_LIMIT = 1 << 53
-
-
 def _enclose(terms: Sequence[float]) -> Tuple[float, float]:
     """(lo, hi) around the exact sum of the reals that terms approximate.
 
-    The float error argument of log_binomial_bounds and
-    log_binomial_tail_lower.  It rests on IEEE 754 double arithmetic, where
-    +, -, *, / and Python's int/int true division are correctly rounded
-    (relative error below u = 2^-53) and math.fsum returns the exact sum of
-    its inputs rounded once, and on one assumption about the C library:
-    math.log, math.log1p and math.expm1 are within 2^-50 relative error of
-    the exact value, 4 ulps, where common libms document 1
-    (tests/test_exactnum.py samples it against mpmath).
+    The float error argument of every enclosure here.  It rests on IEEE
+    754 double arithmetic, where +, -, *, / and Python's int/int true
+    division are correctly rounded (relative error below u = 2^-53), as is
+    an int converted to float (also in int * float), and math.fsum returns
+    the exact sum of its inputs rounded once, and on one assumption about
+    the C library: math.log, math.log1p and math.expm1 are within 2^-50
+    relative error of the exact value, 4 ulps, where common libms document
+    1.  So math.log of an int m is within 2^-49 (ln m + 1): CPython rounds
+    m to float below 2^1024 and adds e ln 2 to the log of its mantissa
+    above (tests/test_exactnum.py samples all of it against mpmath).
 
     Each term t' must be within 2^-48 * (|t| + 1) of its exact value t.
     With N terms and X = sum(|t'| + 1), that gives
@@ -229,7 +255,7 @@ def _enclose(terms: Sequence[float]) -> Tuple[float, float]:
 
 
 def _robbins_terms(n: int, k: int, upper: bool) -> List[float]:
-    """Float terms of a bound on ln C(n, k), for 1 <= k <= n/2, n < 2^53.
+    """Float terms of a bound on ln C(n, k), for k <= n/2, n < 2^1000.
 
     Robbins (Amer. Math. Monthly 62, 1955): for j >= 1,
     ln j! = (j + 1/2) ln j - j + ln(2 pi)/2 + theta_j with
@@ -243,9 +269,15 @@ def _robbins_terms(n: int, k: int, upper: bool) -> List[float]:
     _enclose asks: the fractions are one correctly rounded division; x
     is rounded once (u), and as x <= 1/2, ln x and ln(1 - x) are at least
     ln 2 and x in size, so that rounding moves ln x by at most 1.01u/ln 2
-    and log1p(-x) by at most 2.02u of itself; add 2^-50 for the libm call
-    and u for the product, and 2^-50 + 3.03u < 2^-49.
+    and log1p(-x) by at most 2.02u of itself; add 2^-50 for the libm call,
+    u for k or m rounded to float (exact below 2^53) and u for the product:
+    2^-50 + 4.03u < 2^-49, and log(k) is within 2^-49 (ln k + 1).  k = 0
+    needs no terms.
     """
+    if not k:
+        return []
+    if n >= 1 << 1000:  # keeps every conversion finite and every ratio normal
+        raise ValueError("float enclosure needs n < 2^1000: n=%d" % n)
     m = n - k
     x = k / n
     ln_rest = math.log1p(-x)
@@ -261,15 +293,11 @@ def log_binomial_bounds(n: int, k: int) -> Tuple[float, float]:
     The lower and upper Robbins bounds of _robbins_terms, each summed by
     _enclose, whose margin covers the float error.  The width is about
     2^-43 * (ln C(n, k) + ln n) plus 1/(48 k^2) for k <= n/2.  Needs
-    n < 2^53.
+    n < 2^1000 unless k is 0 or n.
     """
     if n < 0 or k < 0 or k > n:
         raise ValueError("invalid binomial: C(%r, %r)" % (n, k))
-    if n >= _FLOAT_INT_LIMIT:
-        raise ValueError("float enclosure needs n < 2^53: n=%d" % n)
     k = min(k, n - k)
-    if k == 0:
-        return 0.0, 0.0
     return (_enclose(_robbins_terms(n, k, False))[0],
             _enclose(_robbins_terms(n, k, True))[1])
 
@@ -287,10 +315,11 @@ def log_binomial_tail_lower(n: int, p: int) -> float:
     where ln rho and ln(1 - rho) = ln(c/b) are taken as log and log1p of
     whichever of a/b and c/b is at most 1/2.  As in _robbins_terms each
     is then within 2^-49 of itself, and so is -ln(1 - rho).  The product
-    (m+1) ln rho adds u; through q(y) = ln(-expm1(y)), whose relative
-    condition |y| e^y/(1 - e^y) is at most 1 for y < 0, that moves the
-    first term by at most 1.1 * 2^-49, expm1 by 1.01 * 2^-50 and log by
-    2^-50 of itself: within 2^-48 (|t| + 1).  _enclose of these two
+    (m+1) ln rho adds 2u (one for m + 1 rounded to float above 2^53);
+    through q(y) = ln(-expm1(y)), whose relative condition
+    |y| e^y/(1 - e^y) is at most 1 for y < 0, that moves the first term
+    by at most 1.13 * 2^-49, expm1 by 1.01 * 2^-50 and log by 2^-50 of
+    itself: within 2^-48 (|t| + 1), as log(m + 1) is.  _enclose of these two
     terms with the lower _robbins_terms of ln C(n, top) gives the result.
 
     Taking rho at the bottom of the m + 1 terms costs about
@@ -299,14 +328,12 @@ def log_binomial_tail_lower(n: int, p: int) -> float:
     """
     if n < 0 or p < 1:
         raise ValueError("invalid binomial tail: n=%r p=%r" % (n, p))
-    if n >= _FLOAT_INT_LIMIT:
-        raise ValueError("float enclosure needs n < 2^53: n=%d" % n)
     top = min(p - 1, n)
     m = min(math.isqrt(n), top)
     if m == 0:
         return 0.0  # top = 0: S = 1
     k = min(top, n - top)
-    terms = _robbins_terms(n, k, False) if k else []
+    terms = _robbins_terms(n, k, False)
     a, b = top - m + 1, n - top + m
     c = b - a
     if c <= 0:
@@ -318,3 +345,4 @@ def log_binomial_tail_lower(n: int, p: int) -> float:
             ln_rho, ln_gap = math.log1p(-c / b), math.log(c / b)
         terms += [math.log(-math.expm1((m + 1) * ln_rho)), -ln_gap]
     return _enclose(terms)[0]
+

@@ -650,6 +650,36 @@ _RANKED = [(n, p, 4 * p - n) for n in (4, 8, 12, 16) for p in range(2, 4 * n)
            and dimension_bound(n, p) <= algebra._RANK_COLS_CAP]
 
 
+def _dead_levels(n, p, a):
+    w = algebra._reduced_profile_weights(n, p, a)
+    return [s for s in range(min(p - 1, n - 1) + 1) if not (w[s] or w[s + 1])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 300))
+@example(1, 0)
+@example(4, 0)
+def test_profile_weights_closed_form_above_2n(m, offset):
+    # for p > 2n the product is -[z = all ones] on the cube, so every
+    # weight is -2^-n mod p and no level is dead
+    n = 4 * m
+    p = next(q for q in itertools.count(2 * n + 1 + offset) if is_prime(q))
+    w = algebra._reduced_profile_weights(n, p, 4 * p - n)
+    assert w == [-pow(2, -n, p) % p] * (n + 1)
+
+
+def test_no_dead_level_at_any_certified_rank():
+    # every triple certify_bound ranks with p < 400 (a >= 4 as it asks);
+    # above 2n the closed form covers the rest, so the scan is complete
+    ranked = [(n, p, 4 * p - n) for n in (4, 8, 12, 16) for p in range(2, 400)
+              if is_prime(p) and 4 * p - n >= 4
+              and binomial(n - 1, n // 2 - 1) <= algebra._RANK_ROWS_CAP
+              and dimension_bound(n, p) <= algebra._RANK_COLS_CAP]
+    assert len(ranked) == 158
+    assert sum(p <= 2 * n for n, p, _ in ranked) == 12
+    assert [t for t in ranked if _dead_levels(*t)] == []
+
+
 @pytest.mark.parametrize("n, p, a, zero", [(16, 13, 36, 9), (24, 7, 4, 4)])
 def test_free_sign_matrix_at_zero_weights(n, p, a, zero):
     # on rows with x_1 = +1 the coefficient columns of S and S u {1}
@@ -995,16 +1025,15 @@ def test_certify_bound_fails_on_property_violation(monkeypatch):
 
     def perturbed(n, p, a):
         w = weights(n, p, a)
-        w[2] = (w[2] + 1) % p
+        w[2] = (w[2] + 2) % p
         return w
 
     monkeypatch.setattr(algebra, "_reduced_profile_weights", perturbed)
     cert = certify_bound(8, 3, 4, seeds=2)
-    assert cert.property_violations > 0
-    # w_2 = w_3 = 0 now: the 0/1 columns refuse, and the rank runs on
-    # the coefficient matrix, over all rows, as it has no slice bound
-    assert cert.rank_columns == cert.bound
-    assert cert.rank_rows == cert.sigma_size
+    assert cert.property_violations == 1050
+    # every level stays live, so the rank runs on the 0/1 columns and
+    # reaches the slice bound C(7, 2)
+    assert (cert.rank, cert.rank_columns) == (21, 22)
     assert cert.rank <= cert.bound and max(cert.family_sizes) <= cert.mis_exact
     assert not cert.verdict
 

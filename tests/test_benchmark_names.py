@@ -2,9 +2,11 @@
 
 perfbench/run.py reads `<layer>.<func>.s` and `<layer>.<func>.calls` from
 the functions its tracer wrapped and raises KeyError on a name it did not
-wrap, so a renamed or deleted function would crash every traced run.
+wrap, so a renamed or deleted function would crash every traced run.  The
+tracer's hooks also read a few fields and parameters by name, pinned here.
 """
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -33,3 +35,15 @@ def test_function_metric_resolves(metric):
     assert inspect.isfunction(fn), "%s is not a function of borsuk.%s" % (func, layer)
     # the tracer wraps only functions defined in the layer itself
     assert fn.__module__ == module.__name__
+
+
+def test_tracer_hook_names():
+    # perfbench/tracing.py: _search_counts reads result.evaluated and
+    # result.resampled, _rank_cells the matrix argument of rank_mod_p and
+    # _export_bytes the fh argument of export_points, first or by keyword
+    from borsuk import algebra, construction, optimality
+
+    fields = {f.name for f in dataclasses.fields(optimality.SearchResult)}
+    assert {"evaluated", "resampled"} <= fields
+    assert next(iter(inspect.signature(algebra.rank_mod_p).parameters)) == "matrix"
+    assert next(iter(inspect.signature(construction.export_points).parameters)) == "fh"

@@ -5,8 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
-from mpmath import mp
+from hypothesis import example, given, settings, strategies as st
+from mpmath import iv, mp
 
 from borsuk import bounds
 from borsuk.bounds import (
@@ -18,7 +18,13 @@ from borsuk.bounds import (
     lower_bound,
     shrinking_radius_check,
 )
-from borsuk.exactnum import LogReal, binomial, binomial_tail_sum
+from borsuk.exactnum import (
+    FixedPointTail,
+    binomial,
+    binomial_tail_sum,
+    log_binomial_bounds,
+    log_binomial_tail_lower,
+)
 from borsuk.params import (
     CheckFailed,
     choose_a,
@@ -220,6 +226,16 @@ def test_find_d0_walk_calls_no_mpmath(monkeypatch):
     assert len(calls) == 6 * (res.full_evaluations + 1)
 
 
+def _walk_verdict(n, p, threshold):
+    # find_d0's reject: the closed-form tail bound, from below only
+    return bounds._count_verdict(log_binomial_bounds(n - 1, n // 2 - 1),
+                                 (log_binomial_tail_lower(n, p), math.inf), threshold)
+
+
+def _exact_passes(n, p, threshold):
+    return binomial(n - 1, n // 2 - 1) > binomial_tail_sum(n, p) * threshold
+
+
 @pytest.mark.parametrize("r", [0.61, 0.63, 0.65, 0.67, 0.69, 0.71])
 def test_walk_reject_sound_in_exact_integers(r):
     # every step the float reject throws away, at n <= 2000, really fails:
@@ -228,36 +244,86 @@ def test_walk_reject_sound_in_exact_integers(r):
     rejected = 0
     for n in range(8, 2001, 4):
         _, p = choose_a(a0, n)
-        if bounds._walk_rejects(n, p, k):
+        verdict = _walk_verdict(n, p, n ** (2 * k) + 2)
+        assert verdict is not True  # no upper tail bound, no proof of a pass
+        if verdict is False:
             rejected += 1
-            assert binomial(n - 1, n // 2 - 1) <= (n ** (2 * k) + 2) * binomial_tail_sum(n, p)
+            assert not _exact_passes(n, p, n ** (2 * k) + 2)
     # the oracle saw every reject the walk itself made at n <= 2000
     _, _, steps, evaluations = _D0_TABLE[r]
     assert rejected >= min(steps, 499) - evaluations
 
 
-def test_count_bound_log_verdict_is_certified():
-    # d0(0.59) is decided at n = 11504 by the log route, 0.144 nats clear
-    # of the threshold, far outside the stated error bound
+def test_count_bound_log_verdict_is_certified(monkeypatch):
+    # d0(0.59) is decided at n = 11504 by the float enclosures, 0.144 nats
+    # clear of the threshold, far outside their width
     res = find_d0(0.59)
+    n, p, threshold = 11504, res.params.p, res.d0 + 1
     assert res.bound.numerator is None
-    assert bounds._log_verdict(res.bound.ratio_log, 11504, res.d0 + 1) is True
-    # a log gap inside the error bound decides nothing
-    assert bounds._log_verdict(LogReal.from_int(10 ** 6), 20000, 10 ** 6) is None
-    assert bounds._log_verdict(LogReal.from_int(5), 20000, 0) is True
+    num = log_binomial_bounds(n - 1, n // 2 - 1)
+    den = FixedPointTail(n, p).log_bounds()
+    assert bounds._count_verdict(num, den, threshold) is True
+    gap = num[0] - den[1] - math.log(threshold)
+    assert 0.143 < gap < 0.145
+    assert (num[1] - num[0]) + (den[1] - den[0]) < 1e-8
+    # count_bound takes it from the enclosures, with no exact integers
+    monkeypatch.setattr(bounds, "binomial_tail_sum", None)
+    assert count_bound(n, p, threshold).passes
+    # bounds that straddle ln threshold decide nothing
+    ln = math.log(10 ** 6)
+    assert bounds._count_verdict((ln - 1e-9, ln + 1e-9), (0.0, 0.0), 10 ** 6) is None
+    assert bounds._count_verdict((ln + 1e-6, ln + 1e-6), (0.0, 0.0), 10 ** 6) is True
+    assert bounds._count_verdict((ln - 1e-6, ln - 1e-6), (0.0, 0.0), 10 ** 6) is False
+
+
+def test_count_bound_refuses_threshold_below_1():
+    for threshold in (0, -4):
+        with pytest.raises(ValueError, match="threshold must be at least 1"):
+            count_bound(8, 5, threshold)
+        with pytest.raises(ValueError, match="threshold must be at least 1"):
+            count_bound(20000, 7000, threshold)
 
 
 def test_count_bound_falls_back_to_integers(monkeypatch):
-    # when the log gap is inside the error bound, exact integers decide,
+    # when the enclosures straddle the threshold, exact integers decide,
     # and the printed fields stay those of the log route
     cases = [(11504, 5273, 17514409198944258), (11504, 5273, 10 ** 30), (10004, 3001, 1)]
     want = [count_bound(*c) for c in cases]
-    monkeypatch.setattr(bounds, "_log_verdict", lambda *args: None)
+    monkeypatch.setattr(bounds, "_count_verdict", lambda *args: None)
     for c, w in zip(cases, want):
         got = count_bound(*c)
         assert got == w
-        assert got.passes == (binomial(c[0] - 1, c[0] // 2 - 1)
-                              > binomial_tail_sum(c[0], c[1]) * c[2])
+        assert got.passes == _exact_passes(*c)
+
+
+@st.composite
+def _verdict_args(draw):
+    # thresholds on both sides of the exact ratio, its floor and ceiling
+    # among them, and far from it
+    n = 4 * draw(st.integers(2501, 5000))
+    p = draw(st.integers(1, n // 2))
+    num, den = binomial(n - 1, n // 2 - 1), binomial_tail_sum(n, p)
+    floor = num // den
+    near = [floor - 1, floor, floor + 1, -(-num // den), 2 * floor + 1,
+            draw(st.integers(1, 2 * floor + 2))]
+    threshold = draw(st.sampled_from(near) | st.integers(1, 10 ** 40))
+    return n, p, max(threshold, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_verdict_args())
+@example((11504, 5273, 17514409198944258))
+@example((20000, 9999, 1))
+@example((20000, 1, 10 ** 40))
+def test_count_verdict_matches_exact_integers(args):
+    # wherever the enclosures decide, they agree with exact integers, and
+    # count_bound's verdict is the exact one either way
+    n, p, threshold = args
+    want = _exact_passes(n, p, threshold)
+    got = bounds._count_verdict(log_binomial_bounds(n - 1, n // 2 - 1),
+                                FixedPointTail(n, p).log_bounds(), threshold)
+    assert got in (None, want)
+    assert count_bound(n, p, threshold).passes == want
 
 
 @st.composite
@@ -269,13 +335,74 @@ def _log_route_args(draw):
 @settings(max_examples=25, deadline=None)
 @given(_log_route_args())
 def test_ratio_log_within_stated_error(args):
-    # the error bound _log_verdict states, against exact integers
+    # the printed ratio_log, no longer read by any verdict, is within
+    # 2^-100 (n+1)(ln(n+1)+1) of the exact log
     n, p = args
     ratio = count_bound(n, p, 1).ratio_log
     with mp.workprec(300):
         exact = mp.log(mp.mpf(binomial(n - 1, n // 2 - 1))) - mp.log(
             mp.mpf(binomial_tail_sum(n, p)))
         assert abs(ratio.log_abs - exact) <= mp.mpf(2) ** -100 * (n + 1) * (mp.log(n + 1) + 1)
+
+
+def _interval_gap(n, p, threshold):
+    """ln C(n-1, n/2-1) - ln sum_{i<p} C(n, i) - ln threshold in mpmath.iv.
+
+    Independent of exactnum: iv.loggamma for the binomials, and for p - 1
+    < n/2 the tail sum as C(n, p-1) times its leading term ratios, summed
+    in intervals until the rest, at most t/(1 - rho) for the current term
+    t and step ratio rho, is below 2^-100 of the sum.
+    """
+    assert 2 * (p - 1) < n
+    prec, iv.prec = iv.prec, 120
+    try:
+        top = p - 1
+        total, term, i = iv.mpf(1), iv.mpf(1), top
+        while i:
+            rho = iv.mpf(i) / (n - i + 1)
+            rest = term * rho / (1 - rho)
+            if rest.b < total.a * iv.mpf(2) ** -100:
+                total += iv.mpf([0, rest.b])
+                break
+            term *= rho
+            total += term
+            i -= 1
+        return (_interval_log_binomial(n - 1, n // 2 - 1) - _interval_log_binomial(n, top)
+                - iv.log(total) - iv.log(iv.mpf(threshold)))
+    finally:
+        iv.prec = prec
+
+
+def _interval_log_binomial(m, k):
+    return iv.loggamma(m + 1) - iv.loggamma(k + 1) - iv.loggamma(m - k + 1)
+
+
+@pytest.mark.parametrize("r, d", [(0.71, 10 ** 15), (0.9, 10 ** 34)])
+def test_count_bound_agrees_with_interval_replay(r, d):
+    # n = 31,622,776 and n = 99,999,999,999,999,996, where exact integers
+    # cannot run
+    ps = plan_fixed(r, d)
+    gap = _interval_gap(ps.n, ps.p, d + 1)
+    assert gap.a > 0 or gap.b < 0
+    assert lower_bound(ps).passes == (gap.a > 0)
+
+
+def test_interval_replay_agrees_with_exact_at_d0_steps():
+    # the walk's last 26 steps to d0(0.59), n = 11404..11504: the
+    # interval replay, the enclosures and count_bound all agree with
+    # exact integers
+    _, k, a0 = fixed_profile(0.59)
+    for n in range(11404, 11505, 4):
+        _, p = choose_a(a0, n)
+        threshold = n ** (2 * k) + 2
+        want = _exact_passes(n, p, threshold)
+        gap = _interval_gap(n, p, threshold)
+        assert (gap.a > 0 if want else gap.b < 0), n
+        got = bounds._count_verdict(log_binomial_bounds(n - 1, n // 2 - 1),
+                                    FixedPointTail(n, p).log_bounds(), threshold)
+        assert got is want, n
+        assert count_bound(n, p, threshold).passes == want
+    assert want  # the last step is d0 itself
 
 
 def test_shrinking_check_small_d_names_failures():

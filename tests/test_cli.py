@@ -81,6 +81,15 @@ def test_bound_raw_mode_needs_all_three(capsys):
     assert "raw mode" in err
 
 
+@pytest.mark.parametrize("d", ["-5", "0"])
+def test_bound_raw_mode_refuses_dimension_below_1(capsys, d):
+    # --d -5 used to print threshold -4 and pass
+    code, out, err = _run(capsys, ["bound", "--n", "8", "--p", "5", "--d", d])
+    assert code == 2
+    assert out == ""
+    assert "--d must be at least 1, got %s" % d in err
+
+
 def test_bound_shrinking_exit_1_with_named_checks(capsys):
     code, out, _ = _run(capsys, ["bound", "--shrinking", "--d", str(10 ** 12)])
     assert code == 1

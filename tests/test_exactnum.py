@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from borsuk.exactnum import (
+    FixedPointTail,
     LogReal,
     binomial,
     binomial_tail_sum,
@@ -197,10 +198,57 @@ def test_log_binomial_bounds_edges():
     for n, k in [(-1, 0), (3, -1), (3, 4)]:
         with pytest.raises(ValueError, match="invalid binomial"):
             log_binomial_bounds(n, k)
-    with pytest.raises(ValueError, match="2\\^53"):
-        log_binomial_bounds(1 << 53, 5)
-    with pytest.raises(ValueError, match="2\\^53"):
-        log_binomial_tail_lower(1 << 53, 5)
+    with pytest.raises(ValueError, match="2\\^1000"):
+        log_binomial_bounds(1 << 1000, 5)
+    with pytest.raises(ValueError, match="2\\^1000"):
+        log_binomial_tail_lower(1 << 1000, 5)
+    with pytest.raises(ValueError, match="2\\^1000"):
+        FixedPointTail(1 << 1000, 5).log_bounds()
+    assert log_binomial_bounds(1 << 1000, 0) == (0.0, 0.0)
+    assert log_binomial_tail_lower(1 << 1000, 1) == 0.0
+
+
+@st.composite
+def _huge_binomial_args(draw):
+    n = draw(st.integers(2 ** 53, 2 ** 200))
+    return n, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_huge_binomial_args())
+@example((2 ** 53, 1))
+@example((2 ** 53 + 1, 2 ** 52))
+@example((99999999999999995, 49999999999999997))  # bound --r 0.9 --d 10^34
+@example((2 ** 200, 2 ** 199))
+def test_log_binomial_bounds_above_2_53(args):
+    # n, k and n - k no longer convert to float exactly; the reference
+    # is loggamma at 500 bits, accurate to ~2^-290 nats at n <= 2^200
+    n, k = args
+    lo, hi = log_binomial_bounds(n, k)
+    with mp.workprec(500):
+        want = mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
+        assert lo <= want <= hi
+    assert hi - lo <= 2.0 ** -42 * (hi + math.log(n) + 10) + 1 / (48 * min(k, n - k) ** 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2 ** 53, 2 ** 4000), st.floats(min_value=-4.0, max_value=4.0))
+@example(2 ** 53 + 1, 1.5)
+@example(10 ** 34 + 1, -0.5)  # bound --r 0.9 --d 10^34: its threshold
+@example(2 ** 1000 - 1, 1.0)
+@example(2 ** 1024 + 1, 1.0)  # past the float range
+def test_int_conversion_and_log_of_int(m, y):
+    # the enclosures take an int converted to float (also in int * float)
+    # to be rounded to nearest, and math.log of an int m >= 1 to be within
+    # 2^-49 (ln m + 1) of ln m, thresholds included; sample both
+    with mp.workprec(4100):
+        exact = mp.log(m)
+    assert abs(math.log(m) - exact) <= 2.0 ** -49 * (exact + 1)
+    if m < 2 ** 1000:
+        with mp.workprec(53):
+            nearest = float(mp.mpf(m))
+        assert float(m) == nearest
+        assert m * y == nearest * y
 
 
 @st.composite
@@ -224,6 +272,39 @@ def _tail_lower_args(draw):
 def test_log_binomial_tail_lower_below_tail_sum(args):
     n, p = args
     assert log_binomial_tail_lower(n, p) <= log_binomial_tail_sum(n, p).log_abs
+
+
+@st.composite
+def _fixed_tail_args(draw):
+    # beyond 3000, exact sums are out of reach: p - 1 <= 0.45n keeps the
+    # loop short, and the 120-bit log is the reference
+    n = draw(st.integers(0, 10 ** 17))
+    if n <= 3000:
+        return n, draw(st.integers(1, n + 2))
+    return n, draw(st.integers(1, int(0.45 * n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fixed_tail_args())
+@example((0, 1))
+@example((3000, 1))
+@example((3000, 3001))  # the whole row, 2^3000
+@example((3000, 2900))  # p-1 > n/2: the sum is shifted on the way
+@example((2999, 1500))
+@example((11504, 5273))  # count_bound at d0(0.59)
+@example((31622776, 12229487))  # bound --r 0.71 --d 10^15
+def test_fixed_point_tail_bounds_enclose(args):
+    n, p = args
+    lo, hi = FixedPointTail(n, p).log_bounds()
+    with mp.workprec(200):
+        if n <= 3000:
+            want = mp.log(mp.mpf(binomial_tail_sum(n, p)))
+        else:
+            want = log_binomial_tail_sum(n, p).log_abs
+        assert lo <= want <= hi
+        k = min(p - 1, n - p + 1)
+        gap = 1 / (48 * k ** 2) if k > 0 else 0
+        assert hi - lo <= 2.0 ** -42 * (abs(want) + n + 400) + gap
 
 
 @settings(max_examples=300, deadline=None)
