@@ -6,7 +6,7 @@ of the target radius; a dimension count over GF(p) bounds how many
 points fit in any piece of small diameter, and the pigeonhole ratio
 beats d+1 once the ambient dimension is large enough.  Submodules:
 
-    exactnum      exact and log-scale arithmetic primitives
+    exactnum      exact arithmetic, printed logs and float enclosures
     params        parameter solving for fixed and shrinking radii
     construction  point sets, geometry, embeddings, diameter scans
     algebra       the GF(p) independence bound and its certificates
@@ -16,10 +16,9 @@ beats d+1 once the ambient dimension is large enough.  Submodules:
     cli           command line front end
 """
 
-from .exactnum import LogReal, binomial, binomial_tail_sum, is_prime
+from .exactnum import binomial, binomial_tail_sum, is_prime
 from .params import (
     CheckFailed,
-    Drift,
     ParamSet,
     choose_a,
     choose_n,
@@ -36,8 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckFailed",
-    "Drift",
-    "LogReal",
     "ParamSet",
     "binomial",
     "binomial_tail_sum",

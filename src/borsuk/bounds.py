@@ -25,7 +25,6 @@ from mpmath import mp
 from .exactnum import (
     PRECISION_BITS,
     FixedPointTail,
-    LogReal,
     binomial,
     binomial_tail_sum,
     log_binomial,
@@ -53,14 +52,15 @@ class CountBound:
     """The pigeonhole ratio at one parameter set.
 
     numerator/denominator are exact integers when n is small enough to
-    expand them (n <= 10^4); ratio_log always carries the value.  passes
+    expand them (n <= 10^4); ratio_log, the ratio's log as a 120-bit
+    mpmath float, is always there, for printing.  passes
     compares the ratio against threshold = d+1: exactly at n <= 10^4,
     beyond that from proven float64 enclosures, else exactly.
     """
 
     numerator: Optional[int]
     denominator: Optional[int]
-    ratio_log: LogReal
+    ratio_log: mp.mpf
     threshold: int
     passes: bool
 
@@ -99,7 +99,8 @@ def count_bound(n: int, p: int, threshold: int) -> CountBound:
     if threshold < 1:
         raise ValueError("threshold must be at least 1, got %d" % threshold)
     tail = FixedPointTail(n, p)
-    ratio_log = log_binomial(n - 1, n // 2 - 1) / tail.log()
+    with mp.workprec(PRECISION_BITS):
+        ratio_log = log_binomial(n - 1, n // 2 - 1) - tail.log()
     num = den = None
     if n <= _EXACT_N_CAP:
         num, den = binomial(n - 1, n // 2 - 1), binomial_tail_sum(n, p)
@@ -163,7 +164,7 @@ def asymptotic_base(
     with mp.workprec(PRECISION_BITS):
         for m in cert_sizes:
             cutoff = -((-p0.numerator * m) // p0.denominator)  # ceil(p0*m)
-            root = mp.exp(log_binomial_tail_sum(m, cutoff).log_abs / m)
+            root = mp.exp(log_binomial_tail_sum(m, cutoff) / m)
             cert.append((m, float(root), abs(float(root) - c_prime)))
     errs = [e for (_, _, e) in cert]
     return AsymptoticBase(
@@ -184,7 +185,7 @@ def growth_exponent(ps: ParamSet) -> float:
     lb = lower_bound(ps)
     with mp.workprec(PRECISION_BITS):
         scale = mp.mpf(ps.d) ** (mp.mpf(1) / (2 * ps.k))
-        return float(lb.ratio_log.log_abs / scale)
+        return float(lb.ratio_log / scale)
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ def shrinking_radius_check(d: int, c_phi: float = 6.0) -> ShrinkingRadiusReport:
     cb = count_bound(rep.n, rep.p, d + 2)
     with mp.workprec(PRECISION_BITS):
         target = mp.log(mp.mpf(d) + 2)
-    count = CheckRecord("count_ratio", float(cb.ratio_log.log_abs), float(target),
+    count = CheckRecord("count_ratio", float(cb.ratio_log), float(target),
                         cb.passes)
     return replace(rep, checks=rep.checks + (count,), final_ratio_log=cb.ratio_log,
                    passes=rep.passes and count.passed)

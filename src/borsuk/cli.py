@@ -9,7 +9,8 @@ Exit codes: 0 on success, 1 when a mathematical check evaluates false
 (a bound that does not pass, a failed certificate), 2 on usage or
 computational errors.  Output is deterministic for a fixed invocation:
 exact integers are serialized as decimal strings, rationals as
-"num/den", log-scale reals as {"ln": ..., "sign": ...}.
+"num/den", the log of a count ratio (an mpmath float) as
+{"ln": ..., "sign": "1"}.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _configure_threads(threads: Optional[int]) -> None:
 
 def _jsonable(obj: Any) -> Any:
     """Recursively convert library objects to JSON-stable values."""
-    from .exactnum import LogReal, mp
+    from .exactnum import mp
 
     if obj is None or isinstance(obj, (str, float, bool)):
         return obj
@@ -61,8 +62,8 @@ def _jsonable(obj: Any) -> Any:
         return str(obj)
     if isinstance(obj, Fraction):
         return "%d/%d" % (obj.numerator, obj.denominator)
-    if isinstance(obj, LogReal):
-        return {"ln": mp.nstr(obj.log_abs, 25), "sign": str(obj.sign)}
+    if isinstance(obj, mp.mpf):  # the log of a positive count ratio
+        return {"ln": mp.nstr(obj, 25), "sign": "1"}
     if is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):

@@ -1,18 +1,17 @@
 """Exact arithmetic substrate.
 
 Exact counts are plain Python ints and exact ratios are fractions.Fraction,
-both arbitrary precision out of the box.  Quantities too large to
-materialize (binomial ratios at dimensions like 10**18) are mirrored in
-log space by LogReal, which stores ln|x| as an mpmath float with well
-over 80 bits of mantissa plus a sign flag, for printing.  Verdicts take
-float64 enclosures with a proven margin: log_binomial_bounds,
-log_binomial_tail_lower and FixedPointTail.log_bounds.
+both arbitrary precision out of the box.  The log of a quantity too large
+to materialize (binomial ratios at dimensions like 10**18) is a 120-bit
+mpmath float, for printing: log_binomial, log_binomial_tail_sum and
+FixedPointTail.log.  Verdicts take float64 enclosures with a proven
+margin: log_binomial_bounds, log_binomial_tail_lower and
+FixedPointTail.log_bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from mpmath import mp
@@ -78,65 +77,25 @@ def is_prime(m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LogReal:
-    """A real number as (sign, ln|x|) with a high-precision log part.
+def log_binomial(n: int, k: int) -> mp.mpf:
+    """ln C(n, k) as a PRECISION_BITS mpmath float, for printing.
 
-    sign is -1, 0 or +1; log_abs is an mpmath float (ignored when sign
-    is 0).  Division and comparison stay in log space, so values such
-    as C(10**6, 5*10**5) never need to materialize.
+    The three loggammas reach (n+1) ln(n+1) < 2^(b+c), b the bit length of
+    n+1 and c that of b, while ln C(n, k) is 0 or at least ln 2, so they
+    are taken at PRECISION_BITS + b + c + 8 bits and their difference is
+    then rounded to PRECISION_BITS: the cancellation costs no digit.
     """
-
-    log_abs: object  # mpmath.mpf
-    sign: int = 1
-
-    @classmethod
-    def zero(cls) -> "LogReal":
-        return cls(mp.mpf("-inf"), 0)
-
-    @classmethod
-    def from_int(cls, m: int) -> "LogReal":
-        if m == 0:
-            return cls.zero()
-        with mp.workprec(PRECISION_BITS):
-            return cls(mp.log(mp.mpf(abs(m))), 1 if m > 0 else -1)
-
-    @classmethod
-    def from_log(cls, log_abs, sign: int = 1) -> "LogReal":
-        with mp.workprec(PRECISION_BITS):
-            return cls(mp.mpf(log_abs), sign)
-
-    def __truediv__(self, other: "LogReal") -> "LogReal":
-        if other.sign == 0:
-            raise ZeroDivisionError("LogReal division by zero")
-        if self.sign == 0:
-            return LogReal.zero()
-        with mp.workprec(PRECISION_BITS):
-            return LogReal(self.log_abs - other.log_abs, self.sign * other.sign)
-
-    def _key(self):
-        if self.sign == 0:
-            return (0, 0)
-        return (self.sign, self.sign * self.log_abs)
-
-    def __gt__(self, other: "LogReal") -> bool:
-        return self._key() > other._key()
-
-    def __repr__(self) -> str:
-        return "LogReal(sign=%d, log_abs=%s)" % (self.sign, mp.nstr(self.log_abs, 20))
-
-
-def log_binomial(n: int, k: int) -> LogReal:
-    """ln C(n, k) via loggamma; exact inputs, >=80-bit log output."""
     if n < 0 or k < 0 or k > n:
         raise ValueError("invalid binomial: C(%r, %r)" % (n, k))
-    with mp.workprec(PRECISION_BITS):
+    b = (n + 1).bit_length()
+    with mp.workprec(PRECISION_BITS + b + b.bit_length() + 8):
         val = (
             mp.loggamma(mp.mpf(n) + 1)
             - mp.loggamma(mp.mpf(k) + 1)
             - mp.loggamma(mp.mpf(n - k) + 1)
         )
-    return LogReal.from_log(val, 1)
+    with mp.workprec(PRECISION_BITS):
+        return +val  # unary plus rounds to the working precision
 
 
 class FixedPointTail:
@@ -196,12 +155,11 @@ class FixedPointTail:
                 shift += excess
         self.n, self.top, self.total, self.exponent = n, top, total, shift - bits
 
-    def log(self) -> LogReal:
-        """ln S at 120 bits, for printing."""
+    def log(self) -> mp.mpf:
+        """ln S as a PRECISION_BITS mpmath float, for printing."""
         with mp.workprec(PRECISION_BITS):
-            val = (log_binomial(self.n, self.top).log_abs
-                   + mp.log(mp.ldexp(self.total, self.exponent)))
-        return LogReal.from_log(val, 1)
+            return (log_binomial(self.n, self.top)
+                    + mp.log(mp.ldexp(self.total, self.exponent)))
 
     def log_bounds(self) -> Tuple[float, float]:
         """(lo, hi) floats with lo <= ln S <= hi, for verdicts.
@@ -218,8 +176,8 @@ class FixedPointTail:
                 _enclose(_robbins_terms(self.n, k, True) + rest)[1])
 
 
-def log_binomial_tail_sum(n: int, p: int) -> LogReal:
-    """ln of sum_{i<p} C(n, i) at 120 bits, from FixedPointTail."""
+def log_binomial_tail_sum(n: int, p: int) -> mp.mpf:
+    """ln of sum_{i<p} C(n, i) as a PRECISION_BITS mpmath float."""
     return FixedPointTail(n, p).log()
 
 

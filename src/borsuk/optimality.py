@@ -57,10 +57,6 @@ _GRID_POINTS = 10 ** 4
 _CLASS_TOL = 1e-9
 
 
-def _is_exact(values) -> bool:
-    return all(isinstance(v, Rational) for v in values)
-
-
 def _eval_poly(coeffs: Sequence[Coeff], t: Coeff):
     """Horner evaluation, exact when inputs are exact."""
     acc = coeffs[-1]
@@ -153,37 +149,22 @@ def extremal_polynomial(m: int, n: int) -> CandidatePolynomial:
 class RatioValue:
     """The quotient h(n) / (2h(n) - 2h(-a)) and its ingredients."""
 
-    value: Coeff
-    h_at_n: Coeff
-    h_at_minus_a: Coeff
-    objective: Coeff  # |h(-a)| / h(n), the equivalent maximization target
-
-    def __float__(self) -> float:
-        return float(self.value)
+    value: Fraction
+    h_at_n: Fraction
+    h_at_minus_a: Fraction
+    objective: Fraction  # |h(-a)| / h(n), the equivalent maximization target
 
 
 def ratio(h: CandidatePolynomial) -> RatioValue:
-    """Exact-formula quotient; requires h(-a) <= 0 (the reduced class)."""
-    hn = h(h.n)
-    hma = h(-h.a)
+    """The quotient in Fractions; requires h(-a) <= 0 (the reduced class)."""
+    hn = Fraction(h(h.n))
+    hma = Fraction(h(-h.a))
     if hma > 0:
-        raise ValueError("not in reduced class: h(-a) = %r > 0" % (hma,))
+        raise ValueError("not in reduced class: h(-a) = %s > 0" % hma)
     if hn <= 0:
         raise ValueError("h(n) must be positive")
-    if _is_exact((hn, hma)):
-        hn_q, hma_q = Fraction(hn), Fraction(hma)
-        return RatioValue(
-            value=hn_q / (2 * hn_q - 2 * hma_q),
-            h_at_n=hn,
-            h_at_minus_a=hma,
-            objective=-hma_q / hn_q,
-        )
-    return RatioValue(
-        value=hn / (2 * hn - 2 * hma),
-        h_at_n=hn,
-        h_at_minus_a=hma,
-        objective=-hma / hn,
-    )
+    return RatioValue(value=hn / (2 * hn - 2 * hma), h_at_n=hn, h_at_minus_a=hma,
+                      objective=-hma / hn)
 
 
 @dataclass(frozen=True)

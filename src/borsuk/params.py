@@ -11,8 +11,8 @@ the pipeline picks
 
 The identity n - 4p = -a ties the modular argument to the geometry.
 There is also a shrinking-radius planner where r = 1/2 + phi(d) with
-phi(d) = c_phi * lnln d / ln d, used to certify that the counterexample
-survives as the radius approaches 1/2.
+phi(d) = c_phi * lnln d / ln d (drift, a plain float), used to certify
+that the counterexample survives as the radius approaches 1/2.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple, Union
 
 from mpmath import mp
 
-from .exactnum import PRECISION_BITS, PRIME_LIMIT, LogReal, is_prime
+from .exactnum import PRECISION_BITS, PRIME_LIMIT, is_prime
 
 Number = Union[int, float, Fraction]
 
@@ -240,16 +240,8 @@ def plan_fixed(r: float, d: int) -> ParamSet:
     return fixed_params(r, *fixed_profile(r), d)
 
 
-@dataclass(frozen=True)
-class Drift:
-    """Radius drift phi(d) = c_phi * lnln d / ln d for the shrinking mode."""
-
-    d: int
-    c_phi: float
-    phi: float
-
-
-def drift(d: int, c_phi: float = 6.0) -> Drift:
+def drift(d: int, c_phi: float = 6.0) -> float:
+    """Radius drift phi(d) = c_phi * lnln d / ln d of the shrinking mode."""
     if d < 3:
         raise ValueError("dimension too small for lnln: d=%d" % d)
     with mp.workprec(PRECISION_BITS):
@@ -257,7 +249,7 @@ def drift(d: int, c_phi: float = 6.0) -> Drift:
         phi = float(c_phi * mp.log(ln_d) / ln_d)
     if phi <= 0:
         raise ValueError("drift not positive at d=%d" % d)
-    return Drift(d=d, c_phi=float(c_phi), phi=phi)
+    return phi
 
 
 @dataclass(frozen=True)
@@ -278,7 +270,7 @@ class ShrinkingRadiusReport:
     say which inequality gives out when d is too small.  Later fields are
     None when an earlier step already failed structurally, and
     final_ratio_log is None until bounds.shrinking_radius_check adds the
-    count ratio.
+    count ratio's log, a 120-bit mpmath float.
     """
 
     d: int
@@ -290,7 +282,7 @@ class ShrinkingRadiusReport:
     a: Optional[int]
     p: Optional[int]
     checks: Tuple[CheckRecord, ...]
-    final_ratio_log: Optional[LogReal]
+    final_ratio_log: Optional[mp.mpf]
     passes: bool
 
 
@@ -316,7 +308,7 @@ def shrinking_chain(d: int, c_phi: float = 6.0) -> ShrinkingRadiusReport:
     the prime lands in [n/2 - phi*n/20].  A structural failure (a0, n or
     the prime missing) ends the chain.  The count ratio is not here.
     """
-    phi = drift(d, c_phi).phi
+    phi = drift(d, c_phi)
     rsq = Fraction(0.5 + phi) ** 2
     k = math.ceil(1 / phi)
     checks: List[CheckRecord] = []

@@ -283,7 +283,7 @@ def test_criterion_10_bound_route_consistency():
         cb = bounds.lower_bound(ps)
         assert cb.numerator is not None
         exact_log = math.log(cb.numerator) - math.log(cb.denominator)
-        if abs(float(cb.ratio_log.log_abs) - exact_log) > 1e-9 * max(1.0, abs(exact_log)):
+        if abs(float(cb.ratio_log) - exact_log) > 1e-9 * max(1.0, abs(exact_log)):
             ok = False
     rng = np.random.default_rng(20260814)
     for _ in range(20):

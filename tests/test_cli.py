@@ -367,6 +367,89 @@ def test_readme_commands_parse():
         _build_parser().parse_args(argv)
 
 
+# exit code and sha256 of stdout (of the --out file for build) at every
+# README command and two large-d bounds, recorded while printed logs were
+# still wrapped in a log class: every printed digit must survive its removal
+_STDOUT_SHA256 = {
+    "plan --r 0.9 --d 256":
+        (0, "304718696c976dedfe76ddfb34d0fe616553cb9e7f82e886660392d7b4106efa"),
+    "build --r 0.9 --d 256 --out pts.txt":
+        (0, "d37b8f4fb879f043a610a1a5393e4f960506ee4a1e50042beec30ed029504834"),
+    "bound --r 0.71 --d 327185":
+        (0, "283f14f3e19e97a5187642005cf424c95f3840af0f7987036f0a1e43ca85e4df"),
+    "bound --n 8 --p 5 --d 65":
+        (1, "7a57e84e77e0e4b8205eeb893aaec0e8d609a658bd3c89aa40475e2632cbed52"),
+    "certify --n 12 --p 5 --a 8":
+        (0, "ad247a4af261a01fbe25a6910b9bb49ca059526a804e772192fa069ea944b8b9"),
+    "find-d0 --r 0.71":
+        (0, "bc7a958367fb31ea6c3eeed162307a7e90aa209dacb2c69b2da8a62b17506a9a"),
+    "asymptotic --r 0.9 --d 1000000":
+        (0, "2c05aaebef5cf6761077a5b84d62588f7a707fc278d7c83e1d8ffe42feb8bb87"),
+    "upper --d-min 2 --d-max 12":
+        (0, "09204e47c3c83063591fd970d31075768cfbec8cbd6104193798882f042bc45f"),
+    "optimal-poly --m 6 --n 3":
+        (0, "1ad8a66c9a252c6ac45f7b419e649116cade7868d276bc22992870f3ce94f2ba"),
+    "bound --shrinking --d 1000000000000":
+        (1, "46b11537e973910f6fa03002706a5096fad973693db85775140b31512569b5c5"),
+    "bound --r 0.71 --d 1000000000000000":
+        (0, "726ae8a7dc11fde5a1a0361d80600f80d9a5ba03fdc30a90419fd687836ad805"),
+    "bound --r 0.9 --d 10000000000000000000000000000000000":
+        (0, "9c0771baa59b5c4cccf5347c792b16e55c20dbac2322c6b822d0692bb489b985"),
+}
+
+
+def test_stdout_hashes_cover_the_readme():
+    assert {" ".join(argv) for argv in _readme_commands()} <= set(_STDOUT_SHA256)
+
+
+@pytest.mark.parametrize("cmd", sorted(_STDOUT_SHA256))
+def test_stdout_byte_identical(tmp_path, capsys, cmd):
+    want_code, want_sha = _STDOUT_SHA256[cmd]
+    argv = cmd.split()
+    if "--out" in argv:
+        argv[argv.index("--out") + 1] = str(tmp_path / "out.txt")
+    code, out, _ = _run(capsys, argv)
+    if "--out" in argv:
+        assert out == ""
+        out = (tmp_path / "out.txt").read_text()
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_sha
+
+
+def test_asymptotic_output(capsys):
+    code, out, _ = _run(capsys, ["asymptotic", "--r", "0.9", "--d", "1000000"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["params"]["n"], doc["params"]["p"]) == ("996", "389")
+    assert doc["base"]["monotone"] is True
+    assert doc["base"]["c"] == 1.0262224263358661
+    # ln of the count ratio over d^(1/(2k)) = 1000
+    assert doc["growth_exponent"] == 0.022779283782807924
+
+
+def test_certify_through_the_planner(capsys):
+    code, out, _ = _run(capsys, ["certify", "--r", "0.9", "--d", "256"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["n"], doc["p"], doc["a"], doc["rank"]) == ("12", "5", "8", "330")
+
+
+def test_check_failed_exits_1_on_stderr(capsys):
+    code, out, err = _run(capsys, ["find-d0", "--r", "0.55"])
+    assert code == 1 and out == ""
+    assert err.startswith("check failed: no d0 found below cap")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--d-min", "1"], "--d-min below 2"),
+    (["--d-min", "5", "--d-max", "4"], "--d-max below --d-min"),
+])
+def test_upper_bad_range_exit_2(capsys, argv, message):
+    code, out, err = _run(capsys, ["upper", *argv])
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_plan_past_miller_rabin_range_exit_2(capsys):
     code, out, err = _run(capsys, ["plan", "--r", "0.9", "--d", str(2 ** 132 + 1)])
     assert code == 2 and out == ""

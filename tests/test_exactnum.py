@@ -8,7 +8,6 @@ from mpmath import mp
 
 from borsuk.exactnum import (
     FixedPointTail,
-    LogReal,
     binomial,
     binomial_tail_sum,
     is_prime,
@@ -83,43 +82,22 @@ def test_binomial_tail_sum_brute():
         binomial_tail_sum(-1, 2)
 
 
-def _value(x):
-    return x.sign * mp.exp(x.log_abs) if x.sign else 0.0
-
-
-def test_logreal_roundtrips():
-    for m in (1, -7, 163, 10 ** 30, -(10 ** 30)):
-        x = LogReal.from_int(m)
-        assert x.sign == (1 if m > 0 else -1)
-        assert float(_value(x)) == pytest.approx(float(m), rel=1e-15)
-    z = LogReal.from_int(0)
-    assert z.sign == 0 and z == LogReal.zero()
-
-
-def test_logreal_div_matches_quotients():
-    pairs = [(3, 7), (-9, 4), (10 ** 12, -11), (0, 5)]
-    for a, b in pairs:
-        q = LogReal.from_int(a) / LogReal.from_int(b)
-        assert float(_value(q)) == pytest.approx(a / b, rel=1e-15)
-    with pytest.raises(ZeroDivisionError):
-        LogReal.from_int(1) / LogReal.zero()
-
-
-def test_logreal_ordering_total():
-    vals = [-5, -1, 0, 1, 3, 1000]
-    reals = [LogReal.from_int(v) for v in vals]
-    for i, x in enumerate(vals):
-        for j, y in enumerate(vals):
-            assert (reals[i] > reals[j]) == (x > y)
-
-
 @pytest.mark.parametrize("n,k", [(96, 48), (96, 13), (400, 100), (10 ** 6, 10 ** 5)])
 def test_log_binomial_matches_exact(n, k):
     got = log_binomial(n, k)
     with mp.workprec(120):
         want = mp.log(mp.mpf(math.comb(n, k)))
-        err = abs(float(got.log_abs - want))
+        err = abs(float(got - want))
     assert err <= 1e-15 * max(1.0, abs(float(want)))
+
+
+@pytest.mark.parametrize("n,k", [(10 ** 40, 1), (10 ** 40, 5), (2 ** 200, 3)])
+def test_log_binomial_keeps_its_digits_at_huge_n(n, k):
+    # the loggammas are ~n ln n, far larger than ln C(n, k)
+    got = log_binomial(n, k)
+    with mp.workprec(300):
+        want = mp.log(mp.mpf(math.comb(n, k)))
+        assert abs(got - want) <= mp.mpf(2) ** -100 * want
 
 
 @st.composite
@@ -140,7 +118,7 @@ def test_log_binomial_tail_sum_matches_exact(args):
     got = log_binomial_tail_sum(n, p)
     with mp.workprec(200):
         want = mp.log(mp.mpf(binomial_tail_sum(n, p)))
-        assert abs(got.log_abs - want) <= mp.mpf(2) ** -100 * max(1, abs(want))
+        assert abs(got - want) <= mp.mpf(2) ** -100 * max(1, abs(want))
 
 
 def test_log_binomial_tail_sum_renormalised():
@@ -152,14 +130,14 @@ def test_log_binomial_tail_sum_renormalised():
     got = log_binomial_tail_sum(n, p)
     with mp.workprec(200):
         want = mp.log(mp.mpf(exact))
-        assert abs(got.log_abs - want) <= mp.mpf(2) ** -100 * abs(want)
+        assert abs(got - want) <= mp.mpf(2) ** -100 * abs(want)
 
 
 def test_log_binomial_tail_sum_huge_argument():
     # far beyond anything a materialized integer should be asked to hold
     big = log_binomial_tail_sum(10 ** 7, 10 ** 6)
-    assert big.sign == 1
-    assert float(big.log_abs) > 10 ** 6
+    assert isinstance(big, mp.mpf)
+    assert float(big) > 10 ** 6
 
 
 @st.composite
@@ -178,7 +156,7 @@ def _binomial_args(draw):
 def test_log_binomial_bounds_enclose_log_binomial(args):
     n, k = args
     lo, hi = log_binomial_bounds(n, k)
-    assert lo <= log_binomial(n, k).log_abs <= hi
+    assert lo <= log_binomial(n, k) <= hi
     # Robbins' theta gap and the float margin only
     assert hi - lo <= 2.0 ** -42 * (hi + math.log(n) + 10) + 1 / (48 * min(k, n - k) ** 2)
 
@@ -271,7 +249,7 @@ def _tail_lower_args(draw):
 @example((11504, 5273))  # the walk's denominator at d0(0.59)
 def test_log_binomial_tail_lower_below_tail_sum(args):
     n, p = args
-    assert log_binomial_tail_lower(n, p) <= log_binomial_tail_sum(n, p).log_abs
+    assert log_binomial_tail_lower(n, p) <= log_binomial_tail_sum(n, p)
 
 
 @st.composite
@@ -300,7 +278,7 @@ def test_fixed_point_tail_bounds_enclose(args):
         if n <= 3000:
             want = mp.log(mp.mpf(binomial_tail_sum(n, p)))
         else:
-            want = log_binomial_tail_sum(n, p).log_abs
+            want = log_binomial_tail_sum(n, p)
         assert lo <= want <= hi
         k = min(p - 1, n - p + 1)
         gap = 1 / (48 * k ** 2) if k > 0 else 0
