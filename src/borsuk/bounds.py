@@ -25,11 +25,13 @@ from mpmath import mp
 from .exactnum import (
     PRECISION_BITS,
     FixedPointTail,
+    _enclose,
+    _robbins_terms,
+    _tail_lower_terms,
     binomial,
     binomial_tail_sum,
     log_binomial,
     log_binomial_bounds,
-    log_binomial_tail_lower,
     log_binomial_tail_sum,
 )
 from .params import (
@@ -40,6 +42,7 @@ from .params import (
     choose_a,
     fixed_params,
     fixed_profile,
+    least_offset,
     shrinking_chain,
 )
 
@@ -208,6 +211,23 @@ class D0Result:
     full_evaluations: int
 
 
+def _step_fails(n: int, cutoff: int, threshold: int) -> bool:
+    """A proof that a walk step fails: True only if C(n-1, n/2-1) is at
+    most threshold * S(n, c) for every c >= cutoff, S(n, c) = sum_{i<c} C(n, i).
+
+    One _enclose sum of the upper _robbins_terms of ln C(n-1, n/2-1), the
+    negated _tail_lower_terms(n, cutoff) and -ln(threshold).  Every term is
+    within 2^-48 (|t| + 1) of its exact value (math.log of an int, see
+    _enclose), and the exact values sum to at least
+    ln C(n-1, n/2-1) - ln S - ln(threshold), so an upper end <= 0 is a
+    proof.  Closed form: no loop, no mpmath, no prime scan.
+    """
+    terms = _robbins_terms(n - 1, n // 2 - 1, True)
+    terms += [-t for t in _tail_lower_terms(n, cutoff)]
+    terms.append(-math.log(threshold))
+    return _enclose(terms)[1] <= 0
+
+
 def find_d0(r: float) -> D0Result:
     """Least d with lower_bound(plan_fixed(r, d)) > d+1, by grid walk.
 
@@ -218,12 +238,16 @@ def find_d0(r: float) -> D0Result:
     is therefore the least passing d overall.  The profile (rsq, k, a0)
     depends on r alone, so it is solved once, as plan_fixed solves it.
 
-    Each step first tries _count_verdict on closed-form float64
-    enclosures with a proven margin (Robbins' bounds on ln C(n-1, n/2-1),
-    the geometric lower bound log_binomial_tail_lower on the tail sum): it
-    rejects only steps whose ratio provably stays at or below d+1, so no
-    passing step is skipped.  Every other step is a full evaluation, the
-    validated ParamSet and lower_bound.
+    Each step first tries _step_fails at q = (least_offset(a0, n) + n)/4,
+    the least prime choose_a could return: its p is at least q, and
+    S(n, c) = sum_{i<c} C(n, i) grows with c, so a lower bound on
+    ln S(n, q) is one on ln S(n, p), and a reject at q proves the step
+    fails at p.  Only the steps it leaves run choose_a's prime scan and
+    _step_fails at the real p.  Both rejects are proofs that the ratio
+    stays at or below d+1, so no passing step is skipped.  Every other
+    step is a full evaluation, the validated ParamSet and lower_bound.
+    Rejected steps never call choose_a, so its refusal of p >= 2^64 is
+    not checked there; _D0_SCAN_CAP keeps every p far below that.
     """
     rsq, k, a0 = fixed_profile(r)
     n = 8
@@ -232,10 +256,9 @@ def find_d0(r: float) -> D0Result:
         d = n ** (2 * k) + 1
         if d > _D0_SCAN_CAP:
             raise CheckFailed("no d0 found below cap %d" % _D0_SCAN_CAP)
-        _, p = choose_a(a0, n)
         steps += 1
-        num = log_binomial_bounds(n - 1, n // 2 - 1)
-        if _count_verdict(num, (log_binomial_tail_lower(n, p), math.inf), d + 1) is False:
+        if (_step_fails(n, (least_offset(a0, n) + n) // 4, d + 1)
+                or _step_fails(n, choose_a(a0, n)[1], d + 1)):
             n += 4
             continue
         evaluations += 1

@@ -5,8 +5,8 @@ both arbitrary precision out of the box.  The log of a quantity too large
 to materialize (binomial ratios at dimensions like 10**18) is a 120-bit
 mpmath float, for printing: log_binomial, log_binomial_tail_sum and
 FixedPointTail.log.  Verdicts take float64 enclosures with a proven
-margin: log_binomial_bounds, log_binomial_tail_lower and
-FixedPointTail.log_bounds.
+margin: log_binomial_bounds, log_binomial_tail_lower (whose terms
+bounds.find_d0's reject sums in one enclosure) and FixedPointTail.log_bounds.
 """
 
 from __future__ import annotations
@@ -263,6 +263,14 @@ def log_binomial_bounds(n: int, k: int) -> Tuple[float, float]:
 def log_binomial_tail_lower(n: int, p: int) -> float:
     """A float lower bound on ln of S = sum of C(n, i) for i < p, no loop.
 
+    _enclose of _tail_lower_terms(n, p), whose docstring has the proof.
+    """
+    return _enclose(_tail_lower_terms(n, p))[0]
+
+
+def _tail_lower_terms(n: int, p: int) -> List[float]:
+    """Floats whose exact sum is at most ln of S = sum of C(n, i) for i < p.
+
     With top = min(p-1, n) and m = min(isqrt(n), top), S is at least its
     m + 1 terms from C(n, top) down.  The step ratio C(n, i-1)/C(n, i) =
     i/(n-i+1) falls as i falls, so over those terms it is at least
@@ -277,19 +285,20 @@ def log_binomial_tail_lower(n: int, p: int) -> float:
     through q(y) = ln(-expm1(y)), whose relative condition
     |y| e^y/(1 - e^y) is at most 1 for y < 0, that moves the first term
     by at most 1.13 * 2^-49, expm1 by 1.01 * 2^-50 and log by 2^-50 of
-    itself: within 2^-48 (|t| + 1), as log(m + 1) is.  _enclose of these two
-    terms with the lower _robbins_terms of ln C(n, top) gives the result.
+    itself: within 2^-48 (|t| + 1), as log(m + 1) is.  These terms follow
+    the lower _robbins_terms of ln C(n, top), so every term, and its
+    negation, meets _enclose's precondition.  top = 0 (S = 1) has none.
 
     Taking rho at the bottom of the m + 1 terms costs about
     (rho_top - rho)/(1 - rho) = O(1/sqrt(n)) nats when p - 1 < n/2: 0.21
-    at find_d0's (572, 223), 0.04 at (11504, 4000).
+    at (572, 223), the count at d0(0.71), 0.04 at (11504, 4000).
     """
     if n < 0 or p < 1:
         raise ValueError("invalid binomial tail: n=%r p=%r" % (n, p))
     top = min(p - 1, n)
     m = min(math.isqrt(n), top)
     if m == 0:
-        return 0.0  # top = 0: S = 1
+        return []
     k = min(top, n - top)
     terms = _robbins_terms(n, k, False)
     a, b = top - m + 1, n - top + m
@@ -302,5 +311,4 @@ def log_binomial_tail_lower(n: int, p: int) -> float:
         else:
             ln_rho, ln_gap = math.log1p(-c / b), math.log(c / b)
         terms += [math.log(-math.expm1((m + 1) * ln_rho)), -ln_gap]
-    return _enclose(terms)[0]
-
+    return terms

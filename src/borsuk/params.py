@@ -144,14 +144,22 @@ def choose_n(d: int, k: int) -> int:
     return n
 
 
+def least_offset(a0: Number, n: int) -> int:
+    """Least multiple of 4, at least 4, at or above a0*n/2: choose_a's first a.
+
+    No offset choose_a returns is smaller, so (least_offset + n)/4 bounds
+    its prime p from below without a prime scan.
+    """
+    num, den = a0.as_integer_ratio()
+    need = -(-num * n // (2 * den))  # ceil(a0*n/2) in integers
+    return max(4, 4 * ((need + 3) // 4))
+
+
 def choose_a(a0: Number, n: int) -> Tuple[int, int]:
     """Least multiple of 4 at or above a0*n/2 whose p = (a+n)/4 is prime."""
     if n % 4 != 0 or n <= 0:
         raise ValueError("vector length must be a positive multiple of 4")
-    num, den = a0.as_integer_ratio()
-    need = -(-num * n // (2 * den))  # ceil(a0*n/2) in integers
-    start = max(4, 4 * ((need + 3) // 4))
-    for a in range(start, _A_SCAN_LIMIT_FACTOR * n + 1, 4):
+    for a in range(least_offset(a0, n), _A_SCAN_LIMIT_FACTOR * n + 1, 4):
         p = (a + n) // 4
         if p >= PRIME_LIMIT:
             raise ValueError("n = %d needs a prime p = (a+n)/4 >= 2^64, past the "

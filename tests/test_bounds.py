@@ -23,12 +23,12 @@ from borsuk.exactnum import (
     binomial,
     binomial_tail_sum,
     log_binomial_bounds,
-    log_binomial_tail_lower,
 )
 from borsuk.params import (
     CheckFailed,
     choose_a,
     fixed_profile,
+    least_offset,
     plan_fixed,
     plan_shrinking,
     shrinking_chain,
@@ -197,7 +197,21 @@ _D0_TABLE = {
 }
 
 
-def test_find_d0_every_table_radius():
+def test_find_d0_every_table_radius(monkeypatch):
+    from borsuk import params
+
+    calls = {"choose_a": 0, "is_prime": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    choose = counted("choose_a", params.choose_a)
+    monkeypatch.setattr(params, "choose_a", choose)
+    monkeypatch.setattr(bounds, "choose_a", choose)
+    monkeypatch.setattr(params, "is_prime", counted("is_prime", params.is_prime))
     results = {r: find_d0(r) for r in _D0_TABLE}
     for r, res in results.items():
         got = (res.d0, res.params.n, res.walk_steps, res.full_evaluations)
@@ -208,6 +222,10 @@ def test_find_d0_every_table_radius():
     # more full evaluations (211 with the old 120-bit point-value reject)
     assert sum(res.walk_steps for res in results.values()) == 5843
     assert sum(res.full_evaluations for res in results.values()) == 15
+    # choose_a's prime scan runs only on the steps the least-prime reject
+    # leaves, the full evaluations and the d0 - 1 re-checks; scanning on
+    # every step made 5,865 choose_a and 33,319 is_prime calls
+    assert calls == {"choose_a": 97, "is_prime": 520}
 
 
 def test_find_d0_walk_calls_no_mpmath(monkeypatch):
@@ -226,32 +244,31 @@ def test_find_d0_walk_calls_no_mpmath(monkeypatch):
     assert len(calls) == 6 * (res.full_evaluations + 1)
 
 
-def _walk_verdict(n, p, threshold):
-    # find_d0's reject: the closed-form tail bound, from below only
-    return bounds._count_verdict(log_binomial_bounds(n - 1, n // 2 - 1),
-                                 (log_binomial_tail_lower(n, p), math.inf), threshold)
-
-
 def _exact_passes(n, p, threshold):
     return binomial(n - 1, n // 2 - 1) > binomial_tail_sum(n, p) * threshold
 
 
 @pytest.mark.parametrize("r", [0.61, 0.63, 0.65, 0.67, 0.69, 0.71])
 def test_walk_reject_sound_in_exact_integers(r):
-    # every step the float reject throws away, at n <= 2000, really fails:
+    # every step either of find_d0's rejects throws away at n <= 2000, the
+    # one at the least prime q = (least_offset + n)/4 and the one at
+    # choose_a's p, really fails with the real p:
     # C(n-1, n/2-1) <= (d+1) * sum_{i<p} C(n, i) with d = n^(2k) + 1
     _, k, a0 = fixed_profile(r)
-    rejected = 0
+    at_q, at_p = set(), set()
     for n in range(8, 2001, 4):
         _, p = choose_a(a0, n)
-        verdict = _walk_verdict(n, p, n ** (2 * k) + 2)
-        assert verdict is not True  # no upper tail bound, no proof of a pass
-        if verdict is False:
-            rejected += 1
-            assert not _exact_passes(n, p, n ** (2 * k) + 2)
+        threshold = n ** (2 * k) + 2
+        if bounds._step_fails(n, (least_offset(a0, n) + n) // 4, threshold):
+            at_q.add(n)
+        if bounds._step_fails(n, p, threshold):
+            at_p.add(n)
+        if n in at_q or n in at_p:
+            assert not _exact_passes(n, p, threshold), n
+    assert {8, 12, 16} <= at_q  # the first steps never reach the prime scan
     # the oracle saw every reject the walk itself made at n <= 2000
     _, _, steps, evaluations = _D0_TABLE[r]
-    assert rejected >= min(steps, 499) - evaluations
+    assert len(at_q | at_p) >= min(steps, 499) - evaluations
 
 
 def test_count_bound_log_verdict_is_certified(monkeypatch):

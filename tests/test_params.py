@@ -18,6 +18,7 @@ from borsuk.params import (
     drift,
     fixed_params,
     fixed_profile,
+    least_offset,
     plan_fixed,
     plan_shrinking,
     power_threshold,
@@ -193,6 +194,19 @@ _a0_values = st.one_of(
 @example(2, 8)  # a0*n/2 = 8 exactly
 def test_choose_a_integer_ceiling_matches_fraction(a0, n):
     assert choose_a(a0, n) == _choose_a_by_fraction(a0, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_a0_values, st.integers(1, 10 ** 6).map(lambda m: 4 * m))
+@example(2, 8)
+def test_least_prime_bounds_choose_a_from_below(a0, n):
+    # find_d0 rejects a step at q = (least_offset + n)/4 before any prime
+    # scan: sound only while q <= choose_a's p
+    start = least_offset(a0, n)
+    assert start == max(4, 4 * ((math.ceil(Fraction(a0) * n / 2) + 3) // 4))
+    a, p = choose_a(a0, n)
+    assert start <= a
+    assert (start + n) // 4 <= p
 
 
 def test_plan_fixed_frozen_example():
