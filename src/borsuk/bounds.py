@@ -48,6 +48,8 @@ from .params import (
 
 _EXACT_N_CAP = 10 ** 4
 _D0_SCAN_CAP = 10 ** 24
+# a fraction above ln 2 = 0.693147180559945309...
+_LN2_UP = (6931471805599454, 10 ** 16)
 
 
 @dataclass(frozen=True)
@@ -109,10 +111,7 @@ def count_bound(n: int, p: int, threshold: int) -> CountBound:
         num, den = binomial(n - 1, n // 2 - 1), binomial_tail_sum(n, p)
         passes = num > den * threshold
     else:
-        passes = _count_verdict(log_binomial_bounds(n - 1, n // 2 - 1),
-                                tail.log_bounds(), threshold)
-        if passes is None:
-            passes = binomial(n - 1, n // 2 - 1) > binomial_tail_sum(n, p) * threshold
+        passes = _ratio_passes(n, p, threshold, tail)
     return CountBound(num, den, ratio_log, threshold, passes)
 
 
@@ -197,8 +196,9 @@ class D0Result:
 
     previous_d re-checks d0 - 1 directly (when the planner accepts it),
     so minimality is witnessed rather than inferred from the grid walk.
-    walk_steps counts the grid points the walk visited, full_evaluations
-    those that the float reject could not settle.
+    walk_steps counts the grid points the walk passed, the ones a block
+    reject skipped included (each is proven to fail, see find_d0), and
+    full_evaluations those that the float rejects could not settle.
     """
 
     r: float
@@ -211,21 +211,39 @@ class D0Result:
     full_evaluations: int
 
 
-def _step_fails(n: int, cutoff: int, threshold: int) -> bool:
-    """A proof that a walk step fails: True only if C(n-1, n/2-1) is at
-    most threshold * S(n, c) for every c >= cutoff, S(n, c) = sum_{i<c} C(n, i).
+def _step_bound(n: int, cutoff: int, threshold: int) -> float:
+    """A proven upper bound M on G = ln C(n-1, n/2-1) - ln S(n, cutoff) -
+    ln(threshold), S(n, c) = sum_{i<c} C(n, i).  M <= 0 proves that
+    C(n-1, n/2-1) <= threshold * S(n, c) for every c >= cutoff.
 
-    One _enclose sum of the upper _robbins_terms of ln C(n-1, n/2-1), the
-    negated _tail_lower_terms(n, cutoff) and -ln(threshold).  Every term is
-    within 2^-48 (|t| + 1) of its exact value (math.log of an int, see
-    _enclose), and the exact values sum to at least
-    ln C(n-1, n/2-1) - ln S - ln(threshold), so an upper end <= 0 is a
-    proof.  Closed form: no loop, no mpmath, no prime scan.
+    The upper end of one _enclose sum of the upper _robbins_terms of
+    ln C(n-1, n/2-1), the negated _tail_lower_terms(n, cutoff) and
+    -ln(threshold).  Every term is within 2^-48 (|t| + 1) of its exact
+    value (math.log of an int, see _enclose), and the exact values sum to
+    at least G.  Closed form: no loop, no mpmath, no prime scan.
     """
     terms = _robbins_terms(n - 1, n // 2 - 1, True)
     terms += [-t for t in _tail_lower_terms(n, cutoff)]
     terms.append(-math.log(threshold))
-    return _enclose(terms)[1] <= 0
+    return _enclose(terms)[1]
+
+
+def _block_gain(a0: Fraction, n: int, j: int) -> int:
+    """4j - (q(n + 4j) - q(n)), q(m) = (least_offset(a0, m) + m)/4."""
+    return 3 * j - (least_offset(a0, n + 4 * j) - least_offset(a0, n)) // 4
+
+
+def _ratio_passes(n: int, p: int, threshold: int, tail: FixedPointTail) -> bool:
+    """C(n-1, n/2-1) > threshold * sum_{i<p} C(n, i), tail = FixedPointTail(n, p).
+
+    _count_verdict on log_binomial_bounds and tail.log_bounds, and exact
+    integers when those proven enclosures straddle the threshold.
+    """
+    passes = _count_verdict(log_binomial_bounds(n - 1, n // 2 - 1),
+                            tail.log_bounds(), threshold)
+    if passes is None:
+        passes = binomial(n - 1, n // 2 - 1) > binomial_tail_sum(n, p) * threshold
+    return passes
 
 
 def find_d0(r: float) -> D0Result:
@@ -238,16 +256,38 @@ def find_d0(r: float) -> D0Result:
     is therefore the least passing d overall.  The profile (rsq, k, a0)
     depends on r alone, so it is solved once, as plan_fixed solves it.
 
-    Each step first tries _step_fails at q = (least_offset(a0, n) + n)/4,
-    the least prime choose_a could return: its p is at least q, and
-    S(n, c) = sum_{i<c} C(n, i) grows with c, so a lower bound on
-    ln S(n, q) is one on ln S(n, p), and a reject at q proves the step
-    fails at p.  Only the steps it leaves run choose_a's prime scan and
-    _step_fails at the real p.  Both rejects are proofs that the ratio
-    stays at or below d+1, so no passing step is skipped.  Every other
-    step is a full evaluation, the validated ParamSet and lower_bound.
-    Rejected steps never call choose_a, so its refusal of p >= 2^64 is
-    not checked there; _D0_SCAN_CAP keeps every p far below that.
+    Each step first takes _step_bound's M >= G(n) = ln C(n-1, n/2-1) -
+    ln S(n, q(n)) - ln(n^(2k) + 2), S(n, c) = sum_{i<c} C(n, i), at
+    q(n) = (least_offset(a0, n) + n)/4, the least prime choose_a could
+    return.  Its p is at least q and S(n, c) grows with c, so M <= 0
+    proves the step fails at p.  A block reject then skips the next j
+    steps too, by two exact facts:
+      - C(n+1, n/2)/C(n-1, n/2-1) = 4(n+1)/(n+2) < 4, so ln C(n-1, n/2-1)
+        grows by less than 4j ln 2 from n to n + 4j;
+      - S(m+1, c+1) = S(m, c+1) + S(m, c) >= 2 S(m, c) and
+        S(m+1, c) >= S(m, c), so with Dq = q(n + 4j) - q(n) in [0, 4j],
+        Dq steps of the first kind and 4j - Dq of the second give
+        S(n + 4j, q(n + 4j)) >= 2^Dq S(n, q(n)).
+    The threshold n^(2k) + 2 grows with n, so G(n + 4j) <= G(n) +
+    gain(j) ln 2, gain(j) = 4j - Dq (_block_gain).  For a0 in (0, 2),
+    ceil(a0 m/2) grows by at most ceil(2 a0) <= 4 as m grows by 4, so
+    least_offset grows by 0 or 4 and q by 1 or 2 per step: Dq lies in
+    [j, 2j] and gain(j) in [2j, 3j], strictly increasing in j.  So once
+    M + gain(j) ln 2 <= 0, every step n + 4i with i <= j fails.  The walk
+    decides that in integers, with no further enclosure: budget =
+    floor(-M / _LN2_UP), exact from M's integer ratio and the fraction
+    _LN2_UP > ln 2, and j the largest with gain(j) <= budget, by
+    bisection over [budget/3, budget/2]; then gain(j) ln 2 <=
+    budget * _LN2_UP <= -M, and the walk goes on at n + 4(j + 1).
+
+    A step that M does not reject runs choose_a's prime scan and
+    _step_bound at the real p, and only the steps that survive both are
+    full evaluations: the validated ParamSet and _ratio_passes.
+    lower_bound runs only at the passing step (d0) and the d0 - 1
+    re-check.  Every reject is a proof that the ratio stays at or below
+    d+1, so no passing step is skipped.  Rejected steps never call
+    choose_a, so its refusal of p >= 2^64 is not checked there;
+    _D0_SCAN_CAP keeps every p far below that.
     """
     rsq, k, a0 = fixed_profile(r)
     n = 8
@@ -256,32 +296,45 @@ def find_d0(r: float) -> D0Result:
         d = n ** (2 * k) + 1
         if d > _D0_SCAN_CAP:
             raise CheckFailed("no d0 found below cap %d" % _D0_SCAN_CAP)
+        upper = _step_bound(n, (least_offset(a0, n) + n) // 4, d + 1)
+        if upper <= 0:
+            num, den = (-upper).as_integer_ratio()
+            budget = num * _LN2_UP[1] // (den * _LN2_UP[0])
+            lo, hi = budget // 3, budget // 2 + 1  # gain(j) is in [2j, 3j]
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _block_gain(a0, n, mid) <= budget:
+                    lo = mid
+                else:
+                    hi = mid
+            steps += lo + 1
+            n += 4 * (lo + 1)
+            continue
         steps += 1
-        if (_step_fails(n, (least_offset(a0, n) + n) // 4, d + 1)
-                or _step_fails(n, choose_a(a0, n)[1], d + 1)):
+        if _step_bound(n, choose_a(a0, n)[1], d + 1) <= 0:
             n += 4
             continue
         evaluations += 1
         ps = fixed_params(r, rsq, k, a0, d)
-        cb = lower_bound(ps)
-        if cb.passes:
-            prev_passes = False
-            try:
-                prev_d = d - 1
-                prev_passes = lower_bound(fixed_params(r, rsq, k, a0, d - 1)).passes
-            except (CheckFailed, ValueError):
-                prev_d = None
-            return D0Result(
-                r=float(r),
-                d0=d,
-                params=ps,
-                bound=cb,
-                previous_d=prev_d,
-                previous_passes=prev_passes,
-                walk_steps=steps,
-                full_evaluations=evaluations,
-            )
-        n += 4
+        if not _ratio_passes(n, ps.p, d + 1, FixedPointTail(n, ps.p)):
+            n += 4
+            continue
+        prev_passes = False
+        try:
+            prev_d = d - 1
+            prev_passes = lower_bound(fixed_params(r, rsq, k, a0, d - 1)).passes
+        except (CheckFailed, ValueError):
+            prev_d = None
+        return D0Result(
+            r=float(r),
+            d0=d,
+            params=ps,
+            bound=lower_bound(ps),
+            previous_d=prev_d,
+            previous_passes=prev_passes,
+            walk_steps=steps,
+            full_evaluations=evaluations,
+        )
 
 
 def shrinking_radius_check(d: int, c_phi: float = 6.0) -> ShrinkingRadiusReport:

@@ -5,8 +5,9 @@ both arbitrary precision out of the box.  The log of a quantity too large
 to materialize (binomial ratios at dimensions like 10**18) is a 120-bit
 mpmath float, for printing: log_binomial, log_binomial_tail_sum and
 FixedPointTail.log.  Verdicts take float64 enclosures with a proven
-margin: log_binomial_bounds, log_binomial_tail_lower (whose terms
-bounds.find_d0's reject sums in one enclosure) and FixedPointTail.log_bounds.
+margin: log_binomial_bounds, FixedPointTail.log_bounds, and the closed-form
+tail bound of _tail_lower_terms, which bounds.find_d0's reject sums in one
+enclosure.
 """
 
 from __future__ import annotations
@@ -258,14 +259,6 @@ def log_binomial_bounds(n: int, k: int) -> Tuple[float, float]:
     k = min(k, n - k)
     return (_enclose(_robbins_terms(n, k, False))[0],
             _enclose(_robbins_terms(n, k, True))[1])
-
-
-def log_binomial_tail_lower(n: int, p: int) -> float:
-    """A float lower bound on ln of S = sum of C(n, i) for i < p, no loop.
-
-    _enclose of _tail_lower_terms(n, p), whose docstring has the proof.
-    """
-    return _enclose(_tail_lower_terms(n, p))[0]
 
 
 def _tail_lower_terms(n: int, p: int) -> List[float]:

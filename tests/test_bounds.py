@@ -200,7 +200,7 @@ _D0_TABLE = {
 def test_find_d0_every_table_radius(monkeypatch):
     from borsuk import params
 
-    calls = {"choose_a": 0, "is_prime": 0}
+    calls = {"choose_a": 0, "is_prime": 0, "enclose": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -212,6 +212,7 @@ def test_find_d0_every_table_radius(monkeypatch):
     monkeypatch.setattr(params, "choose_a", choose)
     monkeypatch.setattr(bounds, "choose_a", choose)
     monkeypatch.setattr(params, "is_prime", counted("is_prime", params.is_prime))
+    monkeypatch.setattr(bounds, "_enclose", counted("enclose", bounds._enclose))
     results = {r: find_d0(r) for r in _D0_TABLE}
     for r, res in results.items():
         got = (res.d0, res.params.n, res.walk_steps, res.full_evaluations)
@@ -225,12 +226,16 @@ def test_find_d0_every_table_radius(monkeypatch):
     # choose_a's prime scan runs only on the steps the least-prime reject
     # leaves, the full evaluations and the d0 - 1 re-checks; scanning on
     # every step made 5,865 choose_a and 33,319 is_prime calls
-    assert calls == {"choose_a": 97, "is_prime": 520}
+    assert (calls["choose_a"], calls["is_prime"]) == (97, 520)
+    # the block reject skips most steps with no enclosure of their own:
+    # 1,366 now, one or two on every step (5,918) without it
+    assert calls["enclose"] <= 1700
 
 
 def test_find_d0_walk_calls_no_mpmath(monkeypatch):
-    # loggamma is reached only from full evaluations: six per count_bound,
-    # one count_bound per full evaluation plus the d0 - 1 re-check
+    # loggamma is reached only from lower_bound, six calls per count_bound,
+    # which the walk runs only at d0 and at the d0 - 1 re-check: the
+    # other full evaluations take the float enclosures
     calls = []
     loggamma = mp.loggamma
 
@@ -240,8 +245,8 @@ def test_find_d0_walk_calls_no_mpmath(monkeypatch):
 
     monkeypatch.setattr(mp, "loggamma", counted)
     res = find_d0(0.59)
-    assert res.walk_steps == 2875
-    assert len(calls) == 6 * (res.full_evaluations + 1)
+    assert (res.walk_steps, res.full_evaluations) == (2875, 4)
+    assert len(calls) == 12
 
 
 def _exact_passes(n, p, threshold):
@@ -259,9 +264,9 @@ def test_walk_reject_sound_in_exact_integers(r):
     for n in range(8, 2001, 4):
         _, p = choose_a(a0, n)
         threshold = n ** (2 * k) + 2
-        if bounds._step_fails(n, (least_offset(a0, n) + n) // 4, threshold):
+        if bounds._step_bound(n, (least_offset(a0, n) + n) // 4, threshold) <= 0:
             at_q.add(n)
-        if bounds._step_fails(n, p, threshold):
+        if bounds._step_bound(n, p, threshold) <= 0:
             at_p.add(n)
         if n in at_q or n in at_p:
             assert not _exact_passes(n, p, threshold), n
@@ -269,6 +274,90 @@ def test_walk_reject_sound_in_exact_integers(r):
     # the oracle saw every reject the walk itself made at n <= 2000
     _, _, steps, evaluations = _D0_TABLE[r]
     assert len(at_q | at_p) >= min(steps, 499) - evaluations
+
+
+@pytest.mark.parametrize("r", [0.61, 0.63, 0.65, 0.67, 0.69, 0.71])
+def test_block_reject_sound_in_exact_integers(monkeypatch, r):
+    # every step the block reject skips at n <= 2000 really fails with
+    # choose_a's p: C(n-1, n/2-1) <= (d+1) * sum_{i<p} C(n, i); the walk
+    # encloses every n it does not skip, so the spy sees all the others
+    _, k, a0 = fixed_profile(r)
+    seen = set()
+    step_bound = bounds._step_bound
+
+    def spy(n, cutoff, threshold):
+        seen.add(n)
+        return step_bound(n, cutoff, threshold)
+
+    monkeypatch.setattr(bounds, "_step_bound", spy)
+    res = find_d0(r)
+    skipped = set(range(8, res.params.n, 4)) - seen
+    assert res.params.n in seen
+    assert len(seen) + len(skipped) == res.walk_steps
+    assert min(skipped) <= 2000
+    for n in sorted(skipped):
+        if n > 2000:
+            break
+        _, p = choose_a(a0, n)
+        assert not _exact_passes(n, p, n ** (2 * k) + 2), n
+
+
+def test_block_reject_growth_facts():
+    # the two exact facts behind the block reject, gain(j) = 4j -
+    # (q(n+4j) - q(n)) rising by 2 or 3 per step for every table a0, and
+    # the fraction the walk's budget divides by lying above ln 2
+    for n in range(4, 401, 2):
+        c, c2 = binomial(n - 1, n // 2 - 1), binomial(n + 1, n // 2)
+        assert c2 * (n + 2) == 4 * (n + 1) * c and c2 < 4 * c
+    for m in range(60):
+        for c in range(1, m + 3):
+            s = binomial_tail_sum(m, c)
+            assert binomial_tail_sum(m + 1, c + 1) == binomial_tail_sum(m, c + 1) + s
+            assert binomial_tail_sum(m + 1, c + 1) >= 2 * s
+            assert binomial_tail_sum(m + 1, c) >= s
+    for r in _D0_TABLE:
+        _, _, a0 = fixed_profile(r)
+        for n in range(8, 2001, 4):
+            gains = [bounds._block_gain(a0, n, j) for j in range(41)]
+            assert gains[0] == 0
+            assert {y - x for x, y in zip(gains, gains[1:])} <= {2, 3}, (r, n)
+    num, den = bounds._LN2_UP
+    with mp.workprec(200):
+        assert mp.log(2) < mp.mpf(num) / den < mp.log(2) + 1e-16
+
+
+@pytest.mark.parametrize("r", [0.61, 0.69])
+def test_block_reject_bound_in_exact_integers(r):
+    # G(n + 4j) <= G(n) + gain(j) ln 2 itself, at k = 2 and k = 1, with
+    # G(n) = ln C(n-1, n/2-1) - ln S(n, q(n)) - ln(n^(2k) + 2)
+    # cross-multiplied in exact integers
+    _, k, a0 = fixed_profile(r)
+
+    def parts(n):
+        q = (least_offset(a0, n) + n) // 4
+        return binomial(n - 1, n // 2 - 1), binomial_tail_sum(n, q), n ** (2 * k) + 2
+
+    for n in range(8, 601, 12):
+        c, s, t = parts(n)
+        for j in (1, 2, 5, 17):
+            c2, s2, t2 = parts(n + 4 * j)
+            assert c2 * s * t <= 2 ** bounds._block_gain(a0, n, j) * c * s2 * t2
+
+
+def test_find_d0_past_default_cap(monkeypatch):
+    # r = 0.55 needs k = 3 and d0 ~ 3.4e32, above the 10^24 cap (the CLI
+    # exits 1 there); with the cap raised the block reject reaches it
+    # with the same steps and full evaluations as the linear walk
+    monkeypatch.setattr(bounds, "_D0_SCAN_CAP", 10 ** 40)
+    calls = []
+    enclose = bounds._enclose
+    monkeypatch.setattr(bounds, "_enclose", lambda t: calls.append(1) or enclose(t))
+    res = find_d0(0.55)
+    assert res.d0 == 336646860847529776342789175640065
+    assert (res.params.k, res.params.n, res.params.p) == (3, 263752, 128657)
+    assert (res.walk_steps, res.full_evaluations) == (65937, 13)
+    assert res.bound.passes and not res.previous_passes
+    assert len(calls) <= 7000  # 6,142, against one or two per step
 
 
 def test_count_bound_log_verdict_is_certified(monkeypatch):

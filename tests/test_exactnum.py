@@ -8,14 +8,21 @@ from mpmath import mp
 
 from borsuk.exactnum import (
     FixedPointTail,
+    _enclose,
+    _tail_lower_terms,
     binomial,
     binomial_tail_sum,
     is_prime,
     log_binomial,
     log_binomial_bounds,
-    log_binomial_tail_lower,
     log_binomial_tail_sum,
 )
+
+
+def log_binomial_tail_lower(n, p):
+    """Oracle: the float lower bound on ln sum_{i<p} C(n, i) whose terms
+    bounds.find_d0's reject sums, summed by _enclose on their own."""
+    return _enclose(_tail_lower_terms(n, p))[0]
 
 
 def _pascal_table(rows):
