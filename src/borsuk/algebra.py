@@ -40,7 +40,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .exactnum import binomial, binomial_tail_sum, is_prime
-from .construction import sigma_matrix
+from .construction import ENUMERATION_CAP, sigma_matrix
 
 # Full-family rank elimination is O(rows * cols * rank); these caps keep it
 # to a few seconds.  The column cap applies to the dimension bound, the
@@ -57,11 +57,13 @@ _SLICE_SPARE = 8
 _EXACT32 = 2 ** 24
 _EXACT64 = 2 ** 53
 
-# rank_mod_p: columns per panel and rows sampled for a panel's pivots;
-# rows per matmul in its trailing update, in sigma_gram and in
-# _conflict_matrix, which bounds their temporaries
-_PANEL = 96
-_PANEL_SAMPLE = 128
+# rank_mod_p: columns per panel, and rows sampled for a panel's pivots,
+# a few more than a panel can have; narrow panels keep each pivot's
+# rank-1 update in _gauss_jordan small.  Rows per matmul in its trailing
+# update, in sigma_gram and in _conflict_matrix, which bounds their
+# temporaries
+_PANEL = 32
+_PANEL_SAMPLE = _PANEL + 8
 _ROW_CHUNK = 1024
 
 _EXACT_MIS_CAP = 12
@@ -450,7 +452,7 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _gauss_jordan(A: np.ndarray, p: int, width: int) -> Tuple[List[int], List[int]]:
-    """Reduce float64 A, entries in [0, p), mod p in place on its first
+    """Reduce float A, entries in [0, p), mod p in place on its first
     width columns.
 
     Each pivot row is made monic and cleared from every other row, so the
@@ -458,9 +460,22 @@ def _gauss_jordan(A: np.ndarray, p: int, width: int) -> Tuple[List[int], List[in
     the pivots in the order found.  Only column j and the pivot row are
     reduced before pivot j; its rank-1 update then moves every other
     entry by at most (p-1)**2, and the whole of A is reduced only when
-    that tracked bound would pass 2**53 - p, and once at the end.
+    that tracked bound would pass 2**b - p, b = 24 for float32 A and 53
+    for float64, and once at the end.  The update skips the columns
+    before j, where the pivot row is exactly 0.
+
+    Exact in both types: every entry is an integer float of magnitude at
+    most 2**b - p, which _mod reduces exactly; the monic scaling of a
+    reduced row stays below (p-1)**2, within that limit whenever one
+    pivot fits, p - 1 + (p-1)**2 <= 2**b - p.  For a sample of at most
+    _PANEL columns with (p-1)**2 _PANEL + 2p < 2**24, as rank_mod_p
+    gives float32 panels, the bound never reaches the limit, so float32
+    A is reduced only at the end.  Each entry stays congruent to its
+    value in an elimination reduced at every step, and a pivot is chosen
+    from the reduced column, so the pivots and the final, fully reduced
+    array are the ones that elimination gives.
     """
-    limit = _EXACT64 - p
+    limit = (_EXACT32 if A.dtype == np.float32 else _EXACT64) - p
     step = (p - 1) ** 2
     bound = p - 1  # on |entries| of A
     rows: List[int] = []
@@ -472,15 +487,14 @@ def _gauss_jordan(A: np.ndarray, p: int, width: int) -> Tuple[List[int], List[in
         if cand.size == 0:
             continue
         i = int(cand[0])
-        A[i] = _mod(_mod(A[i], p) * pow(int(col[i]), -1, p), p)
-        hit = np.flatnonzero(col)
-        hit = hit[hit != i]
-        if hit.size:
-            if bound + step > limit:
-                A[...] = _mod(A, p)
-                bound = p - 1
-            A[hit] -= col[hit, None] * A[i]
-            bound += step
+        # a free row is exactly 0 on the columns before j
+        A[i, j:] = _mod(_mod(A[i, j:], p) * pow(int(col[i]), -1, p), p)
+        if bound + step > limit:
+            A[...] = _mod(A, p)
+            bound = p - 1
+        col[i] = 0
+        A[:, j:] -= col[:, None] * A[i, j:]
+        bound += step
         free[i] = False
         rows.append(i)
         cols.append(j)
@@ -491,40 +505,36 @@ def _gauss_jordan(A: np.ndarray, p: int, width: int) -> Tuple[List[int], List[in
 def _panel_pivots(P: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pivots of a reduced panel P: rows whose span is P's row space.
 
-    Gauss-Jordan runs on an evenly spaced sample of rows, augmented with
-    the identity so that it also yields minv, the inverse of the pivot
-    block P[rows][:, cols].  Every row of P is then reduced against the
-    sample's pivots; rows left nonzero join the sample and the search
-    repeats, each round adding at least one pivot.  The residues checked
-    stay below p - 1 + k (p-1)^2 for a panel of k columns, within _mod's
-    range since k is at most rank_mod_p's panel width.
+    Gauss-Jordan runs on an evenly spaced sample of about _PANEL_SAMPLE
+    rows, in P's dtype, augmented with the identity so that it also
+    yields minv, the inverse of the pivot block P[rows][:, cols].  Every
+    row of P is then reduced against the sample's pivots; rows left
+    nonzero join the sample's pivot rows and the search repeats, each
+    round adding at least one pivot.  A sample row lies in the span of
+    the sample's pivot rows, so it is never left nonzero, and the two
+    sets joined are disjoint.
 
-    The Gauss-Jordan runs in float64 and is exact: the sample starts with
-    entries in [0, p); before each pivot its column and the pivot row are
-    reduced, so the monic scaling stays below (p-1)^2 and the rank-1
-    update moves any entry by at most (p-1)^2.  A bound on |entries|
-    grows by that much per pivot, and the whole array is reduced before
-    it would pass 2**53 - p (p - 1 + (p-1)^2 fits for every p rank_mod_p
-    accepts), so every intermediate is an integer float64 holds exactly
-    and _mod reduces exactly.  Each entry stays congruent to its value
-    in an elimination reduced at every step, and a pivot is chosen from
-    the reduced column, so the pivots and the final, fully reduced array
-    are the ones that elimination gives.
+    Exact: P has entries in [0, p) and at most k <= _PANEL columns, so
+    the residues checked stay below p - 1 + k (p-1)^2, and _gauss_jordan
+    is exact in float32 and float64 alike.  rank_mod_p picks float32
+    only when (p-1)^2 _PANEL + 2p < 2**24, which keeps both that residue
+    and _gauss_jordan's tracked bound within 2**24 - p, and float64 only
+    when one pivot fits within 2**53 - p, which _gauss_jordan needs.
     """
     m, k = P.shape
     sample = np.arange(0, m, max(1, m // _PANEL_SAMPLE))
     while True:
         s = sample.size
-        A = np.zeros((s, k + s))
+        A = np.zeros((s, k + s), dtype=P.dtype)
         A[:, :k] = P[sample]
-        A[:, k:] = np.eye(s)
+        np.fill_diagonal(A[:, k:], 1)
         rows, cols = _gauss_jordan(A, p, k)
-        left = P - P[:, cols] @ A[rows, :k].astype(P.dtype)
+        left = P - P[:, cols] @ A[rows, :k]
         live = np.flatnonzero(_mod(left, p).any(axis=1))
         if live.size == 0:
             minv = A[np.ix_(rows, [k + i for i in rows])]
             return sample[rows], np.array(cols, dtype=np.intp), minv
-        sample = np.union1d(sample[rows], live[:_PANEL_SAMPLE])
+        sample = np.sort(np.concatenate([sample[rows], live[:_PANEL_SAMPLE]]))
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
@@ -532,14 +542,17 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
 
     Works on a float copy oriented to have at least as many rows as
     columns, _PANEL columns at a time (Dumas, Giorgi, Pernet, ACM TOMS
-    2008).  The panel's pivot rows are found by a small float64
-    Gauss-Jordan on a sample of its rows, with the same delayed
-    reduction, and swapped to the top; their reduced row-echelon form
-    then clears the panel from every other row, and the trailing columns
-    take the same step as one matmul, T -= X @ U.
+    2008).  The panel's pivot rows are found by a small Gauss-Jordan on
+    a sample of its rows, with the same delayed reduction and in the
+    same float type; their reduced row-echelon form then clears the
+    panel from every other row, and the trailing columns take the same
+    step as one matmul, T -= X @ U.  U is formed from the pivot rows
+    where they lie; then the rows among the top k that are not pivots
+    move into the places of the k pivot rows below them, one copy per
+    panel, and the rows left form one block.
 
     The copy is float32 when a full panel's growth fits in it,
-    (p-1)^2 _PANEL + 2p < 2**24 (p <= 419), and float64 otherwise.
+    (p-1)^2 _PANEL + 2p < 2**24 (p <= 719), and float64 otherwise.
     Every intermediate is an integer of magnitude at most the limit
     2**24 - p, or 2**53 - p, so the float type holds it exactly and _mod
     reduces it exactly: the panel and the pivot rows are reduced mod p
@@ -548,7 +561,7 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     p must be prime with (p-1)^2 + p < 2**53; the largest such prime,
     94906249, still has p - 1 + (p-1)^2 below 2**53 - p by 3 * 10**9,
     so one pivot per panel always fits, and in _gauss_jordan one pivot
-    between full reductions (_panel_pivots gives its exactness argument).
+    between full reductions (_panel_pivots gives the sample's argument).
     """
     p = operator.index(p)
     if not is_prime(p):
@@ -580,24 +593,22 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
         kp = rows.size
         if kp == 0:
             continue
-        order = np.argsort(rows)
-        rows, cols, minv = rows[order], cols[order], minv[np.ix_(order, order)]
-        # sorted, each pivot row still sits at its index when its turn comes
-        for t, i in enumerate(rows.tolist()):
-            if i != t:
-                W[[r + t, r + i], c1:] = W[[r + i, r + t], c1:]
-                P[[t, i]] = P[[i, t]]
-        if c1 < n and r + kp < m:
-            U = _mod(minv.astype(dtype) @ _mod(W[r:r + kp, c1:], p), p)
-            X = P[kp:, cols]
-            T = W[r + kp:, c1:]
-            reduce = bound + kp * step > limit
-            bound = (p - 1 if reduce else bound) + kp * step
-            for lo in range(0, T.shape[0], _ROW_CHUNK):
-                block = T[lo:lo + _ROW_CHUNK]
-                if reduce:
-                    block[...] = _mod(block, p)
-                block -= X[lo:lo + _ROW_CHUNK] @ U
+        U = _mod(minv @ _mod(W[r + rows, c1:], p), p)
+        # the top's other rows take the pivot rows' places below it
+        top = np.ones(kp, dtype=bool)
+        top[rows[rows < kp]] = False
+        into, out = np.flatnonzero(top), rows[rows >= kp]
+        W[r + out, c1:] = W[r + into, c1:]
+        P[out] = P[into]
+        X = P[kp:, cols]
+        T = W[r + kp:, c1:]
+        reduce = bound + kp * step > limit
+        bound = (p - 1 if reduce else bound) + kp * step
+        for lo in range(0, T.shape[0], _ROW_CHUNK):
+            block = T[lo:lo + _ROW_CHUNK]
+            if reduce:
+                block[...] = _mod(block, p)
+            block -= X[lo:lo + _ROW_CHUNK] @ U
         r += kp
     return r
 
@@ -716,6 +727,11 @@ def certify_bound(
     search and the full-family rank join in whenever feasible.  The offset
     a must be at least 4, as in the planner: below it, at n = 12, the
     exact search meets conflict graphs far harder than K(11, 5).
+
+    Past ENUMERATION_CAP, as at the planner's own sizes, Sigma(n) is not
+    enumerated: the families, the exact search and the rank are skipped
+    (family_sizes empty, mis_exact and the rank fields None), and the
+    verdict rests on the exact property count alone.
     """
     if n - 4 * p != -a:
         raise ValueError("construction relation violated: n - 4p != -a")
@@ -729,37 +745,38 @@ def certify_bound(
     sigma_size = binomial(n - 1, n // 2 - 1)
     forbidden = -a
 
-    X = sigma_matrix(n)
-    conflict = _conflict_matrix(X, forbidden) if sigma_size <= _CONFLICT_CAP else None
     sizes: List[int] = []
     all_verified = True
-    for seed in [None] + list(range(seeds - 1)):
-        # without the pair matrix, a sampled candidate pool; any
-        # greedy-maximal family inside it is still a genuine avoiding
-        # family, which is all the certificate needs
-        rows = X if conflict is not None else X[_family_pool(sigma_size, seed)]
-        fam = greedy_avoiding_family(rows, forbidden, seed=seed, conflict=conflict)
-        sizes.append(len(fam))
-        if not independence_verify(fam, p, a):
-            all_verified = False
-    del conflict  # 41 MB at n = 16, not needed by the rank below
-
     mis: Optional[int] = None
-    if n <= _EXACT_MIS_CAP:
-        mis = max_avoiding_exact(X, forbidden)
-
     rank = rank_columns = rank_rows = slice_bound = None
-    if sigma_size <= _RANK_ROWS_CAP and bound <= _RANK_COLS_CAP:
-        columns = _free_sign_matrix(X, p, a)
-        slice_bound = _slice_rank_bound(n, p)
-        rank, rank_rows = _slice_rank(columns, p, slice_bound)
-        rank_columns = columns.shape[1]
+    if n <= ENUMERATION_CAP:
+        X = sigma_matrix(n)
+        conflict = _conflict_matrix(X, forbidden) if sigma_size <= _CONFLICT_CAP else None
+        for seed in [None] + list(range(seeds - 1)):
+            # without the pair matrix, a sampled candidate pool; any
+            # greedy-maximal family inside it is still a genuine avoiding
+            # family, which is all the certificate needs
+            rows = X if conflict is not None else X[_family_pool(sigma_size, seed)]
+            fam = greedy_avoiding_family(rows, forbidden, seed=seed, conflict=conflict)
+            sizes.append(len(fam))
+            if not independence_verify(fam, p, a):
+                all_verified = False
+        del conflict  # 41 MB at n = 16, not needed by the rank below
+
+        if n <= _EXACT_MIS_CAP:
+            mis = max_avoiding_exact(X, forbidden)
+
+        if sigma_size <= _RANK_ROWS_CAP and bound <= _RANK_COLS_CAP:
+            columns = _free_sign_matrix(X, p, a)
+            slice_bound = _slice_rank_bound(n, p)
+            rank, rank_rows = _slice_rank(columns, p, slice_bound)
+            rank_columns = columns.shape[1]
 
     violations = property_check_exhaustive(n, p, a)
     checks = [
         violations == 0,
         all_verified,
-        max(sizes) <= bound,
+        max(sizes, default=0) <= bound,
         mis is None or mis <= bound,
         mis is None or max(sizes) <= mis,
         rank is None or rank <= bound,

@@ -169,6 +169,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
         ps = _resolve_params(args)
         n, p, a = ps.n, ps.p, ps.a
     cert = algebra.certify_bound(n, p, a, seeds=args.seeds)
+    if not cert.family_sizes:
+        sys.stderr.write("note: Sigma(%d) not enumerated (n > %d): greedy "
+                         "families, exact MIS and rank skipped; the verdict "
+                         "rests on the exact property count\n"
+                         % (n, algebra.ENUMERATION_CAP))
     _emit(_jsonable(cert), args)
     return EXIT_OK if cert.verdict else EXIT_CHECK_FAILED
 

@@ -240,9 +240,24 @@ def _format_block(pts: np.ndarray) -> str:
     lift h and 0.0), so each distinct value is formatted once and the
     lines index into that table.  The table is keyed on bit patterns, not
     values, so 0.0 and -0.0 keep their own text and the bytes are those of
-    repr on every coordinate.
+    repr on every coordinate.  It is the first row's distinct patterns,
+    and every cell is found in it by binary search and checked exactly;
+    only a block with a cell the first row lacks takes np.unique.  The
+    trailing columns that hold one value down the whole block (the zeros
+    past the lift) are joined once and end every line.
     """
-    bits, where = np.unique(pts.view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    cells = text[where.reshape(pts.shape)]
-    return "".join(" ".join(line) + "\n" for line in cells.tolist())
+    if pts.size == 0:
+        return "\n" * pts.shape[0]
+    bits = pts.view(np.int64)
+    varying = np.flatnonzero((bits != bits[0]).any(axis=0))
+    cut = varying[-1] + 1 if varying.size else 0
+    first = np.sort(bits[0])
+    table = first[np.concatenate(([True], first[1:] != first[:-1]))]
+    where = np.minimum(np.searchsorted(table, bits[:, :cut]), table.size - 1)
+    if not np.array_equal(table[where], bits[:, :cut]):
+        table, where = np.unique(bits, return_inverse=True)
+        where = where.reshape(bits.shape)[:, :cut]
+    text = np.array([repr(v) for v in table.view(np.float64).tolist()], dtype=object)
+    tail = " ".join(text[np.searchsorted(table, bits[0, cut:])].tolist())
+    end = (" " if 0 < cut < bits.shape[1] else "") + tail + "\n"
+    return "".join(" ".join(line) + end for line in text[where].tolist())

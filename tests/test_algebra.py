@@ -529,27 +529,68 @@ def test_rank_mod_p_trailing_reduction():
 
 
 def test_rank_mod_p_float32_trailing_reduction():
-    # p = 409 runs in float32, where a panel of 96 pivots adds up to
-    # 96 (p-1)^2 ~ 2^24 to the trailing entries: from the second panel on
-    # the trailing block must be reduced mod p before every update, and
-    # 390 pivots take five panels, enough to go wrong without it
-    p = 409
+    # p = 719, the largest prime rank_mod_p runs in float32, where a
+    # panel of 32 pivots adds up to 32 (p-1)^2 ~ 2^24 to the trailing
+    # entries: from the second panel on the trailing block must be reduced
+    # mod p before every update, and 390 pivots take 13 panels, enough to
+    # go wrong without it
+    p = 719
     assert (p - 1) ** 2 * algebra._PANEL + 2 * p < 2 ** 24
+    assert 2 * (p - 1) ** 2 * algebra._PANEL > 2 ** 24
     M = _low_rank(420, 400, 390, p, seed=0)
     assert rank_mod_p(M, p) == _rank_loop(M, p) == 390
 
 
-def test_rank_mod_p_pivots_outside_sample():
+def _count_gauss_jordan(monkeypatch):
+    # pivots found by each _gauss_jordan call, in call order
+    found = []
+    gauss_jordan = algebra._gauss_jordan
+
+    def counted(A, p, width):
+        rows, cols = gauss_jordan(A, p, width)
+        found.append(len(rows))
+        return rows, cols
+    monkeypatch.setattr(algebra, "_gauss_jordan", counted)
+    return found
+
+
+def test_rank_mod_p_pivots_outside_sample(monkeypatch):
     # a panel's pivot search starts on every (rows // _PANEL_SAMPLE)-th
     # row; here those rows are zero or of rank 3, so the pivots must come
     # from the rows the first sample left out
+    found = _count_gauss_jordan(monkeypatch)
     rows = 2 * algebra._PANEL_SAMPLE + 1
+    assert rows // algebra._PANEL_SAMPLE == 2
     for p in (2, 7):
         M = _low_rank(rows, 70, 45, p, seed=p)
         M[::2] = 0
+        found.clear()
         assert rank_mod_p(M, p) == _rank_loop(M, p)
+        assert found[0] == 0 and len(found) > 3
         M[::2] = _low_rank(rows // 2 + 1, 70, 3, p, seed=p + 1)
+        found.clear()
         assert rank_mod_p(M, p) == _rank_loop(M, p)
+        assert found[0] <= 3 and len(found) > 3
+
+
+def test_slice_rank_panel_work_pinned(monkeypatch):
+    # the (16, 5, 4) rank certify runs: 1,373 rows, 43 panels of the
+    # 1,373 columns (rank_mod_p ranks the 1470 x 1373 transpose).  Pivots
+    # searched again after a retry count in the total, so a sample that
+    # spans less of its panel shows here, not only in a timing
+    found = _count_gauss_jordan(monkeypatch)
+    panels = []
+    panel_pivots = algebra._panel_pivots
+
+    def counted(P, p):
+        out = panel_pivots(P, p)
+        panels.append(out[0].size)
+        return out
+    monkeypatch.setattr(algebra, "_panel_pivots", counted)
+    F = algebra._free_sign_matrix(sigma_matrix(16), 5, 4)
+    assert algebra._slice_rank(F, 5, algebra._slice_rank_bound(16, 5)) == (1365, 1373)
+    assert sum(panels) == 1365 and len(panels) == 43
+    assert (len(found), sum(found)) == (55, 1677)
 
 
 def _gauss_jordan_int64(A, p, width):
@@ -589,15 +630,38 @@ def _gauss_jordan_int64(A, p, width):
 # after 32 of them, and the entries themselves after about 128
 @example(s=170, k=180, r=160, p=16777213, seed=3)
 def test_gauss_jordan_matches_int64_oracle(s, k, r, p, seed):
+    _check_gauss_jordan(s, k, r, p, seed, np.float64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    s=st.integers(1, 72),
+    k=st.integers(0, 72),
+    r=st.integers(0, 72),
+    p=st.sampled_from([2, 3, 5, 409, 719]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+# a full panel sample at p = 719, the largest prime rank_mod_p runs in
+# float32: 32 pivots stay within 2^24 - p with no reduction on the way
+@example(s=40, k=32, r=32, p=719, seed=4)
+# each pivot moves the other rows down by about p^2/4 ~ 2^17, so 160
+# pivots carry them past -2^24 unless A is reduced on the way; the
+# tracked bound passes 2^24 - p after 32 of them
+@example(s=170, k=180, r=160, p=719, seed=5)
+def test_gauss_jordan_float32_matches_int64_oracle(s, k, r, p, seed):
+    _check_gauss_jordan(s, k, r, p, seed, np.float32)
+
+
+def _check_gauss_jordan(s, k, r, p, seed, dtype):
     # a panel sample as _panel_pivots lays it out: rows of a rank-r
     # panel, then the identity that becomes the pivot block's inverse
     A = np.zeros((s, k + s), dtype=np.int64)
     A[:, :k] = _low_rank(s, k, r, p, seed)
     A[:, k:] = np.eye(s, dtype=np.int64)
-    B = A.astype(np.float64)
+    B = A.astype(dtype)
     want = _gauss_jordan_int64(A, p, k)
     assert algebra._gauss_jordan(B, p, k) == want
-    assert np.array_equal(B, A)
+    assert B.dtype == dtype and np.array_equal(B, A)
 
 
 def test_rank_mod_p_rejects_non_prime():
@@ -616,8 +680,8 @@ def test_rank_mod_p_int8_signs():
     # int8 matrices read as transposed (Fortran-ordered) views, as
     # _monomial_sign_matrix returns them: +-1 signs, with 40 columns and
     # 40 rows planted as signed copies of others, and the 0/1 indicators
-    # certify_bound ranks, with plain copies; p = 419 is the largest
-    # prime rank_mod_p runs in float32
+    # certify_bound ranks, with plain copies; p = 719 is the largest
+    # prime rank_mod_p runs in float32, and 727 the next one
     rng = np.random.default_rng(7)
     for values, flips in (([-1, 1], [-1, 1]), ([0, 1], [1])):
         MT = rng.choice(np.array(values, dtype=np.int8), size=(200, 300))
@@ -626,10 +690,10 @@ def test_rank_mod_p_int8_signs():
         M = MT.T
         assert M.dtype == np.int8 and not M.flags.c_contiguous
         assert set(np.unique(M)) == set(values)
-        for p in (5, 419):
+        for p in (5, 719):
             assert rank_mod_p(M, p) == _rank_loop(M, p) == 160
-    assert (418 ** 2 * algebra._PANEL + 2 * 419 < 2 ** 24
-            < 420 ** 2 * algebra._PANEL)
+    assert (718 ** 2 * algebra._PANEL + 2 * 719 < 2 ** 24
+            < 726 ** 2 * algebra._PANEL)
 
 
 def _sigma_sample(n, size, seed):

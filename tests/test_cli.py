@@ -152,6 +152,35 @@ def test_certify_offset_below_4_exits_2_at_once(capsys, monkeypatch, p, a):
     assert "offset a = %s below 4" % a in err
 
 
+def test_certify_past_the_enumeration_cap(capsys, monkeypatch):
+    # the planner's own sizes: n = 572 at (0.71, 327185), far past the
+    # enumeration; the exact property count still runs and decides
+    from borsuk import algebra
+    from borsuk.exactnum import binomial, binomial_tail_sum
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("Sigma(572) enumerated")
+
+    monkeypatch.setattr(algebra, "sigma_matrix", no_work)
+    code, out, err = _run(capsys, ["certify", "--r", "0.71", "--d", "327185"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["n"], doc["p"], doc["a"]) == ("572", "223", "320")
+    assert doc["bound"] == str(binomial_tail_sum(572, 223))
+    assert doc["sigma_size"] == str(binomial(571, 285))
+    assert doc["property_violations"] == "0" and doc["verdict"] is True
+    assert doc["family_sizes"] == [] and doc["rank_full_family"] is False
+    assert all(doc[key] is None for key in
+               ("mis_exact", "rank", "rank_columns", "rank_rows"))
+    assert err == ("note: Sigma(572) not enumerated (n > 24): greedy "
+                   "families, exact MIS and rank skipped; the verdict rests "
+                   "on the exact property count\n")
+    # the property count is the whole verdict there
+    monkeypatch.setattr(algebra, "property_check_exhaustive", lambda n, p, a: 2)
+    code, out, _ = _run(capsys, ["certify", "--r", "0.71", "--d", "327185"])
+    assert code == 1 and json.loads(out)["verdict"] is False
+
+
 def test_certify_partial_overrides_error(capsys):
     code, _, err = _run(capsys, ["certify", "--n", "12", "--p", "5"])
     assert code == 2
@@ -595,3 +624,23 @@ def test_thread_override_env(tmp_path):
     )
     assert proc.returncode == 2
     assert "BORSUK_THREADS" in proc.stderr
+
+
+def test_certify_n16_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, 15-37 ms once per process;
+    # nothing on the certify path calls it, so a fresh interpreter never
+    # loads the module
+    script = ("import contextlib, io, sys\n"
+              "from borsuk.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(['certify', '--n', '16', '--p', '5', '--a', '4'])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    import borsuk
+
+    src = os.path.dirname(os.path.dirname(borsuk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

@@ -248,6 +248,42 @@ def test_format_block_is_repr_of_every_coordinate(pts):
     assert construction._format_block(pts) == _repr_lines(pts)
 
 
+@st.composite
+def _export_like_blocks(draw):
+    # as export blocks are: a few distinct values, most or all of them in
+    # the first row, then a run of columns constant down the block
+    values = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+    palette = np.array(draw(st.lists(values, min_size=1, max_size=4)))
+    rows, head = draw(st.integers(1, 6)), draw(st.integers(0, 8))
+    cells = draw(hnp.arrays(np.intp, (rows, head),
+                            elements=st.integers(0, palette.size - 1)))
+    tail = np.array(draw(st.lists(values, max_size=5)), dtype=np.float64)
+    return np.hstack([palette[cells], np.tile(tail, (rows, 1))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=_export_like_blocks())
+@example(pts=np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0]]))  # -0.0 next to 0.0
+@example(pts=np.array([[1.0, 1.0, 0.0], [1.0, 2.5, 0.0]]))  # 2.5 not in row 0
+@example(pts=np.array([[0.5, -0.0], [0.5, 0.0]]))  # the last column varies
+@example(pts=np.full((5, 7), 0.25))  # all constant: every line is the tail
+def test_format_block_table_and_constant_tail(pts):
+    assert construction._format_block(pts) == _repr_lines(pts)
+
+
+def test_format_block_export_values_all_in_first_row(monkeypatch):
+    # an export block's first row holds every value of the block, so the
+    # first row's table serves it and np.unique never runs
+    ps = plan_fixed(0.9, 400)
+    pts = embed(ps, geometry(ps), sigma_matrix(ps.n)[:160])
+    want = _repr_lines(pts)
+
+    def no_unique(*args, **kwargs):
+        raise AssertionError("np.unique called")
+    monkeypatch.setattr(np, "unique", no_unique)
+    assert construction._format_block(pts) == want
+
+
 def test_materialize_cap():
     with pytest.raises(ValueError, match="materialization too large"):
         materialize(sigma_matrix(12)[:1], 4, 4)
