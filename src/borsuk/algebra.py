@@ -282,41 +282,27 @@ def _slice_rank(columns: np.ndarray, p: int, bound: int) -> Tuple[int, int]:
     return rank_mod_p(columns, p), m
 
 
-def residue_value_table(p: int, a: int) -> np.ndarray:
-    """q[s] = prod_{i != -a mod p} (i - s) mod p for s in 0..p-1.
-
-    Nonzero only at s = -a mod p: the product runs over all residues but
-    one, so any other s annihilates some factor.
-    """
-    skip = excluded_residue(p, a)
-    out = np.empty(p, dtype=np.int64)
-    for s in range(p):
-        v = 1
-        for i in range(p):
-            if i != skip:
-                v = v * (i - s) % p
-        out[s] = v
-    return out
-
-
 def evaluation_matrix(members: np.ndarray, p: int, a: int) -> np.ndarray:
     """M[i, j] = reduced polynomial of row i evaluated at row j, mod p.
 
     Uses the evaluation identity through the Gram matrix, an independent
-    route from the coefficient expansion.  The Gram is one float32
-    product, exact since every entry is an integer of magnitude at most
-    n < 2**24; shifted by n it indexes the values of every dot in [-n, n],
-    reduced mod p in Python integers.  The index and the result take the
-    narrowest unsigned dtypes that hold them (uint16 and uint8 for
+    route from the coefficient expansion.  At a dot s the value is
+    prod_{i != c} (i - s) mod p, c = excluded_residue(p, a): 0 unless
+    s = c mod p, as some factor vanishes, and at s = c the factors run
+    over every nonzero residue, so it is (p-1)! = -1 mod p by Wilson's
+    theorem.  The Gram is one float32 product, exact since every entry
+    is an integer of magnitude at most n < 2**24; shifted by n it indexes
+    those values for every dot in [-n, n].  The index and the result take
+    the narrowest unsigned dtypes that hold them (uint16 and uint8 for
     certify), so no |F|^2 int64 array is formed.
     """
     X = np.asarray(members, dtype=np.float32)
     n = X.shape[1]
     if n >= _EXACT32:
         raise ValueError("vector length %d too large for an exact float32 Gram" % n)
-    table = residue_value_table(p, a)
-    values = np.array([table[dot % p] for dot in range(-n, n + 1)],
-                      dtype=np.min_scalar_type(p - 1))
+    dots = np.arange(-n, n + 1)
+    values = np.where(dots % p == excluded_residue(p, a), p - 1, 0).astype(
+        np.min_scalar_type(p - 1))
     index = np.empty((X.shape[0], X.shape[0]), dtype=np.min_scalar_type(2 * n))
     np.add(X @ X.T, n, out=index, casting="unsafe")
     return values[index]

@@ -8,9 +8,9 @@ then gives
 
 The construction succeeds at dimension d once that ratio beats d+1 (d+2
 in the shrinking-radius regime).  This module prints the ratio's log, and
-decides it in exact integers or, through _count_verdict, from proven float64
-enclosures; it locates the first dimension where the ratio wins, extracts the
-growth base, and closes params.shrinking_chain with the count ratio.
+decides it in exact integers or from one proven float64 enclosure
+(_gap_bound); it locates the first dimension where the ratio wins, extracts
+the growth base, and closes params.shrinking_chain with the count ratio.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .exactnum import (
     binomial,
     binomial_tail_sum,
     log_binomial,
-    log_binomial_bounds,
     log_binomial_tail_sum,
 )
 from .params import (
@@ -70,32 +69,13 @@ class CountBound:
     passes: bool
 
 
-def _count_verdict(num: Tuple[float, float], den: Tuple[float, float],
-                   threshold: int) -> Optional[bool]:
-    """Whether num/den > threshold, or None if the bounds cannot tell.
-
-    num and den are (lo, hi) floats around ln num and ln den (den's hi may
-    be inf), and slack covers math.log(threshold)'s error, 2^-49 (ln + 1)
-    (exactnum._enclose).  math.fsum rounds the exact sum once, and a nonzero
-    sum of floats is at least the least subnormal: each sign is a proof.
-    """
-    ln_t = math.log(threshold)
-    slack = 2.0 ** -48 * (ln_t + 1)
-    if math.fsum((num[1], -den[0], -ln_t, slack)) <= 0:
-        return False
-    if math.fsum((num[0], -den[1], -ln_t, -slack)) > 0:
-        return True
-    return None
-
-
 def count_bound(n: int, p: int, threshold: int) -> CountBound:
     """The raw pigeonhole ratio |Sigma(n)| / sum_{i<p} C(n,i) vs threshold.
 
     Exact integers at desk scale, log space beyond; the two routes agree
     wherever both exist and the exact one decides passes when available.
-    Beyond it, _count_verdict decides passes from log_binomial_bounds and
-    FixedPointTail.log_bounds (the fixed-point sum of ratio_log), and exact
-    integers only what those proven float64 enclosures leave.
+    Beyond it, _ratio_passes decides passes from the fixed-point sum that
+    also gives ratio_log.
     """
     if n < 4 or n % 4 != 0:
         raise ValueError("n must be a positive multiple of 4")
@@ -211,21 +191,21 @@ class D0Result:
     full_evaluations: int
 
 
-def _step_bound(n: int, cutoff: int, threshold: int) -> float:
-    """A proven upper bound M on G = ln C(n-1, n/2-1) - ln S(n, cutoff) -
-    ln(threshold), S(n, c) = sum_{i<c} C(n, i).  M <= 0 proves that
-    C(n-1, n/2-1) <= threshold * S(n, c) for every c >= cutoff.
+def _gap_bound(n: int, tail: List[float], threshold: int, upper: bool) -> float:
+    """One end of a proven enclosure of G = ln C(n-1, n/2-1) - ln S -
+    ln(threshold) for a tail sum S: the upper end if upper, else the lower.
 
-    The upper end of one _enclose sum of the upper _robbins_terms of
-    ln C(n-1, n/2-1), the negated _tail_lower_terms(n, cutoff) and
-    -ln(threshold).  Every term is within 2^-48 (|t| + 1) of its exact
-    value (math.log of an int, see _enclose), and the exact values sum to
-    at least G.  Closed form: no loop, no mpmath, no prime scan.
+    tail holds float terms of a bound on ln S from below for the upper end
+    (_tail_lower_terms, FixedPointTail.terms(False)) and from above for
+    the lower end (terms(True)).  One _enclose sum of those terms negated,
+    the _robbins_terms of ln C(n-1, n/2-1) from the end's side and
+    -ln(threshold): each is within 2^-48 (|t| + 1) of its exact value
+    (math.log of an int, see _enclose), and the exact values sum to at
+    least G if upper, at most G otherwise.  Closed form: no loop, no mpmath.
     """
-    terms = _robbins_terms(n - 1, n // 2 - 1, True)
-    terms += [-t for t in _tail_lower_terms(n, cutoff)]
-    terms.append(-math.log(threshold))
-    return _enclose(terms)[1]
+    terms = _robbins_terms(n - 1, n // 2 - 1, upper) + [-t for t in tail]
+    lo, hi = _enclose(terms + [-math.log(threshold)])
+    return hi if upper else lo
 
 
 def _block_gain(a0: Fraction, n: int, j: int) -> int:
@@ -236,14 +216,14 @@ def _block_gain(a0: Fraction, n: int, j: int) -> int:
 def _ratio_passes(n: int, p: int, threshold: int, tail: FixedPointTail) -> bool:
     """C(n-1, n/2-1) > threshold * sum_{i<p} C(n, i), tail = FixedPointTail(n, p).
 
-    _count_verdict on log_binomial_bounds and tail.log_bounds, and exact
-    integers when those proven enclosures straddle the threshold.
+    _gap_bound's two ends from tail's terms, and exact integers when they
+    straddle 0.
     """
-    passes = _count_verdict(log_binomial_bounds(n - 1, n // 2 - 1),
-                            tail.log_bounds(), threshold)
-    if passes is None:
-        passes = binomial(n - 1, n // 2 - 1) > binomial_tail_sum(n, p) * threshold
-    return passes
+    if _gap_bound(n, tail.terms(True), threshold, False) > 0:
+        return True
+    if _gap_bound(n, tail.terms(False), threshold, True) <= 0:
+        return False
+    return binomial(n - 1, n // 2 - 1) > binomial_tail_sum(n, p) * threshold
 
 
 def find_d0(r: float) -> D0Result:
@@ -256,8 +236,9 @@ def find_d0(r: float) -> D0Result:
     is therefore the least passing d overall.  The profile (rsq, k, a0)
     depends on r alone, so it is solved once, as plan_fixed solves it.
 
-    Each step first takes _step_bound's M >= G(n) = ln C(n-1, n/2-1) -
-    ln S(n, q(n)) - ln(n^(2k) + 2), S(n, c) = sum_{i<c} C(n, i), at
+    Each step first takes M, _gap_bound's upper end of G(n) =
+    ln C(n-1, n/2-1) - ln S(n, q(n)) - ln(n^(2k) + 2) from
+    _tail_lower_terms, S(n, c) = sum_{i<c} C(n, i), at
     q(n) = (least_offset(a0, n) + n)/4, the least prime choose_a could
     return.  Its p is at least q and S(n, c) grows with c, so M <= 0
     proves the step fails at p.  A block reject then skips the next j
@@ -280,9 +261,9 @@ def find_d0(r: float) -> D0Result:
     bisection over [budget/3, budget/2]; then gain(j) ln 2 <=
     budget * _LN2_UP <= -M, and the walk goes on at n + 4(j + 1).
 
-    A step that M does not reject runs choose_a's prime scan and
-    _step_bound at the real p, and only the steps that survive both are
-    full evaluations: the validated ParamSet and _ratio_passes.
+    A step that M does not reject runs choose_a's prime scan and the same
+    upper end at the real p, and only the steps that survive both are full
+    evaluations: the validated ParamSet and _ratio_passes.
     lower_bound runs only at the passing step (d0) and the d0 - 1
     re-check.  Every reject is a proof that the ratio stays at or below
     d+1, so no passing step is skipped.  Rejected steps never call
@@ -296,7 +277,8 @@ def find_d0(r: float) -> D0Result:
         d = n ** (2 * k) + 1
         if d > _D0_SCAN_CAP:
             raise CheckFailed("no d0 found below cap %d" % _D0_SCAN_CAP)
-        upper = _step_bound(n, (least_offset(a0, n) + n) // 4, d + 1)
+        q = (least_offset(a0, n) + n) // 4
+        upper = _gap_bound(n, _tail_lower_terms(n, q), d + 1, True)
         if upper <= 0:
             num, den = (-upper).as_integer_ratio()
             budget = num * _LN2_UP[1] // (den * _LN2_UP[0])
@@ -311,7 +293,8 @@ def find_d0(r: float) -> D0Result:
             n += 4 * (lo + 1)
             continue
         steps += 1
-        if _step_bound(n, choose_a(a0, n)[1], d + 1) <= 0:
+        p = choose_a(a0, n)[1]
+        if _gap_bound(n, _tail_lower_terms(n, p), d + 1, True) <= 0:
             n += 4
             continue
         evaluations += 1

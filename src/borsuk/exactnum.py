@@ -4,10 +4,11 @@ Exact counts are plain Python ints and exact ratios are fractions.Fraction,
 both arbitrary precision out of the box.  The log of a quantity too large
 to materialize (binomial ratios at dimensions like 10**18) is a 120-bit
 mpmath float, for printing: log_binomial, log_binomial_tail_sum and
-FixedPointTail.log.  Verdicts take float64 enclosures with a proven
-margin: log_binomial_bounds, FixedPointTail.log_bounds, and the closed-form
-tail bound of _tail_lower_terms, which bounds.find_d0's reject sums in one
-enclosure.
+FixedPointTail.log.  Verdicts take one float64 enclosure with a proven
+margin, _enclose, of float terms: Robbins' bounds on ln C(n, k)
+(_robbins_terms), ln S through the fixed-point sum (FixedPointTail.terms)
+and a closed-form lower bound on ln S (_tail_lower_terms); bounds sums
+them into its count verdicts.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class FixedPointTail:
     """S = sum of C(n, i) for i < p as C(n, top) * total * 2^exponent.
 
     __init__ sums it in fixed point; log gives ln S at 120 bits, for
-    printing, and log_bounds float64 bounds on it, for verdicts.
+    printing, and terms the float terms of a bound on it, for verdicts.
 
     With top = min(p-1, n), S = C(n, top) * sum_i C(n, i)/C(n, top).  The
     ratios are summed downward from i = top in plain integers with unit
@@ -162,19 +163,19 @@ class FixedPointTail:
             return (log_binomial(self.n, self.top)
                     + mp.log(mp.ldexp(self.total, self.exponent)))
 
-    def log_bounds(self) -> Tuple[float, float]:
-        """(lo, hi) floats with lo <= ln S <= hi, for verdicts.
+    def terms(self, upper: bool) -> List[float]:
+        """Float terms of a bound on ln S, from above if upper, for _enclose.
 
-        _enclose sums the Robbins terms of ln C(n, top) (n < 2^1000),
-        log(total), within 2^-49 (|t| + 1) of ln total and so, as total's
-        error is below 2^-152, within 2^-48 (|t| + 1) of the exact log, and
-        exponent * log(2), within 2u + 2^-50.  The width is below 1/(48 k^2),
-        k = min(top, n - top), plus the margin: 1.4e-9 nats at (11504, 5273).
+        The Robbins terms of ln C(n, top) from that side (n < 2^1000),
+        then log(total) for ln(S/C(n, top)) - exponent ln 2, within 2^-49
+        (|t| + 1) of ln total and, as total's error is below 2^-152, within
+        2^-48 (|t| + 1) of that value, and exponent * log(2), within
+        2u + 2^-50.  The two sides differ by less than 1/(48 k^2),
+        k = min(top, n - top).
         """
         k = min(self.top, self.n - self.top)
-        rest = [math.log(self.total), self.exponent * math.log(2)]
-        return (_enclose(_robbins_terms(self.n, k, False) + rest)[0],
-                _enclose(_robbins_terms(self.n, k, True) + rest)[1])
+        return _robbins_terms(self.n, k, upper) + [math.log(self.total),
+                                                  self.exponent * math.log(2)]
 
 
 def log_binomial_tail_sum(n: int, p: int) -> mp.mpf:
@@ -244,21 +245,6 @@ def _robbins_terms(n: int, k: int, upper: bool) -> List[float]:
     return [-k * math.log(x), -m * ln_rest, -0.5 * math.log(k), -0.5 * ln_rest,
             -_HALF_LN_2PI,
             1 / (12 * n + 1 - e), -1 / (12 * k + e), -1 / (12 * m + e)]
-
-
-def log_binomial_bounds(n: int, k: int) -> Tuple[float, float]:
-    """(lo, hi) floats with lo <= ln C(n, k) <= hi, closed form, no loop.
-
-    The lower and upper Robbins bounds of _robbins_terms, each summed by
-    _enclose, whose margin covers the float error.  The width is about
-    2^-43 * (ln C(n, k) + ln n) plus 1/(48 k^2) for k <= n/2.  Needs
-    n < 2^1000 unless k is 0 or n.
-    """
-    if n < 0 or k < 0 or k > n:
-        raise ValueError("invalid binomial: C(%r, %r)" % (n, k))
-    k = min(k, n - k)
-    return (_enclose(_robbins_terms(n, k, False))[0],
-            _enclose(_robbins_terms(n, k, True))[1])
 
 
 def _tail_lower_terms(n: int, p: int) -> List[float]:

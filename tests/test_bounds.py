@@ -20,9 +20,9 @@ from borsuk.bounds import (
 )
 from borsuk.exactnum import (
     FixedPointTail,
+    _tail_lower_terms,
     binomial,
     binomial_tail_sum,
-    log_binomial_bounds,
 )
 from borsuk.params import (
     CheckFailed,
@@ -253,6 +253,18 @@ def _exact_passes(n, p, threshold):
     return binomial(n - 1, n // 2 - 1) > binomial_tail_sum(n, p) * threshold
 
 
+def _walk_bound(n, cutoff, threshold):
+    # the upper end the walk's rejects read, as find_d0 takes it
+    return bounds._gap_bound(n, _tail_lower_terms(n, cutoff), threshold, True)
+
+
+def _gap_ends(n, p, threshold):
+    # both ends _ratio_passes reads, from one fixed-point tail sum
+    tail = FixedPointTail(n, p)
+    return (bounds._gap_bound(n, tail.terms(True), threshold, False),
+            bounds._gap_bound(n, tail.terms(False), threshold, True))
+
+
 @pytest.mark.parametrize("r", [0.61, 0.63, 0.65, 0.67, 0.69, 0.71])
 def test_walk_reject_sound_in_exact_integers(r):
     # every step either of find_d0's rejects throws away at n <= 2000, the
@@ -264,9 +276,9 @@ def test_walk_reject_sound_in_exact_integers(r):
     for n in range(8, 2001, 4):
         _, p = choose_a(a0, n)
         threshold = n ** (2 * k) + 2
-        if bounds._step_bound(n, (least_offset(a0, n) + n) // 4, threshold) <= 0:
+        if _walk_bound(n, (least_offset(a0, n) + n) // 4, threshold) <= 0:
             at_q.add(n)
-        if bounds._step_bound(n, p, threshold) <= 0:
+        if _walk_bound(n, p, threshold) <= 0:
             at_p.add(n)
         if n in at_q or n in at_p:
             assert not _exact_passes(n, p, threshold), n
@@ -280,16 +292,16 @@ def test_walk_reject_sound_in_exact_integers(r):
 def test_block_reject_sound_in_exact_integers(monkeypatch, r):
     # every step the block reject skips at n <= 2000 really fails with
     # choose_a's p: C(n-1, n/2-1) <= (d+1) * sum_{i<p} C(n, i); the walk
-    # encloses every n it does not skip, so the spy sees all the others
+    # encloses every n it does not skip with the closed-form tail terms,
+    # so the spy sees all the others
     _, k, a0 = fixed_profile(r)
     seen = set()
-    step_bound = bounds._step_bound
 
-    def spy(n, cutoff, threshold):
+    def spy(n, cutoff):
         seen.add(n)
-        return step_bound(n, cutoff, threshold)
+        return _tail_lower_terms(n, cutoff)
 
-    monkeypatch.setattr(bounds, "_step_bound", spy)
+    monkeypatch.setattr(bounds, "_tail_lower_terms", spy)
     res = find_d0(r)
     skipped = set(range(8, res.params.n, 4)) - seen
     assert res.params.n in seen
@@ -361,25 +373,37 @@ def test_find_d0_past_default_cap(monkeypatch):
 
 
 def test_count_bound_log_verdict_is_certified(monkeypatch):
-    # d0(0.59) is decided at n = 11504 by the float enclosures, 0.144 nats
-    # clear of the threshold, far outside their width
+    # d0(0.59) is decided at n = 11504 by the float enclosure, 0.144 nats
+    # clear of the threshold, far outside its width
     res = find_d0(0.59)
     n, p, threshold = 11504, res.params.p, res.d0 + 1
     assert res.bound.numerator is None
-    num = log_binomial_bounds(n - 1, n // 2 - 1)
-    den = FixedPointTail(n, p).log_bounds()
-    assert bounds._count_verdict(num, den, threshold) is True
-    gap = num[0] - den[1] - math.log(threshold)
-    assert 0.143 < gap < 0.145
-    assert (num[1] - num[0]) + (den[1] - den[0]) < 1e-8
-    # count_bound takes it from the enclosures, with no exact integers
-    monkeypatch.setattr(bounds, "binomial_tail_sum", None)
+    lo, hi = _gap_ends(n, p, threshold)
+    assert 0.143 < lo <= hi < 0.145
+    assert hi - lo < 1e-8
+
+    def exact(*args):
+        raise LookupError("exact integers reached")
+
+    # count_bound takes it from the enclosure, with no exact integers
+    monkeypatch.setattr(bounds, "binomial_tail_sum", exact)
     assert count_bound(n, p, threshold).passes
-    # bounds that straddle ln threshold decide nothing
-    ln = math.log(10 ** 6)
-    assert bounds._count_verdict((ln - 1e-9, ln + 1e-9), (0.0, 0.0), 10 ** 6) is None
-    assert bounds._count_verdict((ln + 1e-6, ln + 1e-6), (0.0, 0.0), 10 ** 6) is True
-    assert bounds._count_verdict((ln - 1e-6, ln - 1e-6), (0.0, 0.0), 10 ** 6) is False
+    # a tail bound that straddles ln C(n-1, n/2-1) leaves the verdict to
+    # exact integers; clear ones decide it either way
+    with mp.workprec(200):
+        ln = float(mp.log(binomial(n - 1, n // 2 - 1)))
+
+    class Tail:
+        def __init__(self, lo, hi):
+            self.lo, self.hi = lo, hi
+
+        def terms(self, upper):
+            return [self.hi if upper else self.lo]
+
+    with pytest.raises(LookupError, match="exact integers"):
+        bounds._ratio_passes(n, p, 1, Tail(ln - 1e-6, ln + 1e-6))
+    assert bounds._ratio_passes(n, p, 1, Tail(ln - 2e-6, ln - 1e-6)) is True
+    assert bounds._ratio_passes(n, p, 1, Tail(ln + 1e-6, ln + 2e-6)) is False
 
 
 def test_count_bound_refuses_threshold_below_1():
@@ -395,7 +419,7 @@ def test_count_bound_falls_back_to_integers(monkeypatch):
     # and the printed fields stay those of the log route
     cases = [(11504, 5273, 17514409198944258), (11504, 5273, 10 ** 30), (10004, 3001, 1)]
     want = [count_bound(*c) for c in cases]
-    monkeypatch.setattr(bounds, "_count_verdict", lambda *args: None)
+    monkeypatch.setattr(bounds, "_enclose", lambda terms: (-math.inf, math.inf))
     for c, w in zip(cases, want):
         got = count_bound(*c)
         assert got == w
@@ -416,19 +440,31 @@ def _verdict_args(draw):
     return n, p, max(threshold, 1)
 
 
+# the floor of C(10003, 5001) / sum_{i<3} C(10004, i): at p = 3 the tail's
+# two Robbins bounds lie ~1e-3 nats apart, so at the thresholds floor and
+# floor + 1, one on each side of the exact ratio, the enclosure straddles
+# 0 and exact integers decide
+_FLOOR_10004_3 = binomial(10003, 5001) // binomial_tail_sum(10004, 3)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_verdict_args())
 @example((11504, 5273, 17514409198944258))
 @example((20000, 9999, 1))
 @example((20000, 1, 10 ** 40))
+@example((10004, 3, _FLOOR_10004_3))
+@example((10004, 3, _FLOOR_10004_3 + 1))
 def test_count_verdict_matches_exact_integers(args):
-    # wherever the enclosures decide, they agree with exact integers, and
+    # wherever the enclosure decides, it agrees with exact integers, and
     # count_bound's verdict is the exact one either way
     n, p, threshold = args
     want = _exact_passes(n, p, threshold)
-    got = bounds._count_verdict(log_binomial_bounds(n - 1, n // 2 - 1),
-                                FixedPointTail(n, p).log_bounds(), threshold)
-    assert got in (None, want)
+    lo, hi = _gap_ends(n, p, threshold)
+    assert lo <= hi
+    if lo > 0:
+        assert want
+    if hi <= 0:
+        assert not want
     assert count_bound(n, p, threshold).passes == want
 
 
@@ -491,12 +527,17 @@ def test_count_bound_agrees_with_interval_replay(r, d):
     gap = _interval_gap(ps.n, ps.p, d + 1)
     assert gap.a > 0 or gap.b < 0
     assert lower_bound(ps).passes == (gap.a > 0)
+    if d == 10 ** 15:
+        # both ends of the float enclosure hold the replay
+        lo, hi = _gap_ends(ps.n, ps.p, d + 1)
+        assert lo <= gap.a and gap.b <= hi
 
 
 def test_interval_replay_agrees_with_exact_at_d0_steps():
     # the walk's last 26 steps to d0(0.59), n = 11404..11504: the
-    # interval replay, the enclosures and count_bound all agree with
-    # exact integers
+    # interval replay, the enclosure and count_bound all agree with exact
+    # integers, and both ends of the enclosure, and the walk's upper end,
+    # hold the replay
     _, k, a0 = fixed_profile(0.59)
     for n in range(11404, 11505, 4):
         _, p = choose_a(a0, n)
@@ -504,9 +545,10 @@ def test_interval_replay_agrees_with_exact_at_d0_steps():
         want = _exact_passes(n, p, threshold)
         gap = _interval_gap(n, p, threshold)
         assert (gap.a > 0 if want else gap.b < 0), n
-        got = bounds._count_verdict(log_binomial_bounds(n - 1, n // 2 - 1),
-                                    FixedPointTail(n, p).log_bounds(), threshold)
-        assert got is want, n
+        lo, hi = _gap_ends(n, p, threshold)
+        assert lo <= gap.a and gap.b <= hi, n
+        assert (lo > 0 if want else hi <= 0), n
+        assert gap.b <= _walk_bound(n, p, threshold), n
         assert count_bound(n, p, threshold).passes == want
     assert want  # the last step is d0 itself
 

@@ -115,6 +115,12 @@ def test_certify_with_overrides(capsys):
     assert keys[keys.index("rank_columns"):][:3] == [
         "rank_columns", "rank_rows", "rank_full_family"]
     assert doc["rank_rows"] == "338"
+    # a prime far above 2n: every family member is checked through the
+    # evaluation matrix at p = 4001
+    code, out, _ = _run(capsys, ["certify", "--n", "8", "--p", "4001", "--a", "15996"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["mis_exact"], doc["rank"]) == ("35", "35")
 
 
 def test_certify_composite_p_exits_2_at_once(capsys, monkeypatch):

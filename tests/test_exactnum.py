@@ -9,12 +9,12 @@ from mpmath import mp
 from borsuk.exactnum import (
     FixedPointTail,
     _enclose,
+    _robbins_terms,
     _tail_lower_terms,
     binomial,
     binomial_tail_sum,
     is_prime,
     log_binomial,
-    log_binomial_bounds,
     log_binomial_tail_sum,
 )
 
@@ -23,6 +23,21 @@ def log_binomial_tail_lower(n, p):
     """Oracle: the float lower bound on ln sum_{i<p} C(n, i) whose terms
     bounds.find_d0's reject sums, summed by _enclose on their own."""
     return _enclose(_tail_lower_terms(n, p))[0]
+
+
+def robbins_bounds(n, k):
+    """Oracle: (lo, hi) around ln C(n, k) from the Robbins terms that the
+    count verdicts sum, each side summed by _enclose on its own."""
+    k = min(k, n - k)
+    return (_enclose(_robbins_terms(n, k, False))[0],
+            _enclose(_robbins_terms(n, k, True))[1])
+
+
+def fixed_point_tail_bounds(n, p):
+    """Oracle: (lo, hi) around ln sum_{i<p} C(n, i) from FixedPointTail's
+    terms, each side summed by _enclose on its own."""
+    tail = FixedPointTail(n, p)
+    return _enclose(tail.terms(False))[0], _enclose(tail.terms(True))[1]
 
 
 def _pascal_table(rows):
@@ -162,7 +177,7 @@ def _binomial_args(draw):
 @example((573, 286))  # the walk's numerator at d0(0.71)
 def test_log_binomial_bounds_enclose_log_binomial(args):
     n, k = args
-    lo, hi = log_binomial_bounds(n, k)
+    lo, hi = robbins_bounds(n, k)
     assert lo <= log_binomial(n, k) <= hi
     # Robbins' theta gap and the float margin only
     assert hi - lo <= 2.0 ** -42 * (hi + math.log(n) + 10) + 1 / (48 * min(k, n - k) ** 2)
@@ -172,24 +187,24 @@ def test_log_binomial_bounds_enclose_log_binomial(args):
 @given(st.integers(0, 3000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
 def test_log_binomial_bounds_enclose_exact(args):
     n, k = args
-    lo, hi = log_binomial_bounds(n, k)
+    lo, hi = robbins_bounds(n, k)
     with mp.workprec(200):
         assert lo <= mp.log(mp.mpf(binomial(n, k))) <= hi
 
 
 def test_log_binomial_bounds_edges():
-    assert log_binomial_bounds(0, 0) == (0.0, 0.0)
-    assert log_binomial_bounds(7, 7) == (0.0, 0.0)
+    assert robbins_bounds(0, 0) == (0.0, 0.0)
+    assert robbins_bounds(7, 7) == (0.0, 0.0)
     for n, k in [(-1, 0), (3, -1), (3, 4)]:
         with pytest.raises(ValueError, match="invalid binomial"):
-            log_binomial_bounds(n, k)
+            log_binomial(n, k)
     with pytest.raises(ValueError, match="2\\^1000"):
-        log_binomial_bounds(1 << 1000, 5)
+        robbins_bounds(1 << 1000, 5)
     with pytest.raises(ValueError, match="2\\^1000"):
         log_binomial_tail_lower(1 << 1000, 5)
     with pytest.raises(ValueError, match="2\\^1000"):
-        FixedPointTail(1 << 1000, 5).log_bounds()
-    assert log_binomial_bounds(1 << 1000, 0) == (0.0, 0.0)
+        FixedPointTail(1 << 1000, 5).terms(True)
+    assert robbins_bounds(1 << 1000, 0) == (0.0, 0.0)
     assert log_binomial_tail_lower(1 << 1000, 1) == 0.0
 
 
@@ -209,7 +224,7 @@ def test_log_binomial_bounds_above_2_53(args):
     # n, k and n - k no longer convert to float exactly; the reference
     # is loggamma at 500 bits, accurate to ~2^-290 nats at n <= 2^200
     n, k = args
-    lo, hi = log_binomial_bounds(n, k)
+    lo, hi = robbins_bounds(n, k)
     with mp.workprec(500):
         want = mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
         assert lo <= want <= hi
@@ -280,7 +295,7 @@ def _fixed_tail_args(draw):
 @example((31622776, 12229487))  # bound --r 0.71 --d 10^15
 def test_fixed_point_tail_bounds_enclose(args):
     n, p = args
-    lo, hi = FixedPointTail(n, p).log_bounds()
+    lo, hi = fixed_point_tail_bounds(n, p)
     with mp.workprec(200):
         if n <= 3000:
             want = mp.log(mp.mpf(binomial_tail_sum(n, p)))

@@ -14,12 +14,17 @@ from hypothesis import strategies as st
 from borsuk.optimality import (
     CandidatePolynomial,
     extremal_polynomial,
-    odd_even_split_check,
     offset_reduction_check,
     ratio,
     search_optimum,
 )
-from search_oracle import random_search, sample_members, sampled_offset_maxima
+from search_oracle import (
+    in_reduced_class,
+    odd_even_split_check,
+    random_search,
+    sample_members,
+    sampled_offset_maxima,
+)
 
 
 def test_extremal_polynomial_shape():
@@ -30,7 +35,7 @@ def test_extremal_polynomial_shape():
     assert h.coefficients[1] == 6 * 3 ** 5
     assert all(c == 0 for j, c in enumerate(h.coefficients) if j not in (1, 6))
     h.validate()
-    assert h.in_reduced_class()
+    assert in_reduced_class(h)
     with pytest.raises(ValueError, match="degree must be even"):
         extremal_polynomial(5, 3)
     with pytest.raises(ValueError, match="degree must be even"):
@@ -54,7 +59,7 @@ def test_exact_extremal_ratio(m):
     assert isinstance(r.value, Fraction)
     assert r.value == Fraction(m + 1, 4 * m)
     assert r.objective == Fraction(m - 1, m + 1)
-    assert r.h_at_n > 0 and r.h_at_minus_a < 0
+    assert h(h.n) > 0 and h(-h.a) < 0
 
 
 def test_ratio_rejects_non_members():
@@ -105,7 +110,7 @@ def test_sample_members_are_valid_and_stable():
     assert len(ms) == 25
     for h in ms:
         h.validate()
-        assert h.in_reduced_class()
+        assert in_reduced_class(h)
     again = sample_members(6, 2, 25, seed=9)
     assert [h.coefficients for h in again] == [h.coefficients for h in ms]
 
@@ -183,7 +188,7 @@ def test_construction_polynomial_is_class_member(k):
         coeffs[1] = 2 * k * a ** (2 * k - 1)
         h = CandidatePolynomial(coefficients=tuple(coeffs), a=a, n=n)
         h.validate()
-        assert h.in_reduced_class()
+        assert in_reduced_class(h)
         assert h.derivative_at(-a) == 0
 
 

