@@ -8,7 +8,7 @@ beats d+1 once the ambient dimension is large enough.  Submodules:
 
     exactnum      exact arithmetic, printed logs and float enclosures
     params        parameter solving for fixed and shrinking radii
-    construction  point sets, geometry, embeddings, diameter scans
+    construction  point sets, geometry, embeddings and export
     algebra       the GF(p) independence bound and its certificates
     bounds        lower bounds, first winning dimension, asymptotics
     upper         simplex partition upper bounds near radius 1/2

@@ -15,8 +15,9 @@ dimension.  Sign vectors and families are int8 rows of
 construction.sigma_matrix(n) throughout; a polynomial is its row of
 coefficient_matrix, built in bulk from one symmetric weight profile.  This
 module certifies independence two independent ways (coefficient rank and
-evaluation matrix) and cross-checks the bound against exact maximum
-independent set search at desk scale.  Every row of Sigma(n) has x_1 = +1,
+evaluation matrix) and cross-checks the bound against the exact maximum
+avoiding family, in closed form by the Erdos-Ko-Rado theorem where one is
+known (max_avoiding_exact).  Every row of Sigma(n) has x_1 = +1,
 so the coefficient columns of y_S and y_{S u {1}} are both multiples of
 the +-1 column x_S in the n - 1 free coordinates 2..n.  There Sigma(n)
 is the slice of k-subsets, k = n/2 - 1, on which low-degree functions
@@ -66,8 +67,6 @@ _PANEL = 32
 _PANEL_SAMPLE = _PANEL + 8
 _ROW_CHUNK = 1024
 
-_EXACT_MIS_CAP = 12
-
 # full |Sigma|^2 pair matrices up to this size; past it families are
 # built inside seeded candidate pools of _FAMILY_POOL rows
 _CONFLICT_CAP = 20000
@@ -98,15 +97,6 @@ def dimension_bound(n: int, p: int) -> int:
 def excluded_residue(p: int, a: int) -> int:
     """The residue left out of the product: -a mod p."""
     return (-a) % p
-
-
-def residue_excluded_dots(n: int, p: int) -> Tuple[int, ...]:
-    """Dot values in (-n, n) congruent to -a mod p besides -a itself.
-
-    With n - 4p = -a these are n - jp for j in {1,2,3,5,6,7}; none is a
-    multiple of 4 when p is odd, so no pair of sign vectors attains them.
-    """
-    return tuple(n - j * p for j in (1, 2, 3, 5, 6, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -600,65 +590,43 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact maximum avoiding family at desk scale
+# exact maximum avoiding family, in closed form
 
 
-def max_avoiding_exact(rows: np.ndarray, forbidden: int) -> int:
-    """Exact maximum size of an avoiding family among rows, by branch and bound.
+def max_avoiding_exact(n: int, forbidden: int) -> Optional[int]:
+    """Largest family in Sigma(n) with no pair at inner product forbidden.
 
-    The conflict graph on the rows (all of Sigma(n) for the lemma) has an
-    edge where a pair attains the forbidden inner product; the answer is
-    its maximum independent set.  The incumbent is the best greedy family
-    over the pivot-first orders (rows with x_j = +1 first, for each j; the
-    stars of Erdos-Ko-Rado look like this).  Each node is pruned by its
-    size bound and by the inertia bound of Cvetkovic (1971): an
-    independent set of a graph is at most n0 + min(n+, n-), counting the
-    zero, positive and negative eigenvalues of its adjacency matrix.
-    Otherwise it branches on a vertex of maximum degree, inclusion first.
+    A closed form, with no search; None where none is known.  A row x of
+    Sigma(n) has x_1 = +1 and k = n/2 - 1 more entries +1; let A and B
+    be those coordinates of x and y, k-subsets of {2..n}.  x and y differ
+    exactly on the symmetric difference of A and B, of size
+    2k - 2|A n B|, so
 
-    The eigenvalues come from float64 eigvalsh, counted against 1e-6, and
-    the bound stays valid.  The solver is backward stable: each computed
-    eigenvalue lies within c(m) 2**-52 ||A|| of a true one (Weyl), c a
-    modest polynomial in the order m and ||A|| at most the maximum degree,
-    far below 1e-6 at the few hundred vertices certify passes.  So a true
-    zero counts as zero, and a nonzero eigenvalue keeps its sign or counts
-    as zero; moving one eigenvalue from n+ or n- to n0 changes
-    n0 + min(n+, n-) by 0 or +1, so a miscount only loosens the bound.
-    The instances certify runs are conflict-free or the Kneser graphs
-    K(7, 3) (n = 8, a = 4) and K(11, 5) (n = 12, a = 8), whose eigenvalues
-    are all nonzero integers (Lovasz, 1979): there the bound is exact, 15
-    and 210, equals the star family, and settles the root node.
+        (x, y) = n - 4j  with  |A n B| = k - j.
+
+    j = 0 only for x = y, and every j in 1..k occurs (|A u B| = k + j is
+    at most n - 1).  So a pair x != y attains forbidden iff
+    forbidden = n - 4j for some 1 <= j <= k, and then exactly when
+    |A n B| = t, t = k - j.
+    - No such j: no pair conflicts, and all C(n-1, k) rows avoid it.
+    - t = 0: a family avoids forbidden iff its sets pairwise meet, an
+      intersecting family of k-subsets of n - 1 >= 2k points.  Its
+      maximum size is C(n-2, k-1), a star (Erdos, Ko & Rado, Quart. J.
+      Math. 12, 1961).
+    - 0 < t < k: None.
+    certify's triples at n <= 12 (prime p, a = 4p - n >= 4, so
+    p >= n/2 - 1) all fall in the first two cases.  The tests check the
+    values against a branch and bound on Sigma(n).
     """
-    n = rows.shape[1]
-    if n > _EXACT_MIS_CAP:
-        raise ValueError("exact search infeasible: n=%d > %d" % (n, _EXACT_MIS_CAP))
-    conflict = _conflict_matrix(rows, forbidden)
-    np.fill_diagonal(conflict, False)
-    if not conflict.any():
-        return rows.shape[0]
-    orders = (np.argsort(rows[:, j] != 1, kind="stable") for j in range(n))
-    best = max(len(_greedy_indices(conflict, order)) for order in orders)
-    stack = [(np.arange(rows.shape[0]), 0)]
-    while stack:
-        alive, size = stack.pop()
-        if size + alive.size <= best:
-            continue
-        sub = conflict[np.ix_(alive, alive)]
-        deg = sub.sum(axis=1)
-        if not deg.any():
-            best = size + alive.size
-            continue
-        ev = np.linalg.eigvalsh(sub.astype(np.float64))
-        zero = int(np.count_nonzero(np.abs(ev) <= 1e-6))
-        pos = int(np.count_nonzero(ev > 1e-6))
-        if size + zero + min(pos, ev.size - zero - pos) <= best:
-            continue
-        v = int(np.argmax(deg))
-        keep = ~sub[v]
-        keep[v] = False
-        stack.append((np.delete(alive, v), size))
-        stack.append((alive[keep], size + 1))
-    return best
+    if n % 4 != 0 or n <= 0:
+        raise ValueError("vector length must be a positive multiple of 4")
+    k = n // 2 - 1
+    j, rest = divmod(n - forbidden, 4)
+    if rest or not 1 <= j <= k:
+        return binomial(n - 1, k)
+    if j == k:
+        return binomial(n - 2, k - 1)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +643,7 @@ class LemmaCertificate:
     bound: int                 # sum_{i<p} C(n, i)
     sigma_size: int            # C(n-1, n/2-1)
     excluded_residue: int      # -a mod p; 0 is a legal but notable edge
-    mis_exact: Optional[int]   # exact max avoiding family, desk scale only
+    mis_exact: Optional[int]   # exact max avoiding family, closed form only
     rank: Optional[int]        # rank of the full polynomial family
     rank_columns: Optional[int]  # columns the rank ran on, free coordinates
     rank_rows: Optional[int]   # rows the deciding rank ran on
@@ -710,12 +678,12 @@ def certify_bound(
     must all pass the evaluation-matrix certificate and stay at or below
     the dimension bound, and the exact property count must find no pair
     where the congruence and the polynomial's value disagree; the exact
-    search and the full-family rank join in whenever feasible.  The offset
-    a must be at least 4, as in the planner: below it, at n = 12, the
-    exact search meets conflict graphs far harder than K(11, 5).
+    maximum (max_avoiding_exact, where it has a closed form) and the
+    full-family rank join in whenever feasible.  The offset a must be at
+    least 4, as in the planner, which takes a as a positive multiple of 4.
 
     Past ENUMERATION_CAP, as at the planner's own sizes, Sigma(n) is not
-    enumerated: the families, the exact search and the rank are skipped
+    enumerated: the families, the exact maximum and the rank are skipped
     (family_sizes empty, mis_exact and the rank fields None), and the
     verdict rests on the exact property count alone.
     """
@@ -748,9 +716,7 @@ def certify_bound(
             if not independence_verify(fam, p, a):
                 all_verified = False
         del conflict  # 41 MB at n = 16, not needed by the rank below
-
-        if n <= _EXACT_MIS_CAP:
-            mis = max_avoiding_exact(X, forbidden)
+        mis = max_avoiding_exact(n, forbidden)
 
         if sigma_size <= _RANK_ROWS_CAP and bound <= _RANK_COLS_CAP:
             columns = _free_sign_matrix(X, p, a)

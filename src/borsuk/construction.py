@@ -8,13 +8,13 @@ weighted copy of x; inner products of images satisfy
 
     <x*, y*> = <x, y>**(2k) + 2k * a**(2k-1) * <x, y>,
 
-so image_gram takes them exactly from the row Gram and squared distances
-depend on <x, y> alone.  As a polynomial in the inner product t the right
-side has its minimum at t = -a, which makes pairs at inner product -a
-exactly the diameter pairs.  Scaling to diameter 1 and lifting by a
-constant height places the whole set on a sphere of any requested radius
-at or above the compressed circumradius; the lift adds one coordinate,
-which is the canonical isometry used throughout.
+so squared distances depend on <x, y> alone.  As a polynomial in the
+inner product t the right side has its minimum at t = -a, which makes
+pairs at inner product -a exactly the diameter pairs (the tests rescan
+every pair in exact integers as the oracle).  Scaling to diameter 1 and
+lifting by a constant height places the whole set on a sphere of any
+requested radius at or above the compressed circumradius; the lift adds
+one coordinate, which is the canonical isometry used throughout.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import IO, Optional, Tuple
+from typing import IO
 
 import numpy as np
 
@@ -68,17 +68,6 @@ def _tail_weight_sq(k: int, a: int) -> int:
     return 2 * k * a ** (2 * k - 1)
 
 
-def image_gram(G: np.ndarray, k: int, a: int) -> np.ndarray:
-    """Exact image inner products t**(2k) + 2k a**(2k-1) t at each t of G.
-
-    G holds base inner products, a row Gram or any array of them; the
-    result has G's shape and holds Python ints (object dtype), so it stays
-    exact where t**(2k) outgrows int64.
-    """
-    t = np.asarray(G).astype(object)
-    return t ** (2 * k) + _tail_weight_sq(k, a) * t
-
-
 def materialize(rows: np.ndarray, k: int, a: int) -> np.ndarray:
     """Image coordinates, one row per sign vector: n**(2k) word products,
     then sqrt(2k a**(2k-1)) x.
@@ -104,8 +93,7 @@ class GeometryReport:
     diam_sq and rho_sq describe the raw image set; both come from the
     closed form with minimum at inner product -a.  When no pair of sign
     vectors attains -a (offset at or above n) the closed form is an upper
-    bound only and `degenerate` is set; diameter_scan reports the attained
-    maximum in that case.
+    bound only and `degenerate` is set.
     """
 
     n: int
@@ -169,50 +157,6 @@ def embed(ps: ParamSet, geo: GeometryReport, rows: np.ndarray) -> np.ndarray:
     out[:, : coords.shape[1]] = s * coords
     out[:, coords.shape[1]] = h
     return out
-
-
-@dataclass(frozen=True)
-class DiameterScan:
-    """Result of the exact all-pairs scan over a family of images."""
-
-    diam_sq: int                    # max squared distance, raw coordinates
-    diam_sq_scaled: Fraction        # relative to the closed-form diameter
-    pairs: Tuple[Tuple[int, int], ...]
-    attaining_inner: Optional[int]  # base inner product at the maximum
-
-
-def diameter_scan(rows: np.ndarray, k: int, a: int) -> DiameterScan:
-    """Exact maximum pairwise squared distance among the images of rows,
-    and all attaining pairs.
-
-    Distances depend only on base inner products, |x* - y*|^2 = 2 h(n) -
-    2 h(t) with h the image Gram, so the scan reduces to the row Gram;
-    everything stays in exact ints.
-    """
-    X = np.asarray(rows, dtype=np.int64)
-    if X.shape[0] > 10 ** 5:
-        raise ValueError("pair scan too large: %d points" % X.shape[0])
-    if X.shape[0] == 0:
-        raise ValueError("empty point set")
-    norm_sq, h_minus_a = image_gram([X.shape[1], -a], k, a)
-    formula_diam_sq = 2 * norm_sq - 2 * h_minus_a
-    if X.shape[0] == 1:
-        return DiameterScan(0, Fraction(0), (), None)
-    iu = np.triu_indices(X.shape[0], k=1)
-    dots = (X @ X.T)[iu]
-    # squared distance is decreasing in h(t)
-    values = np.unique(dots)
-    h = image_gram(values, k, a)
-    best = min(range(len(values)), key=h.__getitem__)
-    t_star = int(values[best])
-    dmax = 2 * norm_sq - 2 * h[best]
-    hit = dots == t_star
-    return DiameterScan(
-        diam_sq=dmax,
-        diam_sq_scaled=Fraction(dmax, formula_diam_sq),
-        pairs=tuple(zip(iu[0][hit].tolist(), iu[1][hit].tolist())),
-        attaining_inner=t_star,
-    )
 
 
 def export_points(

@@ -7,8 +7,9 @@ coordinate-descent refinement, at any offset a in (0, n].  It can only
 find members, so it must never beat the exact optimum, and it reaches it
 through the corner candidates it tries first.
 
-It also keeps the class checks that no command runs: membership of the
-reduced class and the odd/even split inequality behind extremality.
+It also keeps the class checks that no command runs: numeric class
+membership, membership of the reduced class and the odd/even split
+inequality behind extremality.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from borsuk.optimality import CandidatePolynomial, Coeff
+from borsuk.optimality import CandidatePolynomial, Coeff, _eval_poly
+
+_GRID_POINTS = 10 ** 4
+_CLASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -226,6 +230,52 @@ def sampled_offset_maxima(
     return [
         _constrained_search(m, n, a, samples, seed + i)[1] for i, a in enumerate(grid)
     ]
+
+
+def _derivative(coeffs: Sequence[Coeff]) -> Tuple[Coeff, ...]:
+    return tuple(j * coeffs[j] for j in range(1, len(coeffs)))
+
+
+def derivative_at(h: CandidatePolynomial, t: Coeff):
+    return _eval_poly(_derivative(h.coefficients), t)
+
+
+def validate(h: CandidatePolynomial, tol: float = _CLASS_TOL) -> None:
+    """Raise unless h is a genuine class member.
+
+    The minimum location is checked on a dense grid plus every real
+    critical point; with nonnegative coefficients those are few.
+    """
+    if h.m < 1:
+        raise ValueError("degree must be positive")
+    if not 0 < float(h.a) <= h.n:
+        raise ValueError("offset outside (0, n]")
+    if any(float(c) < 0 for c in h.coefficients):
+        raise ValueError("negative coefficient")
+    cf = np.array([float(c) for c in h.coefficients])
+    n, a = h.n, float(h.a)
+    scale = max(1.0, float(np.polynomial.polynomial.polyval(n, cf)))
+    dcf = cf[1:] * np.arange(1, len(cf))
+    dscale = max(1.0, float(np.polynomial.polynomial.polyval(n, dcf)))
+    if abs(float(np.polynomial.polynomial.polyval(-a, dcf))) > tol * dscale:
+        raise ValueError("derivative does not vanish at -a")
+    h_min = float(np.polynomial.polynomial.polyval(-a, cf))
+    ts = np.linspace(-n, n, _GRID_POINTS + 1)
+    vals = np.polynomial.polynomial.polyval(ts, cf)
+    if vals.min() < h_min - tol * scale:
+        raise ValueError("minimum not attained at -a (grid)")
+    if len(dcf) > 1:
+        roots = np.roots(dcf[::-1])
+    else:
+        roots = np.array([])
+    for z in roots:
+        if abs(z.imag) > 1e-9 * (1 + abs(z)):
+            continue
+        t = float(z.real)
+        if -n <= t <= n:
+            v = float(np.polynomial.polynomial.polyval(t, cf))
+            if v < h_min - tol * scale:
+                raise ValueError("minimum not attained at -a (critical point)")
 
 
 def in_reduced_class(h: CandidatePolynomial) -> bool:

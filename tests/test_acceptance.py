@@ -25,6 +25,8 @@ import pytest
 
 import conftest
 import search_oracle
+from diameter_oracle import image_gram
+from mis_oracle import max_avoiding_search
 from test_algebra import property_check_float32
 from test_upper import covering_log_upper
 
@@ -52,7 +54,7 @@ def test_criterion_01_scalar_product_identity():
     for n, k in [(4, 1), (4, 2), (8, 1)]:
         a = 4
         X = construction.sigma_matrix(n).astype(np.int64)
-        H = construction.image_gram(X @ X.T, k, a)
+        H = image_gram(X @ X.T, k, a)
         mats = construction.materialize(X, k, a)
         want = mats @ mats.T
         for i, j in itertools.product(range(X.shape[0]), repeat=2):
@@ -145,14 +147,18 @@ def test_criterion_05_lemma_bound_every_desk_triple():
     ok = True
     rows = []
     for n, p, a in triples:
-        mis = algebra.max_avoiding_exact(construction.sigma_matrix(n), -a)
+        mis = algebra.max_avoiding_exact(n, -a)
         bound = algebra.dimension_bound(n, p)
         rows.append((n, p, a, mis, bound))
-        if mis > bound:
+        # every desk triple has a closed form, and the branch and bound agrees
+        if mis is None or mis > bound:
+            ok = False
+        elif mis != max_avoiding_search(construction.sigma_matrix(n), -a):
             ok = False
     elapsed = time.time() - t0
     ok = ok and elapsed < 600
-    _report(5, ok, "exact MIS <= dimension bound on every feasible desk triple",
+    _report(5, ok, "exact MIS (closed form = branch and bound) <= dimension bound "
+            "on every feasible desk triple",
             "%d triples, %.1fs" % (len(rows), elapsed))
     assert ok
 

@@ -22,11 +22,11 @@ from borsuk.algebra import (
     monomial_basis,
     property_check_exhaustive,
     rank_mod_p,
-    residue_excluded_dots,
     sigma_gram,
 )
 from borsuk.construction import sigma_matrix
 from borsuk.exactnum import binomial, is_prime
+from mis_oracle import max_avoiding_search
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +135,15 @@ def test_dimension_bound_values():
     assert dimension_bound(8, 5) == 163
     for n, p in [(8, 3), (12, 5), (16, 5)]:
         assert dimension_bound(n, p) == sum(math.comb(n, i) for i in range(p))
+
+
+def residue_excluded_dots(n, p):
+    """Dot values in (-n, n) congruent to -a mod p besides -a itself.
+
+    With n - 4p = -a these are n - jp for j in {1,2,3,5,6,7}; none is a
+    multiple of 4 when p is odd, so no pair of sign vectors attains them.
+    """
+    return tuple(n - j * p for j in (1, 2, 3, 5, 6, 7))
 
 
 def test_excluded_residue_and_dots():
@@ -948,19 +957,44 @@ def test_rank_gfp_certifies_family_independence():
 
 
 def test_max_avoiding_exact_values():
-    assert max_avoiding_exact(sigma_matrix(8), -4) == 15
-    # no pair attains -4, whole set
-    assert max_avoiding_exact(sigma_matrix(4), -4) == 3
-    # odd dot: empty graph
-    assert max_avoiding_exact(sigma_matrix(8), 7) == binomial(7, 3)
-    # the diagonal (x, x) = n is no edge
-    assert max_avoiding_exact(sigma_matrix(8), 8) == binomial(7, 3)
+    # n <= 12 is compared with the search below; past it, the triples
+    # certify now settles (t = 0 or no conflict), and none where t > 0
+    assert max_avoiding_exact(16, -12) == binomial(14, 6) == 3003
+    assert max_avoiding_exact(20, -16) == binomial(18, 8)
+    assert max_avoiding_exact(24, -28) == binomial(23, 11)
+    # t = 2 at (16, 5, 4): no closed form, and the search does not run there
+    assert max_avoiding_exact(16, -4) is None
     with pytest.raises(ValueError, match="exact search infeasible"):
-        max_avoiding_exact(sigma_matrix(16), -4)
+        max_avoiding_search(sigma_matrix(16), -4)
+    with pytest.raises(ValueError, match="positive multiple of 4"):
+        max_avoiding_exact(10, -2)
 
 
 def test_max_avoiding_exact_main_case():
-    assert max_avoiding_exact(sigma_matrix(12), -8) == 210
+    assert max_avoiding_exact(12, -8) == 210
+    assert max_avoiding_search(sigma_matrix(12), -8) == 210
+
+
+def test_max_avoiding_exact_closed_form_matches_search(monkeypatch):
+    # every integer dot in [-n, n]: a value wherever t = |A n B| of a
+    # conflicting pair is 0 or no pair conflicts, and it equals the search;
+    # None exactly where 0 < t, and the closed form touches no numpy
+    for n in (4, 8, 12):
+        k = n // 2 - 1
+        oracle = {}
+        for forbidden in range(-n, n + 1):
+            j, rest = divmod(n - forbidden, 4)
+            t = k - j if rest == 0 and 1 <= j <= k else None
+            if t != 0 and t is not None:
+                continue
+            oracle[forbidden] = max_avoiding_search(sigma_matrix(n), forbidden)
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "np", None)
+            closed = {f: max_avoiding_exact(n, f) for f in range(-n, n + 1)}
+        for forbidden, mis in closed.items():
+            assert (mis is None) == (forbidden not in oracle)
+            if mis is not None:
+                assert mis == oracle[forbidden]
 
 
 # ---------------------------------------------------------------------------
@@ -1010,8 +1044,10 @@ def test_max_avoiding_exact_branches_on_sigma8(monkeypatch, forbidden, expected)
     X = sigma_matrix(8)
     assert _mis_brute(_pair_conflicts(X, forbidden)) == expected
     seen = _record_eigvalsh(monkeypatch)
-    assert max_avoiding_exact(X, forbidden) == expected
+    assert max_avoiding_search(X, forbidden) == expected
     assert len(seen) > 1
+    # t = |A n B| is 1 and 2 here: no closed form
+    assert max_avoiding_exact(8, forbidden) is None
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -1024,14 +1060,14 @@ def test_max_avoiding_exact_matches_brute_force_on_subsets(n, forbidden):
         rows = X[np.sort(rng.choice(X.shape[0], size, replace=False))]
         C = _pair_conflicts(rows, forbidden)
         assert C.any()
-        assert max_avoiding_exact(rows, forbidden) == _mis_brute(C)
+        assert max_avoiding_search(rows, forbidden) == _mis_brute(C)
 
 
 def test_max_avoiding_exact_certify_instances_settle_at_root(monkeypatch):
-    # every search certify_bound runs: n <= 12, prime p, a = 4p - n >= 4
+    # every triple certify_bound meets at n <= 12: prime p, a = 4p - n >= 4
     # (a <= 3n here; past a = n - 4 no pair attains -a at all).  Only
     # K(7, 3) and K(11, 5) have conflicts, and one eigendecomposition,
-    # of integer eigenvalues, settles each
+    # of integer eigenvalues, settles each; the closed form agrees
     seen = _record_eigvalsh(monkeypatch)
     searched = []
     for n in (4, 8, 12):
@@ -1040,7 +1076,8 @@ def test_max_avoiding_exact_certify_instances_settle_at_root(monkeypatch):
             if not is_prime(p) or a < 4:
                 continue
             seen.clear()
-            mis = max_avoiding_exact(sigma_matrix(n), -a)
+            mis = max_avoiding_search(sigma_matrix(n), -a)
+            assert mis == max_avoiding_exact(n, -a)
             assert len(seen) <= 1
             if seen:
                 nearest = np.round(seen[0])
@@ -1066,7 +1103,8 @@ def test_certify_bound_frozen_desk_case():
 
 def test_certify_bound_sampled_pool_branch():
     # |Sigma(20)| = 92378 > _CONFLICT_CAP: families come from seeded
-    # pools of _FAMILY_POOL rows, with no exact search and no rank
+    # pools of _FAMILY_POOL rows, with no rank and no exact maximum (-8
+    # is attained at |A n B| = 2, where no closed form is known)
     assert binomial(19, 9) > algebra._CONFLICT_CAP
     cert = certify_bound(20, 7, 8, seeds=2)
     assert cert.sigma_size == 92378
@@ -1120,7 +1158,7 @@ def test_certify_bound_relation_check():
 
 @pytest.mark.parametrize("p, a", [(3, 0), (2, -4)])
 def test_certify_bound_refuses_offset_below_4(p, a):
-    # n - 4p = -a holds with p prime; the exact search on Sigma(12) at
-    # these offsets ran for minutes
+    # n - 4p = -a holds with p prime; the planner takes a as a positive
+    # multiple of 4, and so does certify
     with pytest.raises(ValueError, match="offset a = %d below 4" % a):
         certify_bound(12, p, a)

@@ -228,7 +228,8 @@ def test_find_d0_every_table_radius(monkeypatch):
     # every step made 5,865 choose_a and 33,319 is_prime calls
     assert (calls["choose_a"], calls["is_prime"]) == (97, 520)
     # the block reject skips most steps with no enclosure of their own:
-    # 1,366 now, one or two on every step (5,918) without it
+    # 1,392 now, every float verdict's sum counted, one or two on every
+    # step (5,918) without it
     assert calls["enclose"] <= 1700
 
 

@@ -123,9 +123,20 @@ def test_certify_with_overrides(capsys):
     assert (doc["mis_exact"], doc["rank"]) == ("35", "35")
 
 
+def test_certify_exact_maximum_past_n12(capsys):
+    # -12 is attained in Sigma(16) only by disjoint +1 sets past the first
+    # coordinate, so the maximum is the Erdos-Ko-Rado star C(14, 6), the
+    # size the enumeration-order greedy family already reaches
+    code, out, _ = _run(capsys, ["certify", "--n", "16", "--p", "7", "--a", "12"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mis_exact"] == "3003" and doc["verdict"] is True
+    assert doc["family_sizes"][0] == "3003"
+
+
 def test_certify_composite_p_exits_2_at_once(capsys, monkeypatch):
     # n - 4p = -a holds for (12, 4, 4); p = 4 must be refused before the
-    # greedy families and the exact search, which take minutes at n = 12
+    # greedy families and the rest of the Sigma(12) work
     from borsuk import algebra
 
     def no_work(*args, **kwargs):
@@ -143,8 +154,8 @@ def test_certify_composite_p_exits_2_at_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("p, a", [("3", "0"), ("2", "-4")])
 def test_certify_offset_below_4_exits_2_at_once(capsys, monkeypatch, p, a):
-    # n - 4p = -a holds and p is prime, yet the exact search at these
-    # offsets ran for minutes at n = 12; the offset is refused first
+    # n - 4p = -a holds and p is prime, but the planner takes a as a
+    # positive multiple of 4; the offset is refused before any Sigma work
     from borsuk import algebra
 
     def no_work(*args, **kwargs):
@@ -632,6 +643,19 @@ def test_thread_override_env(tmp_path):
     assert "BORSUK_THREADS" in proc.stderr
 
 
+def _fresh_interpreter(script):
+    """Words printed by script run in a new interpreter with borsuk on its path."""
+    import borsuk
+
+    src = os.path.dirname(os.path.dirname(borsuk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_certify_n16_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma on first use, 15-37 ms once per process;
     # nothing on the certify path calls it, so a fresh interpreter never
@@ -641,12 +665,15 @@ def test_certify_n16_leaves_numpy_ma_unimported():
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = main(['certify', '--n', '16', '--p', '5', '--a', '4'])\n"
               "print(code, 'numpy.ma' in sys.modules)\n")
-    import borsuk
+    assert _fresh_interpreter(script) == ["0", "False"]
 
-    src = os.path.dirname(os.path.dirname(borsuk.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+
+def test_optimal_poly_imports_no_numpy():
+    # the exact enumeration runs in Fractions; numpy was ~0.11 s of
+    # importing borsuk.optimality while its numeric class check lived there
+    script = ("import contextlib, io, sys\n"
+              "from borsuk.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(['optimal-poly', '--m', '6', '--n', '3'])\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    assert _fresh_interpreter(script) == ["0", "False"]

@@ -13,17 +13,16 @@ from hypothesis.extra import numpy as hnp
 
 from borsuk import construction
 from borsuk.construction import (
-    diameter_scan,
     embed,
     export_points,
     geometry,
-    image_gram,
     materialize,
     sigma_matrix,
     sign_vectors,
 )
 from borsuk.exactnum import binomial
 from borsuk.params import plan_fixed
+from diameter_oracle import diameter_scan, image_gram
 
 
 def _brute_sigma(n):

@@ -19,11 +19,13 @@ from borsuk.optimality import (
     search_optimum,
 )
 from search_oracle import (
+    derivative_at,
     in_reduced_class,
     odd_even_split_check,
     random_search,
     sample_members,
     sampled_offset_maxima,
+    validate,
 )
 
 
@@ -34,7 +36,7 @@ def test_extremal_polynomial_shape():
     assert h.coefficients[6] == 1
     assert h.coefficients[1] == 6 * 3 ** 5
     assert all(c == 0 for j, c in enumerate(h.coefficients) if j not in (1, 6))
-    h.validate()
+    validate(h)
     assert in_reduced_class(h)
     with pytest.raises(ValueError, match="degree must be even"):
         extremal_polynomial(5, 3)
@@ -46,10 +48,10 @@ def test_candidate_polynomial_evaluation():
     h = CandidatePolynomial(coefficients=(0, 2, 1), a=2, n=2)
     assert h(3) == 15  # 3^2 + 2*3
     assert h(-2) == 0
-    assert h.derivative_at(-2) == -2
+    assert derivative_at(h, -2) == -2
     h2 = extremal_polynomial(2, 5)
     assert h2(-5) == 25 - 2 * 5 * 5 * 1  # t^2 + 2*5*t at t=-5
-    assert h2.derivative_at(-5) == 0
+    assert derivative_at(h2, -5) == 0
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8])
@@ -72,13 +74,13 @@ def test_validate_catches_tampering():
     h = extremal_polynomial(4, 3)
     bad = dataclasses.replace(h, coefficients=(0, -1, 0, 0, 1))
     with pytest.raises(ValueError, match="negative coefficient"):
-        bad.validate()
+        validate(bad)
     # derivative no longer vanishes at -a
     bad = dataclasses.replace(h, coefficients=(0, 5, 0, 0, 1))
     with pytest.raises(ValueError, match="derivative"):
-        bad.validate()
+        validate(bad)
     with pytest.raises(ValueError, match="offset"):
-        dataclasses.replace(h, a=0).validate()
+        validate(dataclasses.replace(h, a=0))
 
 
 def test_odd_even_split_equality_at_extremal():
@@ -109,7 +111,7 @@ def test_sample_members_are_valid_and_stable():
     ms = sample_members(6, 2, 25, seed=9)
     assert len(ms) == 25
     for h in ms:
-        h.validate()
+        validate(h)
         assert in_reduced_class(h)
     again = sample_members(6, 2, 25, seed=9)
     assert [h.coefficients for h in again] == [h.coefficients for h in ms]
@@ -124,7 +126,7 @@ def test_search_hits_extremal_quotient_exactly():
     assert res4.evaluated == 4 and res4.resampled == 0
     # the reported polynomial is the extremal one, scaled to h(n) = 1
     h = res4.best
-    h.validate()
+    validate(h)
     assert h(2) == 1
     assert ratio(h).objective == res4.best_objective
     star = extremal_polynomial(4, 2)
@@ -146,7 +148,7 @@ def test_search_never_beats_extremal():
         exact = search_optimum(m, 2).best_objective
         res = random_search(m, 2, samples=1000, seed=2)
         assert res.best_objective <= exact + 1e-9
-        res.best.validate()
+        validate(res.best)
 
 
 def test_search_monotone_in_samples():
@@ -187,9 +189,9 @@ def test_construction_polynomial_is_class_member(k):
         coeffs[2 * k] = 1
         coeffs[1] = 2 * k * a ** (2 * k - 1)
         h = CandidatePolynomial(coefficients=tuple(coeffs), a=a, n=n)
-        h.validate()
+        validate(h)
         assert in_reduced_class(h)
-        assert h.derivative_at(-a) == 0
+        assert derivative_at(h, -a) == 0
 
 
 def test_offset_reduction_monotone_to_n():
