@@ -61,15 +61,15 @@ _EXACT64 = 2 ** 53
 # rank_mod_p: columns per panel, and rows sampled for a panel's pivots,
 # a few more than a panel can have; narrow panels keep each pivot's
 # rank-1 update in _gauss_jordan small.  Rows per matmul in its trailing
-# update, in sigma_gram and in _conflict_matrix, which bounds their
-# temporaries
+# update and in sigma_gram, which bounds their temporaries
 _PANEL = 32
 _PANEL_SAMPLE = _PANEL + 8
 _ROW_CHUNK = 1024
 
-# full |Sigma|^2 pair matrices up to this size; past it families are
-# built inside seeded candidate pools of _FAMILY_POOL rows
-_CONFLICT_CAP = 20000
+# greedy families scan all of Sigma up to this size; past it they are
+# built inside seeded candidate pools of _FAMILY_POOL rows, which keeps
+# each scan short
+_FULL_SCAN_CAP = 20000
 _FAMILY_POOL = 4096
 # the unseeded family's pool, drawn apart from the seeds 0, 1, ... of the rest
 _FIRST_POOL_SEED = 2 ** 32 - 1
@@ -351,52 +351,38 @@ def property_check_exhaustive(n: int, p: int, a: int) -> int:
 # avoiding families, independence certificates, rank
 
 
-def _greedy_indices(conflict: np.ndarray, order: np.ndarray) -> List[int]:
-    allowed = np.ones(conflict.shape[0], dtype=bool)
-    chosen: List[int] = []
-    for idx in order:
-        if allowed[idx]:
-            chosen.append(int(idx))
-            allowed &= ~conflict[idx]
-    chosen.sort()
-    return chosen
-
-
-def _conflict_matrix(X: np.ndarray, forbidden: int) -> np.ndarray:
-    """Bool matrix of (x, y) == forbidden over all pairs of rows of X.
-
-    Each _ROW_CHUNK rows take one float32 product, compared straight into
-    the result, so no full-size integer or float matrix exists; exact
-    since every entry is an integer of magnitude at most n < 2**24.
-    """
-    Xf = X.astype(np.float32)
-    out = np.empty((X.shape[0], X.shape[0]), dtype=bool)
-    for lo in range(0, X.shape[0], _ROW_CHUNK):
-        np.equal(Xf[lo:lo + _ROW_CHUNK] @ Xf.T, forbidden,
-                 out=out[lo:lo + _ROW_CHUNK])
-    return out
-
-
 def greedy_avoiding_family(
     rows: np.ndarray,
     forbidden: int,
     seed: Optional[int] = None,
-    conflict: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Greedy maximal family: scan rows, accept whatever stays legal.
 
     Returns the chosen rows in their order in rows.  seed None scans in
     row order; an integer seed scans a reproducible random permutation.
-    conflict caches _conflict_matrix(rows, forbidden) across repeated
-    calls.  Pass a slice of Sigma(n), such as a sampled pool, to restrict
-    the scan where the full pair matrix stops fitting in memory.
+    Each accepted row takes its inner products with every row in one
+    float32 vector-matrix product and strikes those at forbidden, so no
+    pair matrix is formed; exact since every product of two +-1 rows is
+    an integer of magnitude at most n < 2**24.  Past n in magnitude no
+    pair attains forbidden, and every row is returned with no scan.
+    Pass a slice of Sigma(n), such as a sampled pool, to restrict the
+    scan.
     """
-    if conflict is None:
-        conflict = _conflict_matrix(rows, forbidden)
+    if abs(forbidden) > rows.shape[1]:
+        return rows.copy()
+    Xf = rows.astype(np.float32)
+    XT = np.ascontiguousarray(Xf.T)
     order = np.arange(rows.shape[0])
     if seed is not None:
         order = np.random.default_rng(seed).permutation(rows.shape[0])
-    return rows[_greedy_indices(conflict, order)]
+    allowed = np.ones(rows.shape[0], dtype=bool)
+    chosen: List[int] = []
+    for idx in order.tolist():
+        if allowed[idx]:
+            chosen.append(idx)
+            allowed &= np.dot(Xf[idx], XT) != forbidden
+    chosen.sort()
+    return rows[chosen]
 
 
 def independence_verify(members: np.ndarray, p: int, a: int) -> bool:
@@ -534,6 +520,10 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     reduces it exactly: the panel and the pivot rows are reduced mod p
     before use, and the trailing block only when its tracked bound,
     grown by k (p-1)^2 per panel of k pivots, would pass the limit.
+    That bound starts at the largest magnitude of A's integer type when
+    it lies within the limit, and the copy takes A's entries as they are
+    (int8 at certify); otherwise at p - 1, and the copy is A mod p, by
+    fmod in A's own type, which holds p as it holds more than the limit.
     p must be prime with (p-1)^2 + p < 2**53; the largest such prime,
     94906249, still has p - 1 + (p-1)^2 below 2**53 - p by 3 * 10**9,
     so one pivot per panel always fits, and in _gauss_jordan one pivot
@@ -555,10 +545,12 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     if A.shape[0] < A.shape[1]:
         A = A.T
     m, n = A.shape
-    W = np.empty((m, n), dtype=dtype)
-    np.fmod(A, np.int64(p), out=W)
+    info = np.iinfo(A.dtype)
+    bound = max(-info.min, info.max)  # on |entries| of the trailing block
+    if bound > limit:
+        A, bound = np.fmod(A, A.dtype.type(p)), p - 1
+    W = np.ascontiguousarray(A, dtype=dtype)
     width = min(_PANEL, (limit - (p - 1)) // step)
-    bound = p - 1  # on |entries| of the active rows past the last panel
     r = 0
     for c0 in range(0, n, width):
         if r == m:
@@ -705,17 +697,17 @@ def certify_bound(
     rank = rank_columns = rank_rows = slice_bound = None
     if n <= ENUMERATION_CAP:
         X = sigma_matrix(n)
-        conflict = _conflict_matrix(X, forbidden) if sigma_size <= _CONFLICT_CAP else None
         for seed in [None] + list(range(seeds - 1)):
-            # without the pair matrix, a sampled candidate pool; any
-            # greedy-maximal family inside it is still a genuine avoiding
-            # family, which is all the certificate needs
-            rows = X if conflict is not None else X[_family_pool(sigma_size, seed)]
-            fam = greedy_avoiding_family(rows, forbidden, seed=seed, conflict=conflict)
+            # past the cap, a sampled candidate pool; any greedy-maximal
+            # family inside it is still a genuine avoiding family, which
+            # is all the certificate needs
+            rows = X
+            if sigma_size > _FULL_SCAN_CAP:
+                rows = X[_family_pool(sigma_size, seed)]
+            fam = greedy_avoiding_family(rows, forbidden, seed=seed)
             sizes.append(len(fam))
             if not independence_verify(fam, p, a):
                 all_verified = False
-        del conflict  # 41 MB at n = 16, not needed by the rank below
         mis = max_avoiding_exact(n, forbidden)
 
         if sigma_size <= _RANK_ROWS_CAP and bound <= _RANK_COLS_CAP:

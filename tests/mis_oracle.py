@@ -1,16 +1,62 @@
-"""Branch-and-bound oracle for the exact maximum avoiding family.
+"""Conflict-matrix oracles for avoiding families.
 
 borsuk.algebra.max_avoiding_exact gives the maximum in closed form, by
 the Erdos-Ko-Rado theorem.  This is the independent check: a search for
 the maximum independent set of the conflict graph on any stack of rows,
-pruned by the inertia bound on float64 eigenvalues.
+pruned by the inertia bound on float64 eigenvalues.  The same |rows|^2
+conflict matrix drives greedy_from_conflicts, the check on
+borsuk.algebra.greedy_avoiding_family, which strikes each accepted
+row's conflicts as it goes and forms no pair matrix.
 """
+
+from typing import List, Optional
 
 import numpy as np
 
-from borsuk.algebra import _conflict_matrix, _greedy_indices
+from borsuk.algebra import _ROW_CHUNK
 
 _EXACT_MIS_CAP = 12
+
+
+def _greedy_indices(conflict: np.ndarray, order: np.ndarray) -> List[int]:
+    allowed = np.ones(conflict.shape[0], dtype=bool)
+    chosen: List[int] = []
+    for idx in order:
+        if allowed[idx]:
+            chosen.append(int(idx))
+            allowed &= ~conflict[idx]
+    chosen.sort()
+    return chosen
+
+
+def _conflict_matrix(X: np.ndarray, forbidden: int) -> np.ndarray:
+    """Bool matrix of (x, y) == forbidden over all pairs of rows of X.
+
+    Each _ROW_CHUNK rows take one float32 product, compared straight into
+    the result, so no full-size integer or float matrix exists; exact
+    since every entry is an integer of magnitude at most n < 2**24.
+    """
+    Xf = X.astype(np.float32)
+    out = np.empty((X.shape[0], X.shape[0]), dtype=bool)
+    for lo in range(0, X.shape[0], _ROW_CHUNK):
+        np.equal(Xf[lo:lo + _ROW_CHUNK] @ Xf.T, forbidden,
+                 out=out[lo:lo + _ROW_CHUNK])
+    return out
+
+
+def greedy_from_conflicts(rows: np.ndarray, forbidden: int,
+                          seeds: List[Optional[int]]) -> List[np.ndarray]:
+    """The families of greedy_avoiding_family(rows, forbidden, seed) for
+    each seed, read off one full conflict matrix: same scan order, same
+    acceptance rule."""
+    conflict = _conflict_matrix(rows, forbidden)
+    families = []
+    for seed in seeds:
+        order = np.arange(rows.shape[0])
+        if seed is not None:
+            order = np.random.default_rng(seed).permutation(rows.shape[0])
+        families.append(rows[_greedy_indices(conflict, order)])
+    return families
 
 
 def max_avoiding_search(rows: np.ndarray, forbidden: int) -> int:

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from borsuk.algebra import (
 )
 from borsuk.construction import sigma_matrix
 from borsuk.exactnum import binomial, is_prime
-from mis_oracle import max_avoiding_search
+from mis_oracle import greedy_from_conflicts, max_avoiding_search
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +404,9 @@ def test_greedy_family_deterministic_and_seeded():
     for fam in (f1, f3):
         G = fam.astype(np.int64) @ fam.T
         assert not (G == -8).any()
-    # a cached conflict matrix changes no family
-    conflict = algebra._conflict_matrix(X, -8)
-    assert (greedy_avoiding_family(X, -8, seed=3, conflict=conflict) == f3).all()
+    # the same families as the full conflict matrix gives
+    assert all(np.array_equal(got, want) for got, want in
+               zip((f1, f3), greedy_from_conflicts(X, -8, [None, 3])))
 
 
 def test_certify_bound_builds_sigma_once(monkeypatch):
@@ -426,6 +427,42 @@ def test_certify_bound_builds_sigma_once(monkeypatch):
         X = sigma_matrix(n)
         sizes = tuple(len(greedy_avoiding_family(X, -a, seed=s)) for s in (None, 0, 1))
         assert sizes == cert.family_sizes
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_greedy_family_matches_conflict_matrix_oracle(n):
+    # every attainable forbidden dot n - 4j, 1 <= j <= n/2 - 1, two that
+    # no pair attains (n - 2, and -n - 4, past which the scan is skipped)
+    # and n, attained only by x with itself: the strike-as-you-go scan
+    # gives exactly the conflict-matrix families
+    X = sigma_matrix(n)
+    seeds = [None, 0, 1, 2, 3, 4]
+    for forbidden in [n - 4 * j for j in range(1, n // 2)] + [n - 2, -n - 4, n]:
+        want = greedy_from_conflicts(X, forbidden, seeds)
+        for seed, fam in zip(seeds, want):
+            assert np.array_equal(greedy_avoiding_family(X, forbidden, seed=seed), fam)
+
+
+def test_greedy_family_matches_oracle_on_sigma20_pools():
+    X = sigma_matrix(20)
+    for seed in (None, 0):
+        rows = X[algebra._family_pool(92378, seed)]
+        want, = greedy_from_conflicts(rows, -8, [seed])
+        assert np.array_equal(greedy_avoiding_family(rows, -8, seed=seed), want)
+
+
+def test_certify_bound_forms_no_pair_matrix():
+    # tracemalloc sees numpy's buffers: the peak was 65.3 MB with the
+    # 6435^2 bool conflict matrix and its float32 chunks, ~25 MB without
+    certify_bound(12, 5, 8, seeds=2)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        cert = certify_bound(16, 5, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict
+    assert peak < 32 * 2 ** 20
 
 
 def test_greedy_family_pool_restriction():
@@ -714,6 +751,21 @@ def test_rank_mod_p_int8_signs():
             assert rank_mod_p(M, p) == _rank_loop(M, p) == 160
     assert (718 ** 2 * algebra._PANEL + 2 * 719 < 2 ** 24
             < 726 ** 2 * algebra._PANEL)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16,
+                                   np.int32, np.uint32, np.int64])
+def test_rank_mod_p_integer_types(dtype):
+    # entries across the whole range of each integer type, 20 rows
+    # repeated: the working copy takes them as they are where the type
+    # lies within the float type's limit (up to 16 bits in float32, 32 in
+    # float64), and reduces them mod p in their own type otherwise
+    info = np.iinfo(dtype)
+    M = np.random.default_rng(3).integers(info.min, info.max, size=(60, 50),
+                                          dtype=dtype, endpoint=True)
+    M[40:] = M[:20]
+    for p in (5, 719, 727, _P_EDGE):
+        assert rank_mod_p(M, p) == _rank_loop(M, p) <= 40
 
 
 def _sigma_sample(n, size, seed):
@@ -1102,10 +1154,10 @@ def test_certify_bound_frozen_desk_case():
 
 
 def test_certify_bound_sampled_pool_branch():
-    # |Sigma(20)| = 92378 > _CONFLICT_CAP: families come from seeded
+    # |Sigma(20)| = 92378 > _FULL_SCAN_CAP: families come from seeded
     # pools of _FAMILY_POOL rows, with no rank and no exact maximum (-8
     # is attained at |A n B| = 2, where no closed form is known)
-    assert binomial(19, 9) > algebra._CONFLICT_CAP
+    assert binomial(19, 9) > algebra._FULL_SCAN_CAP
     cert = certify_bound(20, 7, 8, seeds=2)
     assert cert.sigma_size == 92378
     assert cert.rank is None and not cert.rank_full_family

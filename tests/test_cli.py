@@ -134,6 +134,15 @@ def test_certify_exact_maximum_past_n12(capsys):
     assert doc["family_sizes"][0] == "3003"
 
 
+def test_certify_n16_family_sizes(capsys):
+    # the 20 greedy families of certify's one full-family instance
+    code, out, _ = _run(capsys, ["certify", "--n", "16", "--p", "5", "--a", "4"])
+    assert code == 0
+    assert json.loads(out)["family_sizes"] == [str(size) for size in (
+        495, 117, 212, 271, 140, 77, 256, 188, 107, 196,
+        155, 103, 358, 166, 192, 190, 174, 249, 106, 116)]
+
+
 def test_certify_composite_p_exits_2_at_once(capsys, monkeypatch):
     # n - 4p = -a holds for (12, 4, 4); p = 4 must be refused before the
     # greedy families and the rest of the Sigma(12) work
