@@ -28,7 +28,8 @@ columns (_free_sign_matrix, whose docstring proves the ranks equal):
 1470 columns in place of 2517 at n = 16.  Over Q their rank is at most
 C(n-1, e), e = min(p-1, k), so evenly spaced rows whose GF(p) rank
 reaches it decide the full rank (_slice_rank): C(n-1, e) + 8 rows, 1373
-of 6435 at n = 16, with a fall-back to all rows.
+of 6435 at n = 16, whose columns alone are built, with a fall-back to
+all rows.
 """
 
 from __future__ import annotations
@@ -68,8 +69,11 @@ _ROW_CHUNK = 1024
 
 # greedy families scan all of Sigma up to this size; past it they are
 # built inside seeded candidate pools of _FAMILY_POOL rows, which keeps
-# each scan short
+# each scan short.  A scan settles up to _SCAN_BLOCK live rows per step,
+# at most 64, so that one uint64 holds a candidate's conflicts in its block
 _FULL_SCAN_CAP = 20000
+_SCAN_BLOCK = 64
+_BLOCK_BITS = np.uint64(1) << np.arange(_SCAN_BLOCK, dtype=np.uint64)
 _FAMILY_POOL = 4096
 # the unseeded family's pool, drawn apart from the seeds 0, 1, ... of the rest
 _FIRST_POOL_SEED = 2 ** 32 - 1
@@ -193,7 +197,10 @@ def _free_sign_matrix(X: np.ndarray, p: int, a: int) -> np.ndarray:
     e = min(p - 1, k), the columns are y_T for |T| = e and for the
     levels |T| = t < e with t = k mod p, in monomial_basis order: 1470
     columns at (16, 5, 4), where the +-1 columns x_S, |S| < p, number
-    1941.  For p = 2 the matrix is one all-ones column.
+    1941.  For p = 2 the matrix is one all-ones column.  Each row's
+    entries depend on that row alone, so the matrix of a subset of rows
+    is those rows of the full one: _slice_rank builds only the rows it
+    ranks, and the Sigma check runs on them.
 
     Same rank, as column spaces over GF(p) of functions on the rows.
     Let d = min(p - 1, n - 1) and level s live when w[s] or w[s+1] is
@@ -255,21 +262,26 @@ def _slice_rank_bound(n: int, p: int) -> int:
     return 1 if p == 2 else binomial(n - 1, min(p - 1, n // 2 - 1))
 
 
-def _slice_rank(columns: np.ndarray, p: int, bound: int) -> Tuple[int, int]:
-    """(GF(p) rank, rows ranked) of columns whose full rank is at most bound.
+def _slice_rank(X: np.ndarray, p: int, a: int, bound: int) -> Tuple[int, int, int]:
+    """(GF(p) rank, rows ranked, columns) of _free_sign_matrix(X, p, a),
+    whose full rank is at most bound.
 
-    First ranks bound + _SLICE_SPARE evenly spaced rows (no randomness):
-    if they reach bound, so does the whole matrix, and that is its rank.
-    Otherwise, or when the subset would be every row, ranks all rows.
-    bound must hold, as _slice_rank_bound does for _free_sign_matrix.
+    First builds the columns of bound + _SLICE_SPARE evenly spaced rows
+    of X only (no randomness) and ranks them: if they reach bound, so
+    does the whole matrix, and that is its rank.  _free_sign_matrix works
+    row by row, so these are exactly those rows of the full matrix.
+    Otherwise, or when the subset would be every row, builds and ranks
+    all rows.  bound must hold, as _slice_rank_bound does.
     """
-    m = columns.shape[0]
+    m = X.shape[0]
     count = bound + _SLICE_SPARE
     if count < m:
-        rank = rank_mod_p(columns[np.arange(count) * m // count], p)
+        columns = _free_sign_matrix(X[np.arange(count) * m // count], p, a)
+        rank = rank_mod_p(columns, p)
         if rank == bound:
-            return rank, count
-    return rank_mod_p(columns, p), m
+            return rank, count, columns.shape[1]
+    columns = _free_sign_matrix(X, p, a)
+    return rank_mod_p(columns, p), m, columns.shape[1]
 
 
 def evaluation_matrix(members: np.ndarray, p: int, a: int) -> np.ndarray:
@@ -360,29 +372,47 @@ def greedy_avoiding_family(
 
     Returns the chosen rows in their order in rows.  seed None scans in
     row order; an integer seed scans a reproducible random permutation.
-    Each accepted row takes its inner products with every row in one
-    float32 vector-matrix product and strikes those at forbidden, so no
-    pair matrix is formed; exact since every product of two +-1 rows is
-    an integer of magnitude at most n < 2**24.  Past n in magnitude no
-    pair attains forbidden, and every row is returned with no scan.
+    A row is accepted iff no earlier accepted row has inner product
+    forbidden with it.  The scan keeps only the live rows, those not
+    yet passed or struck, in scan order, and takes the first _SCAN_BLOCK
+    of them as candidates: their Gram marks the conflicts among them, a
+    walk in scan order accepts each candidate that no acceptance before
+    it in the block has struck, and one product of the accepted rows
+    with the remaining live rows strikes those at forbidden.  The
+    survivors are the next live rows.  Each candidate is live, so no
+    earlier block struck it, and the walk settles it against its own
+    block: the families are those of a row-by-row scan.  No pair matrix
+    of all rows is formed, and struck rows are never multiplied again.
+    The products are float32, exact since every product of two +-1 rows
+    is an integer of magnitude at most n < 2**24.  Past n in magnitude
+    no pair attains forbidden, and every row is returned with no scan.
     Pass a slice of Sigma(n), such as a sampled pool, to restrict the
     scan.
     """
     if abs(forbidden) > rows.shape[1]:
         return rows.copy()
-    Xf = rows.astype(np.float32)
-    XT = np.ascontiguousarray(Xf.T)
     order = np.arange(rows.shape[0])
     if seed is not None:
         order = np.random.default_rng(seed).permutation(rows.shape[0])
-    allowed = np.ones(rows.shape[0], dtype=bool)
+    # np.take and np.compress gather rows several times faster than indexing
+    live = np.take(rows, order, axis=0).astype(np.float32)
     chosen: List[int] = []
-    for idx in order.tolist():
-        if allowed[idx]:
-            chosen.append(idx)
-            allowed &= np.dot(Xf[idx], XT) != forbidden
+    while order.size:
+        block = live[:_SCAN_BLOCK]
+        # bit j of masks[i]: candidates i and j conflict
+        masks = np.dot(np.dot(block, block.T) == forbidden, _BLOCK_BITS[:len(block)])
+        take: List[int] = []
+        struck = 0
+        for i, mask in enumerate(masks.tolist()):
+            if not struck >> i & 1:
+                take.append(i)
+                struck |= mask
+        chosen.extend(order[take].tolist())
+        live, order = live[_SCAN_BLOCK:], order[_SCAN_BLOCK:]
+        keep = ~(np.dot(block[take], live.T) == forbidden).any(axis=0)
+        live, order = np.compress(keep, live, axis=0), order[keep]
     chosen.sort()
-    return rows[chosen]
+    return np.take(rows, chosen, axis=0)
 
 
 def independence_verify(members: np.ndarray, p: int, a: int) -> bool:
@@ -711,10 +741,8 @@ def certify_bound(
         mis = max_avoiding_exact(n, forbidden)
 
         if sigma_size <= _RANK_ROWS_CAP and bound <= _RANK_COLS_CAP:
-            columns = _free_sign_matrix(X, p, a)
             slice_bound = _slice_rank_bound(n, p)
-            rank, rank_rows = _slice_rank(columns, p, slice_bound)
-            rank_columns = columns.shape[1]
+            rank, rank_rows, rank_columns = _slice_rank(X, p, a, slice_bound)
 
     violations = property_check_exhaustive(n, p, a)
     checks = [

@@ -5,8 +5,9 @@ the Erdos-Ko-Rado theorem.  This is the independent check: a search for
 the maximum independent set of the conflict graph on any stack of rows,
 pruned by the inertia bound on float64 eigenvalues.  The same |rows|^2
 conflict matrix drives greedy_from_conflicts, the check on
-borsuk.algebra.greedy_avoiding_family, which strikes each accepted
-row's conflicts as it goes and forms no pair matrix.
+borsuk.algebra.greedy_avoiding_family, which settles blocks of live
+rows, strikes the accepted rows' conflicts among the rows still live
+and forms no pair matrix.
 """
 
 from typing import List, Optional

@@ -465,6 +465,85 @@ def test_certify_bound_forms_no_pair_matrix():
     assert peak < 32 * 2 ** 20
 
 
+def test_certify_bound_builds_slice_columns_on_ranked_rows():
+    # the 0/1 slice columns of the 1373 ranked rows only: the peak was
+    # 24.8 MB with all 6435 rows built through a 6435 x 1941 intermediate,
+    # ~16 MB without
+    certify_bound(12, 5, 8, seeds=2)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        cert = certify_bound(16, 5, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cert.rank, cert.rank_rows, cert.rank_columns) == (1365, 1373, 1470)
+    assert cert.verdict
+    assert peak < 20 * 2 ** 20
+
+
+_BLOCK = algebra._SCAN_BLOCK
+
+
+@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("n", [12, 16])
+def test_greedy_family_matches_oracle_at_block_edges(n, size):
+    # stacks one row short of a candidate block, exactly one, one row
+    # past it and reaching into a third, at every attainable forbidden
+    # dot and at n
+    X = sigma_matrix(n)
+    rows = X[np.random.default_rng(size).choice(len(X), size, replace=False)]
+    seeds = [None, 0, 1, 2, 3, 4]
+    struck = False
+    for forbidden in [n - 4 * j for j in range(1, n // 2)] + [n]:
+        want = greedy_from_conflicts(rows, forbidden, seeds)
+        for seed, fam in zip(seeds, want):
+            assert np.array_equal(greedy_avoiding_family(rows, forbidden, seed=seed), fam)
+            struck |= len(fam) < size
+    assert struck
+
+
+def test_greedy_family_matches_oracle_on_duplicated_rows():
+    # 2B + 3 rows drawn with repeats from 40 rows of Sigma(12), so copies
+    # fall in the same and in different blocks.  At forbidden = n a row
+    # conflicts with itself and its copies: the family is the distinct rows
+    n = 12
+    X = sigma_matrix(n)
+    rows = X[np.random.default_rng(7).integers(0, 40, 2 * _BLOCK + 3)]
+    distinct = len(np.unique(rows, axis=0))
+    assert distinct < len(rows)
+    seeds = [None, 0, 1, 2, 3, 4]
+    for forbidden in [n - 4 * j for j in range(1, n // 2)] + [n]:
+        want = greedy_from_conflicts(rows, forbidden, seeds)
+        for seed, fam in zip(seeds, want):
+            got = greedy_avoiding_family(rows, forbidden, seed=seed)
+            assert np.array_equal(got, fam)
+            if forbidden == n:
+                assert len(got) == distinct == len(np.unique(got, axis=0))
+
+
+def test_greedy_scan_work_pinned(monkeypatch):
+    # float32 inner products the 20 certify families at (16, 5, 4) form:
+    # 3,382,268 with struck and passed rows compacted out; 24,890,580 when
+    # each of the 3,868 accepted rows met all 6435 rows
+    formed = []
+
+    class CountedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def dot(a, b):
+            out = np.dot(a, b)
+            if out.dtype == np.float32:
+                formed.append(out.size)
+            return out
+    monkeypatch.setattr(algebra, "np", CountedNumpy())
+    X = sigma_matrix(16)
+    sizes = [len(greedy_avoiding_family(X, -4, seed=s)) for s in [None] + list(range(19))]
+    assert sum(sizes) == 3868
+    assert sum(formed) == 3382268
+
+
 def test_greedy_family_pool_restriction():
     X = sigma_matrix(12)
     fam = greedy_avoiding_family(X[:100], -8)
@@ -644,8 +723,8 @@ def test_slice_rank_panel_work_pinned(monkeypatch):
         panels.append(out[0].size)
         return out
     monkeypatch.setattr(algebra, "_panel_pivots", counted)
-    F = algebra._free_sign_matrix(sigma_matrix(16), 5, 4)
-    assert algebra._slice_rank(F, 5, algebra._slice_rank_bound(16, 5)) == (1365, 1373)
+    bound = algebra._slice_rank_bound(16, 5)
+    assert algebra._slice_rank(sigma_matrix(16), 5, 4, bound) == (1365, 1373, 1470)
     assert sum(panels) == 1365 and len(panels) == 43
     assert (len(found), sum(found)) == (55, 1677)
 
@@ -935,21 +1014,24 @@ def test_subset_rank_matches_full_rows(n, p, a):
 
 
 def test_slice_rank_falls_back_to_all_rows():
-    # slice columns at (12, 5, 8), rank 330, laid out so that the evenly
+    # Sigma(12) at (12, 5, 8), rank 330, laid out so that the evenly
     # spaced rows _slice_rank takes first are all copies of one row: they
     # fall short of the bound, and the rank comes from every row
-    F = algebra._free_sign_matrix(sigma_matrix(12), 5, 8)
+    X = sigma_matrix(12)
+    F = algebra._free_sign_matrix(X, 5, 8)
     bound = algebra._slice_rank_bound(12, 5)
     count = bound + algebra._SLICE_SPARE
-    m = count + F.shape[0]
+    m = count + X.shape[0]
     chosen = np.arange(count) * m // count
-    planted = np.empty((m, F.shape[1]), dtype=F.dtype)
-    planted[chosen] = F[0]
-    planted[np.setdiff1d(np.arange(m), chosen)] = F
-    assert rank_mod_p(planted[chosen], 5) == 1
-    assert algebra._slice_rank(planted, 5, bound) == (330, m)
-    # the unplanted columns decide on the subset
-    assert algebra._slice_rank(F, 5, bound) == (330, count)
+    planted = np.empty((m, X.shape[1]), dtype=X.dtype)
+    planted[chosen] = X[0]
+    planted[np.setdiff1d(np.arange(m), chosen)] = X
+    assert rank_mod_p(algebra._free_sign_matrix(planted[chosen], 5, 8), 5) == 1
+    assert algebra._slice_rank(planted, 5, 8, bound) == (330, m, F.shape[1])
+    # unplanted, the subset decides, on those rows of the full columns
+    assert algebra._slice_rank(X, 5, 8, bound) == (330, count, F.shape[1])
+    subset = np.arange(count) * X.shape[0] // count
+    assert np.array_equal(algebra._free_sign_matrix(X[subset], 5, 8), F[subset])
 
 
 def test_certify_bound_fails_when_rank_misses_slice_bound(monkeypatch):
