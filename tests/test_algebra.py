@@ -28,6 +28,8 @@ from borsuk.algebra import (
 from borsuk.construction import sigma_matrix
 from borsuk.exactnum import binomial, is_prime
 from mis_oracle import greedy_from_conflicts, max_avoiding_search
+import rank_oracle
+from rank_oracle import SLICE_SPARE, free_sign_matrix, slice_rank
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +467,11 @@ def test_certify_bound_forms_no_pair_matrix():
     assert peak < 32 * 2 ** 20
 
 
-def test_certify_bound_builds_slice_columns_on_ranked_rows():
-    # the 0/1 slice columns of the 1373 ranked rows only: the peak was
-    # 24.8 MB with all 6435 rows built through a 6435 x 1941 intermediate,
-    # ~16 MB without
+def test_certify_bound_builds_no_rank_matrix():
+    # the rank is a closed form: the peak was 24.8 MB with the slice
+    # columns of all 6435 rows, 15.7 MB with those of the 1373 ranked
+    # rows and their float32 working copy, 2.7 MB with neither (the
+    # largest family's evaluation matrix)
     certify_bound(12, 5, 8, seeds=2)  # imports and caches outside the trace
     tracemalloc.start()
     try:
@@ -476,9 +479,68 @@ def test_certify_bound_builds_slice_columns_on_ranked_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (cert.rank, cert.rank_rows, cert.rank_columns) == (1365, 1373, 1470)
+    assert cert.rank == 1365
     assert cert.verdict
-    assert peak < 20 * 2 ** 20
+    assert peak < 4 * 2 ** 20
+
+
+# certify_bound's (rank, mis_exact, family_sizes, verdict), recorded while
+# it still ranked by elimination: the desk-checks triples and (16, 5, 4)
+_CERTIFIED = {
+    (4, 2, 4): (1, 3, (3,) * 20, False),
+    (4, 3, 8): (3, 3, (3,) * 20, True),
+    (8, 3, 4): (21, 15, (15, 12, 10, 13, 13, 11, 15, 10, 12, 11,
+                         11, 12, 10, 12, 12, 11, 13, 12, 13, 11), True),
+    (8, 5, 12): (35, 35, (35,) * 20, True),
+    (8, 7, 20): (35, 35, (35,) * 20, True),
+    (12, 5, 8): (330, 210, (210, 133, 132, 132, 129, 137, 130, 125, 123, 133,
+                            125, 128, 136, 145, 128, 128, 130, 135, 135, 131), True),
+    (12, 7, 16): (462, 462, (462,) * 20, True),
+    (12, 11, 32): (None, 462, (462,) * 20, True),
+    (16, 5, 4): (1365, None, (495, 117, 212, 271, 140, 77, 256, 188, 107, 196,
+                              155, 103, 358, 166, 192, 190, 174, 249, 106, 116), True),
+}
+
+
+def test_certify_bound_runs_no_elimination(monkeypatch):
+    # the rank comes from _sigma_rank: with the elimination and the
+    # coefficient rows made to raise, every certificate is as recorded
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("certify_bound ran an elimination")
+
+    monkeypatch.setattr(algebra, "rank_mod_p", no_elimination)
+    monkeypatch.setattr(algebra, "coefficient_matrix", no_elimination)
+    for (n, p, a), want in _CERTIFIED.items():
+        cert = certify_bound(n, p, a)
+        assert (cert.rank, cert.mis_exact, cert.family_sizes, cert.verdict) == want
+        assert cert.rank_full_family == (cert.rank is not None)
+
+
+def test_certify_bound_checks_identical_families_once(monkeypatch):
+    # past n in magnitude no pair attains -a, so every scan of Sigma(n)
+    # returns all of it: one family and one evaluation check stand for
+    # the 20, and the verdict still rests on that check
+    calls = {"greedy": 0, "verify": 0}
+    greedy, verify = algebra.greedy_avoiding_family, algebra.independence_verify
+
+    def counted_greedy(*args, **kwargs):
+        calls["greedy"] += 1
+        return greedy(*args, **kwargs)
+
+    def counted_verify(*args, **kwargs):
+        calls["verify"] += 1
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "greedy_avoiding_family", counted_greedy)
+    monkeypatch.setattr(algebra, "independence_verify", counted_verify)
+    for (n, p, a), scans in {(12, 7, 16): 1, (12, 11, 32): 1, (12, 5, 8): 20}.items():
+        calls.update(greedy=0, verify=0)
+        cert = certify_bound(n, p, a)
+        assert calls == {"greedy": scans, "verify": scans}
+        assert cert.family_sizes == _CERTIFIED[n, p, a][2] and cert.verdict
+    monkeypatch.setattr(algebra, "independence_verify", lambda *args: False)
+    cert = certify_bound(12, 7, 16)
+    assert cert.family_sizes == (462,) * 20 and not cert.verdict
 
 
 _BLOCK = algebra._SCAN_BLOCK
@@ -723,8 +785,8 @@ def test_slice_rank_panel_work_pinned(monkeypatch):
         panels.append(out[0].size)
         return out
     monkeypatch.setattr(algebra, "_panel_pivots", counted)
-    bound = algebra._slice_rank_bound(16, 5)
-    assert algebra._slice_rank(sigma_matrix(16), 5, 4, bound) == (1365, 1373, 1470)
+    bound = algebra._sigma_rank(16, 5, 4)
+    assert slice_rank(sigma_matrix(16), 5, 4, bound) == (1365, 1373, 1470)
     assert sum(panels) == 1365 and len(panels) == 43
     assert (len(found), sum(found)) == (55, 1677)
 
@@ -914,14 +976,15 @@ def test_free_sign_matrix_at_zero_weights(n, p, a, zero):
     up = sizes + 1 < p  # S u {1} is in the basis
     cols = [column[mask << 1 | 1] for mask in np.array(free)[up].tolist()]
     assert np.array_equal(C[:, cols], w[sizes[up] + 1] * signs[:, up] % p)
-    assert rank_mod_p(algebra._free_sign_matrix(X, p, a), p) == rank_mod_p(C, p)
+    assert rank_mod_p(free_sign_matrix(X, p, a), p) == rank_mod_p(C, p)
 
 
 def test_free_sign_matrix_refuses_dead_level(monkeypatch):
     # no ranked triple has two neighbouring zero weights; planted at
     # p = 5, w_3 = w_4 = 0 (and w_5 = 0 past the degree) zero both
     # coefficient columns of every S of size 3 and 4, which the 0/1
-    # columns cannot express, so the helper refuses
+    # columns cannot express, so the oracle refuses, and so does the
+    # closed form, whose proof needs every level live
     weights = algebra._reduced_profile_weights
     for n, p, a in _RANKED:
         w = weights(n, p, a)
@@ -933,15 +996,18 @@ def test_free_sign_matrix_refuses_dead_level(monkeypatch):
         return w
 
     monkeypatch.setattr(algebra, "_reduced_profile_weights", planted)
+    monkeypatch.setattr(rank_oracle, "_reduced_profile_weights", planted)
     with pytest.raises(ValueError, match="no coefficient column at level 3"):
-        algebra._free_sign_matrix(sigma_matrix(12), 5, 8)
+        free_sign_matrix(sigma_matrix(12), 5, 8)
+    with pytest.raises(ValueError, match="no coefficient column at level 3"):
+        certify_bound(12, 5, 8, seeds=1)
 
 
 def test_free_sign_matrix_refuses_rows_outside_sigma():
     X = sigma_matrix(8)
     for bad in (-X, np.roll(X, 1, axis=1)):
         with pytest.raises(ValueError, match="rows must lie in Sigma"):
-            algebra._free_sign_matrix(bad, 3, 4)
+            free_sign_matrix(bad, 3, 4)
 
 
 def test_free_sign_matrix_p2_is_one_column():
@@ -949,12 +1015,12 @@ def test_free_sign_matrix_p2_is_one_column():
     # the coefficient rank is 1; the 0/1 indicators y_j have rank 3 mod 2
     # at (4, 2, 4), since 2 is not invertible there
     X = sigma_matrix(4)
-    F = algebra._free_sign_matrix(X, 2, 4)
+    F = free_sign_matrix(X, 2, 4)
     assert F.shape == (3, 1) and (F == 1).all()
     assert rank_mod_p(F, 2) == rank_mod_p(coefficient_matrix(X, 2, 4), 2) == 1
     assert rank_mod_p(X[:, 1:] > 0, 2) == 3
     cert = certify_bound(4, 2, 4, seeds=2)
-    assert cert.rank == cert.rank_columns == 1
+    assert cert.rank == 1
 
 
 def test_slice_inclusion_identity():
@@ -983,7 +1049,7 @@ def test_slice_inclusion_identity():
 def test_free_sign_matrix_rank_matches_coefficient_matrix(n, p, a):
     X = sigma_matrix(n)
     full = rank_mod_p(coefficient_matrix(X, p, a), p)
-    assert rank_mod_p(algebra._free_sign_matrix(X, p, a), p) == full
+    assert rank_mod_p(free_sign_matrix(X, p, a), p) == full
 
 
 def test_free_sign_matrix_columns_pinned():
@@ -994,7 +1060,7 @@ def test_free_sign_matrix_columns_pinned():
                (8, 5, 12): 35, (8, 7, 20): 35, (12, 5, 8): 331,
                (12, 7, 16): 462}
     for (n, p, a), count in columns.items():
-        F = algebra._free_sign_matrix(sigma_matrix(n), p, a)
+        F = free_sign_matrix(sigma_matrix(n), p, a)
         assert F.shape == (binomial(n - 1, n // 2 - 1), count)
         assert F.dtype == np.int8 and set(np.unique(F)) <= {0, 1}
     assert len(_RANKED) == 19
@@ -1003,53 +1069,55 @@ def test_free_sign_matrix_columns_pinned():
 
 @pytest.mark.parametrize("n, p, a", _RANKED)
 def test_subset_rank_matches_full_rows(n, p, a):
-    # the certificate's rank, decided on evenly spaced rows when they
-    # reach the slice bound, against rank_mod_p on all rows
+    # the certificate's closed-form rank against the oracle's elimination,
+    # decided on evenly spaced rows when they reach the Q bound, and
+    # against rank_mod_p on all rows
     cert = certify_bound(n, p, a, seeds=1)
     X = sigma_matrix(n)
-    full = rank_mod_p(algebra._free_sign_matrix(X, p, a), p)
-    assert cert.rank == full == algebra._slice_rank_bound(n, p)
-    assert cert.rank_rows == min(full + algebra._SLICE_SPARE, cert.sigma_size)
+    full = rank_mod_p(free_sign_matrix(X, p, a), p)
+    rank, rows, _ = slice_rank(X, p, a, cert.rank)
+    assert cert.rank == rank == full
+    assert rows == min(full + SLICE_SPARE, cert.sigma_size)
     assert cert.rank_full_family and cert.verdict == (p != 2)
 
 
 def test_slice_rank_falls_back_to_all_rows():
     # Sigma(12) at (12, 5, 8), rank 330, laid out so that the evenly
-    # spaced rows _slice_rank takes first are all copies of one row: they
+    # spaced rows slice_rank takes first are all copies of one row: they
     # fall short of the bound, and the rank comes from every row
     X = sigma_matrix(12)
-    F = algebra._free_sign_matrix(X, 5, 8)
-    bound = algebra._slice_rank_bound(12, 5)
-    count = bound + algebra._SLICE_SPARE
+    F = free_sign_matrix(X, 5, 8)
+    bound = algebra._sigma_rank(12, 5, 8)
+    count = bound + SLICE_SPARE
     m = count + X.shape[0]
     chosen = np.arange(count) * m // count
     planted = np.empty((m, X.shape[1]), dtype=X.dtype)
     planted[chosen] = X[0]
     planted[np.setdiff1d(np.arange(m), chosen)] = X
-    assert rank_mod_p(algebra._free_sign_matrix(planted[chosen], 5, 8), 5) == 1
-    assert algebra._slice_rank(planted, 5, 8, bound) == (330, m, F.shape[1])
+    assert rank_mod_p(free_sign_matrix(planted[chosen], 5, 8), 5) == 1
+    assert slice_rank(planted, 5, 8, bound) == (330, m, F.shape[1])
     # unplanted, the subset decides, on those rows of the full columns
-    assert algebra._slice_rank(X, 5, 8, bound) == (330, count, F.shape[1])
+    assert slice_rank(X, 5, 8, bound) == (330, count, F.shape[1])
     subset = np.arange(count) * X.shape[0] // count
-    assert np.array_equal(algebra._free_sign_matrix(X[subset], 5, 8), F[subset])
+    assert np.array_equal(free_sign_matrix(X[subset], 5, 8), F[subset])
 
 
-def test_certify_bound_fails_when_rank_misses_slice_bound(monkeypatch):
-    # rank == C(n-1, e) can fail: against a bound one too high, the
-    # evenly spaced rows fall short, all 462 rows are ranked and still
-    # give 330, so the verdict is false
-    true_bound = algebra._slice_rank_bound
-    monkeypatch.setattr(algebra, "_slice_rank_bound",
-                        lambda n, p: true_bound(n, p) + 1)
+def test_certify_bound_fails_when_rank_exceeds_bound(monkeypatch):
+    # the verdict still requires rank <= the dimension bound: a rank one
+    # past it, 795 against 794 at (12, 5, 8), fails it and nothing else
+    monkeypatch.setattr(algebra, "_sigma_rank",
+                        lambda n, p, a: dimension_bound(n, p) + 1)
     cert = certify_bound(12, 5, 8, seeds=2)
-    assert cert.rank == 330 and cert.rank_rows == cert.sigma_size == 462
+    assert cert.rank == 795 and cert.bound == 794
     assert cert.property_violations == 0 and not cert.verdict
+    monkeypatch.undo()
+    assert certify_bound(12, 5, 8, seeds=2).verdict
 
 
 def test_rank_of_full_family_frozen():
     # rank over GF(p) of all reduced polynomials (that of the free
     # columns, by the test above): C(n-1, min(p-1, n/2-1)) at every odd p
-    rank = {(n, p, a): rank_mod_p(algebra._free_sign_matrix(sigma_matrix(n), p, a), p)
+    rank = {(n, p, a): rank_mod_p(free_sign_matrix(sigma_matrix(n), p, a), p)
             for n, p, a in _RANKED}
     assert rank[8, 3, 4] == 21 == binomial(7, 2)
     assert rank[8, 5, 12] == 35 == binomial(7, 4)
@@ -1059,6 +1127,7 @@ def test_rank_of_full_family_frozen():
     assert 330 <= dimension_bound(12, 5)
     for (n, p, a), r in rank.items():
         assert r == (1 if p == 2 else binomial(n - 1, min(p - 1, n // 2 - 1)))
+        assert r == algebra._sigma_rank(n, p, a)
 
 
 def test_coefficient_matrix_matches_symbolic_rows():
@@ -1227,8 +1296,6 @@ def test_certify_bound_frozen_desk_case():
     assert cert.sigma_size == 462
     assert cert.mis_exact == 210
     assert cert.rank == 330 and cert.rank_full_family
-    assert cert.rank_columns == 331
-    assert cert.rank_rows == 338  # C(11, 4) + 8 evenly spaced rows of 462
     assert cert.vacuous  # 794 >= 462
     assert cert.property_violations == 0
     assert cert.verdict
@@ -1278,9 +1345,8 @@ def test_certify_bound_fails_on_property_violation(monkeypatch):
     monkeypatch.setattr(algebra, "_reduced_profile_weights", perturbed)
     cert = certify_bound(8, 3, 4, seeds=2)
     assert cert.property_violations == 1050
-    # every level stays live, so the rank runs on the 0/1 columns and
-    # reaches the slice bound C(7, 2)
-    assert (cert.rank, cert.rank_columns) == (21, 22)
+    # every level stays live, so the rank is C(7, 2)
+    assert cert.rank == 21
     assert cert.rank <= cert.bound and max(cert.family_sizes) <= cert.mis_exact
     assert not cert.verdict
 

@@ -112,9 +112,8 @@ def test_certify_with_overrides(capsys):
     assert doc["property_violations"] == "0"
     assert list(doc)[-2:] == ["property_violations", "verdict"]
     keys = list(doc)
-    assert keys[keys.index("rank_columns"):][:3] == [
-        "rank_columns", "rank_rows", "rank_full_family"]
-    assert doc["rank_rows"] == "338"
+    assert keys[keys.index("rank"):][:2] == ["rank", "rank_full_family"]
+    assert doc["rank"] == "330"
     # a prime far above 2n: every family member is checked through the
     # evaluation matrix at p = 4001
     code, out, _ = _run(capsys, ["certify", "--n", "8", "--p", "4001", "--a", "15996"])
@@ -196,8 +195,7 @@ def test_certify_past_the_enumeration_cap(capsys, monkeypatch):
     assert doc["sigma_size"] == str(binomial(571, 285))
     assert doc["property_violations"] == "0" and doc["verdict"] is True
     assert doc["family_sizes"] == [] and doc["rank_full_family"] is False
-    assert all(doc[key] is None for key in
-               ("mis_exact", "rank", "rank_columns", "rank_rows"))
+    assert all(doc[key] is None for key in ("mis_exact", "rank"))
     assert err == ("note: Sigma(572) not enumerated (n > 24): greedy "
                    "families, exact MIS and rank skipped; the verdict rests "
                    "on the exact property count\n")
@@ -434,8 +432,9 @@ _STDOUT_SHA256 = {
         (0, "283f14f3e19e97a5187642005cf424c95f3840af0f7987036f0a1e43ca85e4df"),
     "bound --n 8 --p 5 --d 65":
         (1, "7a57e84e77e0e4b8205eeb893aaec0e8d609a658bd3c89aa40475e2632cbed52"),
+    # re-pinned when rank_columns and rank_rows left the certificate
     "certify --n 12 --p 5 --a 8":
-        (0, "ad247a4af261a01fbe25a6910b9bb49ca059526a804e772192fa069ea944b8b9"),
+        (0, "c736fec9bea38c7f9b8909861dc1a906e8560451bcbbc731842081d199af02aa"),
     "find-d0 --r 0.71":
         (0, "bc7a958367fb31ea6c3eeed162307a7e90aa209dacb2c69b2da8a62b17506a9a"),
     "asymptotic --r 0.9 --d 1000000":

@@ -19,7 +19,7 @@ _ALLOWED = {
     "borsuk", "borsuk.algebra", "borsuk.bounds", "borsuk.construction",
     "borsuk.exactnum", "borsuk.optimality", "borsuk.params", "borsuk.upper",
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-    "BENCH_pr25.json", "pyproject.toml", "src",
+    "BENCH_pr26.json", "pyproject.toml", "src",
     "ValueError", "repr", "log1p", "expm1", "math.log",
     "mpmath.iv", "mpmath.mpf", "np.unique",
 }
