@@ -35,7 +35,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -69,8 +69,41 @@ _FULL_SCAN_CAP = 20000
 _SCAN_BLOCK = 64
 _BLOCK_BITS = np.uint64(1) << np.arange(_SCAN_BLOCK, dtype=np.uint64)
 _FAMILY_POOL = 4096
-# the unseeded family's pool, drawn apart from the seeds 0, 1, ... of the rest
+# the unseeded family's pool key, apart from the seeds 0, 1, ... of the
+# rest; its scan inside the pool is still in row order
 _FIRST_POOL_SEED = 2 ** 32 - 1
+
+# SplitMix64's Weyl increment and finalizer multipliers (Steele, Lea and
+# Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _hashed_counters(seed: int, count: int) -> np.ndarray:
+    """Keys of the counters 0 .. count - 1 in the stream of seed, uint64.
+
+    Counter c has key mix(seed + (c + 1) * _GOLDEN) mod 2**64, the
+    output c of SplitMix64 seeded with seed.  _GOLDEN is odd, and the
+    finalizer mix is a bijection of 2**64 (each xor-shift and each
+    multiplication by an odd constant is invertible), so distinct
+    counters below 2**64 have distinct keys.  The keys stand in for
+    numpy's random generators, whose import cost a fresh certify more
+    than all of its orders did.
+    """
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must lie in [0, 2**64), got %d" % seed)
+    z = np.uint64(seed) + np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def _scan_order(size: int, seed: Optional[int]) -> np.ndarray:
+    """Row order for seed None, else the argsort of seed's keys (no ties)."""
+    if seed is None:
+        return np.arange(size)
+    return np.argsort(_hashed_counters(seed, size))
 
 
 def sigma_gram(n: int) -> np.ndarray:
@@ -333,7 +366,8 @@ def greedy_avoiding_family(
     """Greedy maximal family: scan rows, accept whatever stays legal.
 
     Returns the chosen rows in their order in rows.  seed None scans in
-    row order; an integer seed scans a reproducible random permutation.
+    row order; an integer seed scans the reproducible permutation of
+    _scan_order, hashed from the seed by _hashed_counters.
     A row is accepted iff no earlier accepted row has inner product
     forbidden with it.  The scan keeps only the live rows, those not
     yet passed or struck, in scan order, and takes the first _SCAN_BLOCK
@@ -353,9 +387,7 @@ def greedy_avoiding_family(
     """
     if abs(forbidden) > rows.shape[1]:
         return rows.copy()
-    order = np.arange(rows.shape[0])
-    if seed is not None:
-        order = np.random.default_rng(seed).permutation(rows.shape[0])
+    order = _scan_order(rows.shape[0], seed)
     # np.take and np.compress gather rows several times faster than indexing
     live = np.take(rows, order, axis=0).astype(np.float32)
     chosen: List[int] = []
@@ -637,14 +669,26 @@ class LemmaCertificate:
 
 
 def _family_pool(sigma_size: int, seed: Optional[int]) -> np.ndarray:
-    """Sorted uniform sample of _FAMILY_POOL row indices for one family.
+    """Sorted sample of _FAMILY_POOL distinct row indices for one family.
 
-    seed None draws from _FIRST_POOL_SEED, not enumeration order: rows
-    0..4095 of Sigma(20) all avoid -8, so that pool would itself be the
-    family rather than a greedy-maximal one cut short by conflicts.
+    The indices are the first _FAMILY_POOL distinct values, in counter
+    order, of the keys of seed's counters 0, 1, ... (_hashed_counters, a
+    keyed hash, not a random generator) reduced mod sigma_size; counters
+    are drawn until that many are distinct, so the work is O(pool), never
+    O(sigma_size).  seed None takes the key _FIRST_POOL_SEED, not
+    enumeration order: rows 0..4095 of Sigma(20) all avoid -8, so that
+    pool would itself be the family rather than a greedy-maximal one cut
+    short by conflicts.
     """
-    rng = np.random.default_rng(_FIRST_POOL_SEED if seed is None else seed)
-    return np.sort(rng.choice(sigma_size, _FAMILY_POOL, replace=False))
+    key = _FIRST_POOL_SEED if seed is None else seed
+    pool: Set[int] = set()
+    drawn = 0
+    while len(pool) < _FAMILY_POOL:
+        # as many fresh counters as values missing: none can overshoot
+        fresh = _hashed_counters(key, drawn + _FAMILY_POOL - len(pool))[drawn:]
+        pool.update((fresh % np.uint64(sigma_size)).tolist())
+        drawn += fresh.size
+    return np.array(sorted(pool))
 
 
 def certify_bound(

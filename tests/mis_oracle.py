@@ -14,7 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from borsuk.algebra import _ROW_CHUNK
+from borsuk.algebra import _ROW_CHUNK, _scan_order
 
 _EXACT_MIS_CAP = 12
 
@@ -48,14 +48,13 @@ def _conflict_matrix(X: np.ndarray, forbidden: int) -> np.ndarray:
 def greedy_from_conflicts(rows: np.ndarray, forbidden: int,
                           seeds: List[Optional[int]]) -> List[np.ndarray]:
     """The families of greedy_avoiding_family(rows, forbidden, seed) for
-    each seed, read off one full conflict matrix: same scan order, same
-    acceptance rule."""
+    each seed, read off one full conflict matrix: the same scan order,
+    taken from borsuk.algebra._scan_order, and the acceptance rule applied
+    row by row."""
     conflict = _conflict_matrix(rows, forbidden)
     families = []
     for seed in seeds:
-        order = np.arange(rows.shape[0])
-        if seed is not None:
-            order = np.random.default_rng(seed).permutation(rows.shape[0])
+        order = _scan_order(rows.shape[0], seed)
         families.append(rows[_greedy_indices(conflict, order)])
     return families
 

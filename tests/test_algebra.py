@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -484,21 +485,23 @@ def test_certify_bound_builds_no_rank_matrix():
     assert peak < 4 * 2 ** 20
 
 
-# certify_bound's (rank, mis_exact, family_sizes, verdict), recorded while
-# it still ranked by elimination: the desk-checks triples and (16, 5, 4)
+# certify_bound's (rank, mis_exact, family_sizes, verdict) at the
+# desk-checks triples and (16, 5, 4): rank, mis_exact and verdict recorded
+# while it still ranked by elimination, family_sizes re-recorded when the
+# seeded scan orders came to be hashed (_scan_order)
 _CERTIFIED = {
     (4, 2, 4): (1, 3, (3,) * 20, False),
     (4, 3, 8): (3, 3, (3,) * 20, True),
-    (8, 3, 4): (21, 15, (15, 12, 10, 13, 13, 11, 15, 10, 12, 11,
-                         11, 12, 10, 12, 12, 11, 13, 12, 13, 11), True),
+    (8, 3, 4): (21, 15, (15, 11, 10, 11, 12, 12, 13, 10, 13, 12,
+                         13, 11, 13, 12, 12, 13, 13, 12, 12, 10), True),
     (8, 5, 12): (35, 35, (35,) * 20, True),
     (8, 7, 20): (35, 35, (35,) * 20, True),
-    (12, 5, 8): (330, 210, (210, 133, 132, 132, 129, 137, 130, 125, 123, 133,
-                            125, 128, 136, 145, 128, 128, 130, 135, 135, 131), True),
+    (12, 5, 8): (330, 210, (210, 129, 122, 144, 127, 125, 127, 127, 135, 130,
+                            124, 133, 135, 136, 138, 137, 126, 134, 128, 124), True),
     (12, 7, 16): (462, 462, (462,) * 20, True),
     (12, 11, 32): (None, 462, (462,) * 20, True),
-    (16, 5, 4): (1365, None, (495, 117, 212, 271, 140, 77, 256, 188, 107, 196,
-                              155, 103, 358, 166, 192, 190, 174, 249, 106, 116), True),
+    (16, 5, 4): (1365, None, (495, 202, 173, 176, 94, 169, 154, 199, 174, 149,
+                              190, 194, 259, 205, 244, 231, 321, 256, 199, 130), True),
 }
 
 
@@ -585,8 +588,8 @@ def test_greedy_family_matches_oracle_on_duplicated_rows():
 
 def test_greedy_scan_work_pinned(monkeypatch):
     # float32 inner products the 20 certify families at (16, 5, 4) form:
-    # 3,382,268 with struck and passed rows compacted out; 24,890,580 when
-    # each of the 3,868 accepted rows met all 6435 rows
+    # 3,522,143 with struck and passed rows compacted out; 27,117,090 when
+    # each of the 4,214 accepted rows met all 6435 rows
     formed = []
 
     class CountedNumpy:
@@ -602,8 +605,8 @@ def test_greedy_scan_work_pinned(monkeypatch):
     monkeypatch.setattr(algebra, "np", CountedNumpy())
     X = sigma_matrix(16)
     sizes = [len(greedy_avoiding_family(X, -4, seed=s)) for s in [None] + list(range(19))]
-    assert sum(sizes) == 3868
-    assert sum(formed) == 3382268
+    assert sum(sizes) == 4214
+    assert sum(formed) == 3522143
 
 
 def test_greedy_family_pool_restriction():
@@ -611,6 +614,92 @@ def test_greedy_family_pool_restriction():
     fam = greedy_avoiding_family(X[:100], -8)
     first100 = {tuple(v) for v in X[:100].tolist()}
     assert all(tuple(m) in first100 for m in fam.tolist())
+
+
+@pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 462, 6435])
+def test_scan_order_is_reproducible_permutation(size):
+    assert np.array_equal(algebra._scan_order(size, None), np.arange(size))
+    for seed in range(20):
+        order = algebra._scan_order(size, seed)
+        assert np.array_equal(np.sort(order), np.arange(size))
+        assert np.array_equal(order, algebra._scan_order(size, seed))
+
+
+def test_scan_orders_differ_across_seeds():
+    orders = {tuple(algebra._scan_order(6435, seed).tolist()) for seed in range(20)}
+    assert len(orders) == 20
+
+
+def test_hashed_counters_refuse_negative_seed():
+    for call in (lambda: algebra._scan_order(10, -1),
+                 lambda: algebra._family_pool(92378, -1),
+                 lambda: greedy_avoiding_family(sigma_matrix(8), -4, seed=-1)):
+        with pytest.raises(ValueError, match="seed"):
+            call()
+
+
+def test_hashed_counters_are_splitmix64():
+    # SplitMix64 seeded with seed, in Python integers: mix is the
+    # finalizer, and every output advances the state by the Weyl constant
+    mask = 2 ** 64 - 1
+
+    def mix(z):
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+        return z ^ z >> 31
+
+    for seed in (0, 1, 19, algebra._FIRST_POOL_SEED, 2 ** 64 - 1):
+        state, want = seed, []
+        for _ in range(70):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            want.append(mix(state))
+        assert algebra._hashed_counters(seed, 70).tolist() == want
+
+
+@pytest.mark.parametrize("sigma_size", [92378, 1352078])
+def test_family_pool_distinct_sorted_in_range(sigma_size):
+    for seed in [None] + list(range(20)):
+        pool = algebra._family_pool(sigma_size, seed)
+        assert pool.shape == (algebra._FAMILY_POOL,)
+        assert (np.diff(pool) > 0).all()
+        assert 0 <= pool[0] and pool[-1] < sigma_size
+        assert np.array_equal(pool, algebra._family_pool(sigma_size, seed))
+
+
+def test_family_pool_takes_first_distinct_counters():
+    # the pool is the first 4096 distinct values of the keys mod |Sigma|,
+    # in counter order; at |Sigma(20)| some of the first 4096 repeat
+    size = 92378
+    values = (algebra._hashed_counters(algebra._FIRST_POOL_SEED, 8192)
+              % np.uint64(size)).tolist()
+    assert len(set(values[:algebra._FAMILY_POOL])) < algebra._FAMILY_POOL
+    want = list(dict.fromkeys(values))[:algebra._FAMILY_POOL]
+    assert algebra._family_pool(size, None).tolist() == sorted(want)
+
+
+def test_family_pool_work_is_pool_sized():
+    # one uint64 per row of Sigma(24) would take 10.8 MB
+    size = 1352078
+    algebra._family_pool(size, 0)
+    tracemalloc.start()
+    try:
+        algebra._family_pool(size, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size * 8 // 20
+
+
+def test_src_names_no_numpy_random():
+    # certify's orders come from a keyed hash; importing numpy.random cost
+    # a fresh certify more than the scans.  Tests may still draw data
+    src = Path(algebra.__file__).resolve().parent.parent
+    files = [path for path in src.rglob("*")
+             if path.is_file() and "__pycache__" not in path.parts]
+    assert Path(algebra.__file__).resolve() in files
+    for path in files:
+        text = path.read_text(errors="replace")
+        assert "np.random" not in text and "numpy.random" not in text, path
 
 
 def _rank_oracle(rows, p):

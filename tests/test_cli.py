@@ -138,8 +138,8 @@ def test_certify_n16_family_sizes(capsys):
     code, out, _ = _run(capsys, ["certify", "--n", "16", "--p", "5", "--a", "4"])
     assert code == 0
     assert json.loads(out)["family_sizes"] == [str(size) for size in (
-        495, 117, 212, 271, 140, 77, 256, 188, 107, 196,
-        155, 103, 358, 166, 192, 190, 174, 249, 106, 116)]
+        495, 202, 173, 176, 94, 169, 154, 199, 174, 149,
+        190, 194, 259, 205, 244, 231, 321, 256, 199, 130)]
 
 
 def test_certify_composite_p_exits_2_at_once(capsys, monkeypatch):
@@ -432,9 +432,10 @@ _STDOUT_SHA256 = {
         (0, "283f14f3e19e97a5187642005cf424c95f3840af0f7987036f0a1e43ca85e4df"),
     "bound --n 8 --p 5 --d 65":
         (1, "7a57e84e77e0e4b8205eeb893aaec0e8d609a658bd3c89aa40475e2632cbed52"),
-    # re-pinned when rank_columns and rank_rows left the certificate
+    # re-pinned when rank_columns and rank_rows left the certificate, and
+    # when the seeded scan orders came to be hashed (family_sizes only)
     "certify --n 12 --p 5 --a 8":
-        (0, "c736fec9bea38c7f9b8909861dc1a906e8560451bcbbc731842081d199af02aa"),
+        (0, "fca15d7cd30f2acedc63e6e2b0aad8fa704ba68de20d52d03e50d22cdf2ba5a6"),
     "find-d0 --r 0.71":
         (0, "bc7a958367fb31ea6c3eeed162307a7e90aa209dacb2c69b2da8a62b17506a9a"),
     "asymptotic --r 0.9 --d 1000000":
@@ -674,6 +675,24 @@ def test_certify_n16_leaves_numpy_ma_unimported():
               "    code = main(['certify', '--n', '16', '--p', '5', '--a', '4'])\n"
               "print(code, 'numpy.ma' in sys.modules)\n")
     assert _fresh_interpreter(script) == ["0", "False"]
+
+
+def test_certify_leaves_numpy_random_unimported():
+    # the seeded scan orders and pools are hashed, not drawn: importing
+    # numpy.random cost a fresh certify-n16 13-20 ms and ~6 MB.  The
+    # benchmark's certify triples: (16, 5, 4) and the eight desk checks
+    triples = [(16, 5, 4), (4, 2, 4), (4, 3, 8), (8, 3, 4), (8, 5, 12),
+               (8, 7, 20), (12, 5, 8), (12, 7, 16), (12, 11, 32)]
+    script = ("import contextlib, io, sys\n"
+              "from borsuk.cli import main\n"
+              "codes = []\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    for n, p, a in %r:\n"
+              "        codes.append(main(['certify', '--n', str(n), '--p', str(p),\n"
+              "                           '--a', str(a)]))\n"
+              "print(*codes, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n"
+              % triples)
+    assert _fresh_interpreter(script) == ["0", "1"] + ["0"] * 7 + ["False", "False"]
 
 
 def test_optimal_poly_imports_no_numpy():
