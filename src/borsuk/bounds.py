@@ -176,6 +176,8 @@ class D0Result:
 
     previous_d re-checks d0 - 1 directly (when the planner accepts it),
     so minimality is witnessed rather than inferred from the grid walk.
+    bound is lower_bound at d0; previous_passes is _ratio_passes, the same
+    exact verdict without the integers that only a printed bound needs.
     walk_steps counts the grid points the walk passed, the ones a block
     reject skipped included (each is proven to fail, see find_d0), and
     full_evaluations those that the float rejects could not settle.
@@ -264,8 +266,9 @@ def find_d0(r: float) -> D0Result:
     A step that M does not reject runs choose_a's prime scan and the same
     upper end at the real p, and only the steps that survive both are full
     evaluations: the validated ParamSet and _ratio_passes.
-    lower_bound runs only at the passing step (d0) and the d0 - 1
-    re-check.  Every reject is a proof that the ratio stays at or below
+    lower_bound runs only at the passing step (d0); the d0 - 1 re-check
+    is _ratio_passes at the planned (n, p) for d0 - 1, whose threshold is
+    d0.  Every reject is a proof that the ratio stays at or below
     d+1, so no passing step is skipped.  Rejected steps never call
     choose_a, so its refusal of p >= 2^64 is not checked there;
     _D0_SCAN_CAP keeps every p far below that.
@@ -305,7 +308,9 @@ def find_d0(r: float) -> D0Result:
         prev_passes = False
         try:
             prev_d = d - 1
-            prev_passes = lower_bound(fixed_params(r, rsq, k, a0, d - 1)).passes
+            prev = fixed_params(r, rsq, k, a0, d - 1)
+            prev_passes = _ratio_passes(prev.n, prev.p, d,
+                                        FixedPointTail(prev.n, prev.p))
         except (CheckFailed, ValueError):
             prev_d = None
         return D0Result(

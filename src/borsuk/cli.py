@@ -16,6 +16,7 @@ exact integers are serialized as decimal strings, rationals as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -270,7 +271,14 @@ def cmd_optimal_poly(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by later ones.
+
+    parse_args keeps no state between calls: each gets a fresh Namespace,
+    errors and help resolve sys.stdout/sys.stderr when they print, and no
+    command mutates a default (--cert-sizes is read through tuple()).
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this file instead of stdout")
     common.add_argument(

@@ -200,7 +200,7 @@ _D0_TABLE = {
 def test_find_d0_every_table_radius(monkeypatch):
     from borsuk import params
 
-    calls = {"choose_a": 0, "is_prime": 0, "enclose": 0}
+    calls = {"choose_a": 0, "is_prime": 0, "enclose": 0, "binomial_tail_sum": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -213,6 +213,8 @@ def test_find_d0_every_table_radius(monkeypatch):
     monkeypatch.setattr(bounds, "choose_a", choose)
     monkeypatch.setattr(params, "is_prime", counted("is_prime", params.is_prime))
     monkeypatch.setattr(bounds, "_enclose", counted("enclose", bounds._enclose))
+    monkeypatch.setattr(bounds, "binomial_tail_sum",
+                        counted("binomial_tail_sum", bounds.binomial_tail_sum))
     results = {r: find_d0(r) for r in _D0_TABLE}
     for r, res in results.items():
         got = (res.d0, res.params.n, res.walk_steps, res.full_evaluations)
@@ -231,12 +233,18 @@ def test_find_d0_every_table_radius(monkeypatch):
     # 1,392 now, every float verdict's sum counted, one or two on every
     # step (5,918) without it
     assert calls["enclose"] <= 1700
+    # exact tail sums only for the printed bound at d0, at the six radii
+    # with n <= 10^4: the d0 - 1 re-check prints nothing
+    assert calls["binomial_tail_sum"] == 6
+    # the re-check's verdict is lower_bound's, planned independently
+    for r, res in results.items():
+        assert res.previous_passes == lower_bound(plan_fixed(r, res.d0 - 1)).passes
 
 
 def test_find_d0_walk_calls_no_mpmath(monkeypatch):
     # loggamma is reached only from lower_bound, six calls per count_bound,
-    # which the walk runs only at d0 and at the d0 - 1 re-check: the
-    # other full evaluations take the float enclosures
+    # which the walk runs only at d0: the d0 - 1 re-check and the other
+    # full evaluations take the float enclosures
     calls = []
     loggamma = mp.loggamma
 
@@ -247,7 +255,7 @@ def test_find_d0_walk_calls_no_mpmath(monkeypatch):
     monkeypatch.setattr(mp, "loggamma", counted)
     res = find_d0(0.59)
     assert (res.walk_steps, res.full_evaluations) == (2875, 4)
-    assert len(calls) == 12
+    assert len(calls) == 6
 
 
 def _exact_passes(n, p, threshold):

@@ -471,6 +471,37 @@ def test_stdout_byte_identical(tmp_path, capsys, cmd):
     assert hashlib.sha256(out.encode()).hexdigest() == want_sha
 
 
+def test_parser_is_built_once_and_shared():
+    assert _build_parser() is _build_parser()
+
+
+def test_shared_parser_leaks_nothing_between_calls(capsys):
+    # one process, one parser: a usage error, non-default options, then the
+    # defaults again; every stdout matches its pin or a fresh interpreter
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--n", "12", "--p", "5", "--a", "8", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    fresh = ["asymptotic --r 0.9 --d 1000000 --cert-sizes 400 800",
+             "certify --n 12 --p 5 --a 8 --seeds 3"]
+    script = ("import contextlib, hashlib, io\n"
+              "from borsuk.cli import main\n"
+              "for cmd in %r:\n"
+              "    buf = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(buf):\n"
+              "        code = main(cmd.split())\n"
+              "    print(code, hashlib.sha256(buf.getvalue().encode()).hexdigest())\n"
+              % fresh)
+    words = _fresh_interpreter(script)
+    want = dict(zip(fresh, zip(map(int, words[::2]), words[1::2])))
+    want.update({cmd: _STDOUT_SHA256[cmd] for cmd in (
+        "asymptotic --r 0.9 --d 1000000", "certify --n 12 --p 5 --a 8")})
+    for cmd in [fresh[0], "asymptotic --r 0.9 --d 1000000",
+                fresh[1], "certify --n 12 --p 5 --a 8"]:
+        code, out, _ = _run(capsys, cmd.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == want[cmd], cmd
+
+
 def test_asymptotic_output(capsys):
     code, out, _ = _run(capsys, ["asymptotic", "--r", "0.9", "--d", "1000000"])
     assert code == 0
