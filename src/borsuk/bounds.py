@@ -84,8 +84,7 @@ def count_bound(n: int, p: int, threshold: int) -> CountBound:
     if threshold < 1:
         raise ValueError("threshold must be at least 1, got %d" % threshold)
     tail = FixedPointTail(n, p)
-    with mp.workprec(PRECISION_BITS):
-        ratio_log = log_binomial(n - 1, n // 2 - 1) - tail.log()
+    ratio_log = _ratio_log(n, tail)
     num = den = None
     if n <= _EXACT_N_CAP:
         num, den = binomial(n - 1, n // 2 - 1), binomial_tail_sum(n, p)
@@ -93,6 +92,12 @@ def count_bound(n: int, p: int, threshold: int) -> CountBound:
     else:
         passes = _ratio_passes(n, p, threshold, tail)
     return CountBound(num, den, ratio_log, threshold, passes)
+
+
+def _ratio_log(n: int, tail: FixedPointTail) -> mp.mpf:
+    """ln(C(n-1, n/2-1) / S) at PRECISION_BITS, S the sum tail holds."""
+    with mp.workprec(PRECISION_BITS):
+        return log_binomial(n - 1, n // 2 - 1) - tail.log()
 
 
 def lower_bound(ps: ParamSet) -> CountBound:
@@ -326,19 +331,21 @@ def find_d0(r: float) -> D0Result:
 
 
 def shrinking_radius_check(d: int, c_phi: float = 6.0) -> ShrinkingRadiusReport:
-    """params.shrinking_chain at d, completed by count_bound(n, p, d + 2).
+    """params.shrinking_chain at d, completed by the count ratio against d + 2.
 
     The count ratio is evaluated whenever the chain reached a prime,
     whether or not its other checks passed; its record keeps the ratio's
-    log against ln(d + 2), and count_bound's verdict.
+    log against ln(d + 2), and the verdict of _ratio_passes, which is
+    count_bound(n, p, d + 2)'s without the exact integers it would expand.
     """
     rep = shrinking_chain(d, c_phi)
     if rep.p is None:
         return rep
-    cb = count_bound(rep.n, rep.p, d + 2)
+    tail = FixedPointTail(rep.n, rep.p)
+    ratio_log = _ratio_log(rep.n, tail)
     with mp.workprec(PRECISION_BITS):
         target = mp.log(mp.mpf(d) + 2)
-    count = CheckRecord("count_ratio", float(cb.ratio_log), float(target),
-                        cb.passes)
-    return replace(rep, checks=rep.checks + (count,), final_ratio_log=cb.ratio_log,
+    count = CheckRecord("count_ratio", float(ratio_log), float(target),
+                        _ratio_passes(rep.n, rep.p, d + 2, tail))
+    return replace(rep, checks=rep.checks + (count,), final_ratio_log=ratio_log,
                    passes=rep.passes and count.passed)

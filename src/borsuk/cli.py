@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -27,31 +26,6 @@ from typing import Any, Dict, List, Optional, Sequence
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
-
-_THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def _configure_threads(threads: Optional[int]) -> None:
-    """Cap BLAS worker pools; must run before numpy is first imported."""
-    if threads is None:
-        env = os.environ.get("BORSUK_THREADS")
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ValueError("BORSUK_THREADS must be an integer") from None
-    if threads is None:
-        return
-    if threads < 1:
-        raise ValueError("thread count must be positive")
-    for var in _THREAD_ENV_VARS:
-        os.environ[var] = str(threads)
-
 
 def _jsonable(obj: Any) -> Any:
     """Recursively convert library objects to JSON-stable values."""
@@ -115,21 +89,38 @@ def _emit(payload: Any, args: argparse.Namespace) -> None:
             lines.append("")
         text = "\n".join(lines)
 
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+def _refuse_unread(args: argparse.Namespace, raw: Optional[str] = None) -> None:
+    """ValueError (exit 2) on a planner option the selected mode leaves
+    unread; raw names the raw-count options when they select the mode."""
+    if raw and args.shrinking:
+        raise ValueError("--shrinking does not apply with %s" % raw)
+    if args.r is not None and (raw or args.shrinking):
+        raise ValueError("--r does not apply with %s" % (raw or "--shrinking"))
+    if args.c_phi is not None and not args.shrinking:
+        raise ValueError("--c-phi applies only with --shrinking")
+
+
+def _shrinking_args(args: argparse.Namespace):
+    """(d, c_phi) for the shrinking-radius chain; c_phi defaults to 6."""
+    _refuse_unread(args)
+    if args.d is None:
+        raise ValueError("--d is required")
+    return args.d, 6.0 if args.c_phi is None else args.c_phi
+
+
 def _resolve_params(args: argparse.Namespace):
     from . import params
 
-    if getattr(args, "shrinking", False):
-        if args.d is None:
-            raise ValueError("--d is required")
-        return params.plan_shrinking(args.d, c_phi=args.c_phi)
+    if args.shrinking:
+        return params.plan_shrinking(*_shrinking_args(args))
+    _refuse_unread(args)
     if args.r is None or args.d is None:
         raise ValueError("--r and --d are required unless --shrinking is given")
     return params.plan_fixed(args.r, args.d)
@@ -163,8 +154,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     from . import algebra
 
     if args.n is not None or args.p is not None or args.a is not None:
-        if None in (args.n, args.p, args.a):
-            raise ValueError("--n, --p, --a must be given together")
+        _refuse_unread(args, "--n/--p/--a")
+        if None in (args.n, args.p, args.a) or args.d is not None:
+            raise ValueError("--n, --p, --a must be given together, without --d")
         n, p, a = args.n, args.p, args.a
     else:
         ps = _resolve_params(args)
@@ -182,13 +174,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_bound(args: argparse.Namespace) -> int:
     from . import bounds
 
-    if args.shrinking:
-        if args.d is None:
-            raise ValueError("--d is required")
-        report = bounds.shrinking_radius_check(args.d, c_phi=args.c_phi)
-        _emit(_jsonable(report), args)
-        return EXIT_OK if report.passes else EXIT_CHECK_FAILED
     if args.n is not None or args.p is not None:
+        _refuse_unread(args, "--n/--p")
         if None in (args.n, args.p, args.d):
             raise ValueError("raw mode needs --n, --p and --d together")
         if args.d < 1:
@@ -196,6 +183,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
         cb = bounds.count_bound(args.n, args.p, args.d + 1)
         _emit({"bound": _jsonable(cb)}, args)
         return EXIT_OK if cb.passes else EXIT_CHECK_FAILED
+    if args.shrinking:
+        report = bounds.shrinking_radius_check(*_shrinking_args(args))
+        _emit(_jsonable(report), args)
+        return EXIT_OK if report.passes else EXIT_CHECK_FAILED
     ps = _resolve_params(args)
     cb = bounds.lower_bound(ps)
     _emit({"params": _jsonable(ps), "bound": _jsonable(cb)}, args)
@@ -281,11 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument(
-        "--threads", type=int, default=None,
-        help="cap worker threads (also via BORSUK_THREADS); results do not "
-        "depend on it",
-    )
     # every command but build, whose output is the point file
     report = argparse.ArgumentParser(add_help=False, parents=[common])
     report.add_argument(
@@ -301,8 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="use the shrinking-radius planner (radius from d)",
     )
     planner.add_argument(
-        "--c-phi", type=float, default=6.0, dest="c_phi",
-        help="drift constant for the shrinking-radius regime",
+        "--c-phi", type=float, default=None, dest="c_phi",
+        help="drift constant for the shrinking-radius regime (default 6)",
     )
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0,
@@ -380,7 +366,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _configure_threads(args.threads)
         from .params import CheckFailed
 
         try:

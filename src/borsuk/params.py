@@ -17,6 +17,7 @@ that the counterexample survives as the radius approaches 1/2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,8 +31,6 @@ Number = Union[int, float, Fraction]
 
 # solve_a0 stops once the a0 bracket and the profile bracket are this narrow
 A0_TOL = 1e-12
-
-_A_SCAN_LIMIT_FACTOR = 8  # give up the prime scan past a = 8n
 
 
 class CheckFailed(ValueError):
@@ -217,17 +216,22 @@ def least_offset(a0: Number, n: int) -> int:
 
 
 def choose_a(a0: Number, n: int) -> Tuple[int, int]:
-    """Least multiple of 4 at or above a0*n/2 whose p = (a+n)/4 is prime."""
+    """Least multiple of 4 at or above a0*n/2 whose p = (a+n)/4 is prime.
+
+    The scan runs p up from q = (least_offset + n)/4 and ends by Bertrand's
+    postulate, a prime in [q, 2q]; for a0 <= 2, every planner input,
+    least_offset <= n, so q <= n/2 and a = 4p - n <= 3n.  It refuses to
+    reach p >= 2^64, past the range where is_prime is deterministic.
+    """
     if n % 4 != 0 or n <= 0:
         raise ValueError("vector length must be a positive multiple of 4")
-    for a in range(least_offset(a0, n), _A_SCAN_LIMIT_FACTOR * n + 1, 4):
+    for a in itertools.count(least_offset(a0, n), 4):
         p = (a + n) // 4
         if p >= PRIME_LIMIT:
             raise ValueError("n = %d needs a prime p = (a+n)/4 >= 2^64, past the "
                              "deterministic Miller-Rabin range" % n)
         if is_prime(p):
             return a, p
-    raise ValueError("prime gap anomaly: no prime (a+n)/4 with a <= %dn" % _A_SCAN_LIMIT_FACTOR)
 
 
 @dataclass
@@ -361,7 +365,7 @@ _CHAIN_FAILURES = {
     "tail_parameter_range": "tail parameter 2 - phi/2 <= 0",
     "compression": "compressed radius check fails",
     "dimension_window": "no admissible n: d={0:.0f} requires d > {1:.0f}",
-    "prime_scan": "prime gap anomaly: no prime (a+n)/4 for n={0:.0f}",
+    "prime_scan": "n={0:.0f} needs a prime p = (a+n)/4 >= 2^64",
     "offset_below_n": "offset a={0:.0f} not below n={1:.0f}",
     "prime_window": "prime window p <= n/2 - phi*n/20 fails",
 }

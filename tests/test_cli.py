@@ -1,8 +1,10 @@
 """Command line surface: formats, exit codes, determinism."""
 
 import argparse
+import ast
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import time
 
 import pytest
 
+from borsuk import cli
 from borsuk.cli import _build_parser, main
 
 
@@ -405,6 +408,106 @@ def test_seed_is_a_usage_error_outside_upper_and_optimal_poly(capsys, command):
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
+def test_threads_is_a_usage_error_and_environ_untouched(capsys):
+    # thread pools are capped through OMP_NUM_THREADS/OPENBLAS_NUM_THREADS
+    # in the environment; borsuk neither takes the count nor writes it
+    before = dict(os.environ)
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--r", "0.9", "--d", "256", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert dict(os.environ) == before
+
+
+def test_borsuk_threads_is_not_read(capsys, monkeypatch):
+    monkeypatch.setenv("BORSUK_THREADS", "not-a-number")
+    code, out, _ = _run(capsys, ["plan", "--r", "0.9", "--d", "256"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        _STDOUT_SHA256["plan --r 0.9 --d 256"]
+
+
+# an option the selected mode would not read: argv -> stderr message
+_UNREAD_IN_MODE = {
+    "plan --shrinking --r 0.9 --d 1000000000000":
+        "--r does not apply with --shrinking",
+    "bound --shrinking --r 0.9 --d 1000000000000":
+        "--r does not apply with --shrinking",
+    "certify --n 8 --p 5 --a 12 --r 0.9":
+        "--r does not apply with --n/--p/--a",
+    "bound --n 8 --p 5 --d 65 --r 0.7":
+        "--r does not apply with --n/--p",
+    "certify --n 8 --p 5 --a 12 --shrinking":
+        "--shrinking does not apply with --n/--p/--a",
+    "bound --n 8 --p 5 --d 65 --shrinking":
+        "--shrinking does not apply with --n/--p",
+    "certify --n 8 --p 5 --a 12 --d 256":
+        "--n, --p, --a must be given together, without --d",
+    "plan --r 0.9 --d 256 --c-phi 3":
+        "--c-phi applies only with --shrinking",
+    "bound --n 8 --p 5 --d 65 --c-phi 6":
+        "--c-phi applies only with --shrinking",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_UNREAD_IN_MODE))
+def test_option_the_mode_ignores_is_a_usage_error(capsys, cmd):
+    code, out, err = _run(capsys, cmd.split())
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % _UNREAD_IN_MODE[cmd]
+
+
+def test_c_phi_default_is_6(capsys):
+    cmd = "bound --shrinking --d 1000000000000"
+    code, out, _ = _run(capsys, (cmd + " --c-phi 6").split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _STDOUT_SHA256[cmd]
+
+
+# options a command registers but never reads.  perfbench/workloads.py
+# passes --seed to upper and optimal-poly, so both keep accepting it until
+# the benchmark stops passing it
+_UNREAD_ALLOWED = {("upper", "seed"), ("optimal-poly", "seed")}
+
+
+def _args_read(start):
+    """Attributes of args that the cli functions reachable from start read.
+
+    Only plain args.<dest> reads count, so cli reads no option by getattr.
+    """
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, seen, read = list(start), set(), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in defs):
+                todo.append(node.func.id)
+    return read
+
+
+def test_every_option_is_read_on_its_command_path():
+    (sub,) = [a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    unread = set()
+    for command, parser in sub.choices.items():
+        read = _args_read(["main", parser.get_default("func").__name__])
+        unread.update((command, action.dest) for action in parser._actions
+                      if action.dest != "help" and action.dest not in read)
+    assert unread == _UNREAD_ALLOWED
+
+
+def test_option_guard_follows_calls():
+    # cmd_plan reads nothing itself: every option comes through its callees
+    assert _args_read(["cmd_plan"]) == {"r", "d", "shrinking", "c_phi", "format", "out"}
+
+
 def _readme_commands():
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
         text = fh.read()
@@ -444,8 +547,16 @@ _STDOUT_SHA256 = {
         (0, "09204e47c3c83063591fd970d31075768cfbec8cbd6104193798882f042bc45f"),
     "optimal-poly --m 6 --n 3":
         (0, "1ad8a66c9a252c6ac45f7b419e649116cade7868d276bc22992870f3ce94f2ba"),
+    "bound --shrinking --d 1000000":
+        (1, "3a88445a119ea27efeb4fe53b02da8db55583a0b7090eb7881c15be9b938d584"),
+    "bound --shrinking --d 1000000000":
+        (1, "5c201d9a2fad0073428626395f17f01cae4b00d46fc578dd0dcfdc41b5a59aa4"),
     "bound --shrinking --d 1000000000000":
         (1, "46b11537e973910f6fa03002706a5096fad973693db85775140b31512569b5c5"),
+    "bound --shrinking --d 1000000000000000":
+        (1, "3434caf71b3dea7b3d38ffab96e5949304e729d3896d1211e7945d13b957f59d"),
+    "bound --shrinking --d 1000000000000000000":
+        (0, "2f5e570e194da51507b4b7240a6dc1cf2424e9807660db791a3f74d56772aed5"),
     "bound --r 0.71 --d 1000000000000000":
         (0, "726ae8a7dc11fde5a1a0361d80600f80d9a5ba03fdc30a90419fd687836ad805"),
     "bound --r 0.9 --d 10000000000000000000000000000000000":
@@ -469,6 +580,31 @@ def test_stdout_byte_identical(tmp_path, capsys, cmd):
         out = (tmp_path / "out.txt").read_text()
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == want_sha
+
+
+def test_shrinking_bound_expands_no_exact_integers(capsys, monkeypatch):
+    # the count ratio's verdict comes from the enclosures of the one
+    # fixed-point tail that also gives the printed log: no exact tail sum
+    # and no C(n-1, n/2-1) at any of the d0-table exponents
+    from borsuk import bounds, exactnum
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    tail_sum = counted("binomial_tail_sum", exactnum.binomial_tail_sum)
+    monkeypatch.setattr(exactnum, "binomial_tail_sum", tail_sum)
+    monkeypatch.setattr(bounds, "binomial_tail_sum", tail_sum)
+    monkeypatch.setattr(math, "comb", counted("math.comb", math.comb))
+    for e in (6, 9, 12, 15, 18):
+        cmd = "bound --shrinking --d %d" % 10 ** e
+        code, out, _ = _run(capsys, cmd.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == _STDOUT_SHA256[cmd]
+    assert calls == []
 
 
 def test_parser_is_built_once_and_shared():
@@ -661,26 +797,6 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == "12"
-
-
-def test_thread_override_env(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "borsuk", "plan", "--r", "0.9", "--d", "256",
-         "--threads", "2"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    proc = subprocess.run(
-        [sys.executable, "-m", "borsuk", "plan", "--r", "0.9", "--d", "256"],
-        capture_output=True,
-        text=True,
-        # keep the caller's environment (PYTHONPATH included) so the
-        # package imports and the bad value reaches the thread setup
-        env={**os.environ, "BORSUK_THREADS": "not-a-number"},
-    )
-    assert proc.returncode == 2
-    assert "BORSUK_THREADS" in proc.stderr
 
 
 def _fresh_interpreter(script):

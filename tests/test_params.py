@@ -249,6 +249,17 @@ def test_choose_a_prime_scan():
         choose_a(1, 10)
 
 
+def test_choose_a_scan_runs_to_a_prime():
+    # a0*n/2 = 80 > 8n: the scan starts past the old 8n cap and still
+    # returns the least offset, p = (84 + 8)/4 = 23
+    assert choose_a(20, 8) == (84, 23)
+    # Bertrand: for a0 <= 2 the prime lies within [q, 2q], q <= n/2
+    for n in range(4, 404, 4):
+        for a0 in (Fraction(1, 7), Fraction(1), Fraction(7, 4), Fraction(2)):
+            a, p = choose_a(a0, n)
+            assert a <= 3 * n and p <= n
+
+
 def _choose_a_by_fraction(a0, n):
     # the Fraction ceiling that choose_a's integer ceiling replaced
     need = Fraction(a0) * n / 2
