@@ -15,17 +15,18 @@ the growth base, and closes params.shrinking_chain with the count ratio.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from mpmath import mp
-
 from .exactnum import (
     PRECISION_BITS,
+    FixedLog,
     FixedPointTail,
     _enclose,
+    _ln,
     _robbins_terms,
     _tail_lower_terms,
     binomial,
@@ -56,15 +57,15 @@ class CountBound:
     """The pigeonhole ratio at one parameter set.
 
     numerator/denominator are exact integers when n is small enough to
-    expand them (n <= 10^4); ratio_log, the ratio's log as a 120-bit
-    mpmath float, is always there, for printing.  passes
+    expand them (n <= 10^4); ratio_log, the ratio's log as a FixedLog
+    within 2^-PRECISION_BITS of it, is always there, for printing.  passes
     compares the ratio against threshold = d+1: exactly at n <= 10^4,
     beyond that from proven float64 enclosures, else exactly.
     """
 
     numerator: Optional[int]
     denominator: Optional[int]
-    ratio_log: mp.mpf
+    ratio_log: FixedLog
     threshold: int
     passes: bool
 
@@ -94,10 +95,10 @@ def count_bound(n: int, p: int, threshold: int) -> CountBound:
     return CountBound(num, den, ratio_log, threshold, passes)
 
 
-def _ratio_log(n: int, tail: FixedPointTail) -> mp.mpf:
-    """ln(C(n-1, n/2-1) / S) at PRECISION_BITS, S the sum tail holds."""
-    with mp.workprec(PRECISION_BITS):
-        return log_binomial(n - 1, n // 2 - 1) - tail.log()
+def _ratio_log(n: int, tail: FixedPointTail) -> FixedLog:
+    """ln(C(n-1, n/2-1) / S), S the sum tail holds, within 2^-PRECISION_BITS:
+    log_binomial's error and tail.log's add up to less than that."""
+    return FixedLog(log_binomial(n - 1, n // 2 - 1) - tail.log())
 
 
 def lower_bound(ps: ParamSet) -> CountBound:
@@ -106,18 +107,15 @@ def lower_bound(ps: ParamSet) -> CountBound:
 
 
 def binary_entropy(q) -> float:
-    """H(q) = -q log2 q - (1-q) log2 (1-q)."""
+    """H(q) = -q log2 q - (1-q) log2 (1-q), from _ln at PRECISION_BITS,
+    rounded once."""
     if not 0 <= q <= 1:
         raise ValueError("entropy argument outside [0, 1]")
     if q in (0, 1):
         return 0.0
-    with mp.workprec(PRECISION_BITS):
-        if isinstance(q, Fraction):
-            qm = mp.mpf(q.numerator) / q.denominator
-        else:
-            qm = mp.mpf(q)
-        h = -qm * mp.log(qm, 2) - (1 - qm) * mp.log(1 - qm, 2)
-        return float(h)
+    a, b = Fraction(q).as_integer_ratio()
+    h = -a * _ln(a, b, PRECISION_BITS) - (b - a) * _ln(b - a, b, PRECISION_BITS)
+    return h / (b * _ln(2, 1, PRECISION_BITS))
 
 
 @dataclass(frozen=True)
@@ -148,11 +146,13 @@ def asymptotic_base(
     c_prime = 2.0 ** binary_entropy(p0)
     c = 2.0 / c_prime
     cert: List[Tuple[int, float, float]] = []
-    with mp.workprec(PRECISION_BITS):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40  # exp and the conversion to float are correctly rounded
         for m in cert_sizes:
             cutoff = -((-p0.numerator * m) // p0.denominator)  # ceil(p0*m)
-            root = mp.exp(log_binomial_tail_sum(m, cutoff) / m)
-            cert.append((m, float(root), abs(float(root) - c_prime)))
+            ln = log_binomial_tail_sum(m, cutoff)
+            root = float((decimal.Decimal(ln.numerator) / (ln.denominator * m)).exp())
+            cert.append((m, root, abs(root - c_prime)))
     errs = [e for (_, _, e) in cert]
     return AsymptoticBase(
         p0=p0,
@@ -169,10 +169,11 @@ def growth_exponent(ps: ParamSet) -> float:
     Negative when the bound has not reached 1 yet (tiny d); callers treat
     that as a small-instance artifact, not an error.
     """
-    lb = lower_bound(ps)
-    with mp.workprec(PRECISION_BITS):
-        scale = mp.mpf(ps.d) ** (mp.mpf(1) / (2 * ps.k))
-        return float(lb.ratio_log / scale)
+    ratio = lower_bound(ps).ratio_log
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        scale = decimal.Decimal(ps.d) ** (decimal.Decimal(1) / (2 * ps.k))
+        return float(decimal.Decimal(ratio.numerator) / ratio.denominator / scale)
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def _gap_bound(n: int, tail: List[float], threshold: int, upper: bool) -> float:
     the _robbins_terms of ln C(n-1, n/2-1) from the end's side and
     -ln(threshold): each is within 2^-48 (|t| + 1) of its exact value
     (math.log of an int, see _enclose), and the exact values sum to at
-    least G if upper, at most G otherwise.  Closed form: no loop, no mpmath.
+    least G if upper, at most G otherwise.  Closed form: no loop, no log.
     """
     terms = _robbins_terms(n - 1, n // 2 - 1, upper) + [-t for t in tail]
     lo, hi = _enclose(terms + [-math.log(threshold)])
@@ -343,9 +344,8 @@ def shrinking_radius_check(d: int, c_phi: float = 6.0) -> ShrinkingRadiusReport:
         return rep
     tail = FixedPointTail(rep.n, rep.p)
     ratio_log = _ratio_log(rep.n, tail)
-    with mp.workprec(PRECISION_BITS):
-        target = mp.log(mp.mpf(d) + 2)
-    count = CheckRecord("count_ratio", float(ratio_log), float(target),
+    target = _ln(d + 2, 1, PRECISION_BITS) / (1 << PRECISION_BITS)
+    count = CheckRecord("count_ratio", float(ratio_log), target,
                         _ratio_passes(rep.n, rep.p, d + 2, tail))
     return replace(rep, checks=rep.checks + (count,), final_ratio_log=ratio_log,
                    passes=rep.passes and count.passed)

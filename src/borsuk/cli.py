@@ -9,8 +9,8 @@ Exit codes: 0 on success, 1 when a mathematical check evaluates false
 (a bound that does not pass, a failed certificate), 2 on usage or
 computational errors.  Output is deterministic for a fixed invocation:
 exact integers are serialized as decimal strings, rationals as
-"num/den", the log of a count ratio (an mpmath float) as
-{"ln": ..., "sign": "1"}.
+"num/den", the log of a count ratio (a FixedLog) as
+{"ln": its 25 significant digits, "sign": "1"}.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -29,16 +30,16 @@ EXIT_ERROR = 2
 
 def _jsonable(obj: Any) -> Any:
     """Recursively convert library objects to JSON-stable values."""
-    from .exactnum import mp
+    from .exactnum import FixedLog
 
     if obj is None or isinstance(obj, (str, float, bool)):
         return obj
     if isinstance(obj, int):
         return str(obj)
+    if isinstance(obj, FixedLog):  # the log of a positive count ratio
+        return {"ln": obj.nstr(), "sign": "1"}
     if isinstance(obj, Fraction):
         return "%d/%d" % (obj.numerator, obj.denominator)
-    if isinstance(obj, mp.mpf):  # the log of a positive count ratio
-        return {"ln": mp.nstr(obj, 25), "sign": "1"}
     if is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
@@ -48,6 +49,17 @@ def _jsonable(obj: Any) -> Any:
     if hasattr(obj, "item"):  # numpy scalars
         return _jsonable(obj.item())
     return str(obj)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the float options: inf and nan are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("invalid finite float value: %r" % text)
+    return value
 
 
 def _csv_cell(value: Any) -> str:
@@ -280,14 +292,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     planner = argparse.ArgumentParser(add_help=False)
-    planner.add_argument("--r", type=float, default=None, help="sphere radius")
+    planner.add_argument("--r", type=_finite_float, default=None, help="sphere radius")
     planner.add_argument("--d", type=int, default=None, help="ambient dimension")
     planner.add_argument(
         "--shrinking", action="store_true",
         help="use the shrinking-radius planner (radius from d)",
     )
     planner.add_argument(
-        "--c-phi", type=float, default=None, dest="c_phi",
+        "--c-phi", type=_finite_float, default=None, dest="c_phi",
         help="drift constant for the shrinking-radius regime (default 6)",
     )
     seeded = argparse.ArgumentParser(add_help=False)
@@ -329,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-d0", parents=[report],
                        help="least dimension where the bound beats d+1")
-    p.add_argument("--r", type=float, required=True, help="sphere radius")
+    p.add_argument("--r", type=_finite_float, required=True, help="sphere radius")
     p.set_defaults(func=cmd_find_d0)
 
     p = sub.add_parser("asymptotic", parents=[report, planner],
@@ -343,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="simplex partition upper bound table")
     p.add_argument("--d-min", type=int, default=2, dest="d_min")
     p.add_argument("--d-max", type=int, default=12, dest="d_max")
-    p.add_argument("--c-r", type=float, default=0.01, dest="c_r",
+    p.add_argument("--c-r", type=_finite_float, default=0.01, dest="c_r",
                    help="radius margin constant; r = 1/2 + c_r/d")
     p.set_defaults(func=cmd_upper)
 

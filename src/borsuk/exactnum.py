@@ -2,24 +2,26 @@
 
 Exact counts are plain Python ints and exact ratios are fractions.Fraction,
 both arbitrary precision out of the box.  The log of a quantity too large
-to materialize (binomial ratios at dimensions like 10**18) is a 120-bit
-mpmath float, for printing: log_binomial, log_binomial_tail_sum and
-FixedPointTail.log.  Verdicts take one float64 enclosure with a proven
-margin, _enclose, of float terms: Robbins' bounds on ln C(n, k)
-(_robbins_terms), ln S through the fixed-point sum (FixedPointTail.terms)
-and a closed-form lower bound on ln S (_tail_lower_terms); bounds sums
-them into its count verdicts.
+to materialize (binomial ratios at dimensions like 10**18) is a FixedLog,
+an exact dyadic fraction within 2^-120 of it, for printing: log_binomial,
+log_binomial_tail_sum and FixedPointTail.log.  They come from plain
+integers: a fixed-point ln (_ln) and ln j!, exact below a cutoff and from
+Stirling's series above it (_ln_factorial); FixedLog.nstr prints the 25
+digits the CLI shows, as mpmath's nstr would.  Verdicts take one float64
+enclosure with a proven margin, _enclose, of float terms: Robbins' bounds
+on ln C(n, k) (_robbins_terms), ln S through the fixed-point sum
+(FixedPointTail.terms) and a closed-form lower bound on ln S
+(_tail_lower_terms); bounds sums them into its count verdicts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from mpmath import mp
-
-# 120-bit mantissa: comfortably beyond the 80-bit floor needed for 1e-12
-# round trips against exact integers.
+# every printed log is within 2^-PRECISION_BITS of the real one
 PRECISION_BITS = 120
 
 
@@ -79,32 +81,194 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def log_binomial(n: int, k: int) -> mp.mpf:
-    """ln C(n, k) as a PRECISION_BITS mpmath float, for printing.
+# printed significant digits; mpmath's to_str works at 3 more, in the
+# binary precision below, with log2(10) computed as it computes it
+_DIGITS = 25
+_LOG2_10 = math.log(10, 2)
+_NSTR_BITS = int((_DIGITS + 3) * _LOG2_10) + 10
+# steps of _ln's table: its atanh argument ends below 2^-_STEPS
+_STEPS = 8
 
-    The three loggammas reach (n+1) ln(n+1) < 2^(b+c), b the bit length of
-    n+1 and c that of b, while ln C(n, k) is 0 or at least ln 2, so they
-    are taken at PRECISION_BITS + b + c + 8 bits and their difference is
-    then rounded to PRECISION_BITS: the cancellation costs no digit.
+
+class FixedLog(Fraction):
+    """A printed log: an exact dyadic fraction within its producer's stated
+    error of the real log.  nstr gives the 25 digits the CLI prints."""
+
+    __slots__ = ()
+
+    def nstr(self) -> str:
+        """mpmath's nstr(self, 25), digit for digit (mpmath.libmp.to_str,
+        for 2^-3500 < |x| < 2^3500, where it does not rescale first).
+
+        The digits of floor(floor(|x| 2^f) 10^g / 2^f), with f and g set by
+        the position of |x|'s leading bit, rounded half up at the 26th;
+        fixed notation for a leading decimal exponent in (-8, 25), else
+        exponent notation, and trailing zeros stripped.
+        """
+        if not self:
+            return "0.0"
+        num, den = abs(self.numerator), self.denominator
+        fix = max(_NSTR_BITS - num.bit_length() + den.bit_length() - 1, 0)
+        dps = int(fix / _LOG2_10 + 0.5)
+        digits = str(((num << fix) // den) * 10 ** dps >> fix)
+        exponent = len(digits) - dps - 1
+        if digits[_DIGITS] in "56789":  # digits has 28 or more
+            digits = str(int(digits[:_DIGITS]) + 1)
+            exponent += len(digits) > _DIGITS
+        digits, split = digits[:_DIGITS], 1
+        if -8 < exponent < _DIGITS:
+            digits = "0" * -exponent + digits
+            split, exponent = max(exponent, 0) + 1, 0
+        text = (digits[:split] + "." + digits[split:]).rstrip("0")
+        text = ("-" if self < 0 else "") + text + ("0" if text[-1] == "." else "")
+        if exponent:
+            text += "e%+d" % exponent
+        return text
+
+
+def _atanh(z: int, bits: int, sign: int = 1) -> int:
+    """atanh(z) (sign 1) or atan(z) (sign -1) of z = z/2^bits in [0, 1/3],
+    times 2^bits: within 2(T + 1) units (of 2^-bits) after T passes.
+
+    Each power is within 2.25 units of z^k 2^bits (a floor, z2's floor,
+    and at most 1/9 of the last error), each added term within 1.75, and
+    the terms after the power reaches 0 sum to less than 2.
+    """
+    z2 = sign * (z * z >> bits)
+    total = power = z
+    k = 1
+    while power:
+        power = power * z2 >> bits
+        k += 2
+        total += power // k
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _constants(bits: int) -> Tuple[int, Tuple[int, ...]]:
+    """ln 2 and ln(1 + 2^-j), j = 1.._STEPS, times 2^bits, each within 1.01
+    units: 2 atanh(1/q) for q = 3 and 2^(j+1) + 1 at 32 more bits, where
+    its error, 4(T + 1) units with T < w/3 passes, is far below 2^32 of
+    them, floored to bits."""
+    w = bits + 32
+
+    def log_ratio(q):  # ln((q + 1)/(q - 1))
+        return 2 * _atanh((1 << w) // q, w) >> 32
+
+    return log_ratio(3), tuple(log_ratio((2 << j) + 1) for j in range(1, _STEPS + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _half_ln_2pi(bits: int) -> int:
+    """ln(2 pi)/2 times 2^bits within 2 units, with pi from Machin's
+    16 atan(1/5) - 4 atan(1/239) at 32 more bits."""
+    w = bits + 32
+    pi = 16 * _atanh((1 << w) // 5, w, -1) - 4 * _atanh((1 << w) // 239, w, -1)
+    return _ln(pi, 1 << (w - 1), bits) >> 1
+
+
+def _ln(a: int, b: int, bits: int) -> int:
+    """ln(a/b) times 2^bits, for positive ints a, b: within 1.5 units.
+
+    With 2^e <= a/b < 2^(e+1), it works at w bits, bits + g rounded up to
+    a multiple of 64 (so that _constants repeats), g = bitlen(max(bits,
+    |e|)) + 7.  M = floor(a/b 2^(w-e)), in [2^w, 2^(w+1)), is within 2^-w
+    of a/b 2^-e relative.  For j = 1.._STEPS, P += P >> j whenever that
+    stays below 2^(w+1), taking ln(1 + 2^-j) off: each floor loses less
+    than a unit and later steps grow the loss by less than
+    prod (1 + 2^-j) < 2.4, so P is within 19.2 units of M times the
+    factors, and a step not taken leaves P (1 + 2^-j) >= 2^(w+1) - 1, so
+    z = (2^(w+1) - P)/(2^(w+1) + P) < 2^-_STEPS.  Then
+        ln(a/b) = (e + 1) ln 2 - sum ln(1 + 2^-j) - 2 atanh(z).
+    In units of 2^-w: 1 (M), 19.2 (P), 1.01 |e + 1| (ln 2), 8.1 (the
+    table), 2.01 (z floored) and 4(T + 1) (_atanh, T <= w/16 + 2 passes),
+    below 0.25 w + 1.01 |e| + 44 < 2^(g-1) (as 2^(g-1) > 64 max(bits,
+    |e|) >= 64 bits and w <= bits + g + 63).  Floored to bits, >= g fewer,
+    the result is within 1/2 + 1 units.
+    """
+    e = a.bit_length() - b.bit_length()
+    if a << max(-e, 0) < b << max(e, 0):
+        e -= 1
+    w = -(-(bits + max(bits, abs(e)).bit_length() + 7) // 64) * 64
+    ln2, table = _constants(w)
+    p = (a << (w - e)) // b if e <= w else a // (b << (e - w))
+    top = 1 << (w + 1)
+    total = (e + 1) * ln2
+    for j, t in enumerate(table, 1):
+        grown = p + (p >> j)
+        if grown < top:
+            p, total = grown, total - t
+    z = ((top - p) << w) // (top + p)
+    return (total - 2 * _atanh(z, w)) >> (w - bits)
+
+
+@functools.lru_cache(maxsize=None)
+def _bernoulli(m: int) -> Fraction:
+    """The Bernoulli number B_m, m even and positive, from
+    sum_{k<=m} C(m+1, k) B_k = 0 (B_0 = 1, B_1 = -1/2, odd ones above 0)."""
+    s = Fraction(1 - m, 2) + sum(math.comb(m + 1, k) * _bernoulli(k)
+                                 for k in range(2, m, 2))
+    return -s / (m + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _stirling(m: int) -> Tuple[int, int]:
+    """B_m / (m (m - 1)) as (numerator, denominator)."""
+    c = _bernoulli(m) / (m * (m - 1))
+    return c.numerator, c.denominator
+
+
+def _ln_factorial(j: int, bits: int) -> int:
+    """ln j! times 2^bits, within 2j + K + 5 units, K the series terms taken.
+
+    Below 4 bits it is _ln(j!), within 1.5.  From there Stirling's series
+        ln j! = (j + 1/2) ln j - j + ln(2 pi)/2
+                + sum_{i<=K} B_2i / (2i (2i - 1) j^(2i-1)) + R_K,
+    whose remainder R_K, for real j > 0, has the sign and at most the size
+    of the first omitted term (DLMF 5.11.ii).  The sum stops at the first
+    term below one unit, so |R_K| < 1.  The K terms are truncated (under a
+    unit each), (j + 1/2) ln j is off by at most 1.5 (j + 1/2) + 1 and
+    ln(2 pi)/2 by 2.  The stop comes early: the terms fall while
+    2i < 2 pi j, where they are near e^(-2 pi j) < 2^(-9 j) < 2^-bits.
+    """
+    if j < 4 * bits:
+        return _ln(math.factorial(j), 1, bits)
+    total = ((2 * j + 1) * _ln(j, 1, bits) >> 1) - (j << bits) + _half_ln_2pi(bits)
+    power, m = j, 2
+    while True:  # the term B_m / (m (m - 1) j^(m-1)), m = 2i
+        num, den = _stirling(m)
+        term = (abs(num) << bits) // (den * power)
+        if not term:
+            return total
+        total += term if num > 0 else -term
+        power *= j * j
+        m += 2
+
+
+def log_binomial(n: int, k: int) -> FixedLog:
+    """ln C(n, k), for printing: within 2^-(PRECISION_BITS + 2b), b the bit
+    length of n + 1.
+
+    The three ln j! (_ln_factorial) are taken at w bits, PRECISION_BITS +
+    3b + 4 rounded up to a multiple of 64, each within 2j + K + 5 units of
+    2^-w, j <= n < 2^b, while ln C(n, k) is 0 or at least ln 2: their sum is
+    off by less than 6 * 2^b + 3K + 15 < 2^(w - PRECISION_BITS - 2b) units,
+    as K = 0 below j = 4w and K < w otherwise, so the cancellation costs
+    no digit.
     """
     if n < 0 or k < 0 or k > n:
         raise ValueError("invalid binomial: C(%r, %r)" % (n, k))
     b = (n + 1).bit_length()
-    with mp.workprec(PRECISION_BITS + b + b.bit_length() + 8):
-        val = (
-            mp.loggamma(mp.mpf(n) + 1)
-            - mp.loggamma(mp.mpf(k) + 1)
-            - mp.loggamma(mp.mpf(n - k) + 1)
-        )
-    with mp.workprec(PRECISION_BITS):
-        return +val  # unary plus rounds to the working precision
+    w = -(-(PRECISION_BITS + 3 * b + 4) // 64) * 64
+    total = _ln_factorial(n, w) - _ln_factorial(k, w) - _ln_factorial(n - k, w)
+    return FixedLog(total, 1 << w)
 
 
 class FixedPointTail:
     """S = sum of C(n, i) for i < p as C(n, top) * total * 2^exponent.
 
-    __init__ sums it in fixed point; log gives ln S at 120 bits, for
-    printing, and terms the float terms of a bound on it, for verdicts.
+    __init__ sums it in fixed point; log gives ln S, for printing, and
+    terms the float terms of a bound on it, for verdicts.
 
     With top = min(p-1, n), S = C(n, top) * sum_i C(n, i)/C(n, top).  The
     ratios are summed downward from i = top in plain integers with unit
@@ -157,11 +321,15 @@ class FixedPointTail:
                 shift += excess
         self.n, self.top, self.total, self.exponent = n, top, total, shift - bits
 
-    def log(self) -> mp.mpf:
-        """ln S as a PRECISION_BITS mpmath float, for printing."""
-        with mp.workprec(PRECISION_BITS):
-            return (log_binomial(self.n, self.top)
-                    + mp.log(mp.ldexp(self.total, self.exponent)))
+    def log(self) -> FixedLog:
+        """ln S, for printing, within 2^-(PRECISION_BITS+1): log_binomial's
+        ln C(n, top) and _ln of total 2^exponent, within 2^-(PRECISION_BITS+2)
+        and 1.5 units of 2^-(PRECISION_BITS+32), which the sum's relative
+        error below 2^-(PRECISION_BITS+32) moves by less than 1.01 more."""
+        bits = PRECISION_BITS + 32
+        e = self.exponent
+        rest = _ln(self.total << max(e, 0), 1 << max(-e, 0), bits)
+        return FixedLog(log_binomial(self.n, self.top) + Fraction(rest, 1 << bits))
 
     def terms(self, upper: bool) -> List[float]:
         """Float terms of a bound on ln S, from above if upper, for _enclose.
@@ -178,8 +346,8 @@ class FixedPointTail:
                                                   self.exponent * math.log(2)]
 
 
-def log_binomial_tail_sum(n: int, p: int) -> mp.mpf:
-    """ln of sum_{i<p} C(n, i) as a PRECISION_BITS mpmath float."""
+def log_binomial_tail_sum(n: int, p: int) -> FixedLog:
+    """ln of sum_{i<p} C(n, i), for printing: FixedPointTail.log."""
     return FixedPointTail(n, p).log()
 
 

@@ -23,9 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from mpmath import mp
-
-from .exactnum import PRECISION_BITS, PRIME_LIMIT, is_prime
+from .exactnum import PRECISION_BITS, PRIME_LIMIT, FixedLog, _ln, is_prime
 
 Number = Union[int, float, Fraction]
 
@@ -317,9 +315,9 @@ def drift(d: int, c_phi: float = 6.0) -> float:
     """Radius drift phi(d) = c_phi * lnln d / ln d of the shrinking mode."""
     if d < 3:
         raise ValueError("dimension too small for lnln: d=%d" % d)
-    with mp.workprec(PRECISION_BITS):
-        ln_d = mp.log(mp.mpf(d))
-        phi = float(c_phi * mp.log(ln_d) / ln_d)
+    ln_d = _ln(d, 1, PRECISION_BITS)  # both logs times 2^PRECISION_BITS
+    ln_ln_d = _ln(ln_d, 1 << PRECISION_BITS, PRECISION_BITS)
+    phi = float(Fraction(c_phi) * ln_ln_d / ln_d)
     if phi <= 0:
         raise ValueError("drift not positive at d=%d" % d)
     return phi
@@ -343,7 +341,7 @@ class ShrinkingRadiusReport:
     say which inequality gives out when d is too small.  Later fields are
     None when an earlier step already failed structurally, and
     final_ratio_log is None until bounds.shrinking_radius_check adds the
-    count ratio's log, a 120-bit mpmath float.
+    count ratio's log, a FixedLog.
     """
 
     d: int
@@ -355,7 +353,7 @@ class ShrinkingRadiusReport:
     a: Optional[int]
     p: Optional[int]
     checks: Tuple[CheckRecord, ...]
-    final_ratio_log: Optional[mp.mpf]
+    final_ratio_log: Optional[FixedLog]
     passes: bool
 
 

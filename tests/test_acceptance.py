@@ -22,17 +22,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import conftest
 import search_oracle
 from diameter_oracle import image_gram
 from mis_oracle import max_avoiding_search
 from test_algebra import property_check_float32
+from test_exactnum import as_mpf
 from test_upper import covering_log_upper
 
 from borsuk import algebra, bounds, construction, optimality, params, upper
 from borsuk.cli import main as cli_main
-from borsuk.exactnum import binomial, binomial_tail_sum, is_prime
+from borsuk.exactnum import PRECISION_BITS, binomial, binomial_tail_sum, is_prime
 
 _PRIMES_TO_50 = [p for p in range(2, 50) if is_prime(p)]
 
@@ -299,7 +301,9 @@ def test_criterion_10_bound_route_consistency():
         d = int(4 * rng.integers(2, 40)) ** (2 * k) + 1
         cb = bounds.lower_bound(params.plan_fixed(r, d))
         cover = covering_log_upper(r, d)
-        if not cb.ratio_log < cover:
+        with mp.workprec(PRECISION_BITS):
+            below = as_mpf(cb.ratio_log) < cover
+        if not below:
             ok = False
     elapsed = time.time() - t0
     ok = ok and elapsed < 60

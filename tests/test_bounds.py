@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import iv, mp
+from test_exactnum import as_mpf
 
-from borsuk import bounds
+from borsuk import bounds, exactnum
 from borsuk.bounds import (
     asymptotic_base,
     binary_entropy,
@@ -40,7 +41,7 @@ def test_count_bound_frozen_small_case():
     cb = count_bound(8, 5, 66)
     assert (cb.numerator, cb.denominator) == (35, 163)
     assert not cb.passes
-    assert mp.exp(cb.ratio_log) == pytest.approx(35 / 163, rel=1e-12)
+    assert mp.exp(as_mpf(cb.ratio_log)) == pytest.approx(35 / 163, rel=1e-12)
 
 
 def test_count_bound_p1_denominator():
@@ -65,7 +66,7 @@ def test_exact_and_log_routes_agree():
             want = mp.log(mp.mpf(exact_ratio.numerator)) - mp.log(
                 mp.mpf(exact_ratio.denominator)
             )
-            err = abs(float(cb.ratio_log - want))
+            err = abs(float(as_mpf(cb.ratio_log) - want))
         assert err <= 1e-9 * max(1.0, abs(float(want)))
 
 
@@ -242,17 +243,17 @@ def test_find_d0_every_table_radius(monkeypatch):
 
 
 def test_find_d0_walk_calls_no_mpmath(monkeypatch):
-    # loggamma is reached only from lower_bound, six calls per count_bound,
+    # ln j! is reached only from lower_bound, six calls per count_bound,
     # which the walk runs only at d0: the d0 - 1 re-check and the other
     # full evaluations take the float enclosures
     calls = []
-    loggamma = mp.loggamma
+    ln_factorial = exactnum._ln_factorial
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return loggamma(*args, **kwargs)
+        return ln_factorial(*args, **kwargs)
 
-    monkeypatch.setattr(mp, "loggamma", counted)
+    monkeypatch.setattr(exactnum, "_ln_factorial", counted)
     res = find_d0(0.59)
     assert (res.walk_steps, res.full_evaluations) == (2875, 4)
     assert len(calls) == 6
@@ -493,7 +494,8 @@ def test_ratio_log_within_stated_error(args):
     with mp.workprec(300):
         exact = mp.log(mp.mpf(binomial(n - 1, n // 2 - 1))) - mp.log(
             mp.mpf(binomial_tail_sum(n, p)))
-        assert abs(ratio - exact) <= mp.mpf(2) ** -100 * (n + 1) * (mp.log(n + 1) + 1)
+        bound = mp.mpf(2) ** -100 * (n + 1) * (mp.log(n + 1) + 1)
+        assert abs(as_mpf(ratio) - exact) <= bound
 
 
 def _interval_gap(n, p, threshold):

@@ -789,6 +789,39 @@ def test_repeat_invocations_byte_identical(capsys):
         assert out1 == out2
 
 
+# every float option, given a value that is not finite: each crashed
+# with an OverflowError traceback and exit 1 while argparse took any float
+_NON_FINITE = {
+    "plan": ["plan", "--d", "256", "--r"],
+    "find-d0": ["find-d0", "--r"],
+    "bound": ["bound", "--shrinking", "--d", "1000000000000", "--c-phi"],
+    "upper": ["upper", "--c-r"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NON_FINITE))
+def test_non_finite_float_is_a_usage_error(command):
+    import borsuk
+
+    src = os.path.dirname(os.path.dirname(borsuk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "borsuk", *_NON_FINITE[command], "inf"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "error: argument" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["-inf", "nan", "NaN", "1e999", "x"])
+@pytest.mark.parametrize("command", sorted(_NON_FINITE))
+def test_float_options_refuse_non_finite_values(capsys, command, value):
+    *argv, option = _NON_FINITE[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "%s=%s" % (option, value)])  # "-inf" alone reads as an option
+    assert exc.value.code == 2
+    assert "invalid finite float value: %r" % value in capsys.readouterr().err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "borsuk", "plan", "--r", "0.9", "--d", "256"],

@@ -1,12 +1,16 @@
 """Exact arithmetic oracles: Pascal's rule, trial division, brute sums."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
+from borsuk import exactnum
 from borsuk.exactnum import (
+    FixedLog,
     FixedPointTail,
     _enclose,
     _robbins_terms,
@@ -17,6 +21,11 @@ from borsuk.exactnum import (
     log_binomial,
     log_binomial_tail_sum,
 )
+
+
+def as_mpf(x):
+    """A FixedLog as an mpmath float, rounded to the working precision."""
+    return mp.mpf(x.numerator) / x.denominator
 
 
 def log_binomial_tail_lower(n, p):
@@ -109,7 +118,7 @@ def test_log_binomial_matches_exact(n, k):
     got = log_binomial(n, k)
     with mp.workprec(120):
         want = mp.log(mp.mpf(math.comb(n, k)))
-        err = abs(float(got - want))
+        err = abs(float(as_mpf(got) - want))
     assert err <= 1e-15 * max(1.0, abs(float(want)))
 
 
@@ -119,7 +128,7 @@ def test_log_binomial_keeps_its_digits_at_huge_n(n, k):
     got = log_binomial(n, k)
     with mp.workprec(300):
         want = mp.log(mp.mpf(math.comb(n, k)))
-        assert abs(got - want) <= mp.mpf(2) ** -100 * want
+        assert abs(as_mpf(got) - want) <= mp.mpf(2) ** -100 * want
 
 
 @st.composite
@@ -140,7 +149,7 @@ def test_log_binomial_tail_sum_matches_exact(args):
     got = log_binomial_tail_sum(n, p)
     with mp.workprec(200):
         want = mp.log(mp.mpf(binomial_tail_sum(n, p)))
-        assert abs(got - want) <= mp.mpf(2) ** -100 * max(1, abs(want))
+        assert abs(as_mpf(got) - want) <= mp.mpf(2) ** -100 * max(1, abs(want))
 
 
 def test_log_binomial_tail_sum_renormalised():
@@ -152,14 +161,126 @@ def test_log_binomial_tail_sum_renormalised():
     got = log_binomial_tail_sum(n, p)
     with mp.workprec(200):
         want = mp.log(mp.mpf(exact))
-        assert abs(got - want) <= mp.mpf(2) ** -100 * abs(want)
+        assert abs(as_mpf(got) - want) <= mp.mpf(2) ** -100 * abs(want)
 
 
 def test_log_binomial_tail_sum_huge_argument():
     # far beyond anything a materialized integer should be asked to hold
     big = log_binomial_tail_sum(10 ** 7, 10 ** 6)
-    assert isinstance(big, mp.mpf)
+    assert isinstance(big, FixedLog)
     assert float(big) > 10 ** 6
+
+
+def _dyadic(x):
+    """An mpmath float's exact value as a FixedLog."""
+    man, exp = x.man_exp  # man is unsigned
+    return FixedLog(int(mp.sign(x)) * man * Fraction(2) ** exp)
+
+
+def test_nstr_matches_mpmath_on_floats():
+    # 10,000 log-uniform floats from 1e-30 to 1e40, both signs
+    rng = random.Random(20261020)
+    for _ in range(10000):
+        x = rng.choice((-1, 1)) * 10 ** rng.uniform(-30, 40)
+        assert FixedLog(x).nstr() == mp.nstr(mp.mpf(x), 25), x
+
+
+def test_nstr_matches_mpmath_on_wide_dyadics():
+    # 200-bit mantissas: every digit mpmath's to_str reads is significant
+    rng = random.Random(20261021)
+    with mp.workprec(200):
+        for _ in range(3000):
+            x = mp.mpf(rng.getrandbits(200)) * mp.mpf(2) ** rng.randint(-330, 70)
+            assert _dyadic(x).nstr() == mp.nstr(x, 25), x
+
+
+def test_nstr_rounding_edges():
+    # the 26th digit a 4 followed by 9s, a 5 followed by 0s, 9s carried
+    # into a new leading digit, and the ends of fixed notation
+    rng = random.Random(20261022)
+    heads = ["1234567890123456789012345", "9999999999999999999999999",
+             "1000000000000000000000000", "5000000000000000000000000"]
+    heads += ["".join(rng.choice("0123456789") for _ in range(24)) + d
+              for d in "0123456789"]
+    values = [mp.mpf(0), mp.mpf(1), mp.mpf(-1), mp.mpf(10) ** 25, mp.mpf(10) ** -8]
+    with mp.workprec(300):
+        for head in heads:
+            for tail in ("4999999", "5", "5000000", "5000001", "49", "9999999"):
+                for exponent in (-40, -9, -8, -7, -1, 0, 1, 23, 24, 25, 26, 60):
+                    for sign in "-", "":
+                        text = "%s0.%s%se%d" % (sign, head, tail, exponent)
+                        values.append(mp.mpf(text))
+        # exact ties: 26-digit integers ending in 5
+        values += [mp.mpf(int(head + "5")) for head in heads]
+        for x in values:
+            assert _dyadic(x).nstr() == mp.nstr(x, 25), x
+
+
+def _loggamma_route(n, k):
+    """ln C(n, k) the way mpmath's loggamma gives it: three loggammas at
+    120 + b + bitlen(b) + 8 bits, b = bitlen(n + 1), rounded to 120."""
+    b = (n + 1).bit_length()
+    with mp.workprec(120 + b + b.bit_length() + 8):
+        val = mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
+    with mp.workprec(120):
+        return +val
+
+
+def _sampled_binomials(seed, count, top):
+    rng = random.Random(seed)
+    pairs = [(n, k) for n in (1, 2, 63, 64, 65, 100, 256, 257, 1023, 1024, 1025)
+             for k in (0, 1, n // 3, n // 2, n)]
+    for _ in range(count):
+        n = int(10 ** rng.uniform(0, top))
+        k = rng.choice((rng.randint(0, n), rng.randint(0, min(n, 2000))))
+        pairs.append((n, k))
+    return pairs
+
+
+def test_log_binomial_prints_as_loggamma():
+    # 25 printed digits, the same as mpmath's loggamma route, up to 10^15
+    for n, k in _sampled_binomials(20261023, 400, 15):
+        got = log_binomial(n, k).nstr()
+        assert got == mp.nstr(_loggamma_route(n, k), 25), (n, k)
+
+
+def test_log_binomial_within_stated_error():
+    # within 2^-(120 + 2b) of ln C(n, k), b = bitlen(n + 1), against
+    # loggamma at enough bits for the cancellation to cost nothing
+    for n, k in _sampled_binomials(20261024, 150, 40):
+        b = (n + 1).bit_length()
+        with mp.workprec(3 * b + 200):
+            want = mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
+            err = abs(as_mpf(log_binomial(n, k)) - want)
+            assert err < mp.mpf(2) ** -(120 + 2 * b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2 ** 600), st.integers(1, 2 ** 600),
+       st.sampled_from((64, 120, 256, 700)))
+@example(1, 1, 120)
+@example(2, 1, 64)
+@example(2 ** 600, 2 ** 600 - 1, 256)  # ln of a ratio just above 1
+def test_fixed_point_ln_within_stated_error(a, b, bits):
+    got = exactnum._ln(a, b, bits)
+    with mp.workprec(bits + 1300):
+        want = mp.log(mp.mpf(a) / b) * mp.mpf(2) ** bits
+        assert abs(got - want) < 1.5
+
+
+def test_fixed_point_constants():
+    for bits in (64, 192, 1024):
+        ln2, table = exactnum._constants(bits)
+        with mp.workprec(bits + 64):
+            unit = mp.mpf(2) ** bits
+            assert abs(ln2 - mp.log(2) * unit) < 1.01
+            for j, t in enumerate(table, 1):
+                assert abs(t - mp.log1p(mp.mpf(2) ** -j) * unit) < 1.01
+            half_ln_2pi = mp.log(2 * mp.pi) / 2
+            assert abs(exactnum._half_ln_2pi(bits) - half_ln_2pi * unit) < 2
+    assert [exactnum._bernoulli(m) for m in (2, 4, 6, 8, 10, 12)] == [
+        Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+        Fraction(5, 66), Fraction(-691, 2730)]
 
 
 @st.composite

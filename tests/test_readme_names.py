@@ -19,9 +19,10 @@ _ALLOWED = {
     "borsuk", "borsuk.algebra", "borsuk.bounds", "borsuk.construction",
     "borsuk.exactnum", "borsuk.optimality", "borsuk.params", "borsuk.upper",
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-    "BENCH_pr27.json", "BENCH_pr28.json", "BENCH_pr29.json", "pyproject.toml", "src",
+    "BENCH_pr27.json", "BENCH_pr28.json", "BENCH_pr29.json", "BENCH_pr30.json",
+    "pyproject.toml", "src",
     "ValueError", "repr", "log1p", "expm1", "math.log",
-    "mpmath.iv", "mpmath.mpf", "np.unique",
+    "mpmath.iv", "mpmath.nstr", "np.unique",
 }
 
 
