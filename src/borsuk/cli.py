@@ -46,9 +46,7 @@ def _jsonable(obj: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "item"):  # numpy scalars
-        return _jsonable(obj.item())
-    return str(obj)
+    raise TypeError("no JSON form for %s" % type(obj).__name__)
 
 
 def _finite_float(text: str) -> float:

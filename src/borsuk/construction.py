@@ -15,6 +15,8 @@ every pair in exact integers as the oracle).  Scaling to diameter 1 and
 lifting by a constant height places the whole set on a sphere of any
 requested radius at or above the compressed circumradius; the lift adds
 one coordinate, which is the canonical isometry used throughout.
+embed is that map in float64; export_points writes the same points from
+the rows' signs, since every coordinate is +-s, +-s c, the lift or 0.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .params import ParamSet
 ENUMERATION_CAP = 24
 MATERIALIZE_CAP = 10 ** 6
 
-# export_points embeds and writes this many coordinates at a time
+# export_points writes this many coordinates at a time
 _EXPORT_FLOATS = 1 << 16
 
 
@@ -68,22 +70,26 @@ def _tail_weight_sq(k: int, a: int) -> int:
     return 2 * k * a ** (2 * k - 1)
 
 
+def _word_signs(X: np.ndarray, k: int) -> np.ndarray:
+    """The n**(2k) word products x_i1 ... x_i2k of each row of X, in X's
+    dtype, indexed lexicographically by (i_1, ..., i_2k)."""
+    m, n = X.shape
+    word = X
+    for _ in range(2 * k - 1):
+        word = (word[:, :, None] * X[:, None, :]).reshape(m, word.shape[1] * n)
+    return word
+
+
 def materialize(rows: np.ndarray, k: int, a: int) -> np.ndarray:
     """Image coordinates, one row per sign vector: n**(2k) word products,
-    then sqrt(2k a**(2k-1)) x.
-
-    Word coordinates are indexed lexicographically by (i_1, ..., i_2k).
-    """
+    then sqrt(2k a**(2k-1)) x."""
     X = np.asarray(rows, dtype=np.float64)
-    m, n = X.shape
+    n = X.shape[1]
     w = n ** (2 * k)
     if w + n > MATERIALIZE_CAP:
         raise ValueError("materialization too large: %d coordinates" % (w + n))
     tail = math.sqrt(_tail_weight_sq(k, a))
-    word = X
-    for _ in range(2 * k - 1):
-        word = (word[:, :, None] * X[:, None, :]).reshape(m, -1)
-    return np.concatenate([word, tail * X], axis=1)
+    return np.concatenate([_word_signs(X, k), tail * X], axis=1)
 
 
 @dataclass(frozen=True)
@@ -164,44 +170,36 @@ def export_points(
 ) -> None:
     """Write the embedded images of rows, one point per line, with a header.
 
-    Rows are embedded and written a block of about _EXPORT_FLOATS
-    coordinates at a time, never the whole point set at once; each
-    distinct value of a block is formatted once.
+    The bytes are repr of every float of embed(ps, geo, rows), written
+    from the rows' signs without embedding.  embed multiplies by the scale
+    s the word products +-1.0 and the weighted copy c * (+-1.0), c the
+    tail weight.  Multiplying by +-1.0 is exact and round-to-nearest is
+    symmetric, s * (-c) = -(s * c), so each of those coordinates is s, -s,
+    s * c or -(s * c) by its sign; s and c are positive, so none is -0.0.
+    Neither is the lift, sqrt(lift_height_sq) with lift_height_sq >= 0,
+    nor a zero padding to d.  So a line is its signs' texts from a
+    four-entry table, then the lift and the zeros, joined once per call.
+    Rows go a block of about _EXPORT_FLOATS coordinates at a time.
     """
+    check_dimension(ps)
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != ps.n or not (abs(rows) == 1).all():
+        raise ValueError("rows must be +-1 vectors of length n=%d" % ps.n)
+    s = math.sqrt(float(geo.scale_sq))
+    sc = s * math.sqrt(_tail_weight_sq(ps.k, ps.a))
+    text = np.array([repr(-s), repr(s), repr(-sc), repr(sc)], dtype=object)
+    w = ps.n ** (2 * ps.k)
+    lift = [repr(math.sqrt(float(geo.lift_height_sq)))]
+    end = " " + " ".join(lift + ["0.0"] * (ps.d - w - ps.n - 1)) + "\n"
     fh.write(
         "# borsuk-omega d=%d r=%r n=%d k=%d a=%d p=%d\n"
         % (ps.d, ps.r, ps.n, ps.k, ps.a, ps.p)
     )
+    rows = rows.astype(np.int8)
     block = max(1, _EXPORT_FLOATS // ps.d)
     for lo in range(0, len(rows), block):
-        fh.write(_format_block(embed(ps, geo, rows[lo:lo + block])))
-
-
-def _format_block(pts: np.ndarray) -> str:
-    """The rows of float64 pts as lines of repr(coordinate), space-separated.
-
-    A block of points holds a handful of distinct values (+-s, +-s w, the
-    lift h and 0.0), so each distinct value is formatted once and the
-    lines index into that table.  The table is keyed on bit patterns, not
-    values, so 0.0 and -0.0 keep their own text and the bytes are those of
-    repr on every coordinate.  It is the first row's distinct patterns,
-    and every cell is found in it by binary search and checked exactly;
-    only a block with a cell the first row lacks takes np.unique.  The
-    trailing columns that hold one value down the whole block (the zeros
-    past the lift) are joined once and end every line.
-    """
-    if pts.size == 0:
-        return "\n" * pts.shape[0]
-    bits = pts.view(np.int64)
-    varying = np.flatnonzero((bits != bits[0]).any(axis=0))
-    cut = varying[-1] + 1 if varying.size else 0
-    first = np.sort(bits[0])
-    table = first[np.concatenate(([True], first[1:] != first[:-1]))]
-    where = np.minimum(np.searchsorted(table, bits[:, :cut]), table.size - 1)
-    if not np.array_equal(table[where], bits[:, :cut]):
-        table, where = np.unique(bits, return_inverse=True)
-        where = where.reshape(bits.shape)[:, :cut]
-    text = np.array([repr(v) for v in table.view(np.float64).tolist()], dtype=object)
-    tail = " ".join(text[np.searchsorted(table, bits[0, cut:])].tolist())
-    end = (" " if 0 < cut < bits.shape[1] else "") + tail + "\n"
-    return "".join(" ".join(line) + end for line in text[where].tolist())
+        X = rows[lo:lo + block]
+        # 0/1 for -s/s on the words, 2/3 for -sc/sc on the weighted copy
+        codes = (np.concatenate([_word_signs(X, ps.k), X], axis=1) > 0).view(np.int8)
+        codes[:, w:] += 2
+        fh.write("".join(" ".join(line) + end for line in text[codes].tolist()))

@@ -349,8 +349,9 @@ def test_criterion_12_cli_determinism(capsys):
     # fresh interpreters: guards against per-process hash or thread state
     cmd = [sys.executable, "-m", "borsuk", "optimal-poly", "--m", "4", "--n", "2",
            "--seed", "11"]
-    run1 = subprocess.run(cmd, capture_output=True, text=True)
-    run2 = subprocess.run(cmd, capture_output=True, text=True)
+    env = conftest.child_env()
+    run1 = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    run2 = subprocess.run(cmd, capture_output=True, text=True, env=env)
     # two runs that fail alike (say, on import) would compare equal
     # without testing anything, so each must also succeed with output
     for run in (run1, run2):

@@ -26,7 +26,7 @@ from borsuk.algebra import (
     rank_mod_p,
     sigma_gram,
 )
-from borsuk.construction import sigma_matrix
+from borsuk.construction import ENUMERATION_CAP, sigma_matrix
 from borsuk.exactnum import binomial, is_prime
 from mis_oracle import greedy_from_conflicts, max_avoiding_search
 import rank_oracle
@@ -1008,12 +1008,25 @@ def _sigma_sample(n, size, seed):
     return X
 
 
-# every triple certify_bound ranks with p < 4n: |Sigma(n)| within
-# _RANK_ROWS_CAP (n <= 16), a = 4p - n > 0 and the dimension bound
-# within _RANK_COLS_CAP
+# every triple certify_bound ranks with p < 4n: a = 4p - n > 0 and the
+# dimension bound within _RANK_COLS_CAP, which leaves n <= 16 (below)
 _RANKED = [(n, p, 4 * p - n) for n in (4, 8, 12, 16) for p in range(2, 4 * n)
            if is_prime(p) and 4 * p > n
            and dimension_bound(n, p) <= algebra._RANK_COLS_CAP]
+
+
+def test_rank_cap_keeps_sigma_within_6435():
+    # every triple certify_bound enumerates (n <= ENUMERATION_CAP, prime p,
+    # a = 4p - n >= 4) whose dimension bound is within the rank cap has
+    # n <= 16, so |Sigma(n)| needs no cap of its own.  The bound grows
+    # with p and is 2**n from p = n + 1 on, so p < 200 covers every p
+    ranked = [(n, p) for n in range(4, ENUMERATION_CAP + 1, 4)
+              for p in range(2, 200) if is_prime(p) and 4 * p - n >= 4
+              and dimension_bound(n, p) <= algebra._RANK_COLS_CAP]
+    assert max(n for n, _ in ranked) == 16
+    assert max(binomial(n - 1, n // 2 - 1) for n, _ in ranked) == 6435
+    # n = 20 asks p >= 7 for a >= 4
+    assert dimension_bound(20, 7) == 60460 > algebra._RANK_COLS_CAP
 
 
 def _dead_levels(n, p, a):
@@ -1037,9 +1050,8 @@ def test_profile_weights_closed_form_above_2n(m, offset):
 def test_no_dead_level_at_any_certified_rank():
     # every triple certify_bound ranks with p < 400 (a >= 4 as it asks);
     # above 2n the closed form covers the rest, so the scan is complete
-    ranked = [(n, p, 4 * p - n) for n in (4, 8, 12, 16) for p in range(2, 400)
-              if is_prime(p) and 4 * p - n >= 4
-              and binomial(n - 1, n // 2 - 1) <= algebra._RANK_ROWS_CAP
+    ranked = [(n, p, 4 * p - n) for n in range(4, ENUMERATION_CAP + 1, 4)
+              for p in range(2, 400) if is_prime(p) and 4 * p - n >= 4
               and dimension_bound(n, p) <= algebra._RANK_COLS_CAP]
     assert len(ranked) == 158
     assert sum(p <= 2 * n for n, p, _ in ranked) == 12

@@ -10,10 +10,12 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from borsuk import cli
 from borsuk.cli import _build_parser, main
+from conftest import child_env
 
 
 def _run(capsys, argv):
@@ -801,13 +803,8 @@ _NON_FINITE = {
 
 @pytest.mark.parametrize("command", sorted(_NON_FINITE))
 def test_non_finite_float_is_a_usage_error(command):
-    import borsuk
-
-    src = os.path.dirname(os.path.dirname(borsuk.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-m", "borsuk", *_NON_FINITE[command], "inf"]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=child_env())
     assert proc.returncode == 2 and proc.stdout == ""
     assert "error: argument" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -827,20 +824,27 @@ def test_module_entry_point():
         [sys.executable, "-m", "borsuk", "plan", "--r", "0.9", "--d", "256"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == "12"
 
 
+@pytest.mark.parametrize("value, name", [
+    (np.int64(3), "int64"), (np.float32(0.5), "float32"), ({1}, "set"),
+    (b"x", "bytes"), ([object()], "object"),
+])
+def test_jsonable_refuses_unknown_types(value, name):
+    # every command's result is built of the types _jsonable names; any
+    # other, numpy scalars included, is a TypeError, not a str() fallback
+    with pytest.raises(TypeError, match="no JSON form for %s$" % name):
+        cli._jsonable({"key": value})
+
+
 def _fresh_interpreter(script):
     """Words printed by script run in a new interpreter with borsuk on its path."""
-    import borsuk
-
-    src = os.path.dirname(os.path.dirname(borsuk.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 

@@ -3,13 +3,10 @@
 import dataclasses
 import io
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from borsuk import construction
 from borsuk.construction import (
@@ -208,79 +205,61 @@ def test_export_points_format():
     assert np.linalg.norm(row) == pytest.approx(0.9, rel=1e-12)
 
 
-def test_export_points_blocks_match_one_pass(monkeypatch):
-    # block boundaries change nothing in the bytes written
-    ps = plan_fixed(0.9, 256)
-    geo = geometry(ps)
-    X = sigma_matrix(ps.n)[:50]
-    whole = io.StringIO()
-    export_points(whole, ps, geo, X)
-    monkeypatch.setattr(construction, "_EXPORT_FLOATS", 7 * ps.d)
-    blocked = io.StringIO()
-    export_points(blocked, ps, geo, X)
-    assert blocked.getvalue() == whole.getvalue()
-    want = "".join(" ".join(repr(float(c)) for c in pt) + "\n"
-                   for pt in embed(ps, geo, X))
-    assert whole.getvalue().split("\n", 1)[1] == want
-
-
 def _repr_lines(pts):
     return "".join(" ".join(map(repr, row)) + "\n" for row in pts.tolist())
 
 
-_EDGE_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
-                5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.0, 0.1]
+def _first_difference(got, want):
+    # (line, got, want) at the first differing line, or None: pytest's own
+    # report on two unequal exports diffs megabytes of text for minutes
+    pairs = itertools.zip_longest(got.split("\n"), want.split("\n"))
+    return next(((i, g, w) for i, (g, w) in enumerate(pairs) if g != w), None)
 
 
-@settings(max_examples=200, deadline=None)
-@given(pts=hnp.arrays(
-    np.float64,
-    hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
-    elements=st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()),
-))
-@example(pts=np.full((4, 6), -0.0))  # all equal
-@example(pts=np.array([[0.0, -0.0], [-0.0, 0.0]]))  # equal values, distinct bits
-@example(pts=np.arange(60, dtype=np.float64).reshape(6, 10) / 7)  # all distinct
-@example(pts=np.array([[math.nan], [-math.inf], [5e-324], [-0.0]]))  # one column
-@example(pts=np.zeros((3, 0)))  # no columns: empty lines
-def test_format_block_is_repr_of_every_coordinate(pts):
-    assert construction._format_block(pts) == _repr_lines(pts)
+# (r, d, rows, n, k): Sigma(12); Sigma(16) with no zero tail (16**2 + 16 + 1
+# = 273) and with one; k = 2 on a row subset; one row; no rows (--limit 0)
+_EXPORT_CASES = [
+    (0.9, 256, slice(None), 12, 1),
+    (0.9, 273, slice(None, None, 4), 16, 1),
+    (0.9, 400, slice(None, None, 4), 16, 1),
+    (0.6, 4200, slice(None, None, 3), 8, 2),
+    (0.9, 400, slice(5, 6), 16, 1),
+    (0.9, 256, slice(0), 12, 1),
+]
 
 
-@st.composite
-def _export_like_blocks(draw):
-    # as export blocks are: a few distinct values, most or all of them in
-    # the first row, then a run of columns constant down the block
-    values = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
-    palette = np.array(draw(st.lists(values, min_size=1, max_size=4)))
-    rows, head = draw(st.integers(1, 6)), draw(st.integers(0, 8))
-    cells = draw(hnp.arrays(np.intp, (rows, head),
-                            elements=st.integers(0, palette.size - 1)))
-    tail = np.array(draw(st.lists(values, max_size=5)), dtype=np.float64)
-    return np.hstack([palette[cells], np.tile(tail, (rows, 1))])
+def test_export_points_blocks_match_one_pass(monkeypatch):
+    # the bytes are repr of embed's floats, whatever the block boundaries
+    for r, d, rows, n, k in _EXPORT_CASES:
+        ps = plan_fixed(r, d)
+        assert (ps.n, ps.k) == (n, k)
+        geo = geometry(ps)
+        X = sigma_matrix(ps.n)[rows]
+        monkeypatch.undo()
+        whole = io.StringIO()
+        export_points(whole, ps, geo, X)
+        head, body = whole.getvalue().split("\n", 1)
+        assert head == "# borsuk-omega d=%d r=%r n=%d k=%d a=%d p=%d" % (
+            ps.d, ps.r, ps.n, ps.k, ps.a, ps.p)
+        assert _first_difference(body, _repr_lines(embed(ps, geo, X))) is None
+        for floats in (1, 7 * ps.d):  # blocks of one row and of seven
+            monkeypatch.setattr(construction, "_EXPORT_FLOATS", floats)
+            blocked = io.StringIO()
+            export_points(blocked, ps, geo, X)
+            assert _first_difference(blocked.getvalue(), whole.getvalue()) is None
 
 
-@settings(max_examples=200, deadline=None)
-@given(pts=_export_like_blocks())
-@example(pts=np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0]]))  # -0.0 next to 0.0
-@example(pts=np.array([[1.0, 1.0, 0.0], [1.0, 2.5, 0.0]]))  # 2.5 not in row 0
-@example(pts=np.array([[0.5, -0.0], [0.5, 0.0]]))  # the last column varies
-@example(pts=np.full((5, 7), 0.25))  # all constant: every line is the tail
-def test_format_block_table_and_constant_tail(pts):
-    assert construction._format_block(pts) == _repr_lines(pts)
-
-
-def test_format_block_export_values_all_in_first_row(monkeypatch):
-    # an export block's first row holds every value of the block, so the
-    # first row's table serves it and np.unique never runs
-    ps = plan_fixed(0.9, 400)
-    pts = embed(ps, geometry(ps), sigma_matrix(ps.n)[:160])
-    want = _repr_lines(pts)
-
-    def no_unique(*args, **kwargs):
-        raise AssertionError("np.unique called")
-    monkeypatch.setattr(np, "unique", no_unique)
-    assert construction._format_block(pts) == want
+@pytest.mark.parametrize("value", [0, 2, -3])
+def test_export_points_refuses_entries_off_plus_minus_one(value):
+    ps = plan_fixed(0.9, 256)
+    X = sigma_matrix(ps.n)[:3].copy()
+    X[1, 4] = value
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=r"rows must be \+-1 vectors"):
+        export_points(buf, ps, geometry(ps), X)
+    with pytest.raises(ValueError, match=r"of length n=12"):
+        export_points(buf, ps, geometry(ps), sigma_matrix(8))
+    assert buf.getvalue() == ""
 
 
 def test_materialize_cap():

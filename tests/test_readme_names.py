@@ -22,7 +22,7 @@ _ALLOWED = {
     "BENCH_pr27.json", "BENCH_pr28.json", "BENCH_pr29.json", "BENCH_pr30.json",
     "pyproject.toml", "src",
     "ValueError", "repr", "log1p", "expm1", "math.log",
-    "mpmath.iv", "mpmath.nstr", "np.unique",
+    "mpmath.iv", "mpmath.nstr",
 }
 
 

@@ -10,10 +10,11 @@ that imports the package and all its submodules must not load it.
 """
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import child_env
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "borsuk"
 
@@ -55,16 +56,13 @@ def test_guard_sees_imports():
 
 
 def test_fresh_import_leaves_mpmath_unloaded():
-    src = str(SRC.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = ("import sys\n"
               "import borsuk\n"
               "from borsuk import %s\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n"
               % ", ".join(SUBMODULES))
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]"]
 
