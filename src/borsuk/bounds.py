@@ -7,10 +7,12 @@ then gives
     parts needed >= |Sigma| / sum_{i<p} C(n, i).
 
 The construction succeeds at dimension d once that ratio beats d+1 (d+2
-in the shrinking-radius regime).  This module prints the ratio's log, and
-decides it in exact integers or from one proven float64 enclosure
-(_gap_bound); it locates the first dimension where the ratio wins, extracts
-the growth base, and closes params.shrinking_chain with the count ratio.
+in the shrinking-radius regime).  This module takes the ratio's log from
+plain integers, within 2^-120, and every count verdict reads it
+(_ratio_passes), with exact integers only where it is too close to call;
+it locates the first dimension where the ratio wins, with float64 rejects
+(_gap_bound) on the way, extracts the growth base, and closes
+params.shrinking_chain with the count ratio.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import List, Optional, Tuple
 from .exactnum import (
     PRECISION_BITS,
     FixedLog,
-    FixedPointTail,
     _enclose,
     _ln,
     _robbins_terms,
@@ -56,11 +57,11 @@ _LN2_UP = (6931471805599454, 10 ** 16)
 class CountBound:
     """The pigeonhole ratio at one parameter set.
 
-    numerator/denominator are exact integers when n is small enough to
-    expand them (n <= 10^4); ratio_log, the ratio's log as a FixedLog
-    within 2^-PRECISION_BITS of it, is always there, for printing.  passes
-    compares the ratio against threshold = d+1: exactly at n <= 10^4,
-    beyond that from proven float64 enclosures, else exactly.
+    numerator/denominator are exact integers, printed when n is small
+    enough to expand them (n <= 10^4); ratio_log, the ratio's log as a
+    FixedLog within 2^-PRECISION_BITS of it, is always there.  passes is
+    the exact comparison of the ratio against threshold = d+1, read from
+    ratio_log (_ratio_passes).
     """
 
     numerator: Optional[int]
@@ -73,10 +74,8 @@ class CountBound:
 def count_bound(n: int, p: int, threshold: int) -> CountBound:
     """The raw pigeonhole ratio |Sigma(n)| / sum_{i<p} C(n,i) vs threshold.
 
-    Exact integers at desk scale, log space beyond; the two routes agree
-    wherever both exist and the exact one decides passes when available.
-    Beyond it, _ratio_passes decides passes from the fixed-point sum that
-    also gives ratio_log.
+    _ratio_passes decides passes from ratio_log at every n; the exact
+    integers at desk scale are printed fields only.
     """
     if n < 4 or n % 4 != 0:
         raise ValueError("n must be a positive multiple of 4")
@@ -84,21 +83,32 @@ def count_bound(n: int, p: int, threshold: int) -> CountBound:
         raise ValueError("p must be positive")
     if threshold < 1:
         raise ValueError("threshold must be at least 1, got %d" % threshold)
-    tail = FixedPointTail(n, p)
-    ratio_log = _ratio_log(n, tail)
+    ratio_log = _ratio_log(n, p)
     num = den = None
     if n <= _EXACT_N_CAP:
         num, den = binomial(n - 1, n // 2 - 1), binomial_tail_sum(n, p)
-        passes = num > den * threshold
-    else:
-        passes = _ratio_passes(n, p, threshold, tail)
-    return CountBound(num, den, ratio_log, threshold, passes)
+    return CountBound(num, den, ratio_log, threshold,
+                      _ratio_passes(n, p, threshold, ratio_log))
 
 
-def _ratio_log(n: int, tail: FixedPointTail) -> FixedLog:
-    """ln(C(n-1, n/2-1) / S), S the sum tail holds, within 2^-PRECISION_BITS:
-    log_binomial's error and tail.log's add up to less than that."""
-    return FixedLog(log_binomial(n - 1, n // 2 - 1) - tail.log())
+def _ratio_log(n: int, p: int) -> FixedLog:
+    """ln(C(n-1, n/2-1) / sum_{i<p} C(n, i)) within 2^-PRECISION_BITS:
+    log_binomial's error and log_binomial_tail_sum's add up to less."""
+    return FixedLog(log_binomial(n - 1, n // 2 - 1) - log_binomial_tail_sum(n, p))
+
+
+def _ratio_passes(n: int, p: int, threshold: int, ratio_log: FixedLog) -> bool:
+    """C(n-1, n/2-1) > threshold * sum_{i<p} C(n, i), ratio_log = _ratio_log(n, p).
+
+    In units of 2^-PRECISION_BITS, ratio_log is within 1 of the ratio's
+    log and _ln(threshold) within 1.5 of ln threshold, so their gap is
+    within 2.5 of the real one: beyond 3 units its sign is the verdict.
+    Exact integers decide inside.
+    """
+    gap = ratio_log * (1 << PRECISION_BITS) - _ln(threshold, 1, PRECISION_BITS)
+    if abs(gap) > 3:
+        return gap > 0
+    return binomial(n - 1, n // 2 - 1) > binomial_tail_sum(n, p) * threshold
 
 
 def lower_bound(ps: ParamSet) -> CountBound:
@@ -183,7 +193,7 @@ class D0Result:
     previous_d re-checks d0 - 1 directly (when the planner accepts it),
     so minimality is witnessed rather than inferred from the grid walk.
     bound is lower_bound at d0; previous_passes is _ratio_passes, the same
-    exact verdict without the integers that only a printed bound needs.
+    verdict without the integers that only a printed bound needs.
     walk_steps counts the grid points the walk passed, the ones a block
     reject skipped included (each is proven to fail, see find_d0), and
     full_evaluations those that the float rejects could not settle.
@@ -199,39 +209,24 @@ class D0Result:
     full_evaluations: int
 
 
-def _gap_bound(n: int, tail: List[float], threshold: int, upper: bool) -> float:
-    """One end of a proven enclosure of G = ln C(n-1, n/2-1) - ln S -
-    ln(threshold) for a tail sum S: the upper end if upper, else the lower.
+def _gap_bound(n: int, tail: List[float], threshold: int) -> float:
+    """A proven upper bound on G = ln C(n-1, n/2-1) - ln S - ln(threshold)
+    for a tail sum S, for find_d0's rejects.
 
-    tail holds float terms of a bound on ln S from below for the upper end
-    (_tail_lower_terms, FixedPointTail.terms(False)) and from above for
-    the lower end (terms(True)).  One _enclose sum of those terms negated,
-    the _robbins_terms of ln C(n-1, n/2-1) from the end's side and
-    -ln(threshold): each is within 2^-48 (|t| + 1) of its exact value
-    (math.log of an int, see _enclose), and the exact values sum to at
-    least G if upper, at most G otherwise.  Closed form: no loop, no log.
+    tail holds float terms of a bound on ln S from below
+    (_tail_lower_terms).  One _enclose sum of those terms negated, the
+    upper _robbins_terms of ln C(n-1, n/2-1) and -ln(threshold): each is
+    within 2^-48 (|t| + 1) of its exact value (math.log of an int, see
+    _enclose), and the exact values sum to at least G.  Closed form: no
+    loop, no log.
     """
-    terms = _robbins_terms(n - 1, n // 2 - 1, upper) + [-t for t in tail]
-    lo, hi = _enclose(terms + [-math.log(threshold)])
-    return hi if upper else lo
+    terms = _robbins_terms(n - 1, n // 2 - 1, True) + [-t for t in tail]
+    return _enclose(terms + [-math.log(threshold)])[1]
 
 
 def _block_gain(a0: Fraction, n: int, j: int) -> int:
     """4j - (q(n + 4j) - q(n)), q(m) = (least_offset(a0, m) + m)/4."""
     return 3 * j - (least_offset(a0, n + 4 * j) - least_offset(a0, n)) // 4
-
-
-def _ratio_passes(n: int, p: int, threshold: int, tail: FixedPointTail) -> bool:
-    """C(n-1, n/2-1) > threshold * sum_{i<p} C(n, i), tail = FixedPointTail(n, p).
-
-    _gap_bound's two ends from tail's terms, and exact integers when they
-    straddle 0.
-    """
-    if _gap_bound(n, tail.terms(True), threshold, False) > 0:
-        return True
-    if _gap_bound(n, tail.terms(False), threshold, True) <= 0:
-        return False
-    return binomial(n - 1, n // 2 - 1) > binomial_tail_sum(n, p) * threshold
 
 
 def find_d0(r: float) -> D0Result:
@@ -244,7 +239,7 @@ def find_d0(r: float) -> D0Result:
     is therefore the least passing d overall.  The profile (rsq, k, a0)
     depends on r alone, so it is solved once, as plan_fixed solves it.
 
-    Each step first takes M, _gap_bound's upper end of G(n) =
+    Each step first takes M, _gap_bound's upper bound on G(n) =
     ln C(n-1, n/2-1) - ln S(n, q(n)) - ln(n^(2k) + 2) from
     _tail_lower_terms, S(n, c) = sum_{i<c} C(n, i), at
     q(n) = (least_offset(a0, n) + n)/4, the least prime choose_a could
@@ -270,8 +265,9 @@ def find_d0(r: float) -> D0Result:
     budget * _LN2_UP <= -M, and the walk goes on at n + 4(j + 1).
 
     A step that M does not reject runs choose_a's prime scan and the same
-    upper end at the real p, and only the steps that survive both are full
-    evaluations: the validated ParamSet and _ratio_passes.
+    upper bound at the real p, and only the steps that survive both are
+    full evaluations: the validated ParamSet and _ratio_passes on the
+    integer log, _ratio_log.
     lower_bound runs only at the passing step (d0); the d0 - 1 re-check
     is _ratio_passes at the planned (n, p) for d0 - 1, whose threshold is
     d0.  Every reject is a proof that the ratio stays at or below
@@ -287,7 +283,7 @@ def find_d0(r: float) -> D0Result:
         if d > _D0_SCAN_CAP:
             raise CheckFailed("no d0 found below cap %d" % _D0_SCAN_CAP)
         q = (least_offset(a0, n) + n) // 4
-        upper = _gap_bound(n, _tail_lower_terms(n, q), d + 1, True)
+        upper = _gap_bound(n, _tail_lower_terms(n, q), d + 1)
         if upper <= 0:
             num, den = (-upper).as_integer_ratio()
             budget = num * _LN2_UP[1] // (den * _LN2_UP[0])
@@ -303,20 +299,19 @@ def find_d0(r: float) -> D0Result:
             continue
         steps += 1
         p = choose_a(a0, n)[1]
-        if _gap_bound(n, _tail_lower_terms(n, p), d + 1, True) <= 0:
+        if _gap_bound(n, _tail_lower_terms(n, p), d + 1) <= 0:
             n += 4
             continue
         evaluations += 1
         ps = fixed_params(r, rsq, k, a0, d)
-        if not _ratio_passes(n, ps.p, d + 1, FixedPointTail(n, ps.p)):
+        if not _ratio_passes(n, ps.p, d + 1, _ratio_log(n, ps.p)):
             n += 4
             continue
         prev_passes = False
         try:
             prev_d = d - 1
             prev = fixed_params(r, rsq, k, a0, d - 1)
-            prev_passes = _ratio_passes(prev.n, prev.p, d,
-                                        FixedPointTail(prev.n, prev.p))
+            prev_passes = _ratio_passes(prev.n, prev.p, d, _ratio_log(prev.n, prev.p))
         except (CheckFailed, ValueError):
             prev_d = None
         return D0Result(
@@ -337,15 +332,14 @@ def shrinking_radius_check(d: int, c_phi: float = 6.0) -> ShrinkingRadiusReport:
     The count ratio is evaluated whenever the chain reached a prime,
     whether or not its other checks passed; its record keeps the ratio's
     log against ln(d + 2), and the verdict of _ratio_passes, which is
-    count_bound(n, p, d + 2)'s without the exact integers it would expand.
+    count_bound(n, p, d + 2)'s without the integers it would print.
     """
     rep = shrinking_chain(d, c_phi)
     if rep.p is None:
         return rep
-    tail = FixedPointTail(rep.n, rep.p)
-    ratio_log = _ratio_log(rep.n, tail)
+    ratio_log = _ratio_log(rep.n, rep.p)
     target = _ln(d + 2, 1, PRECISION_BITS) / (1 << PRECISION_BITS)
     count = CheckRecord("count_ratio", float(ratio_log), target,
-                        _ratio_passes(rep.n, rep.p, d + 2, tail))
+                        _ratio_passes(rep.n, rep.p, d + 2, ratio_log))
     return replace(rep, checks=rep.checks + (count,), final_ratio_log=ratio_log,
                    passes=rep.passes and count.passed)

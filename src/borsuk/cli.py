@@ -264,7 +264,11 @@ def cmd_optimal_poly(args: argparse.Namespace) -> int:
     }
     ok = result.best_ratio == exact.value
     if args.a_grid:
-        grid = [Fraction(x) for x in args.a_grid.split(",")]
+        try:
+            grid = [Fraction(x) for x in args.a_grid.split(",")]
+        except ZeroDivisionError:
+            raise ValueError("--a-grid offset with zero denominator: %s"
+                             % args.a_grid) from None
         report = optimality.offset_reduction_check(args.m, args.n, grid)
         row["offset_check"] = _jsonable(report)
         ok = ok and report.passed

@@ -3,15 +3,14 @@
 Exact counts are plain Python ints and exact ratios are fractions.Fraction,
 both arbitrary precision out of the box.  The log of a quantity too large
 to materialize (binomial ratios at dimensions like 10**18) is a FixedLog,
-an exact dyadic fraction within 2^-120 of it, for printing: log_binomial,
-log_binomial_tail_sum and FixedPointTail.log.  They come from plain
-integers: a fixed-point ln (_ln) and ln j!, exact below a cutoff and from
-Stirling's series above it (_ln_factorial); FixedLog.nstr prints the 25
-digits the CLI shows, as mpmath's nstr would.  Verdicts take one float64
-enclosure with a proven margin, _enclose, of float terms: Robbins' bounds
-on ln C(n, k) (_robbins_terms), ln S through the fixed-point sum
-(FixedPointTail.terms) and a closed-form lower bound on ln S
-(_tail_lower_terms); bounds sums them into its count verdicts.
+an exact dyadic fraction within 2^-120 of it: log_binomial and
+log_binomial_tail_sum.  They come from plain integers: a fixed-point ln
+(_ln) and ln j!, exact below a cutoff and from Stirling's series above it
+(_ln_factorial); FixedLog.nstr prints the 25 digits the CLI shows, as
+mpmath's nstr would.  The count verdicts read these logs.  Only the
+rejects of bounds.find_d0's walk take float64: one enclosure with a
+proven margin, _enclose, of float terms, Robbins' bounds on ln C(n, k)
+(_robbins_terms) and a closed-form lower bound on ln S (_tail_lower_terms).
 """
 
 from __future__ import annotations
@@ -246,8 +245,7 @@ def _ln_factorial(j: int, bits: int) -> int:
 
 
 def log_binomial(n: int, k: int) -> FixedLog:
-    """ln C(n, k), for printing: within 2^-(PRECISION_BITS + 2b), b the bit
-    length of n + 1.
+    """ln C(n, k) within 2^-(PRECISION_BITS + 2b), b the bit length of n + 1.
 
     The three ln j! (_ln_factorial) are taken at w bits, PRECISION_BITS +
     3b + 4 rounded up to a multiple of 64, each within 2j + K + 5 units of
@@ -264,11 +262,8 @@ def log_binomial(n: int, k: int) -> FixedLog:
     return FixedLog(total, 1 << w)
 
 
-class FixedPointTail:
-    """S = sum of C(n, i) for i < p as C(n, top) * total * 2^exponent.
-
-    __init__ sums it in fixed point; log gives ln S, for printing, and
-    terms the float terms of a bound on it, for verdicts.
+def log_binomial_tail_sum(n: int, p: int) -> FixedLog:
+    """ln S, S = sum of C(n, i) for i < p, within 2^-(PRECISION_BITS+1).
 
     With top = min(p-1, n), S = C(n, top) * sum_i C(n, i)/C(n, top).  The
     ratios are summed downward from i = top in plain integers with unit
@@ -276,8 +271,8 @@ class FixedPointTail:
     step sets t = floor(t*i/(n-i+1)), the exact step ratio C(n, i-1)/C(n, i),
     and adds t to total.  While the ratio exceeds 1 (only when p-1 > n/2)
     t grows; once it reaches 2^(b+1), t and total are shifted right by the
-    same amount and the shift is kept as an exponent.  The loop stops when
-    t reaches 0.  Then S ~ C(n, top) * total * 2^(shift-b) from below.
+    same amount and the shift is kept.  The loop stops when t reaches 0.
+    Then S ~ C(n, top) * total * 2^(shift-b) from below.
 
     Error bound: the computed sum is a lower bound on S with relative
     error below (n+2)^2 * 2^-b <= 2^-(PRECISION_BITS+32).  Let
@@ -300,55 +295,31 @@ class FixedPointTail:
     Once t is 0 it stays 0 with no further loss, so the dropped tail is
     already counted, and at the end F = 2^shift * total, the computed
     sum.
+
+    ln S is log_binomial's ln C(n, top), within 2^-(PRECISION_BITS+2), plus
+    _ln of total 2^(shift-b) at PRECISION_BITS + 32 bits, within 1.5 units,
+    which the sum's relative error below 2^-(PRECISION_BITS+32) moves by
+    less than 1.01 more.
     """
-
-    def __init__(self, n: int, p: int) -> None:
-        if n < 0 or p < 1:
-            raise ValueError("invalid binomial tail: n=%r p=%r" % (n, p))
-        top = min(p - 1, n)
-        bits = PRECISION_BITS + 32 + 2 * (n + 2).bit_length()
-        t = total = 1 << bits
-        shift = 0
-        for i in range(top, 0, -1):
-            t = t * i // (n - i + 1)
-            if not t:
-                break
-            total += t
-            excess = t.bit_length() - bits - 1
-            if excess > 0:
-                t >>= excess
-                total >>= excess
-                shift += excess
-        self.n, self.top, self.total, self.exponent = n, top, total, shift - bits
-
-    def log(self) -> FixedLog:
-        """ln S, for printing, within 2^-(PRECISION_BITS+1): log_binomial's
-        ln C(n, top) and _ln of total 2^exponent, within 2^-(PRECISION_BITS+2)
-        and 1.5 units of 2^-(PRECISION_BITS+32), which the sum's relative
-        error below 2^-(PRECISION_BITS+32) moves by less than 1.01 more."""
-        bits = PRECISION_BITS + 32
-        e = self.exponent
-        rest = _ln(self.total << max(e, 0), 1 << max(-e, 0), bits)
-        return FixedLog(log_binomial(self.n, self.top) + Fraction(rest, 1 << bits))
-
-    def terms(self, upper: bool) -> List[float]:
-        """Float terms of a bound on ln S, from above if upper, for _enclose.
-
-        The Robbins terms of ln C(n, top) from that side (n < 2^1000),
-        then log(total) for ln(S/C(n, top)) - exponent ln 2, within 2^-49
-        (|t| + 1) of ln total and, as total's error is below 2^-152, within
-        2^-48 (|t| + 1) of that value, and exponent * log(2), within
-        2u + 2^-50.  The two sides differ by less than 1/(48 k^2),
-        k = min(top, n - top).
-        """
-        k = min(self.top, self.n - self.top)
-        return _robbins_terms(self.n, k, upper) + [math.log(self.total),
-                                                  self.exponent * math.log(2)]
-
-
-def log_binomial_tail_sum(n: int, p: int) -> FixedLog:
-    """ln of sum_{i<p} C(n, i), for printing: FixedPointTail.log."""
-    return FixedPointTail(n, p).log()
+    if n < 0 or p < 1:
+        raise ValueError("invalid binomial tail: n=%r p=%r" % (n, p))
+    top = min(p - 1, n)
+    bits = PRECISION_BITS + 32 + 2 * (n + 2).bit_length()
+    t = total = 1 << bits
+    shift = 0
+    for i in range(top, 0, -1):
+        t = t * i // (n - i + 1)
+        if not t:
+            break
+        total += t
+        excess = t.bit_length() - bits - 1
+        if excess > 0:
+            t >>= excess
+            total >>= excess
+            shift += excess
+    e, w = shift - bits, PRECISION_BITS + 32
+    rest = _ln(total << max(e, 0), 1 << max(-e, 0), w)
+    return FixedLog(log_binomial(n, top) + Fraction(rest, 1 << w))
 
 
 # ln(2 pi)/2, rounded to the nearest float64

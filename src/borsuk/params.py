@@ -43,14 +43,15 @@ def power_threshold(k: int) -> Fraction:
 
 
 def solve_k(rsq: Number) -> int:
-    """Minimal k with (2k+1)/(8k) < rsq, by exact rational comparison."""
+    """Minimal k with (2k+1)/(8k) < rsq, exact in rationals.
+
+    For rsq > 1/4 the inequality is k (8 rsq - 2) > 1, so the least such k
+    is floor(1/(8 rsq - 2)) + 1.
+    """
     rsq = Fraction(rsq)
     if rsq <= Fraction(1, 4):
         raise ValueError("radius not above one half: rsq=%s" % rsq)
-    k = 1
-    while power_threshold(k) >= rsq:
-        k += 1
-    return k
+    return math.floor(1 / (8 * rsq - 2)) + 1
 
 
 def compressed_radius_sq(a0, k: int):
@@ -193,8 +194,8 @@ def _integer_root(x: int, e: int) -> int:
 def choose_n(d: int, k: int) -> int:
     """Largest n = 0 (mod 4) with n**(2k) < d."""
     e = 2 * k
-    if d <= 4 ** e:
-        raise ValueError("no admissible n: d=%d requires d > %d" % (d, 4 ** e))
+    if d < 1 or (d - 1).bit_length() <= 2 * e:  # d <= 4^e = 2^(2e)
+        raise ValueError("no admissible n: d=%d requires d > 4^%d" % (d, e))
     m = _integer_root(d - 1, e)  # largest m with m**e < d
     n = m - m % 4
     assert n ** e < d <= (n + 4) ** e

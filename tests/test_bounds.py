@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import iv, mp
-from test_exactnum import as_mpf
+from test_exactnum import as_mpf, interval_log_tail_sum
 
 from borsuk import bounds, exactnum
 from borsuk.bounds import (
@@ -20,7 +20,8 @@ from borsuk.bounds import (
     shrinking_radius_check,
 )
 from borsuk.exactnum import (
-    FixedPointTail,
+    PRECISION_BITS,
+    FixedLog,
     _tail_lower_terms,
     binomial,
     binomial_tail_sum,
@@ -231,8 +232,8 @@ def test_find_d0_every_table_radius(monkeypatch):
     # every step made 5,865 choose_a and 33,319 is_prime calls
     assert (calls["choose_a"], calls["is_prime"]) == (97, 520)
     # the block reject skips most steps with no enclosure of their own:
-    # 1,392 now, every float verdict's sum counted, one or two on every
-    # step (5,918) without it
+    # 1,366 now, one or two on every step (5,918) without it; the full
+    # evaluations take none, they read the integer log
     assert calls["enclose"] <= 1700
     # exact tail sums only for the printed bound at d0, at the six radii
     # with n <= 10^4: the d0 - 1 re-check prints nothing
@@ -242,10 +243,10 @@ def test_find_d0_every_table_radius(monkeypatch):
         assert res.previous_passes == lower_bound(plan_fixed(r, res.d0 - 1)).passes
 
 
-def test_find_d0_walk_calls_no_mpmath(monkeypatch):
-    # ln j! is reached only from lower_bound, six calls per count_bound,
-    # which the walk runs only at d0: the d0 - 1 re-check and the other
-    # full evaluations take the float enclosures
+def test_find_d0_ln_factorial_calls(monkeypatch):
+    # ln j! is reached only from _ratio_log, six calls each (three per
+    # log_binomial), and the walk's rejects take none: the four full
+    # evaluations, the d0 - 1 re-check and lower_bound at d0 make 36
     calls = []
     ln_factorial = exactnum._ln_factorial
 
@@ -256,7 +257,7 @@ def test_find_d0_walk_calls_no_mpmath(monkeypatch):
     monkeypatch.setattr(exactnum, "_ln_factorial", counted)
     res = find_d0(0.59)
     assert (res.walk_steps, res.full_evaluations) == (2875, 4)
-    assert len(calls) == 6
+    assert len(calls) == 6 * (4 + 1 + 1)
 
 
 def _exact_passes(n, p, threshold):
@@ -264,15 +265,15 @@ def _exact_passes(n, p, threshold):
 
 
 def _walk_bound(n, cutoff, threshold):
-    # the upper end the walk's rejects read, as find_d0 takes it
-    return bounds._gap_bound(n, _tail_lower_terms(n, cutoff), threshold, True)
+    # the upper bound the walk's rejects read, as find_d0 takes it
+    return bounds._gap_bound(n, _tail_lower_terms(n, cutoff), threshold)
 
 
-def _gap_ends(n, p, threshold):
-    # both ends _ratio_passes reads, from one fixed-point tail sum
-    tail = FixedPointTail(n, p)
-    return (bounds._gap_bound(n, tail.terms(True), threshold, False),
-            bounds._gap_bound(n, tail.terms(False), threshold, True))
+def _log_gap(n, p, threshold):
+    # the gap _ratio_passes reads, in units of 2^-PRECISION_BITS: within
+    # 2.5 of the exact ln(ratio/threshold), so beyond 3 it decides
+    ratio_log = bounds._ratio_log(n, p)
+    return ratio_log * (1 << PRECISION_BITS) - bounds._ln(threshold, 1, PRECISION_BITS)
 
 
 @pytest.mark.parametrize("r", [0.61, 0.63, 0.65, 0.67, 0.69, 0.71])
@@ -383,37 +384,42 @@ def test_find_d0_past_default_cap(monkeypatch):
 
 
 def test_count_bound_log_verdict_is_certified(monkeypatch):
-    # d0(0.59) is decided at n = 11504 by the float enclosure, 0.144 nats
-    # clear of the threshold, far outside its width
+    # d0(0.59) is decided at n = 11504 by the integer log, 0.144 nats
+    # clear of the threshold, far outside its 2.5 units of 2^-120
     res = find_d0(0.59)
     n, p, threshold = 11504, res.params.p, res.d0 + 1
     assert res.bound.numerator is None
-    lo, hi = _gap_ends(n, p, threshold)
-    assert 0.143 < lo <= hi < 0.145
-    assert hi - lo < 1e-8
+    assert 0.143 < _log_gap(n, p, threshold) / (1 << PRECISION_BITS) < 0.145
 
     def exact(*args):
         raise LookupError("exact integers reached")
 
-    # count_bound takes it from the enclosure, with no exact integers
+    # count_bound takes it from the log, with no exact integers
     monkeypatch.setattr(bounds, "binomial_tail_sum", exact)
     assert count_bound(n, p, threshold).passes
-    # a tail bound that straddles ln C(n-1, n/2-1) leaves the verdict to
-    # exact integers; clear ones decide it either way
-    with mp.workprec(200):
-        ln = float(mp.log(binomial(n - 1, n // 2 - 1)))
+    # a log within 3 units of ln(threshold) leaves the verdict to exact
+    # integers; one further off decides it either way
+    ln = bounds._ln(threshold, 1, PRECISION_BITS)
+    unit = Fraction(1, 1 << PRECISION_BITS)
+    for units in (-3, 0, 3):
+        with pytest.raises(LookupError, match="exact integers"):
+            bounds._ratio_passes(n, p, threshold, FixedLog((ln + units) * unit))
+    for units in (Fraction(3) + unit, 4, 10 ** 30):
+        assert bounds._ratio_passes(n, p, threshold, FixedLog((ln + units) * unit))
+        assert not bounds._ratio_passes(n, p, threshold, FixedLog((ln - units) * unit))
 
-    class Tail:
-        def __init__(self, lo, hi):
-            self.lo, self.hi = lo, hi
 
-        def terms(self, upper):
-            return [self.hi if upper else self.lo]
+def test_no_count_verdict_calls_libm(monkeypatch):
+    # the count verdicts read the integer log, so only find_d0's walk
+    # rejects rest on the C library's log accuracy
+    def libm(*args):
+        raise AssertionError("libm reached")
 
-    with pytest.raises(LookupError, match="exact integers"):
-        bounds._ratio_passes(n, p, 1, Tail(ln - 1e-6, ln + 1e-6))
-    assert bounds._ratio_passes(n, p, 1, Tail(ln - 2e-6, ln - 1e-6)) is True
-    assert bounds._ratio_passes(n, p, 1, Tail(ln + 1e-6, ln + 2e-6)) is False
+    for name in ("log", "log1p", "expm1"):
+        monkeypatch.setattr(math, name, libm)
+    assert count_bound(572, 223, 327186).passes
+    assert count_bound(31622776, 12229487, 10 ** 15 + 1).passes
+    assert shrinking_radius_check(10 ** 18).passes
 
 
 def test_count_bound_refuses_threshold_below_1():
@@ -425,15 +431,24 @@ def test_count_bound_refuses_threshold_below_1():
 
 
 def test_count_bound_falls_back_to_integers(monkeypatch):
-    # when the enclosures straddle the threshold, exact integers decide,
-    # and the printed fields stay those of the log route
-    cases = [(11504, 5273, 17514409198944258), (11504, 5273, 10 ** 30), (10004, 3001, 1)]
-    want = [count_bound(*c) for c in cases]
-    monkeypatch.setattr(bounds, "_enclose", lambda terms: (-math.inf, math.inf))
-    for c, w in zip(cases, want):
+    # when the log sits within 3 units of ln(threshold), exact integers
+    # decide, and the printed fields stay the same: _ln(threshold) moved
+    # onto the ratio's log forces that route
+    cases = [(11504, 5273, 17514409198944258), (11504, 5273, 10 ** 30), (10004, 3001, 1),
+             (572, 223, 327186)]
+    want = {c: count_bound(*c) for c in cases}
+    near = {c[2]: math.floor(w.ratio_log * (1 << PRECISION_BITS)) for c, w in want.items()}
+    calls = []
+    tail_sum = bounds.binomial_tail_sum
+    monkeypatch.setattr(bounds, "_ln", lambda a, b, bits: near[a])
+    monkeypatch.setattr(bounds, "binomial_tail_sum",
+                        lambda n, p: calls.append(n) or tail_sum(n, p))
+    for c in cases:
         got = count_bound(*c)
-        assert got == w
+        assert got == want[c]
         assert got.passes == _exact_passes(*c)
+    # one fallback sum per case, after the printed denominator at n <= 10^4
+    assert calls == [11504, 11504, 10004, 572, 572]
 
 
 @st.composite
@@ -450,10 +465,9 @@ def _verdict_args(draw):
     return n, p, max(threshold, 1)
 
 
-# the floor of C(10003, 5001) / sum_{i<3} C(10004, i): at p = 3 the tail's
-# two Robbins bounds lie ~1e-3 nats apart, so at the thresholds floor and
-# floor + 1, one on each side of the exact ratio, the enclosure straddles
-# 0 and exact integers decide
+# the floor of C(10003, 5001) / sum_{i<3} C(10004, i), about 10^3000: the
+# ratio lies within 10^-3000 nats of it and of floor + 1, one on each side,
+# far inside the log's 2^-120, so at those thresholds exact integers decide
 _FLOOR_10004_3 = binomial(10003, 5001) // binomial_tail_sum(10004, 3)
 
 
@@ -465,16 +479,17 @@ _FLOOR_10004_3 = binomial(10003, 5001) // binomial_tail_sum(10004, 3)
 @example((10004, 3, _FLOOR_10004_3))
 @example((10004, 3, _FLOOR_10004_3 + 1))
 def test_count_verdict_matches_exact_integers(args):
-    # wherever the enclosure decides, it agrees with exact integers, and
+    # wherever the integer log decides, it agrees with exact integers, and
     # count_bound's verdict is the exact one either way
     n, p, threshold = args
     want = _exact_passes(n, p, threshold)
-    lo, hi = _gap_ends(n, p, threshold)
-    assert lo <= hi
-    if lo > 0:
+    gap = _log_gap(n, p, threshold)
+    if gap > 3:
         assert want
-    if hi <= 0:
+    if gap < -3:
         assert not want
+    if n == 10004 and p == 3 and threshold - _FLOOR_10004_3 in (0, 1):
+        assert abs(gap) <= 3
     assert count_bound(n, p, threshold).passes == want
 
 
@@ -487,7 +502,7 @@ def _log_route_args(draw):
 @settings(max_examples=25, deadline=None)
 @given(_log_route_args())
 def test_ratio_log_within_stated_error(args):
-    # the printed ratio_log, no longer read by any verdict, is within
+    # ratio_log, which every count verdict reads, is within
     # 2^-100 (n+1)(ln(n+1)+1) of the exact log
     n, p = args
     ratio = count_bound(n, p, 1).ratio_log
@@ -501,33 +516,25 @@ def test_ratio_log_within_stated_error(args):
 def _interval_gap(n, p, threshold):
     """ln C(n-1, n/2-1) - ln sum_{i<p} C(n, i) - ln threshold in mpmath.iv.
 
-    Independent of exactnum: iv.loggamma for the binomials, and for p - 1
-    < n/2 the tail sum as C(n, p-1) times its leading term ratios, summed
-    in intervals until the rest, at most t/(1 - rho) for the current term
-    t and step ratio rho, is below 2^-100 of the sum.
+    Independent of exactnum, at 120 bits: iv.loggamma for the binomial,
+    and for p - 1 < n/2 the tail sum by interval_log_tail_sum, its rest
+    below 2^-100 of the sum.
     """
-    assert 2 * (p - 1) < n
     prec, iv.prec = iv.prec, 120
     try:
-        top = p - 1
-        total, term, i = iv.mpf(1), iv.mpf(1), top
-        while i:
-            rho = iv.mpf(i) / (n - i + 1)
-            rest = term * rho / (1 - rho)
-            if rest.b < total.a * iv.mpf(2) ** -100:
-                total += iv.mpf([0, rest.b])
-                break
-            term *= rho
-            total += term
-            i -= 1
-        return (_interval_log_binomial(n - 1, n // 2 - 1) - _interval_log_binomial(n, top)
-                - iv.log(total) - iv.log(iv.mpf(threshold)))
+        m, k = n - 1, n // 2 - 1
+        return (iv.loggamma(m + 1) - iv.loggamma(k + 1) - iv.loggamma(m - k + 1)
+                - interval_log_tail_sum(n, p) - iv.log(iv.mpf(threshold)))
     finally:
         iv.prec = prec
 
 
-def _interval_log_binomial(m, k):
-    return iv.loggamma(m + 1) - iv.loggamma(k + 1) - iv.loggamma(m - k + 1)
+def _log_gap_in(n, p, threshold, gap):
+    # _log_gap within its 2.5 units of 2^-PRECISION_BITS of the interval
+    with mp.workprec(400):
+        got = as_mpf(_log_gap(n, p, threshold) / (1 << PRECISION_BITS))
+        slack = mp.mpf(2.5) / (1 << PRECISION_BITS)
+        return mp.mpf(gap.a) - slack <= got <= mp.mpf(gap.b) + slack
 
 
 @pytest.mark.parametrize("r, d", [(0.71, 10 ** 15), (0.9, 10 ** 34)])
@@ -538,17 +545,15 @@ def test_count_bound_agrees_with_interval_replay(r, d):
     gap = _interval_gap(ps.n, ps.p, d + 1)
     assert gap.a > 0 or gap.b < 0
     assert lower_bound(ps).passes == (gap.a > 0)
-    if d == 10 ** 15:
-        # both ends of the float enclosure hold the replay
-        lo, hi = _gap_ends(ps.n, ps.p, d + 1)
-        assert lo <= gap.a and gap.b <= hi
+    # the integer log's gap, within 2.5 units of the exact one, meets it
+    assert _log_gap_in(ps.n, ps.p, d + 1, gap)
 
 
 def test_interval_replay_agrees_with_exact_at_d0_steps():
     # the walk's last 26 steps to d0(0.59), n = 11404..11504: the
-    # interval replay, the enclosure and count_bound all agree with exact
-    # integers, and both ends of the enclosure, and the walk's upper end,
-    # hold the replay
+    # interval replay, the integer log and count_bound all agree with
+    # exact integers, the log meets the replay, and the walk's upper
+    # bound holds it
     _, k, a0 = fixed_profile(0.59)
     for n in range(11404, 11505, 4):
         _, p = choose_a(a0, n)
@@ -556,9 +561,9 @@ def test_interval_replay_agrees_with_exact_at_d0_steps():
         want = _exact_passes(n, p, threshold)
         gap = _interval_gap(n, p, threshold)
         assert (gap.a > 0 if want else gap.b < 0), n
-        lo, hi = _gap_ends(n, p, threshold)
-        assert lo <= gap.a and gap.b <= hi, n
-        assert (lo > 0 if want else hi <= 0), n
+        assert _log_gap_in(n, p, threshold, gap), n
+        units = _log_gap(n, p, threshold)
+        assert (units > 3 if want else units < -3), n
         assert gap.b <= _walk_bound(n, p, threshold), n
         assert count_bound(n, p, threshold).passes == want
     assert want  # the last step is d0 itself
@@ -612,9 +617,9 @@ def test_shrinking_check_agrees_with_planner():
 
 
 def test_shrinking_check_count_is_count_bound():
-    # the check builds one fixed-point tail and calls no count_bound, yet
-    # its verdict and log are count_bound(n, p, d + 2)'s: at n = 996, 176,
-    # 996, 5620 count_bound takes the exact route, at n = 31620 the log one
+    # the check calls no count_bound, yet its verdict and log are
+    # count_bound(n, p, d + 2)'s: one _ratio_log for both, with no exact
+    # integers, where count_bound also prints them at n <= 10^4
     for d in (10 ** 6, 10 ** 9, 10 ** 12, 10 ** 15, 10 ** 18):
         rep = shrinking_radius_check(d)
         cb = count_bound(rep.n, rep.p, d + 2)

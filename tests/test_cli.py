@@ -331,11 +331,14 @@ def test_optimal_poly_reports_exact_optimum(capsys):
     assert doc["corner"] == ["6", "1"] and doc["gap"] == 0.0
     assert doc["offset_check"]["a_grid"] == ["1/2", "3/2", "3/1"]
     assert doc["offset_check"]["objectives"][-1] == "5/7"
-    # offsets outside (0, n], an unsorted grid and m < 2 are usage errors
+    # offsets outside (0, n], an unsorted grid, a zero denominator and
+    # m < 2 are usage errors
     for argv in (["--m", "4", "--n", "2", "--a-grid", "1,3"],
                  ["--m", "4", "--n", "2", "--a-grid", "0,1"],
                  ["--m", "4", "--n", "2", "--a-grid", "2,1"],
                  ["--m", "4", "--n", "2", "--a-grid", "x"],
+                 ["--m", "4", "--n", "2", "--a-grid", "1/0"],
+                 ["--m", "4", "--n", "2", "--a-grid", "1/0,2"],
                  ["--m", "1", "--n", "2"]):
         code, out, err = _run(capsys, ["optimal-poly"] + argv)
         assert code == 2 and out == "" and err.startswith("error: ")

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mp
+from mpmath import iv, mp
 
 from borsuk import exactnum
 from borsuk.exactnum import (
+    PRECISION_BITS,
     FixedLog,
-    FixedPointTail,
     _enclose,
     _robbins_terms,
     _tail_lower_terms,
@@ -35,18 +35,36 @@ def log_binomial_tail_lower(n, p):
 
 
 def robbins_bounds(n, k):
-    """Oracle: (lo, hi) around ln C(n, k) from the Robbins terms that the
-    count verdicts sum, each side summed by _enclose on its own."""
+    """Oracle: (lo, hi) around ln C(n, k) from the Robbins terms that
+    find_d0's rejects sum, each side summed by _enclose on its own."""
     k = min(k, n - k)
     return (_enclose(_robbins_terms(n, k, False))[0],
             _enclose(_robbins_terms(n, k, True))[1])
 
 
-def fixed_point_tail_bounds(n, p):
-    """Oracle: (lo, hi) around ln sum_{i<p} C(n, i) from FixedPointTail's
-    terms, each side summed by _enclose on its own."""
-    tail = FixedPointTail(n, p)
-    return _enclose(tail.terms(False))[0], _enclose(tail.terms(True))[1]
+def interval_log_tail_sum(n, p):
+    """Oracle independent of exactnum: ln sum_{i<p} C(n, i) in mpmath.iv at
+    the current iv.prec, for 2(p - 1) < n.
+
+    iv.loggamma for C(n, p - 1), then the term ratios to it summed downward
+    in intervals until the rest, at most t rho/(1 - rho) for the current
+    term t and step ratio rho, is below 2^-(iv.prec - 20) of the sum.
+    """
+    assert 2 * (p - 1) < n
+    top = p - 1
+    total, term, i = iv.mpf(1), iv.mpf(1), top
+    cut = iv.mpf(2) ** (20 - iv.prec)
+    while i:
+        rho = iv.mpf(i) / (n - i + 1)
+        rest = term * rho / (1 - rho)
+        if rest.b < total.a * cut:
+            total += iv.mpf([0, rest.b])
+            break
+        term *= rho
+        total += term
+        i -= 1
+    return (iv.loggamma(n + 1) - iv.loggamma(top + 1) - iv.loggamma(n - top + 1)
+            + iv.log(total))
 
 
 def _pascal_table(rows):
@@ -323,8 +341,6 @@ def test_log_binomial_bounds_edges():
         robbins_bounds(1 << 1000, 5)
     with pytest.raises(ValueError, match="2\\^1000"):
         log_binomial_tail_lower(1 << 1000, 5)
-    with pytest.raises(ValueError, match="2\\^1000"):
-        FixedPointTail(1 << 1000, 5).terms(True)
     assert robbins_bounds(1 << 1000, 0) == (0.0, 0.0)
     assert log_binomial_tail_lower(1 << 1000, 1) == 0.0
 
@@ -396,17 +412,17 @@ def test_log_binomial_tail_lower_below_tail_sum(args):
 
 
 @st.composite
-def _fixed_tail_args(draw):
+def _tail_replay_args(draw):
     # beyond 3000, exact sums are out of reach: p - 1 <= 0.45n keeps the
-    # loop short, and the 120-bit log is the reference
+    # interval replay short
     n = draw(st.integers(0, 10 ** 17))
     if n <= 3000:
         return n, draw(st.integers(1, n + 2))
     return n, draw(st.integers(1, int(0.45 * n)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_fixed_tail_args())
+@settings(max_examples=100, deadline=None)
+@given(_tail_replay_args())
 @example((0, 1))
 @example((3000, 1))
 @example((3000, 3001))  # the whole row, 2^3000
@@ -414,18 +430,27 @@ def _fixed_tail_args(draw):
 @example((2999, 1500))
 @example((11504, 5273))  # count_bound at d0(0.59)
 @example((31622776, 12229487))  # bound --r 0.71 --d 10^15
-def test_fixed_point_tail_bounds_enclose(args):
+@example((10 ** 17, 45 * 10 ** 15))
+def test_log_binomial_tail_sum_within_interval_replay(args):
+    # the count verdicts read this log: it is within 2^-(PRECISION_BITS+1)
+    # of the exact sum's log where that exists, else of an interval replay
+    # at 200 bits, whose width is far below that
     n, p = args
-    lo, hi = fixed_point_tail_bounds(n, p)
-    with mp.workprec(200):
+    got = log_binomial_tail_sum(n, p)
+    error = Fraction(1, 2 << PRECISION_BITS)
+    with mp.workprec(400):
         if n <= 3000:
             want = mp.log(mp.mpf(binomial_tail_sum(n, p)))
-        else:
-            want = log_binomial_tail_sum(n, p)
-        assert lo <= want <= hi
-        k = min(p - 1, n - p + 1)
-        gap = 1 / (48 * k ** 2) if k > 0 else 0
-        assert hi - lo <= 2.0 ** -42 * (abs(want) + n + 400) + gap
+            assert abs(as_mpf(got) - want) <= as_mpf(error)
+            return
+        prec, iv.prec = iv.prec, 200
+        try:
+            want = interval_log_tail_sum(n, p)
+        finally:
+            iv.prec = prec
+        lo, hi = mp.mpf(want.a), mp.mpf(want.b)
+        assert hi - lo < as_mpf(error) / 1000
+        assert lo - as_mpf(error) <= as_mpf(got) <= hi + as_mpf(error)
 
 
 @settings(max_examples=300, deadline=None)
@@ -434,8 +459,9 @@ def test_fixed_point_tail_bounds_enclose(args):
        st.floats(min_value=-750.0, max_value=-(2.0 ** -60)))
 @example(1.0, 0.5, -1e-12)
 def test_libm_within_assumed_error(x, w, y):
-    # the float enclosures take math.log, log1p and expm1 to be within
-    # 2^-50 relative error of the exact value; sample it against mpmath
+    # find_d0's walk rejects, the only float enclosures left, take
+    # math.log, log1p and expm1 to be within 2^-50 relative error of the
+    # exact value; sample it against mpmath
     with mp.workprec(200):
         for got, want in [(math.log(x), mp.log(x)), (math.log1p(-w), mp.log1p(-w)),
                           (math.expm1(y), mp.expm1(y))]:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -45,8 +46,25 @@ def test_solve_k_against_linear_scan():
         return k
 
     grid = [Fraction(num, 256) for num in range(65, 128)]
+    # just above 1/4, where k is large, and a seeded sample of (1/4, 1/2)
+    grid += [Fraction(1, 4) + Fraction(1, 10 ** e) for e in (3, 4, 5)]
+    grid += [Fraction(1, 4) + Fraction(1, 8 * k) for k in (1, 7, 1000)]
+    rng = random.Random(5)
+    for _ in range(300):
+        den = rng.randrange(5, 4000)
+        grid.append(Fraction(rng.randrange(den // 4 + 1, (den + 1) // 2), den))
     for rsq in grid:
-        assert solve_k(rsq) == scan(rsq)
+        assert solve_k(rsq) == scan(rsq), rsq
+    # power_threshold falls strictly in k, so at (2k+1)/(8k) the scan
+    # stops at k + 1 and just above it at k; it runs where it is short
+    for k in (1, 2, 3, 10, 999, 3572, 10 ** 5, 10 ** 6 - 1, 10 ** 6):
+        thr = power_threshold(k)
+        above = thr + Fraction(1, 10 ** 30)
+        assert solve_k(thr) == k + 1 and solve_k(above) == k
+        assert power_threshold(k + 1) < thr < above
+        assert k == 1 or above < power_threshold(k - 1)
+        if k < 4000:
+            assert (scan(thr), scan(above)) == (k + 1, k)
     # boundary values are excluded, the next power takes over
     assert solve_k(Fraction(3, 8)) == 2
     assert solve_k(Fraction(3, 8) + Fraction(1, 10 ** 9)) == 1
@@ -236,6 +254,21 @@ def test_choose_n_brute_oracle():
     assert choose_n(256 ** 2 + 1, 1) == 256
     with pytest.raises(ValueError, match="no admissible n"):
         choose_n(16, 1)
+    assert choose_n(17, 1) == 4
+
+
+def test_choose_n_refusal_names_the_bound_as_a_power():
+    # at k >= 3572, 4^(2k) has more than the 4300 digits Python converts
+    # to str by default; the message names the power instead
+    for k in (3572, 125000):
+        for d in (10, 10 ** 4000):
+            with pytest.raises(ValueError) as exc:
+                choose_n(d, k)
+            assert str(exc.value).endswith("requires d > 4^%d" % (2 * k))
+    assert choose_n(4 ** (2 * 3572) + 1, 3572) == 4
+    for d in (0, -5, -100):
+        with pytest.raises(ValueError, match="no admissible n"):
+            choose_n(d, 1)
 
 
 def test_choose_a_prime_scan():

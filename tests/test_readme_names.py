@@ -77,7 +77,7 @@ def _readme_names():
 
 def test_readme_names_resolve():
     names = _readme_names()
-    assert {"FixedPointTail", "find_d0", "borsuk.exactnum"} <= names
+    assert {"log_binomial_tail_sum", "find_d0", "borsuk.exactnum"} <= names
     assert sorted(names - _ALLOWED - _defined()) == []
 
 
