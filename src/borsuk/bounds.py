@@ -7,12 +7,12 @@ then gives
     parts needed >= |Sigma| / sum_{i<p} C(n, i).
 
 The construction succeeds at dimension d once that ratio beats d+1 (d+2
-in the shrinking-radius regime).  This module takes the ratio's log from
-plain integers, within 2^-120, and every count verdict reads it
-(_ratio_passes), with exact integers only where it is too close to call;
-it locates the first dimension where the ratio wins, with float64 rejects
-(_gap_bound) on the way, extracts the growth base, and closes
-params.shrinking_chain with the count ratio.
+in the shrinking-radius regime).  Every count verdict is _verdict's, from
+the ratio's log in plain integers (within 2^-120) or exact integers where
+that is too close to call.  find_d0 walks to the first dimension where the
+ratio wins, rejecting steps by float64 upper bounds (_gap_bound and its
+terms, the only code that rests on the C library's logs); the module also
+extracts the growth base and closes params.shrinking_chain.
 """
 
 from __future__ import annotations
@@ -21,15 +21,12 @@ import decimal
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exactnum import (
     PRECISION_BITS,
     FixedLog,
-    _enclose,
     _ln,
-    _robbins_terms,
-    _tail_lower_terms,
     binomial,
     binomial_tail_sum,
     log_binomial,
@@ -60,8 +57,7 @@ class CountBound:
     numerator/denominator are exact integers, printed when n is small
     enough to expand them (n <= 10^4); ratio_log, the ratio's log as a
     FixedLog within 2^-PRECISION_BITS of it, is always there.  passes is
-    the exact comparison of the ratio against threshold = d+1, read from
-    ratio_log (_ratio_passes).
+    the exact comparison of the ratio against threshold = d+1 (_verdict).
     """
 
     numerator: Optional[int]
@@ -74,8 +70,8 @@ class CountBound:
 def count_bound(n: int, p: int, threshold: int) -> CountBound:
     """The raw pigeonhole ratio |Sigma(n)| / sum_{i<p} C(n,i) vs threshold.
 
-    _ratio_passes decides passes from ratio_log at every n; the exact
-    integers at desk scale are printed fields only.
+    _verdict decides it at every n; the exact integers at desk scale are
+    printed fields only.
     """
     if n < 4 or n % 4 != 0:
         raise ValueError("n must be a positive multiple of 4")
@@ -83,32 +79,35 @@ def count_bound(n: int, p: int, threshold: int) -> CountBound:
         raise ValueError("p must be positive")
     if threshold < 1:
         raise ValueError("threshold must be at least 1, got %d" % threshold)
-    ratio_log = _ratio_log(n, p)
-    num = den = None
-    if n <= _EXACT_N_CAP:
-        num, den = binomial(n - 1, n // 2 - 1), binomial_tail_sum(n, p)
-    return CountBound(num, den, ratio_log, threshold,
-                      _ratio_passes(n, p, threshold, ratio_log))
+    return _with_integers(_verdict(n, p, threshold), n, p)
 
 
-def _ratio_log(n: int, p: int) -> FixedLog:
-    """ln(C(n-1, n/2-1) / sum_{i<p} C(n, i)) within 2^-PRECISION_BITS:
-    log_binomial's error and log_binomial_tail_sum's add up to less."""
-    return FixedLog(log_binomial(n - 1, n // 2 - 1) - log_binomial_tail_sum(n, p))
+def _verdict(n: int, p: int, threshold: int) -> CountBound:
+    """C(n-1, n/2-1) > threshold * sum_{i<p} C(n, i), and the ratio's log,
+    as a CountBound without the printed integers.
 
-
-def _ratio_passes(n: int, p: int, threshold: int, ratio_log: FixedLog) -> bool:
-    """C(n-1, n/2-1) > threshold * sum_{i<p} C(n, i), ratio_log = _ratio_log(n, p).
-
-    In units of 2^-PRECISION_BITS, ratio_log is within 1 of the ratio's
-    log and _ln(threshold) within 1.5 of ln threshold, so their gap is
-    within 2.5 of the real one: beyond 3 units its sign is the verdict.
-    Exact integers decide inside.
+    ratio_log, log_binomial's ln C(n-1, n/2-1) minus log_binomial_tail_sum's
+    ln S, is within 2^-PRECISION_BITS of the ratio's log, as their errors
+    add up to less.  In units of 2^-PRECISION_BITS it is within 1 of it and
+    _ln(threshold) within 1.5 of ln threshold, so their gap is within 2.5
+    of the real one: beyond 3 units its sign is the verdict.  Exact
+    integers decide inside.
     """
+    ratio_log = FixedLog(log_binomial(n - 1, n // 2 - 1) - log_binomial_tail_sum(n, p))
     gap = ratio_log * (1 << PRECISION_BITS) - _ln(threshold, 1, PRECISION_BITS)
     if abs(gap) > 3:
-        return gap > 0
-    return binomial(n - 1, n // 2 - 1) > binomial_tail_sum(n, p) * threshold
+        passes = gap > 0
+    else:
+        passes = binomial(n - 1, n // 2 - 1) > binomial_tail_sum(n, p) * threshold
+    return CountBound(None, None, ratio_log, threshold, passes)
+
+
+def _with_integers(cb: CountBound, n: int, p: int) -> CountBound:
+    """cb with the exact numerator and denominator it prints at n <= 10^4."""
+    if n > _EXACT_N_CAP:
+        return cb
+    return replace(cb, numerator=binomial(n - 1, n // 2 - 1),
+                   denominator=binomial_tail_sum(n, p))
 
 
 def lower_bound(ps: ParamSet) -> CountBound:
@@ -179,7 +178,7 @@ def growth_exponent(ps: ParamSet) -> float:
     Negative when the bound has not reached 1 yet (tiny d); callers treat
     that as a small-instance artifact, not an error.
     """
-    ratio = lower_bound(ps).ratio_log
+    ratio = _verdict(ps.n, ps.p, ps.d + 1).ratio_log
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         scale = decimal.Decimal(ps.d) ** (decimal.Decimal(1) / (2 * ps.k))
@@ -192,8 +191,8 @@ class D0Result:
 
     previous_d re-checks d0 - 1 directly (when the planner accepts it),
     so minimality is witnessed rather than inferred from the grid walk.
-    bound is lower_bound at d0; previous_passes is _ratio_passes, the same
-    verdict without the integers that only a printed bound needs.
+    bound is the walk's verdict at d0 with count_bound's printed integers,
+    equal to lower_bound(params); previous_passes is _verdict at d0 - 1.
     walk_steps counts the grid points the walk passed, the ones a block
     reject skipped included (each is proven to fail, see find_d0), and
     full_evaluations those that the float rejects could not settle.
@@ -209,19 +208,129 @@ class D0Result:
     full_evaluations: int
 
 
-def _gap_bound(n: int, tail: List[float], threshold: int) -> float:
-    """A proven upper bound on G = ln C(n-1, n/2-1) - ln S - ln(threshold)
-    for a tail sum S, for find_d0's rejects.
+# ln(2 pi)/2, rounded to the nearest float64
+_HALF_LN_2PI = 0.9189385332046727
 
-    tail holds float terms of a bound on ln S from below
-    (_tail_lower_terms).  One _enclose sum of those terms negated, the
-    upper _robbins_terms of ln C(n-1, n/2-1) and -ln(threshold): each is
-    within 2^-48 (|t| + 1) of its exact value (math.log of an int, see
-    _enclose), and the exact values sum to at least G.  Closed form: no
-    loop, no log.
+
+def _enclose(terms: Sequence[float]) -> float:
+    """An upper bound on the exact sum of the reals that terms approximate.
+
+    The float error argument of every enclosure here.  It rests on IEEE
+    754 double arithmetic, where +, -, *, / and Python's int/int true
+    division are correctly rounded (relative error below u = 2^-53), as is
+    an int converted to float (also in int * float), and math.fsum returns
+    the exact sum of its inputs rounded once, and on one assumption about
+    the C library: math.log, math.log1p and math.expm1 are within 2^-50
+    relative error of the exact value, 4 ulps, where common libms document
+    1.  So math.log of an int m is within 2^-49 (ln m + 1): CPython rounds
+    m to float below 2^1024 and adds e ln 2 to the log of its mantissa
+    above (tests/test_exactnum.py samples all of it against mpmath).
+
+    Each term t' must be within 2^-48 * (|t| + 1) of its exact value t.
+    With N terms and X = sum(|t'| + 1), that gives
+    |t| + 1 <= (1 + 2^-47)(|t'| + 1), so the terms are off by at most
+    2^-48 (1 + 2^-47) X in total, and fsum adds at most 2^-53 X: s is
+    within 2^-47 X of the exact sum.  The margin 2^-44 * (fsum(|t'|) + N)
+    is at least 8 * 2^-47 X (1 - 3u) after its own two roundings, and
+    rounding s - margin and s + margin moves them by at most
+    u (X + margin) < 2^-52 X, so s - margin <= sum t <= s + margin.  The
+    lower end is -_enclose of the negated terms, bit for bit, as negation
+    commutes with fsum and each rounding.
     """
-    terms = _robbins_terms(n - 1, n // 2 - 1, True) + [-t for t in tail]
-    return _enclose(terms + [-math.log(threshold)])[1]
+    s = math.fsum(terms)
+    return s + 2.0 ** -44 * (math.fsum(map(abs, terms)) + len(terms))
+
+
+def _robbins_terms(n: int, k: int, upper: bool) -> List[float]:
+    """Float terms of a bound on ln C(n, k), for k <= n/2, n < 2^1000.
+
+    Robbins (Amer. Math. Monthly 62, 1955): for j >= 1,
+    ln j! = (j + 1/2) ln j - j + ln(2 pi)/2 + theta_j with
+    1/(12j + 1) < theta_j < 1/(12j).  With m = n - k and x = k/n the
+    Stirling parts for j = n, k, m combine to
+        -k ln x - m ln(1 - x) - (ln k)/2 - ln(1 - x)/2 - ln(2 pi)/2,
+    whose terms share no cancellation, and theta_n - theta_k - theta_m
+    lies between 1/(12n + 1) - 1/(12k) - 1/(12m) and
+    1/(12n) - 1/(12k + 1) - 1/(12m + 1); upper picks the second.
+    Each term is within 2^-49 of its value in relative error, as
+    _enclose asks: the fractions are one correctly rounded division; x
+    is rounded once (u), and as x <= 1/2, ln x and ln(1 - x) are at least
+    ln 2 and x in size, so that rounding moves ln x by at most 1.01u/ln 2
+    and log1p(-x) by at most 2.02u of itself; add 2^-50 for the libm call,
+    u for k or m rounded to float (exact below 2^53) and u for the product:
+    2^-50 + 4.03u < 2^-49, and log(k) is within 2^-49 (ln k + 1).  k = 0
+    needs no terms.
+    """
+    if not k:
+        return []
+    if n >= 1 << 1000:  # keeps every conversion finite and every ratio normal
+        raise ValueError("float enclosure needs n < 2^1000: n=%d" % n)
+    m = n - k
+    x = k / n
+    ln_rest = math.log1p(-x)
+    e = 1 if upper else 0
+    return [-k * math.log(x), -m * ln_rest, -0.5 * math.log(k), -0.5 * ln_rest,
+            -_HALF_LN_2PI,
+            1 / (12 * n + 1 - e), -1 / (12 * k + e), -1 / (12 * m + e)]
+
+
+def _tail_lower_terms(n: int, p: int) -> List[float]:
+    """Floats whose exact sum is at most ln of S = sum of C(n, i) for i < p.
+
+    With top = min(p-1, n) and m = min(isqrt(n), top), S is at least its
+    m + 1 terms from C(n, top) down.  The step ratio C(n, i-1)/C(n, i) =
+    i/(n-i+1) falls as i falls, so over those terms it is at least
+    rho = a/b, a = top-m+1, b = n-top+m, and S >= C(n, top) * g with
+    g = sum_{j<=m} rho^j.  When rho >= 1, g >= m + 1.  Otherwise, with
+    c = b - a > 0, g = (1 - rho^(m+1))/(1 - rho), so
+        ln g = ln(-expm1((m+1) ln rho)) - ln(1 - rho),
+    where ln rho and ln(1 - rho) = ln(c/b) are taken as log and log1p of
+    whichever of a/b and c/b is at most 1/2.  As in _robbins_terms each
+    is then within 2^-49 of itself, and so is -ln(1 - rho).  The product
+    (m+1) ln rho adds 2u (one for m + 1 rounded to float above 2^53);
+    through q(y) = ln(-expm1(y)), whose relative condition
+    |y| e^y/(1 - e^y) is at most 1 for y < 0, that moves the first term
+    by at most 1.13 * 2^-49, expm1 by 1.01 * 2^-50 and log by 2^-50 of
+    itself: within 2^-48 (|t| + 1), as log(m + 1) is.  These terms follow
+    the lower _robbins_terms of ln C(n, top), so every term, and its
+    negation, meets _enclose's precondition.  top = 0 (S = 1) has none.
+
+    Taking rho at the bottom of the m + 1 terms costs about
+    (rho_top - rho)/(1 - rho) = O(1/sqrt(n)) nats when p - 1 < n/2: 0.21
+    at (572, 223), the count at d0(0.71), 0.04 at (11504, 4000).
+    """
+    if n < 0 or p < 1:
+        raise ValueError("invalid binomial tail: n=%r p=%r" % (n, p))
+    top = min(p - 1, n)
+    m = min(math.isqrt(n), top)
+    if m == 0:
+        return []
+    k = min(top, n - top)
+    terms = _robbins_terms(n, k, False)
+    a, b = top - m + 1, n - top + m
+    c = b - a
+    if c <= 0:
+        terms.append(math.log(m + 1))
+    else:
+        if 2 * a <= b:
+            ln_rho, ln_gap = math.log(a / b), math.log1p(-a / b)
+        else:
+            ln_rho, ln_gap = math.log1p(-c / b), math.log(c / b)
+        terms += [math.log(-math.expm1((m + 1) * ln_rho)), -ln_gap]
+    return terms
+
+
+def _gap_bound(n: int, c: int, threshold: int) -> float:
+    """A proven upper bound on G = ln C(n-1, n/2-1) - ln S - ln(threshold),
+    S = sum_{i<c} C(n, i), for find_d0's rejects.
+
+    One _enclose sum of the upper _robbins_terms of ln C(n-1, n/2-1), the
+    negated _tail_lower_terms of ln S and -ln(threshold): each is within
+    2^-48 (|t| + 1) of its exact value (math.log of an int, see _enclose),
+    and the exact values sum to at least G.  Closed form: no loop.
+    """
+    terms = _robbins_terms(n - 1, n // 2 - 1, True) + [-t for t in _tail_lower_terms(n, c)]
+    return _enclose(terms + [-math.log(threshold)])
 
 
 def _block_gain(a0: Fraction, n: int, j: int) -> int:
@@ -239,9 +348,9 @@ def find_d0(r: float) -> D0Result:
     is therefore the least passing d overall.  The profile (rsq, k, a0)
     depends on r alone, so it is solved once, as plan_fixed solves it.
 
-    Each step first takes M, _gap_bound's upper bound on G(n) =
-    ln C(n-1, n/2-1) - ln S(n, q(n)) - ln(n^(2k) + 2) from
-    _tail_lower_terms, S(n, c) = sum_{i<c} C(n, i), at
+    Each step first takes M = _gap_bound(n, q(n), n^(2k) + 2), an upper
+    bound on G(n) = ln C(n-1, n/2-1) - ln S(n, q(n)) - ln(n^(2k) + 2),
+    S(n, c) = sum_{i<c} C(n, i), at
     q(n) = (least_offset(a0, n) + n)/4, the least prime choose_a could
     return.  Its p is at least q and S(n, c) grows with c, so M <= 0
     proves the step fails at p.  A block reject then skips the next j
@@ -266,14 +375,14 @@ def find_d0(r: float) -> D0Result:
 
     A step that M does not reject runs choose_a's prime scan and the same
     upper bound at the real p, and only the steps that survive both are
-    full evaluations: the validated ParamSet and _ratio_passes on the
-    integer log, _ratio_log.
-    lower_bound runs only at the passing step (d0); the d0 - 1 re-check
-    is _ratio_passes at the planned (n, p) for d0 - 1, whose threshold is
-    d0.  Every reject is a proof that the ratio stays at or below
-    d+1, so no passing step is skipped.  Rejected steps never call
-    choose_a, so its refusal of p >= 2^64 is not checked there;
-    _D0_SCAN_CAP keeps every p far below that.
+    full evaluations: _verdict at the step's (n, p) and d + 1.  The first
+    that passes is d0, and its verdict, with the integers count_bound
+    prints, is the printed bound.  Only there does fixed_params plan and
+    validate the ParamSet, at d0 and at d0 - 1, whose re-check is
+    _verdict at the planned (n, p) against d0.  Every reject is a proof
+    that the ratio stays at or below d+1, so no passing step is skipped.
+    Rejected steps never call choose_a, so its refusal of p >= 2^64 is
+    not checked there; _D0_SCAN_CAP keeps every p far below that.
     """
     rsq, k, a0 = fixed_profile(r)
     n = 8
@@ -283,7 +392,7 @@ def find_d0(r: float) -> D0Result:
         if d > _D0_SCAN_CAP:
             raise CheckFailed("no d0 found below cap %d" % _D0_SCAN_CAP)
         q = (least_offset(a0, n) + n) // 4
-        upper = _gap_bound(n, _tail_lower_terms(n, q), d + 1)
+        upper = _gap_bound(n, q, d + 1)
         if upper <= 0:
             num, den = (-upper).as_integer_ratio()
             budget = num * _LN2_UP[1] // (den * _LN2_UP[0])
@@ -299,26 +408,26 @@ def find_d0(r: float) -> D0Result:
             continue
         steps += 1
         p = choose_a(a0, n)[1]
-        if _gap_bound(n, _tail_lower_terms(n, p), d + 1) <= 0:
+        if _gap_bound(n, p, d + 1) <= 0:
             n += 4
             continue
         evaluations += 1
-        ps = fixed_params(r, rsq, k, a0, d)
-        if not _ratio_passes(n, ps.p, d + 1, _ratio_log(n, ps.p)):
+        bound = _verdict(n, p, d + 1)
+        if not bound.passes:
             n += 4
             continue
         prev_passes = False
         try:
             prev_d = d - 1
             prev = fixed_params(r, rsq, k, a0, d - 1)
-            prev_passes = _ratio_passes(prev.n, prev.p, d, _ratio_log(prev.n, prev.p))
+            prev_passes = _verdict(prev.n, prev.p, d).passes
         except (CheckFailed, ValueError):
             prev_d = None
         return D0Result(
             r=float(r),
             d0=d,
-            params=ps,
-            bound=lower_bound(ps),
+            params=fixed_params(r, rsq, k, a0, d),
+            bound=_with_integers(bound, n, p),
             previous_d=prev_d,
             previous_passes=prev_passes,
             walk_steps=steps,
@@ -331,15 +440,14 @@ def shrinking_radius_check(d: int, c_phi: float = 6.0) -> ShrinkingRadiusReport:
 
     The count ratio is evaluated whenever the chain reached a prime,
     whether or not its other checks passed; its record keeps the ratio's
-    log against ln(d + 2), and the verdict of _ratio_passes, which is
-    count_bound(n, p, d + 2)'s without the integers it would print.
+    log against ln(d + 2), and _verdict's, which is count_bound(n, p, d + 2)
+    without the integers it would print.
     """
     rep = shrinking_chain(d, c_phi)
     if rep.p is None:
         return rep
-    ratio_log = _ratio_log(rep.n, rep.p)
+    cb = _verdict(rep.n, rep.p, d + 2)
     target = _ln(d + 2, 1, PRECISION_BITS) / (1 << PRECISION_BITS)
-    count = CheckRecord("count_ratio", float(ratio_log), target,
-                        _ratio_passes(rep.n, rep.p, d + 2, ratio_log))
-    return replace(rep, checks=rep.checks + (count,), final_ratio_log=ratio_log,
+    count = CheckRecord("count_ratio", float(cb.ratio_log), target, cb.passes)
+    return replace(rep, checks=rep.checks + (count,), final_ratio_log=cb.ratio_log,
                    passes=rep.passes and count.passed)

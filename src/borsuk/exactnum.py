@@ -7,10 +7,10 @@ an exact dyadic fraction within 2^-120 of it: log_binomial and
 log_binomial_tail_sum.  They come from plain integers: a fixed-point ln
 (_ln) and ln j!, exact below a cutoff and from Stirling's series above it
 (_ln_factorial); FixedLog.nstr prints the 25 digits the CLI shows, as
-mpmath's nstr would.  The count verdicts read these logs.  Only the
-rejects of bounds.find_d0's walk take float64: one enclosure with a
-proven margin, _enclose, of float terms, Robbins' bounds on ln C(n, k)
-(_robbins_terms) and a closed-form lower bound on ln S (_tail_lower_terms).
+mpmath's nstr would.  The count verdicts read these logs.  Apart from
+_LOG2_10, which sizes nstr's working bits as mpmath does, nothing here
+takes a float log: the float rejects of bounds.find_d0's walk, the only
+code that rests on the C library's logs, live in bounds beside it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 # every printed log is within 2^-PRECISION_BITS of the real one
 PRECISION_BITS = 120
@@ -320,113 +320,3 @@ def log_binomial_tail_sum(n: int, p: int) -> FixedLog:
     e, w = shift - bits, PRECISION_BITS + 32
     rest = _ln(total << max(e, 0), 1 << max(-e, 0), w)
     return FixedLog(log_binomial(n, top) + Fraction(rest, 1 << w))
-
-
-# ln(2 pi)/2, rounded to the nearest float64
-_HALF_LN_2PI = 0.9189385332046727
-
-def _enclose(terms: Sequence[float]) -> Tuple[float, float]:
-    """(lo, hi) around the exact sum of the reals that terms approximate.
-
-    The float error argument of every enclosure here.  It rests on IEEE
-    754 double arithmetic, where +, -, *, / and Python's int/int true
-    division are correctly rounded (relative error below u = 2^-53), as is
-    an int converted to float (also in int * float), and math.fsum returns
-    the exact sum of its inputs rounded once, and on one assumption about
-    the C library: math.log, math.log1p and math.expm1 are within 2^-50
-    relative error of the exact value, 4 ulps, where common libms document
-    1.  So math.log of an int m is within 2^-49 (ln m + 1): CPython rounds
-    m to float below 2^1024 and adds e ln 2 to the log of its mantissa
-    above (tests/test_exactnum.py samples all of it against mpmath).
-
-    Each term t' must be within 2^-48 * (|t| + 1) of its exact value t.
-    With N terms and X = sum(|t'| + 1), that gives
-    |t| + 1 <= (1 + 2^-47)(|t'| + 1), so the terms are off by at most
-    2^-48 (1 + 2^-47) X in total, and fsum adds at most 2^-53 X: s is
-    within 2^-47 X of the exact sum.  The margin 2^-44 * (fsum(|t'|) + N)
-    is at least 8 * 2^-47 X (1 - 3u) after its own two roundings, and
-    rounding s - margin and s + margin moves them by at most
-    u (X + margin) < 2^-52 X, so lo <= sum t <= hi.
-    """
-    s = math.fsum(terms)
-    margin = 2.0 ** -44 * (math.fsum(map(abs, terms)) + len(terms))
-    return s - margin, s + margin
-
-
-def _robbins_terms(n: int, k: int, upper: bool) -> List[float]:
-    """Float terms of a bound on ln C(n, k), for k <= n/2, n < 2^1000.
-
-    Robbins (Amer. Math. Monthly 62, 1955): for j >= 1,
-    ln j! = (j + 1/2) ln j - j + ln(2 pi)/2 + theta_j with
-    1/(12j + 1) < theta_j < 1/(12j).  With m = n - k and x = k/n the
-    Stirling parts for j = n, k, m combine to
-        -k ln x - m ln(1 - x) - (ln k)/2 - ln(1 - x)/2 - ln(2 pi)/2,
-    whose terms share no cancellation, and theta_n - theta_k - theta_m
-    lies between 1/(12n + 1) - 1/(12k) - 1/(12m) and
-    1/(12n) - 1/(12k + 1) - 1/(12m + 1); upper picks the second.
-    Each term is within 2^-49 of its value in relative error, as
-    _enclose asks: the fractions are one correctly rounded division; x
-    is rounded once (u), and as x <= 1/2, ln x and ln(1 - x) are at least
-    ln 2 and x in size, so that rounding moves ln x by at most 1.01u/ln 2
-    and log1p(-x) by at most 2.02u of itself; add 2^-50 for the libm call,
-    u for k or m rounded to float (exact below 2^53) and u for the product:
-    2^-50 + 4.03u < 2^-49, and log(k) is within 2^-49 (ln k + 1).  k = 0
-    needs no terms.
-    """
-    if not k:
-        return []
-    if n >= 1 << 1000:  # keeps every conversion finite and every ratio normal
-        raise ValueError("float enclosure needs n < 2^1000: n=%d" % n)
-    m = n - k
-    x = k / n
-    ln_rest = math.log1p(-x)
-    e = 1 if upper else 0
-    return [-k * math.log(x), -m * ln_rest, -0.5 * math.log(k), -0.5 * ln_rest,
-            -_HALF_LN_2PI,
-            1 / (12 * n + 1 - e), -1 / (12 * k + e), -1 / (12 * m + e)]
-
-
-def _tail_lower_terms(n: int, p: int) -> List[float]:
-    """Floats whose exact sum is at most ln of S = sum of C(n, i) for i < p.
-
-    With top = min(p-1, n) and m = min(isqrt(n), top), S is at least its
-    m + 1 terms from C(n, top) down.  The step ratio C(n, i-1)/C(n, i) =
-    i/(n-i+1) falls as i falls, so over those terms it is at least
-    rho = a/b, a = top-m+1, b = n-top+m, and S >= C(n, top) * g with
-    g = sum_{j<=m} rho^j.  When rho >= 1, g >= m + 1.  Otherwise, with
-    c = b - a > 0, g = (1 - rho^(m+1))/(1 - rho), so
-        ln g = ln(-expm1((m+1) ln rho)) - ln(1 - rho),
-    where ln rho and ln(1 - rho) = ln(c/b) are taken as log and log1p of
-    whichever of a/b and c/b is at most 1/2.  As in _robbins_terms each
-    is then within 2^-49 of itself, and so is -ln(1 - rho).  The product
-    (m+1) ln rho adds 2u (one for m + 1 rounded to float above 2^53);
-    through q(y) = ln(-expm1(y)), whose relative condition
-    |y| e^y/(1 - e^y) is at most 1 for y < 0, that moves the first term
-    by at most 1.13 * 2^-49, expm1 by 1.01 * 2^-50 and log by 2^-50 of
-    itself: within 2^-48 (|t| + 1), as log(m + 1) is.  These terms follow
-    the lower _robbins_terms of ln C(n, top), so every term, and its
-    negation, meets _enclose's precondition.  top = 0 (S = 1) has none.
-
-    Taking rho at the bottom of the m + 1 terms costs about
-    (rho_top - rho)/(1 - rho) = O(1/sqrt(n)) nats when p - 1 < n/2: 0.21
-    at (572, 223), the count at d0(0.71), 0.04 at (11504, 4000).
-    """
-    if n < 0 or p < 1:
-        raise ValueError("invalid binomial tail: n=%r p=%r" % (n, p))
-    top = min(p - 1, n)
-    m = min(math.isqrt(n), top)
-    if m == 0:
-        return []
-    k = min(top, n - top)
-    terms = _robbins_terms(n, k, False)
-    a, b = top - m + 1, n - top + m
-    c = b - a
-    if c <= 0:
-        terms.append(math.log(m + 1))
-    else:
-        if 2 * a <= b:
-            ln_rho, ln_gap = math.log(a / b), math.log1p(-a / b)
-        else:
-            ln_rho, ln_gap = math.log1p(-c / b), math.log(c / b)
-        terms += [math.log(-math.expm1((m + 1) * ln_rho)), -ln_gap]
-    return terms

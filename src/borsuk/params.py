@@ -358,14 +358,14 @@ class ShrinkingRadiusReport:
     passes: bool
 
 
-# plan_shrinking's message for each failed check, given (lhs, rhs)
+# plan_shrinking's message for each failed check, from the report's integers
 _CHAIN_FAILURES = {
     "power_margin": "(2k+1)/(8k) < r^2 fails",
     "tail_parameter_range": "tail parameter 2 - phi/2 <= 0",
     "compression": "compressed radius check fails",
-    "dimension_window": "no admissible n: d={0:.0f} requires d > {1:.0f}",
-    "prime_scan": "n={0:.0f} needs a prime p = (a+n)/4 >= 2^64",
-    "offset_below_n": "offset a={0:.0f} not below n={1:.0f}",
+    "dimension_window": "no admissible n: d={d} requires d > 4^{e}",
+    "prime_scan": "n={n} needs a prime p = (a+n)/4 >= 2^64",
+    "offset_below_n": "offset a={a} not below n={n}",
     "prime_window": "prime window p <= n/2 - phi*n/20 fails",
 }
 
@@ -430,8 +430,8 @@ def plan_shrinking(d: int, c_phi: float = 6.0) -> ParamSet:
     rep = shrinking_chain(d, c_phi)
     for c in rep.checks:
         if not c.passed:
-            raise CheckFailed("d below threshold d0: "
-                              + _CHAIN_FAILURES[c.name].format(c.lhs, c.rhs))
+            raise CheckFailed("d below threshold d0: " + _CHAIN_FAILURES[c.name].format(
+                d=d, e=2 * rep.k, n=rep.n, a=rep.a))
     r = 0.5 + rep.phi
     ps = ParamSet(r=r, rsq=Fraction(r) ** 2, k=rep.k, a0=rep.a0, n=rep.n, a=rep.a,
                   p=rep.p, d=d, mode="shrinking", phi=rep.phi)

@@ -11,6 +11,7 @@ from test_exactnum import as_mpf, interval_log_tail_sum
 
 from borsuk import bounds, exactnum
 from borsuk.bounds import (
+    _tail_lower_terms,
     asymptotic_base,
     binary_entropy,
     count_bound,
@@ -19,13 +20,7 @@ from borsuk.bounds import (
     lower_bound,
     shrinking_radius_check,
 )
-from borsuk.exactnum import (
-    PRECISION_BITS,
-    FixedLog,
-    _tail_lower_terms,
-    binomial,
-    binomial_tail_sum,
-)
+from borsuk.exactnum import PRECISION_BITS, binomial, binomial_tail_sum
 from borsuk.params import (
     CheckFailed,
     choose_a,
@@ -202,7 +197,8 @@ _D0_TABLE = {
 def test_find_d0_every_table_radius(monkeypatch):
     from borsuk import params
 
-    calls = {"choose_a": 0, "is_prime": 0, "enclose": 0, "binomial_tail_sum": 0}
+    calls = {"choose_a": 0, "is_prime": 0, "enclose": 0, "binomial_tail_sum": 0,
+             "verdict": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -217,6 +213,7 @@ def test_find_d0_every_table_radius(monkeypatch):
     monkeypatch.setattr(bounds, "_enclose", counted("enclose", bounds._enclose))
     monkeypatch.setattr(bounds, "binomial_tail_sum",
                         counted("binomial_tail_sum", bounds.binomial_tail_sum))
+    monkeypatch.setattr(bounds, "_verdict", counted("verdict", bounds._verdict))
     results = {r: find_d0(r) for r in _D0_TABLE}
     for r, res in results.items():
         got = (res.d0, res.params.n, res.walk_steps, res.full_evaluations)
@@ -228,25 +225,32 @@ def test_find_d0_every_table_radius(monkeypatch):
     assert sum(res.walk_steps for res in results.values()) == 5843
     assert sum(res.full_evaluations for res in results.values()) == 15
     # choose_a's prime scan runs only on the steps the least-prime reject
-    # leaves, the full evaluations and the d0 - 1 re-checks; scanning on
-    # every step made 5,865 choose_a and 33,319 is_prime calls
-    assert (calls["choose_a"], calls["is_prime"]) == (97, 520)
+    # leaves and in fixed_params at d0 and d0 - 1; scanning on every step
+    # made 5,865 choose_a and 33,319 is_prime calls
+    assert (calls["choose_a"], calls["is_prime"]) == (89, 502)
     # the block reject skips most steps with no enclosure of their own:
     # 1,366 now, one or two on every step (5,918) without it; the full
     # evaluations take none, they read the integer log
     assert calls["enclose"] <= 1700
+    # one integer log per full evaluation and per d0 - 1 re-check: the
+    # printed bound at d0 is the verdict the walk took there
+    assert calls["verdict"] == 15 + 7
     # exact tail sums only for the printed bound at d0, at the six radii
     # with n <= 10^4: the d0 - 1 re-check prints nothing
     assert calls["binomial_tail_sum"] == 6
-    # the re-check's verdict is lower_bound's, planned independently
     for r, res in results.items():
+        # the printed bound and params are those planned independently at
+        # d0, and the re-check's verdict is lower_bound's at d0 - 1
+        assert res.params == plan_fixed(r, res.d0)
+        assert res.bound == count_bound(res.params.n, res.params.p, res.d0 + 1)
         assert res.previous_passes == lower_bound(plan_fixed(r, res.d0 - 1)).passes
 
 
 def test_find_d0_ln_factorial_calls(monkeypatch):
-    # ln j! is reached only from _ratio_log, six calls each (three per
+    # ln j! is reached only from _verdict, six calls each (three per
     # log_binomial), and the walk's rejects take none: the four full
-    # evaluations, the d0 - 1 re-check and lower_bound at d0 make 36
+    # evaluations and the d0 - 1 re-check make 30, as the printed bound
+    # at d0 is the last evaluation's verdict
     calls = []
     ln_factorial = exactnum._ln_factorial
 
@@ -257,22 +261,17 @@ def test_find_d0_ln_factorial_calls(monkeypatch):
     monkeypatch.setattr(exactnum, "_ln_factorial", counted)
     res = find_d0(0.59)
     assert (res.walk_steps, res.full_evaluations) == (2875, 4)
-    assert len(calls) == 6 * (4 + 1 + 1)
+    assert len(calls) == 6 * (4 + 1)
 
 
 def _exact_passes(n, p, threshold):
     return binomial(n - 1, n // 2 - 1) > binomial_tail_sum(n, p) * threshold
 
 
-def _walk_bound(n, cutoff, threshold):
-    # the upper bound the walk's rejects read, as find_d0 takes it
-    return bounds._gap_bound(n, _tail_lower_terms(n, cutoff), threshold)
-
-
 def _log_gap(n, p, threshold):
-    # the gap _ratio_passes reads, in units of 2^-PRECISION_BITS: within
-    # 2.5 of the exact ln(ratio/threshold), so beyond 3 it decides
-    ratio_log = bounds._ratio_log(n, p)
+    # the gap _verdict reads, in units of 2^-PRECISION_BITS: within 2.5
+    # of the exact ln(ratio/threshold), so beyond 3 it decides
+    ratio_log = bounds._verdict(n, p, threshold).ratio_log
     return ratio_log * (1 << PRECISION_BITS) - bounds._ln(threshold, 1, PRECISION_BITS)
 
 
@@ -287,9 +286,9 @@ def test_walk_reject_sound_in_exact_integers(r):
     for n in range(8, 2001, 4):
         _, p = choose_a(a0, n)
         threshold = n ** (2 * k) + 2
-        if _walk_bound(n, (least_offset(a0, n) + n) // 4, threshold) <= 0:
+        if bounds._gap_bound(n, (least_offset(a0, n) + n) // 4, threshold) <= 0:
             at_q.add(n)
-        if _walk_bound(n, p, threshold) <= 0:
+        if bounds._gap_bound(n, p, threshold) <= 0:
             at_p.add(n)
         if n in at_q or n in at_p:
             assert not _exact_passes(n, p, threshold), n
@@ -398,15 +397,17 @@ def test_count_bound_log_verdict_is_certified(monkeypatch):
     monkeypatch.setattr(bounds, "binomial_tail_sum", exact)
     assert count_bound(n, p, threshold).passes
     # a log within 3 units of ln(threshold) leaves the verdict to exact
-    # integers; one further off decides it either way
-    ln = bounds._ln(threshold, 1, PRECISION_BITS)
-    unit = Fraction(1, 1 << PRECISION_BITS)
+    # integers; one further off decides it either way: _ln(threshold)
+    # moved to the log minus units sets the gap to units
+    ratio_log = count_bound(n, p, threshold).ratio_log * (1 << PRECISION_BITS)
     for units in (-3, 0, 3):
+        monkeypatch.setattr(bounds, "_ln", lambda a, b, bits: ratio_log - units)
         with pytest.raises(LookupError, match="exact integers"):
-            bounds._ratio_passes(n, p, threshold, FixedLog((ln + units) * unit))
-    for units in (Fraction(3) + unit, 4, 10 ** 30):
-        assert bounds._ratio_passes(n, p, threshold, FixedLog((ln + units) * unit))
-        assert not bounds._ratio_passes(n, p, threshold, FixedLog((ln - units) * unit))
+            bounds._verdict(n, p, threshold)
+    for units in (Fraction(3) + Fraction(1, 1 << PRECISION_BITS), 4, 10 ** 30):
+        for sign in (1, -1):
+            monkeypatch.setattr(bounds, "_ln", lambda a, b, bits: ratio_log - sign * units)
+            assert bounds._verdict(n, p, threshold).passes == (sign > 0)
 
 
 def test_no_count_verdict_calls_libm(monkeypatch):
@@ -564,7 +565,7 @@ def test_interval_replay_agrees_with_exact_at_d0_steps():
         assert _log_gap_in(n, p, threshold, gap), n
         units = _log_gap(n, p, threshold)
         assert (units > 3 if want else units < -3), n
-        assert gap.b <= _walk_bound(n, p, threshold), n
+        assert gap.b <= bounds._gap_bound(n, p, threshold), n
         assert count_bound(n, p, threshold).passes == want
     assert want  # the last step is d0 itself
 
@@ -618,7 +619,7 @@ def test_shrinking_check_agrees_with_planner():
 
 def test_shrinking_check_count_is_count_bound():
     # the check calls no count_bound, yet its verdict and log are
-    # count_bound(n, p, d + 2)'s: one _ratio_log for both, with no exact
+    # count_bound(n, p, d + 2)'s: one _verdict for both, with no exact
     # integers, where count_bound also prints them at n <= 10^4
     for d in (10 ** 6, 10 ** 9, 10 ** 12, 10 ** 15, 10 ** 18):
         rep = shrinking_radius_check(d)

@@ -9,12 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import iv, mp
 
 from borsuk import exactnum
+from borsuk.bounds import _enclose, _robbins_terms, _tail_lower_terms
 from borsuk.exactnum import (
     PRECISION_BITS,
     FixedLog,
-    _enclose,
-    _robbins_terms,
-    _tail_lower_terms,
     binomial,
     binomial_tail_sum,
     is_prime,
@@ -28,18 +26,24 @@ def as_mpf(x):
     return mp.mpf(x.numerator) / x.denominator
 
 
+def enclose_lower(terms):
+    """The lower end of _enclose's enclosure: its upper end, negated, of
+    the negated terms."""
+    return -_enclose([-t for t in terms])
+
+
 def log_binomial_tail_lower(n, p):
     """Oracle: the float lower bound on ln sum_{i<p} C(n, i) whose terms
-    bounds.find_d0's reject sums, summed by _enclose on their own."""
-    return _enclose(_tail_lower_terms(n, p))[0]
+    bounds.find_d0's reject sums, summed on their own."""
+    return enclose_lower(_tail_lower_terms(n, p))
 
 
 def robbins_bounds(n, k):
     """Oracle: (lo, hi) around ln C(n, k) from the Robbins terms that
-    find_d0's rejects sum, each side summed by _enclose on its own."""
+    find_d0's rejects sum, each side summed on its own."""
     k = min(k, n - k)
-    return (_enclose(_robbins_terms(n, k, False))[0],
-            _enclose(_robbins_terms(n, k, True))[1])
+    return (enclose_lower(_robbins_terms(n, k, False)),
+            _enclose(_robbins_terms(n, k, True)))
 
 
 def interval_log_tail_sum(n, p):
@@ -409,6 +413,58 @@ def _tail_lower_args(draw):
 def test_log_binomial_tail_lower_below_tail_sum(args):
     n, p = args
     assert log_binomial_tail_lower(n, p) <= log_binomial_tail_sum(n, p)
+
+
+def _robbins_reals(n, k, upper):
+    """The reals that _robbins_terms(n, k, upper) approximates, in mpmath
+    at the current precision."""
+    if not k:
+        return []
+    m, x, e = n - k, mp.mpf(k) / n, 1 if upper else 0
+    return [-k * mp.log(x), -m * mp.log1p(-x), -mp.log(k) / 2, -mp.log1p(-x) / 2,
+            -mp.log(2 * mp.pi) / 2,
+            mp.mpf(1) / (12 * n + 1 - e), -mp.mpf(1) / (12 * k + e),
+            -mp.mpf(1) / (12 * m + e)]
+
+
+def _tail_lower_reals(n, p):
+    """The reals that _tail_lower_terms(n, p) approximates, in mpmath."""
+    top = min(p - 1, n)
+    m = min(math.isqrt(n), top)
+    if m == 0:
+        return []
+    reals = _robbins_reals(n, min(top, n - top), False)
+    a, b = top - m + 1, n - top + m
+    if b <= a:
+        return reals + [mp.log(m + 1)]
+    rho = mp.mpf(a) / b
+    return reals + [mp.log(-mp.expm1((m + 1) * mp.log(rho))), -mp.log1p(-rho)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tail_lower_args())
+@example((0, 1))
+@example((3000, 2))
+@example((3000, 2900))
+@example((573, 286))  # the walk's numerator at d0(0.71)
+@example((11504, 5273))  # the walk's denominator at d0(0.59)
+def test_enclose_one_end_contract(args):
+    # _enclose returns the upper end only; the lower end is its negation
+    # on the negated terms, s - margin bit for bit.  Both ends hold the
+    # reals the Robbins and tail terms approximate (mpmath at 300 bits),
+    # and the floats' own exact sum (Fractions)
+    n, c = args
+    k = min(c, n - c) if c <= n else 0
+    with mp.workprec(300):
+        cases = [(_robbins_terms(n, k, upper), mp.fsum(_robbins_reals(n, k, upper)))
+                 for upper in (False, True)]
+        cases.append((_tail_lower_terms(n, c), mp.fsum(_tail_lower_reals(n, c))))
+    for terms, real in cases:
+        lo, hi = enclose_lower(terms), _enclose(terms)
+        margin = 2.0 ** -44 * (math.fsum(map(abs, terms)) + len(terms))
+        assert lo == math.fsum(terms) - margin
+        assert lo <= real <= hi
+        assert lo <= sum(map(Fraction, terms)) <= hi
 
 
 @st.composite

@@ -459,7 +459,7 @@ def test_shrinking_chain_structural_failure_stops(monkeypatch):
     rep = shrinking_chain(10 ** 12)
     assert rep.checks[-1].name == "dimension_window" and not rep.checks[-1].passed
     assert rep.a0 is not None and rep.n is None and rep.p is None
-    with pytest.raises(CheckFailed, match="no admissible n: d=1000000000000 requires d > 256"):
+    with pytest.raises(CheckFailed, match="no admissible n: d=1000000000000 requires d > 4\\^4$"):
         plan_shrinking(10 ** 12)
 
 

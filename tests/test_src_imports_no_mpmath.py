@@ -1,7 +1,7 @@
 """No module in src/ imports mpmath.
 
 borsuk prints its logs from plain integers (exactnum._ln and
-_ln_factorial) and decides every count from float enclosures or exact
+_ln_factorial) and decides every count from those logs or exact
 integers, so mpmath is a test dependency only: the tests' independent
 oracle.  Loading it cost every command ~37 ms and ~4 MB at start-up.  The
 guard flags `import mpmath`, `import mpmath.x`, `from mpmath import ...`
