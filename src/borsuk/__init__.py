@@ -6,11 +6,11 @@ of the target radius; a dimension count over GF(p) bounds how many
 points fit in any piece of small diameter, and the pigeonhole ratio
 beats d+1 once the ambient dimension is large enough.  Submodules:
 
-    exactnum      exact arithmetic, printed logs and float enclosures
+    exactnum      exact arithmetic, primes and fixed-point logs
     params        parameter solving for fixed and shrinking radii
     construction  point sets, geometry, embeddings and export
     algebra       the GF(p) independence bound and its certificates
-    bounds        lower bounds, first winning dimension, asymptotics
+    bounds        lower bounds, the d0 walk and its float rejects, asymptotics
     upper         simplex partition upper bounds near radius 1/2
     optimality    extremality of the construction's polynomial
     cli           command line front end

@@ -49,9 +49,8 @@ from .construction import ENUMERATION_CAP, sigma_matrix
 # at rank null: a rank there would fail that check.
 _RANK_COLS_CAP = 4000
 
-# float32 and float64 hold every integer of magnitude up to these
+# float32 holds every integer of magnitude up to this
 _EXACT32 = 2 ** 24
-_EXACT64 = 2 ** 53
 
 # rank_mod_p: columns per panel, and rows sampled for a panel's pivots,
 # a few more than a panel can have; narrow panels keep each pivot's
@@ -425,45 +424,33 @@ def independence_verify(members: np.ndarray, p: int, a: int) -> bool:
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in [0, p), for integer-valued float x with |x| <= 2**b - p.
+    """x mod p in [0, p), for integer-valued float32 x, |x| <= 2**24 - p.
 
-    b is the significand width: 24 for float32, 53 for float64.  Exact
-    there: |x / p| < 2**b / p, where the float spacing is below 2/p, so
-    rounding moves x / p by less than 1/p and never past an integer;
-    floor then gives the true quotient, and p times it stays within
-    2**b.  (np.fmod is exact too, but several times slower on large
-    entries.)
+    Exact there: |x / p| < 2**24 / p, where the float spacing is below
+    2/p, so rounding moves x / p by less than 1/p and never past an
+    integer; floor then gives the true quotient, and p times it stays
+    within 2**24 (np.fmod is exact too, but several times slower).
     """
     return x - p * np.floor(x / p)
 
 
 def _gauss_jordan(A: np.ndarray, p: int, width: int) -> Tuple[List[int], List[int]]:
-    """Reduce float A, entries in [0, p), mod p in place on its first
-    width columns.
+    """Reduce float32 A, entries in [0, p), mod p in place on its first
+    width <= _PANEL columns, for a prime p that rank_mod_p accepts.
 
     Each pivot row is made monic and cleared from every other row, so the
     pivot rows end in reduced row-echelon form.  Returns (rows, cols) of
     the pivots in the order found.  Only column j and the pivot row are
-    reduced before pivot j; its rank-1 update then moves every other
-    entry by at most (p-1)**2, and the whole of A is reduced only when
-    that tracked bound would pass 2**b - p, b = 24 for float32 A and 53
-    for float64, and once at the end.  The update skips the columns
-    before j, where the pivot row is exactly 0.
+    reduced before pivot j, and the whole of A once at the end; the update
+    skips the columns before j, where the pivot row is exactly 0.
 
-    Exact in both types: every entry is an integer float of magnitude at
-    most 2**b - p, which _mod reduces exactly; the monic scaling of a
-    reduced row stays below (p-1)**2, within that limit whenever one
-    pivot fits, p - 1 + (p-1)**2 <= 2**b - p.  For a sample of at most
-    _PANEL columns with (p-1)**2 _PANEL + 2p < 2**24, as rank_mod_p
-    gives float32 panels, the bound never reaches the limit, so float32
-    A is reduced only at the end.  Each entry stays congruent to its
-    value in an elimination reduced at every step, and a pivot is chosen
-    from the reduced column, so the pivots and the final, fully reduced
-    array are the ones that elimination gives.
+    Exact: each of the at most _PANEL pivots moves an entry by at most
+    (p-1)**2, so every entry stays an integer of magnitude at most
+    p - 1 + _PANEL (p-1)**2 <= 2**24 - p, which _mod reduces exactly.
+    Each entry stays congruent to its value in an elimination reduced at
+    every step, and a pivot is chosen from the reduced column, so the
+    pivots and the final array are the ones that elimination gives.
     """
-    limit = (_EXACT32 if A.dtype == np.float32 else _EXACT64) - p
-    step = (p - 1) ** 2
-    bound = p - 1  # on |entries| of A
     rows: List[int] = []
     cols: List[int] = []
     free = np.ones(A.shape[0], dtype=bool)
@@ -475,12 +462,8 @@ def _gauss_jordan(A: np.ndarray, p: int, width: int) -> Tuple[List[int], List[in
         i = int(cand[0])
         # a free row is exactly 0 on the columns before j
         A[i, j:] = _mod(_mod(A[i, j:], p) * pow(int(col[i]), -1, p), p)
-        if bound + step > limit:
-            A[...] = _mod(A, p)
-            bound = p - 1
         col[i] = 0
         A[:, j:] -= col[:, None] * A[i, j:]
-        bound += step
         free[i] = False
         rows.append(i)
         cols.append(j)
@@ -492,7 +475,7 @@ def _panel_pivots(P: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray, np.nda
     """Pivots of a reduced panel P: rows whose span is P's row space.
 
     Gauss-Jordan runs on an evenly spaced sample of about _PANEL_SAMPLE
-    rows, in P's dtype, augmented with the identity so that it also
+    rows, in float32, augmented with the identity so that it also
     yields minv, the inverse of the pivot block P[rows][:, cols].  Every
     row of P is then reduced against the sample's pivots; rows left
     nonzero join the sample's pivot rows and the search repeats, each
@@ -500,12 +483,8 @@ def _panel_pivots(P: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray, np.nda
     the sample's pivot rows, so it is never left nonzero, and the two
     sets joined are disjoint.
 
-    Exact: P has entries in [0, p) and at most k <= _PANEL columns, so
-    the residues checked stay below p - 1 + k (p-1)^2, and _gauss_jordan
-    is exact in float32 and float64 alike.  rank_mod_p picks float32
-    only when (p-1)^2 _PANEL + 2p < 2**24, which keeps both that residue
-    and _gauss_jordan's tracked bound within 2**24 - p, and float64 only
-    when one pivot fits within 2**53 - p, which _gauss_jordan needs.
+    Exact: P has entries in [0, p) and at most _PANEL columns, so the
+    residues checked stay below p - 1 + _PANEL (p-1)^2 <= 2**24 - p.
     """
     m, k = P.shape
     sample = np.arange(0, m, max(1, m // _PANEL_SAMPLE))
@@ -526,43 +505,33 @@ def _panel_pivots(P: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray, np.nda
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     """Rank over GF(p) by blocked right-looking elimination.
 
-    Works on a float copy oriented to have at least as many rows as
+    Works on a float32 copy oriented to have at least as many rows as
     columns, _PANEL columns at a time (Dumas, Giorgi, Pernet, ACM TOMS
     2008).  The panel's pivot rows are found by a small Gauss-Jordan on
-    a sample of its rows, with the same delayed reduction and in the
-    same float type; their reduced row-echelon form then clears the
+    a sample of its rows; their reduced row-echelon form then clears the
     panel from every other row, and the trailing columns take the same
     step as one matmul, T -= X @ U.  U is formed from the pivot rows
     where they lie; then the rows among the top k that are not pivots
     move into the places of the k pivot rows below them, one copy per
     panel, and the rows left form one block.
 
-    The copy is float32 when a full panel's growth fits in it,
-    (p-1)^2 _PANEL + 2p < 2**24 (p <= 719), and float64 otherwise.
-    Every intermediate is an integer of magnitude at most the limit
-    2**24 - p, or 2**53 - p, so the float type holds it exactly and _mod
-    reduces it exactly: the panel and the pivot rows are reduced mod p
-    before use, and the trailing block only when its tracked bound,
-    grown by k (p-1)^2 per panel of k pivots, would pass the limit.
-    That bound starts at the largest magnitude of A's integer type when
-    it lies within the limit, and the copy takes A's entries as they are
-    (int8 at certify); otherwise at p - 1, and the copy is A mod p, by
-    fmod in A's own type, which holds p as it holds more than the limit.
-    p must be prime with (p-1)^2 + p < 2**53; the largest such prime,
-    94906249, still has p - 1 + (p-1)^2 below 2**53 - p by 3 * 10**9,
-    so one pivot per panel always fits, and in _gauss_jordan one pivot
-    between full reductions (_panel_pivots gives the sample's argument).
+    p must be prime with (p-1)^2 _PANEL + 2p < 2**24 (p <= 719), so that
+    every intermediate is an integer of magnitude at most the limit
+    2**24 - p, which float32 holds and _mod reduces exactly.  The panel
+    and the pivot rows are reduced mod p before use, and the trailing
+    block only when its tracked bound, grown by k (p-1)^2 per panel of k
+    pivots, would pass the limit.  The bound starts at the largest
+    magnitude of A's integer type if that is within the limit (up to 16
+    bits), with A's entries copied as they are, and else at p - 1, with
+    the copy A mod p by fmod in A's own type, which holds p.
     """
     p = operator.index(p)
     if not is_prime(p):
         raise ValueError("p = %d is not prime" % p)
     step = (p - 1) ** 2
-    if step * _PANEL + 2 * p < _EXACT32:
-        dtype, limit = np.float32, _EXACT32 - p
-    elif step + p < _EXACT64:
-        dtype, limit = np.float64, _EXACT64 - p
-    else:
-        raise ValueError("p = %d too large for exact float64 elimination" % p)
+    if step * _PANEL + 2 * p >= _EXACT32:
+        raise ValueError("p = %d too large for exact float32 elimination" % p)
+    limit = _EXACT32 - p
     A = np.asarray(matrix)
     if A.dtype.kind not in "iu":
         A = A.astype(np.int64)
@@ -573,13 +542,12 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     bound = max(-info.min, info.max)  # on |entries| of the trailing block
     if bound > limit:
         A, bound = np.fmod(A, A.dtype.type(p)), p - 1
-    W = np.ascontiguousarray(A, dtype=dtype)
-    width = min(_PANEL, (limit - (p - 1)) // step)
+    W = np.ascontiguousarray(A, dtype=np.float32)
     r = 0
-    for c0 in range(0, n, width):
+    for c0 in range(0, n, _PANEL):
         if r == m:
             break
-        c1 = min(n, c0 + width)
+        c1 = min(n, c0 + _PANEL)
         P = _mod(W[r:, c0:c1], p)
         rows, cols, minv = _panel_pivots(P, p)
         kp = rows.size

@@ -377,10 +377,10 @@ def find_d0(r: float) -> D0Result:
     upper bound at the real p, and only the steps that survive both are
     full evaluations: _verdict at the step's (n, p) and d + 1.  The first
     that passes is d0, and its verdict, with the integers count_bound
-    prints, is the printed bound.  Only there does fixed_params plan and
-    validate the ParamSet, at d0 and at d0 - 1, whose re-check is
-    _verdict at the planned (n, p) against d0.  Every reject is a proof
-    that the ratio stays at or below d+1, so no passing step is skipped.
+    prints, is the printed bound.  Its ParamSet takes the step's own
+    (n, p); fixed_params plans d0 - 1's, whose re-check is _verdict at the
+    planned (n, p) against d0.  Every reject is a proof that the ratio
+    stays at or below d+1, so no passing step is skipped.
     Rejected steps never call choose_a, so its refusal of p >= 2^64 is
     not checked there; _D0_SCAN_CAP keeps every p far below that.
     """
@@ -416,6 +416,8 @@ def find_d0(r: float) -> D0Result:
         if not bound.passes:
             n += 4
             continue
+        params = ParamSet(r=float(r), rsq=rsq, k=k, a0=a0, n=n, a=4 * p - n, p=p, d=d)
+        params.validate()
         prev_passes = False
         try:
             prev_d = d - 1
@@ -426,7 +428,7 @@ def find_d0(r: float) -> D0Result:
         return D0Result(
             r=float(r),
             d0=d,
-            params=fixed_params(r, rsq, k, a0, d),
+            params=params,
             bound=_with_integers(bound, n, p),
             previous_d=prev_d,
             previous_passes=prev_passes,

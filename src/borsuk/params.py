@@ -199,7 +199,6 @@ def choose_n(d: int, k: int) -> int:
     m = _integer_root(d - 1, e)  # largest m with m**e < d
     n = m - m % 4
     assert n ** e < d <= (n + 4) ** e
-    assert (n + 5) ** e >= d  # d**(1/(2k)) - 5 <= n
     return n
 
 

@@ -726,7 +726,8 @@ def _rank_oracle(rows, p):
 
 def _rank_loop(matrix, p):
     # one pivot at a time, in place: the unblocked numpy elimination that
-    # rank_mod_p replaced; int64 holds every intermediate for p < 3 * 10**9
+    # rank_mod_p replaced; int64 holds every intermediate for every p
+    # rank_mod_p accepts, but its copy of uint64 entries past 2**63 wraps
     A = np.array(matrix, dtype=np.int64) % p
     rows, cols = A.shape
     r = 0
@@ -749,10 +750,6 @@ def _rank_loop(matrix, p):
             tail[hit] = (tail[hit] - f * A[r, c:]) % p
         r += 1
     return r
-
-
-# largest prime with (p-1)^2 + p < 2^53, the edge of rank_mod_p's domain
-_P_EDGE = 94906249
 
 
 def test_rank_mod_p_against_oracle():
@@ -779,7 +776,7 @@ def _low_rank(m, n, k, p, seed):
     m=st.integers(0, 24),
     n=st.integers(0, 24),
     k=st.integers(0, 24),
-    p=st.sampled_from([2, 3, 5, 7, 31, 409, _P_EDGE]),
+    p=st.sampled_from([2, 3, 5, 7, 31, 409, 719]),
     seed=st.integers(0, 2 ** 32 - 1),
 )
 @example(m=0, n=7, k=3, p=5, seed=0)  # empty, no rows
@@ -788,7 +785,7 @@ def _low_rank(m, n, k, p, seed):
 @example(m=24, n=5, k=4, p=7, seed=2)  # tall
 @example(m=5, n=24, k=4, p=31, seed=3)  # wide
 @example(m=12, n=12, k=0, p=2, seed=4)  # all zero
-@example(m=20, n=20, k=20, p=_P_EDGE, seed=5)  # full rank at the edge
+@example(m=20, n=20, k=20, p=719, seed=5)  # full rank at the edge
 def test_rank_mod_p_property_low_rank(m, n, k, p, seed):
     M = _low_rank(m, n, k, p, seed)
     got = rank_mod_p(M, p)
@@ -797,7 +794,7 @@ def test_rank_mod_p_property_low_rank(m, n, k, p, seed):
 
 
 def test_rank_mod_p_full_rank_and_negative_entries():
-    for p in (2, 5, 31, _P_EDGE):
+    for p in (2, 5, 31, 719):
         unit = np.triu(np.arange(1, 31 * 31 + 1).reshape(31, 31)) % p
         np.fill_diagonal(unit, 1)
         assert rank_mod_p(unit, p) == 31
@@ -805,18 +802,8 @@ def test_rank_mod_p_full_rank_and_negative_entries():
         assert rank_mod_p(unit[5:9].T, p) == 4
 
 
-def test_rank_mod_p_trailing_reduction():
-    # with p just below 2^24 each pivot adds up to (p-1)^2 ~ 2^48 to the
-    # trailing entries, p^2/4 on average, so 160 pivots carry them past
-    # 2^53 unless the trailing block is reduced mod p on the way
-    p = 16777213
-    assert 160 * (p - 1) ** 2 // 4 > 2 ** 53
-    M = _low_rank(200, 180, 160, p, seed=9)
-    assert rank_mod_p(M, p) == _rank_loop(M, p) == 160
-
-
 def test_rank_mod_p_float32_trailing_reduction():
-    # p = 719, the largest prime rank_mod_p runs in float32, where a
+    # p = 719, the largest prime rank_mod_p accepts, where a
     # panel of 32 pivots adds up to 32 (p-1)^2 ~ 2^24 to the trailing
     # entries: from the second panel on the trailing block must be reduced
     # mod p before every update, and 390 pivots take 13 panels, enough to
@@ -882,8 +869,7 @@ def test_slice_rank_panel_work_pinned(monkeypatch):
 
 def _gauss_jordan_int64(A, p, width):
     # the int64 elimination that _gauss_jordan replaced, every update
-    # reduced at once with %; int64 holds (p-1)**2 + p for every p that
-    # rank_mod_p accepts
+    # reduced at once with %
     rows, cols = [], []
     free = np.ones(A.shape[0], dtype=bool)
     for j in range(width):
@@ -902,53 +888,29 @@ def _gauss_jordan_int64(A, p, width):
     return rows, cols
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    s=st.integers(1, 40),
-    k=st.integers(0, 40),
-    r=st.integers(0, 40),
-    p=st.sampled_from([2, 3, 5, 409, 419, 16777213, _P_EDGE]),
-    seed=st.integers(0, 2 ** 32 - 1),
-)
-@example(s=1, k=0, r=0, p=2, seed=0)  # no columns to reduce
-@example(s=30, k=30, r=0, p=5, seed=1)  # zero panel: no pivot
-@example(s=20, k=20, r=20, p=_P_EDGE, seed=2)  # A is reduced before every update
-# 160 pivots at p just below 2^24: the tracked bound passes 2^53 - p
-# after 32 of them, and the entries themselves after about 128
-@example(s=170, k=180, r=160, p=16777213, seed=3)
-def test_gauss_jordan_matches_int64_oracle(s, k, r, p, seed):
-    _check_gauss_jordan(s, k, r, p, seed, np.float64)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     s=st.integers(1, 72),
-    k=st.integers(0, 72),
+    k=st.integers(0, algebra._PANEL),
     r=st.integers(0, 72),
     p=st.sampled_from([2, 3, 5, 409, 719]),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-# a full panel sample at p = 719, the largest prime rank_mod_p runs in
-# float32: 32 pivots stay within 2^24 - p with no reduction on the way
+@example(s=1, k=0, r=0, p=2, seed=0)  # no columns to reduce
+@example(s=30, k=30, r=0, p=5, seed=1)  # zero panel: no pivot
+# a full panel sample at p = 719, the largest prime rank_mod_p accepts:
+# 32 pivots stay within 2^24 - p with no reduction on the way
 @example(s=40, k=32, r=32, p=719, seed=4)
-# each pivot moves the other rows down by about p^2/4 ~ 2^17, so 160
-# pivots carry them past -2^24 unless A is reduced on the way; the
-# tracked bound passes 2^24 - p after 32 of them
-@example(s=170, k=180, r=160, p=719, seed=5)
 def test_gauss_jordan_float32_matches_int64_oracle(s, k, r, p, seed):
-    _check_gauss_jordan(s, k, r, p, seed, np.float32)
-
-
-def _check_gauss_jordan(s, k, r, p, seed, dtype):
     # a panel sample as _panel_pivots lays it out: rows of a rank-r
     # panel, then the identity that becomes the pivot block's inverse
     A = np.zeros((s, k + s), dtype=np.int64)
     A[:, :k] = _low_rank(s, k, r, p, seed)
     A[:, k:] = np.eye(s, dtype=np.int64)
-    B = A.astype(dtype)
+    B = A.astype(np.float32)
     want = _gauss_jordan_int64(A, p, k)
     assert algebra._gauss_jordan(B, p, k) == want
-    assert B.dtype == dtype and np.array_equal(B, A)
+    assert B.dtype == np.float32 and np.array_equal(B, A)
 
 
 def test_rank_mod_p_rejects_non_prime():
@@ -958,17 +920,20 @@ def test_rank_mod_p_rejects_non_prime():
 
 
 def test_rank_mod_p_rejects_inexact_prime():
-    assert rank_mod_p(np.array([[2, 1], [1, 3]]), _P_EDGE) == 2
-    with pytest.raises(ValueError, match="too large"):
-        rank_mod_p(np.array([[2]]), 94906297)  # next prime past the edge
+    # 719 is the largest prime whose full panel stays exact in float32,
+    # (p-1)^2 _PANEL + 2p < 2^24; 727 is the next prime
+    assert rank_mod_p(np.array([[2, 1], [1, 3]]), 719) == 2
+    for p in (727, 94906249):
+        with pytest.raises(ValueError, match="too large for exact float32"):
+            rank_mod_p(np.array([[2]]), p)
 
 
 def test_rank_mod_p_int8_signs():
     # int8 matrices read as transposed (Fortran-ordered) views, as
     # _monomial_sign_matrix returns them: +-1 signs, with 40 columns and
-    # 40 rows planted as signed copies of others, and the 0/1 indicators
-    # certify_bound ranks, with plain copies; p = 719 is the largest
-    # prime rank_mod_p runs in float32, and 727 the next one
+    # 40 rows planted as signed copies of others, and 0/1 indicators, as
+    # free_sign_matrix and slice_rank's columns hold, with plain copies;
+    # p = 719 is the largest prime rank_mod_p accepts, and 727 the next one
     rng = np.random.default_rng(7)
     for values, flips in (([-1, 1], [-1, 1]), ([0, 1], [1])):
         MT = rng.choice(np.array(values, dtype=np.int8), size=(200, 300))
@@ -984,18 +949,22 @@ def test_rank_mod_p_int8_signs():
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16,
-                                   np.int32, np.uint32, np.int64])
+                                   np.int32, np.uint32, np.int64, np.uint64])
 def test_rank_mod_p_integer_types(dtype):
     # entries across the whole range of each integer type, 20 rows
     # repeated: the working copy takes them as they are where the type
-    # lies within the float type's limit (up to 16 bits in float32, 32 in
-    # float64), and reduces them mod p in their own type otherwise
+    # lies within float32's limit (up to 16 bits), and reduces them mod p
+    # in their own type otherwise; the oracle reads uint64 entries past
+    # 2**63 as Python integers, which _rank_loop's int64 copy would wrap.
+    # The type's largest multiple of p is 0 mod p, past 2**63 for uint64
     info = np.iinfo(dtype)
     M = np.random.default_rng(3).integers(info.min, info.max, size=(60, 50),
                                           dtype=dtype, endpoint=True)
     M[40:] = M[:20]
-    for p in (5, 719, 727, _P_EDGE):
-        assert rank_mod_p(M, p) == _rank_loop(M, p) <= 40
+    for p in (5, 719):
+        assert rank_mod_p(M, p) == _rank_oracle(M.tolist(), p) <= 40
+        top = info.max - info.max % p
+        assert rank_mod_p(np.full((3, 2), top, dtype=dtype), p) == 0
 
 
 def _sigma_sample(n, size, seed):

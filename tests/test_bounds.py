@@ -225,9 +225,10 @@ def test_find_d0_every_table_radius(monkeypatch):
     assert sum(res.walk_steps for res in results.values()) == 5843
     assert sum(res.full_evaluations for res in results.values()) == 15
     # choose_a's prime scan runs only on the steps the least-prime reject
-    # leaves and in fixed_params at d0 and d0 - 1; scanning on every step
-    # made 5,865 choose_a and 33,319 is_prime calls
-    assert (calls["choose_a"], calls["is_prime"]) == (89, 502)
+    # leaves and in fixed_params at d0 - 1; d0's ParamSet reuses the
+    # walk's own p.  Scanning on every step made 5,865 choose_a and 33,319
+    # is_prime calls
+    assert (calls["choose_a"], calls["is_prime"]) == (82, 494)
     # the block reject skips most steps with no enclosure of their own:
     # 1,366 now, one or two on every step (5,918) without it; the full
     # evaluations take none, they read the integer log
