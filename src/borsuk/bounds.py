@@ -37,6 +37,7 @@ from .params import (
     CheckRecord,
     ParamSet,
     ShrinkingRadiusReport,
+    _fixed_power,
     choose_a,
     fixed_params,
     fixed_profile,
@@ -383,7 +384,12 @@ def find_d0(r: float) -> D0Result:
     stays at or below d+1, so no passing step is skipped.
     Rejected steps never call choose_a, so its refusal of p >= 2^64 is
     not checked there; _D0_SCAN_CAP keeps every p far below that.
+    The first candidate is 8**(2k) + 1 = 2**(6k) + 1, past the cap exactly
+    when 6k >= _D0_SCAN_CAP.bit_length() (k >= 14); such a radius is
+    refused before a0 is solved.
     """
+    if 6 * _fixed_power(r)[1] >= _D0_SCAN_CAP.bit_length():
+        raise CheckFailed("no d0 found below cap %d" % _D0_SCAN_CAP)
     rsq, k, a0 = fixed_profile(r)
     n = 8
     steps = evaluations = 0

@@ -387,7 +387,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except CheckFailed as exc:
             sys.stderr.write("check failed: %s\n" % exc)
             return EXIT_CHECK_FAILED
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, OverflowError, RuntimeError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_ERROR
 

@@ -7,8 +7,7 @@ an exact dyadic fraction within 2^-120 of it: log_binomial and
 log_binomial_tail_sum.  They come from plain integers: a fixed-point ln
 (_ln) and ln j!, exact below a cutoff and from Stirling's series above it
 (_ln_factorial); FixedLog.nstr prints the 25 digits the CLI shows, as
-mpmath's nstr would.  The count verdicts read these logs.  Apart from
-_LOG2_10, which sizes nstr's working bits as mpmath does, nothing here
+mpmath's nstr would.  The count verdicts read these logs.  Nothing here
 takes a float log: the float rejects of bounds.find_d0's walk, the only
 code that rests on the C library's logs, live in bounds beside it.
 """
@@ -81,9 +80,11 @@ def is_prime(m: int) -> bool:
 
 
 # printed significant digits; mpmath's to_str works at 3 more, in the
-# binary precision below, with log2(10) computed as it computes it
+# binary precision below, with log2(10) the float math.log(10, 2) gives
+# (the literal mpmath's dps_to_prec also writes), fixed here so that the
+# printed digits do not rest on the C library's log
 _DIGITS = 25
-_LOG2_10 = math.log(10, 2)
+_LOG2_10 = 3.3219280948873626
 _NSTR_BITS = int((_DIGITS + 3) * _LOG2_10) + 10
 # steps of _ln's table: its atanh argument ends below 2^-_STEPS
 _STEPS = 8

@@ -70,44 +70,16 @@ def compressed_radius_sq(a0, k: int):
     return (1 + 2 * k * s) / (2 + 4 * k * s + (4 * k - 2) * s * t)
 
 
-def _radius_sq_pair(m: int, e: int, k: int, s: Optional[int] = None,
-                    shift: int = 0) -> Tuple[int, int]:
+def _radius_sq_pair(m: int, e: int, k: int) -> Tuple[int, int]:
     """compressed_radius_sq at a0 = 2m / 2**e as an unreduced (num, den) pair.
 
     With t = a0/2 = m / 2**e, both sides of the profile are multiplied
-    by 2**(2ke), which leaves plain integers.  Given s * 2**shift in place
-    of the power m**(2k-1), both sides are divided by 2**shift as well.
-    The profile falls as that power grows (its derivative in
-    T = t**(2k-1) is -(4k-2) t over the squared denominator), so a power
-    from below gives a pair above the profile, and one from above a pair
-    below it.
+    by 2**(2ke), which leaves plain integers of about 2ke bits.
     """
-    if s is None:
-        s = m ** (2 * k - 1)
-    one = 1 << (2 * k * e - shift)
+    s = m ** (2 * k - 1)
+    one = 1 << (2 * k * e)
     return (one + (2 * k * s << e),
             2 * one + (4 * k * s << e) + (4 * k - 2) * s * m)
-
-
-def _power_bound(m: int, j: int, bits: int, up: bool) -> Tuple[int, int]:
-    """(v, shift) with v * 2**shift at most m**j, or at least it if up.
-
-    Binary powering that keeps the top bits of each partial power,
-    rounded toward the bound's side; squaring, multiplying by m and
-    rounding are all monotone on nonnegative integers, so the bound holds.
-    A rounding moves it by a relative 2**(1 - bits) at most and later
-    squarings double that, so it lies within a relative j * 2**(3 - bits)
-    or so of m**j.
-    """
-    v, shift = 1, 0
-    for bit in bin(j)[2:]:
-        v, shift = v * v, 2 * shift
-        if bit == "1":
-            v *= m
-        drop = v.bit_length() - bits
-        if drop > 0:
-            v, shift = (-(-v >> drop) if up else v >> drop), shift + drop
-    return v, shift
 
 
 def solve_a0(rsq: Number, k: int) -> Fraction:
@@ -116,61 +88,30 @@ def solve_a0(rsq: Number, k: int) -> Fraction:
     Bisection on the strictly decreasing profile, exact in plain integers
     at every k: each midpoint is dyadic and the profile there is an
     unreduced (num, den) pair, compared with rsq by cross-multiplication.
+    It stops once both the a0 bracket and the profile bracket are within
+    A0_TOL and returns the upper end, so compressed_radius_sq(a0, k) <= rsq
+    holds exactly.  The pairs grow with k, and so does the cost: ~1 ms
+    up to k = 125, tens of ms at k = 1000 and seconds at k = 10**4
     (Fraction arithmetic gives the same a0, but its gcds cost 0.36 s at
-    k = 1000 and 31 s at k = 10**4.)  It stops once both the a0 bracket
-    and the profile bracket are within A0_TOL and returns the upper end,
-    so compressed_radius_sq(a0, k) <= rsq holds exactly.
-
-    The exact pair at a0 = 2m / 2**e has about 2ke bits (8 * 10**5 at
-    k = 10**4, where its products took ~0.1 s a step).  So a point whose
-    power m**(2k-1) passes 128 bits is first enclosed between the pairs
-    of that power rounded to 128 bits from either side (_power_bound), a
-    few hundred bits each, and each comparison is taken on the side that
-    would decide it: an enclosure that decides it decides it as the
-    exact pair does.  Only an undecided comparison forms the exact
-    pairs, so every step and the returned a0 are those of the exact
-    bisection.
+    k = 1000 and 31 s at k = 10**4).
     """
     rsq = Fraction(rsq)
     if not power_threshold(k) < rsq < Fraction(1, 2):
         raise ValueError("no root in (0, 2): rsq=%s k=%d" % (rsq, k))
     rn, rd = rsq.numerator, rsq.denominator
     tn, td = A0_TOL.as_integer_ratio()
-
-    def enclose(m: int, exact: bool = False) -> Tuple[Tuple[int, int], ...]:
-        # pairs below and above the profile at a0 = 2m / 2**e
-        if exact or m.bit_length() * (2 * k - 1) <= 128:
-            pair = _radius_sq_pair(m, e, k)
-            return pair, pair
-        return tuple(_radius_sq_pair(m, e, k, *_power_bound(m, 2 * k - 1, 128, up))
-                     for up in (True, False))
-
-    def at_most_rsq(pair: Tuple[int, int]) -> bool:
-        return pair[0] * rd <= rn * pair[1]
-
-    def within_tol(upper: Tuple[int, int], lower: Tuple[int, int]) -> bool:
-        (nu, du), (nl, dl) = upper, lower
-        return (nu * dl - nl * du) * td <= tn * du * dl
-
     # a0 lies in [2lo / 2**e, 2(lo+1) / 2**e], profile values u_lo > rsq >= u_hi
     lo, e = 0, 0
-    low, high = enclose(0, True), enclose(1, True)
+    (nl, dl), (nh, dh) = (1, 2), (2 * k + 1, 8 * k)
     for _ in range(400):
-        if 2 * td <= tn << e:
-            if not within_tol(low[1], high[0]) and within_tol(low[0], high[1]):
-                low, high = enclose(lo, True), enclose(lo + 1, True)
-            if within_tol(low[1], high[0]):
-                return Fraction(lo + 1, 1 << (e - 1))
+        if 2 * td <= tn << e and (nl * dh - nh * dl) * td <= tn * dl * dh:
+            return Fraction(lo + 1, 1 << (e - 1))
         lo, e = 2 * lo, e + 1
-        mid = enclose(lo + 1)
-        below = at_most_rsq(mid[1])
-        if not below and mid[0] is not mid[1] and at_most_rsq(mid[0]):
-            mid = enclose(lo + 1, True)
-            below = at_most_rsq(mid[1])
-        if below:
-            high = mid
+        num, den = _radius_sq_pair(lo + 1, e, k)
+        if num * rd <= rn * den:
+            nh, dh = num, den
         else:
-            lo, low = lo + 1, mid
+            lo, nl, dl = lo + 1, num, den
     raise ValueError("bisection failed to converge")
 
 
@@ -282,6 +223,14 @@ class ParamSet:
             raise ValueError("construction relation violated: n - 4p != -a")
 
 
+def _fixed_power(r: float) -> Tuple[Fraction, int]:
+    """(rsq, k) for a fixed radius r, refusing r <= 1/2."""
+    rsq = Fraction(r) ** 2
+    if rsq <= Fraction(1, 4):
+        raise ValueError("radius not above one half: r=%r" % (r,))
+    return rsq, solve_k(rsq)
+
+
 def fixed_profile(r: float) -> Tuple[Fraction, int, Fraction]:
     """(rsq, k, a0) for a fixed radius r; none of it depends on d.
 
@@ -289,10 +238,7 @@ def fixed_profile(r: float) -> Tuple[Fraction, int, Fraction]:
     so the profile root is taken at the canonical interior target 7/16
     (the construction then sits on a great subsphere of the requested one).
     """
-    rsq = Fraction(r) ** 2
-    if rsq <= Fraction(1, 4):
-        raise ValueError("radius not above one half: r=%r" % (r,))
-    k = solve_k(rsq)
+    rsq, k = _fixed_power(r)
     target = rsq if rsq < Fraction(1, 2) else Fraction(7, 16)
     return rsq, k, solve_a0(target, k)
 
@@ -307,7 +253,12 @@ def fixed_params(r: float, rsq: Fraction, k: int, a0: Fraction, d: int) -> Param
 
 
 def plan_fixed(r: float, d: int) -> ParamSet:
-    """Plan parameters for a fixed radius r > 1/2 and dimension d."""
+    """Plan parameters for a fixed radius r > 1/2 and dimension d.
+
+    The radius and then the dimension window are checked before a0 is
+    solved, so a d that admits no n is refused at any k.
+    """
+    choose_n(d, _fixed_power(r)[1])
     return fixed_params(r, *fixed_profile(r), d)
 
 

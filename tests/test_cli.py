@@ -677,6 +677,41 @@ def test_upper_bad_range_exit_2(capsys, argv, message):
     assert err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv", [
+    ["upper", "--d-min", str(10 ** 400), "--d-max", str(10 ** 400)],
+    ["plan", "--shrinking", "--d", "100", "--c-phi", "1e308"],
+    ["bound", "--shrinking", "--d", "100", "--c-phi", "1e308"],
+])
+def test_float_overflow_exit_2(capsys, argv):
+    # a float that overflows is a computational error, not a false check
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_planners_refuse_before_solving_a0(capsys, monkeypatch):
+    # find-d0's cap (k >= 14 from the first grid point) and plan's empty
+    # window are decided without a0; the radius check still comes first
+    from borsuk import params
+
+    def unsolved(rsq, k):
+        raise AssertionError("solve_a0 called at k = %d" % k)
+
+    monkeypatch.setattr(params, "solve_a0", unsolved)
+    for r in ("0.5045", "0.5000000001"):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, ["find-d0", "--r", r])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("check failed: no d0 found below cap")
+    code, out, err = _run(capsys, ["plan", "--r", "0.500001", "--d", "256"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: no admissible n")
+    code, out, err = _run(capsys, ["plan", "--r", "0.4", "--d", "10"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: radius not above one half")
+
+
 def test_plan_past_miller_rabin_range_exit_2(capsys):
     code, out, err = _run(capsys, ["plan", "--r", "0.9", "--d", str(2 ** 132 + 1)])
     assert code == 2 and out == ""

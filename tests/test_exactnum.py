@@ -199,6 +199,11 @@ def _dyadic(x):
     return FixedLog(int(mp.sign(x)) * man * Fraction(2) ** exp)
 
 
+def test_nstr_working_bits_use_libm_log2_10():
+    # the literal is the float mpmath's to_str computes as math.log(10, 2)
+    assert exactnum._LOG2_10 == math.log(10, 2)
+
+
 def test_nstr_matches_mpmath_on_floats():
     # 10,000 log-uniform floats from 1e-30 to 1e40, both signs
     rng = random.Random(20261020)

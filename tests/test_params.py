@@ -147,7 +147,7 @@ def test_solve_a0_matches_fraction_oracle_on_planned_radii():
         assert solve_a0(rsq, k) == _solve_a0_fraction(rsq, k)
 
 
-# solve_a0's answers while it formed the exact pair at every step: the
+# solve_a0's answers, recorded from its exact bisection: the
 # profiles of the find-d0 table radii (rsq, or 7/16 past 1/sqrt(2)) and
 # rsq = 13/50 at large k
 _A0_PINNED = {
@@ -165,64 +165,21 @@ _A0_LARGE_K = {
 }
 
 
-def _count_exact_pairs(monkeypatch):
-    # the exact pairs formed for a power m**(2k-1) past 128 bits, which
-    # the enclosures stand in for
-    calls = []
-    pair = params._radius_sq_pair
-
-    def counted(m, e, k, s=None, shift=0):
-        if s is None and m.bit_length() * (2 * k - 1) > 128:
-            calls.append((m, e))
-        return pair(m, e, k, s, shift)
-
-    monkeypatch.setattr(params, "_radius_sq_pair", counted)
-    return calls
-
-
-def test_solve_a0_pinned(monkeypatch):
-    exact = _count_exact_pairs(monkeypatch)
+def test_solve_a0_pinned():
     for r, a0 in _A0_PINNED.items():
         assert params.fixed_profile(r)[2] == a0
     for k, a0 in _A0_LARGE_K.items():
-        exact.clear()
+        # ~8 * 10**5-bit pairs at k = 10**4, a few seconds of bisection
         assert solve_a0(Fraction(13, 50), k) == a0
-        # ~8 * 10**5-bit pairs at k = 10**4: only the bracket end a0 = 2,
-        # where the search starts, is formed exactly (4.6 s when every
-        # step was)
-        assert exact == [(1, 0)]
 
 
-def test_solve_a0_exact_where_enclosures_tie(monkeypatch):
-    # a dyadic root whose power m**(2k-1) passes 128 bits: the enclosures
-    # straddle rsq there, and only that midpoint takes the exact pair
-    exact = _count_exact_pairs(monkeypatch)
+def test_solve_a0_exact_on_dyadic_roots_and_large_k():
+    # a dyadic root whose power m**(2k-1) is hundreds of bits wide is a
+    # bisection point and comes back exactly
     for root in (Fraction(3, 4), Fraction(13, 8)):
-        exact.clear()
         assert solve_a0(compressed_radius_sq(root, 64), 64) == root
-        (m, e), = exact
-        assert Fraction(2 * m, 2 ** e) == root
-    # power bounds rounded to fewer bits leave more comparisons undecided:
-    # at 8 bits most midpoints at k = 1000 take the exact pair, and at
-    # 44 bits the bracket test at rsq = 0.59**2, k = 100, is undecided on
-    # the enclosures and holds on the exact pairs; the answers stay the same
-    bound = params._power_bound
     rsq = Fraction(0.59) ** 2
-    for bits in (8, 44):
-        monkeypatch.setattr(params, "_power_bound",
-                            lambda m, j, _, up, bits=bits: bound(m, j, bits, up))
-        exact.clear()
-        assert solve_a0(Fraction(13, 50), 1000) == _A0_LARGE_K[1000]
-        assert bits == 44 or len(exact) >= 20
-        assert solve_a0(rsq, 100) == _solve_a0_fraction(rsq, 100)
-
-
-def test_power_bound_encloses():
-    for m, j in [(0, 5), (1, 7), (3, 1), (3, 80), (12345, 333), (2 ** 40 + 7, 1999)]:
-        lo, lo_shift = params._power_bound(m, j, 128, False)
-        hi, hi_shift = params._power_bound(m, j, 128, True)
-        assert lo << lo_shift <= m ** j <= hi << hi_shift
-        assert (hi << hi_shift) - (lo << lo_shift) <= (m ** j >> 100) + 1
+    assert solve_a0(rsq, 100) == _solve_a0_fraction(rsq, 100)
 
 
 def test_solve_a0_large_k_fallback():
