@@ -11,8 +11,10 @@ in the shrinking-radius regime).  Every count verdict is _verdict's, from
 the ratio's log in plain integers (within 2^-120) or exact integers where
 that is too close to call.  find_d0 walks to the first dimension where the
 ratio wins, rejecting steps by float64 upper bounds (_gap_bound and its
-terms, the only code that rests on the C library's logs); the module also
-extracts the growth base and closes params.shrinking_chain.
+terms, the only code that rests on the C library's logs) and skipping the
+steps after a reject by the tail's proven growth rate (_block_rate, in
+exact integers); the module also extracts the growth base and closes
+params.shrinking_chain.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ from .params import (
 
 _EXACT_N_CAP = 10 ** 4
 _D0_SCAN_CAP = 10 ** 24
-# a fraction above ln 2 = 0.693147180559945309...
-_LN2_UP = (6931471805599454, 10 ** 16)
 
 
 @dataclass(frozen=True)
@@ -334,9 +334,91 @@ def _gap_bound(n: int, c: int, threshold: int) -> float:
     return _enclose(terms + [-math.log(threshold)])
 
 
-def _block_gain(a0: Fraction, n: int, j: int) -> int:
-    """4j - (q(n + 4j) - q(n)), q(m) = (least_offset(a0, m) + m)/4."""
-    return 3 * j - (least_offset(a0, n + 4 * j) - least_offset(a0, n)) // 4
+def _tail_ratio_lower(u: int, v: int, w: int) -> Tuple[int, int]:
+    """A lower bound (num, den), at least 1, on g = S(m, c)/C(m, c-1),
+    S(m, c) = sum_{i<c} C(m, i), given u/w = c - 1 and v/w = m - c + 2.
+
+    In this docstring u and v are those two values.  Read from i = c - 1
+    down, g = sum_{l<c} prod_{t<l} (u - t)/(v + t).  With rho = u/v < 1
+    and kappa = 1/u + 1/v, each factor with t < u is
+        rho (1 - t/u)/(1 + t/v) >= rho (1 - t/u)(1 - t/v) >= rho (1 - kappa t),
+    and for kappa (l - 1) <= 1 the product of the 1 - kappa t over t < l
+    is at least 1 - kappa l(l - 1)/2.  Summed over l <= J = floor(1/kappa),
+    which is below u,
+        g >= (1 - rho^(J+1))/(1 - rho) - kappa rho^2/(1 - rho)^3,
+    as the sum of rho^l l(l - 1)/2 over all l is rho^2/(1 - rho)^3; and
+    rho^(J+1) = (1 + y)^-(J+1), y = (v - u)/u, is at most 1/P, P the first
+    four terms of the binomial expansion of (1 + y)^(J+1).  In the integer
+    arguments (u and v times w), with N = J + 1 and W = v - u, Q = u^3 P
+    is u^3 + N W u^2 + C(N, 2) W^2 u + C(N, 3) W^3 and the bound is
+    (v (Q - u^3) W^2 - w u (u + v) Q)/(Q W^3).
+
+    find_d0 takes it at a real corner (m, c): there it bounds g at every
+    integer point (m', c') with m' >= m and c'/m' >= c/m too, as each
+    factor, (x m - 1 - t)/((1 - x) m + 2 + t) at x = c/m, grows with m and
+    with x, and c' - 1 >= u > J.  Without 0 < u < v it gives the l = 0
+    term alone, g >= 1.
+    """
+    if not 0 < u < v:
+        return 1, 1
+    gap, big_n, cube = v - u, u * v // (w * (u + v)) + 1, u ** 3
+    big_q = (cube + big_n * gap * u * u + big_n * (big_n - 1) // 2 * gap * gap * u
+             + big_n * (big_n - 1) * (big_n - 2) // 6 * gap ** 3)
+    num = v * (big_q - cube) * gap * gap - w * u * (u + v) * big_q
+    den = big_q * gap ** 3
+    return (num, den) if num > den else (1, 1)
+
+
+_RATE_BITS = 64  # fixed-point bits of _block_rate's two logs
+
+
+def _block_rate(a0: Fraction, n: int) -> Optional[Tuple[int, int]]:
+    """(beta, gamma), integers in units of 2^-_RATE_BITS with
+    G(n' + 4i) <= G(n') + i beta + gamma for every n' >= n and i >= 1 (G
+    as in find_d0), or None where the facts below do not give it.
+
+    Over one walk step n' -> n' + 4 the tail S(n', q(n')) becomes
+    S(n' + 4, q(n' + 4)) in four unit steps of m, of which
+    q(n' + 4) - q(n') raise c by one and the others keep it: for a0 in
+    (0, 2), ceil(a0 m/2) grows by at most ceil(2 a0) <= 4 as m grows by 4,
+    so least_offset grows by 0 or 4 and q by 1 or 2.  Along them c lies
+    in [q(n'), q(n' + 4)], and q(n') in [p0 n', p0 n' + 1), p0 =
+    a0/8 + 1/4, as least_offset is within 4 above a0 n'/2.
+      - A unit step keeping c multiplies S by S(m+1, c)/S(m, c) =
+        2 - 1/g, g = S(m, c)/C(m, c-1).  It starts at m <= n' + 3, so
+        c/m >= p0 n'/(n' + 3) > p0 n/(n + 4), and m >= n: g is at least
+        g0, _tail_ratio_lower at the corner (n, p0 n^2/(n + 4)), and the
+        factor at least f0 = 2 - 1/g0.
+      - A unit step raising c multiplies it by S(m+1, c+1)/S(m, c) >=
+        (m+1)/c, as C(m+1, i) = (m+1)/i C(m, i-1) for 1 <= i <= c.  There
+        c <= q(n' + 4) - 1 < p0 (n' + 4) and m >= n', so the factor is
+        above f1 = (n + 1)/(p0 (n + 4)).
+    From n' over i walk steps, with f1 >= f0 and Dq = q(n' + 4i) - q(n')
+    above 4i p0 - 1 = i(1 + a0/2) - 1,
+        ln S(n' + 4i, q(n' + 4i)) - ln S(n', q(n'))
+            >= 4i ln f0 + Dq ln(f1/f0) >= 4i ln f0 + (i(1 + a0/2) - 1) ln(f1/f0),
+    while ln C(n-1, n/2-1) grows by less than 4i ln 2 (C(n+1, n/2) =
+    4(n+1)/(n+2) C(n-1, n/2-1)) and the threshold n^(2k) + 2 grows, so
+    G grows by at most i beta + gamma with
+        beta = 4 ln(2/f0) - (1 + a0/2) ln(f1/f0),  gamma = ln(f1/f0).
+    f0 and f1 are exact fractions and their two logs _ln's at _RATE_BITS,
+    within 1.5 units each: beta is 4(ln(2/f0) + 2) - (1 + a0/2)
+    (ln(f1/f0) - 2) rounded up, gamma is ln(f1/f0) + 2.  None when
+    f1 < f0 or beta <= 0.
+    """
+    an, ad = a0.as_integer_ratio()
+    w = 8 * ad * (n + 4)
+    u = (an + 2 * ad) * n * n - w  # (p0 n^2/(n + 4) - 1) w
+    gn, gd = _tail_ratio_lower(u, (n + 1) * w - u, w)
+    f0n, f0d = 2 * gn - gd, gn
+    f1n, f1d = 8 * ad * (n + 1), (an + 2 * ad) * (n + 4)
+    if f1n * f0d < f0n * f1d:
+        return None
+    ln_ratio = _ln(f1n * f0d, f1d * f0n, _RATE_BITS)
+    beta = 8 * ad * (_ln(2 * f0d, f0n, _RATE_BITS) + 2) - (2 * ad + an) * (ln_ratio - 2)
+    if beta <= 0:
+        return None
+    return -(-beta // (2 * ad)), ln_ratio + 2
 
 
 def find_d0(r: float) -> D0Result:
@@ -355,24 +437,15 @@ def find_d0(r: float) -> D0Result:
     q(n) = (least_offset(a0, n) + n)/4, the least prime choose_a could
     return.  Its p is at least q and S(n, c) grows with c, so M <= 0
     proves the step fails at p.  A block reject then skips the next j
-    steps too, by two exact facts:
-      - C(n+1, n/2)/C(n-1, n/2-1) = 4(n+1)/(n+2) < 4, so ln C(n-1, n/2-1)
-        grows by less than 4j ln 2 from n to n + 4j;
-      - S(m+1, c+1) = S(m, c+1) + S(m, c) >= 2 S(m, c) and
-        S(m+1, c) >= S(m, c), so with Dq = q(n + 4j) - q(n) in [0, 4j],
-        Dq steps of the first kind and 4j - Dq of the second give
-        S(n + 4j, q(n + 4j)) >= 2^Dq S(n, q(n)).
-    The threshold n^(2k) + 2 grows with n, so G(n + 4j) <= G(n) +
-    gain(j) ln 2, gain(j) = 4j - Dq (_block_gain).  For a0 in (0, 2),
-    ceil(a0 m/2) grows by at most ceil(2 a0) <= 4 as m grows by 4, so
-    least_offset grows by 0 or 4 and q by 1 or 2 per step: Dq lies in
-    [j, 2j] and gain(j) in [2j, 3j], strictly increasing in j.  So once
-    M + gain(j) ln 2 <= 0, every step n + 4i with i <= j fails.  The walk
-    decides that in integers, with no further enclosure: budget =
-    floor(-M / _LN2_UP), exact from M's integer ratio and the fraction
-    _LN2_UP > ln 2, and j the largest with gain(j) <= budget, by
-    bisection over [budget/3, budget/2]; then gain(j) ln 2 <=
-    budget * _LN2_UP <= -M, and the walk goes on at n + 4(j + 1).
+    steps too, by the tail's own growth rate: _block_rate proves
+    G(n + 4i) <= M + i beta + gamma for i >= 1 with beta > 0, so once
+    M + j beta + gamma <= 0 every step n + 4i with i <= j fails.  The walk
+    decides that in integers, with no further enclosure: j =
+    floor((-M - gamma)/beta), exact from M's integer ratio, and none when
+    that is negative or _block_rate gives None; it goes on at
+    n + 4(j + 1).  A rate taken at n holds for every later step and
+    tightens as n grows, so the walk retakes it when n has doubled: two
+    _ln calls per octave of n.
 
     A step that M does not reject runs choose_a's prime scan and the same
     upper bound at the real p, and only the steps that survive both are
@@ -393,6 +466,7 @@ def find_d0(r: float) -> D0Result:
     rsq, k, a0 = fixed_profile(r)
     n = 8
     steps = evaluations = 0
+    rate_n, rate = 0, None
     while True:
         d = n ** (2 * k) + 1
         if d > _D0_SCAN_CAP:
@@ -400,17 +474,15 @@ def find_d0(r: float) -> D0Result:
         q = (least_offset(a0, n) + n) // 4
         upper = _gap_bound(n, q, d + 1)
         if upper <= 0:
-            num, den = (-upper).as_integer_ratio()
-            budget = num * _LN2_UP[1] // (den * _LN2_UP[0])
-            lo, hi = budget // 3, budget // 2 + 1  # gain(j) is in [2j, 3j]
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if _block_gain(a0, n, mid) <= budget:
-                    lo = mid
-                else:
-                    hi = mid
-            steps += lo + 1
-            n += 4 * (lo + 1)
+            if n >= 2 * rate_n:
+                rate_n, rate = n, _block_rate(a0, n)
+            j = 0
+            if rate is not None:
+                beta, gamma = rate
+                num, den = (-upper).as_integer_ratio()
+                j = max(0, ((num << _RATE_BITS) - gamma * den) // (den * beta))
+            steps += j + 1
+            n += 4 * (j + 1)
             continue
         steps += 1
         p = choose_a(a0, n)[1]

@@ -326,7 +326,9 @@ def shrinking_chain(d: int, c_phi: float = 6.0) -> ShrinkingRadiusReport:
     Checks, in dependency order: the power threshold sits below r^2
     (k = ceil(1/phi)); a0 = 2 - phi/2 lies in (0, 2); the compressed
     radius at a0 sits below r^2 (exact rational comparison); a dimension
-    window admits n; the prime scan finds a; the offset lands below n;
+    window admits n (recorded as the bit length of d - 1 against 4k: d >
+    4^(2k) exactly when the first is larger, and neither side overflows a
+    float); the prime scan finds a; the offset lands below n;
     the prime lands in [n/2 - phi*n/20].  A structural failure (a0, n or
     the prime missing) ends the chain.  The count ratio is not here.
     """
@@ -356,7 +358,7 @@ def shrinking_chain(d: int, c_phi: float = 6.0) -> ShrinkingRadiusReport:
     try:
         n = choose_n(d, k)
     except ValueError:
-        record("dimension_window", d, 4 ** (2 * k), False)
+        record("dimension_window", (d - 1).bit_length(), 4 * k, False)
         return report(a0)
     try:
         a, p = choose_a(a0, n)

@@ -1,6 +1,7 @@
 """Pigeonhole counting: exact vs log routes, thresholds, asymptotics."""
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -230,9 +231,10 @@ def test_find_d0_every_table_radius(monkeypatch):
     # is_prime calls
     assert (calls["choose_a"], calls["is_prime"]) == (82, 494)
     # the block reject skips most steps with no enclosure of their own:
-    # 1,366 now, one or two on every step (5,918) without it; the full
-    # evaluations take none, they read the integer log
-    assert calls["enclose"] <= 1700
+    # 287 at the tail's own growth rate, 1,366 at the 2^Dq rate, one or two
+    # on every step (5,918) without it; the full evaluations take none,
+    # they read the integer log
+    assert calls["enclose"] <= 300
     # one integer log per full evaluation and per d0 - 1 re-check: the
     # printed bound at d0 is the verdict the walk took there
     assert calls["verdict"] == 15 + 7
@@ -325,46 +327,120 @@ def test_block_reject_sound_in_exact_integers(monkeypatch, r):
         assert not _exact_passes(n, p, n ** (2 * k) + 2), n
 
 
-def test_block_reject_growth_facts():
-    # the two exact facts behind the block reject, gain(j) = 4j -
-    # (q(n+4j) - q(n)) rising by 2 or 3 per step for every table a0, and
-    # the fraction the walk's budget divides by lying above ln 2
+def _tail_ratio_at(m, c):
+    num, den = bounds._tail_ratio_lower(c - 1, m - c + 2, 1)
+    return Fraction(num, den)
+
+
+def test_block_rate_growth_facts():
+    # the exact facts behind _block_rate: C(n+1, n/2)/C(n-1, n/2-1) =
+    # 4(n+1)/(n+2) < 4; q(n) in [p0 n, p0 n + 1), growing by 1 or 2 per
+    # walk step, at every table a0; and at every (m, c) with 2 <= c <= m/2
+    # and m <= 200, against exact tail sums, S(m+1, c) = (2 - 1/g) S(m, c)
+    # with g = S(m, c)/C(m, c-1) at least _tail_ratio_lower's bound, and
+    # S(m+1, c+1) >= ((m+1)/c) S(m, c)
     for n in range(4, 401, 2):
         c, c2 = binomial(n - 1, n // 2 - 1), binomial(n + 1, n // 2)
         assert c2 * (n + 2) == 4 * (n + 1) * c and c2 < 4 * c
-    for m in range(60):
-        for c in range(1, m + 3):
-            s = binomial_tail_sum(m, c)
-            assert binomial_tail_sum(m + 1, c + 1) == binomial_tail_sum(m, c + 1) + s
-            assert binomial_tail_sum(m + 1, c + 1) >= 2 * s
-            assert binomial_tail_sum(m + 1, c) >= s
     for r in _D0_TABLE:
-        _, _, a0 = fixed_profile(r)
+        a0 = fixed_profile(r)[2]
+        p0 = a0 / 8 + Fraction(1, 4)
+        qs = {n: (least_offset(a0, n) + n) // 4 for n in range(8, 2005, 4)}
         for n in range(8, 2001, 4):
-            gains = [bounds._block_gain(a0, n, j) for j in range(41)]
-            assert gains[0] == 0
-            assert {y - x for x, y in zip(gains, gains[1:])} <= {2, 3}, (r, n)
-    num, den = bounds._LN2_UP
-    with mp.workprec(200):
-        assert mp.log(2) < mp.mpf(num) / den < mp.log(2) + 1e-16
+            assert p0 * n <= qs[n] < p0 * n + 1, (r, n)
+            assert qs[n + 4] - qs[n] in (1, 2), (r, n)
+    tail = functools.lru_cache(maxsize=None)(binomial_tail_sum)
+    for m in range(4, 201):
+        for c in range(2, m // 2 + 1):
+            s, g = tail(m, c), Fraction(tail(m, c), binomial(m, c - 1))
+            low = _tail_ratio_at(m, c)
+            assert 1 <= low <= g, (m, c)
+            assert tail(m + 1, c) == (2 - 1 / g) * s
+            assert c * tail(m + 1, c + 1) >= (m + 1) * s
+        # the bound keeps close to g where the walk takes it
+        if m >= 100:
+            c = m * 2 // 5
+            assert _tail_ratio_at(m, c) > Fraction(19, 20) * Fraction(tail(m, c), binomial(m, c - 1))
+    # and at a real corner (n, x n) it bounds g at every later integer
+    # point (m, c) with m >= n and c/m >= x, x = p0 n/(n + 4), the one the
+    # walk takes
+    for r in _D0_TABLE:
+        an, ad = fixed_profile(r)[2].as_integer_ratio()
+        for n in range(8, 101, 4):
+            w = 8 * ad * (n + 4)
+            u = (an + 2 * ad) * n * n - w
+            low = Fraction(*bounds._tail_ratio_lower(u, (n + 1) * w - u, w))
+            x = Fraction(an + 2 * ad, 8 * ad) * n / (n + 4)
+            for m in range(n, n + 13):
+                for c in range(math.ceil(x * m), m // 2 + 1):
+                    assert low <= Fraction(tail(m, c), binomial(m, c - 1)), (r, n, m, c)
+
+
+def _walk_skips(monkeypatch, r):
+    # (n, M, beta, gamma, j) for each block reject find_d0(r) makes: M the
+    # reject at q(n), the rate in force (the last taken at or below n) and
+    # the j steps it skipped, up to the next step the walk encloses
+    _, k, a0 = fixed_profile(r)
+    gaps, rates = {}, {}
+    gap_bound, block_rate = bounds._gap_bound, bounds._block_rate
+
+    def gap_spy(n, c, threshold):
+        upper = gap_bound(n, c, threshold)
+        if c == (least_offset(a0, n) + n) // 4:
+            gaps[n] = upper
+        return upper
+
+    def rate_spy(a0_, n):
+        rates[n] = block_rate(a0_, n)
+        return rates[n]
+
+    monkeypatch.setattr(bounds, "_gap_bound", gap_spy)
+    monkeypatch.setattr(bounds, "_block_rate", rate_spy)
+    res = find_d0(r)
+    seen = sorted(gaps)
+    skips = []
+    for n, after in zip(seen, seen[1:]):
+        if gaps[n] <= 0 and after > n + 4:
+            rate = rates[max(m for m in rates if m <= n)]
+            skips.append((n, gaps[n]) + rate + ((after - n) // 4 - 1,))
+    return res, skips
 
 
 @pytest.mark.parametrize("r", [0.61, 0.69])
-def test_block_reject_bound_in_exact_integers(r):
-    # G(n + 4j) <= G(n) + gain(j) ln 2 itself, at k = 2 and k = 1, with
-    # G(n) = ln C(n-1, n/2-1) - ln S(n, q(n)) - ln(n^(2k) + 2)
-    # cross-multiplied in exact integers
+def test_block_rate_bound_in_exact_integers(monkeypatch, r):
+    # G(n + 4i) <= M + i beta + gamma at every step n + 4i the walk skips,
+    # k = 2 and k = 1, with G(n) = ln C(n-1, n/2-1) - ln S(n, q(n)) -
+    # ln(n^(2k) + 2) from exact integers (S by the Pascal recurrence along
+    # the walk's grid, checked against binomial_tail_sum) and its log at
+    # 200 bits against the walk's exact bound
     _, k, a0 = fixed_profile(r)
+    res, skips = _walk_skips(monkeypatch, r)
+    assert skips and sum(s[-1] for s in skips) > res.walk_steps // 2
 
-    def parts(n):
-        q = (least_offset(a0, n) + n) // 4
-        return binomial(n - 1, n // 2 - 1), binomial_tail_sum(n, q), n ** (2 * k) + 2
+    def q(n):
+        return (least_offset(a0, n) + n) // 4
 
-    for n in range(8, 601, 12):
-        c, s, t = parts(n)
-        for j in (1, 2, 5, 17):
-            c2, s2, t2 = parts(n + 4 * j)
-            assert c2 * s * t <= 2 ** bounds._block_gain(a0, n, j) * c * s2 * t2
+    gap = {}
+    n, s = 8, binomial_tail_sum(8, q(8))
+    while n <= res.params.n:
+        with mp.workprec(200):
+            gap[n] = (mp.log(binomial(n - 1, n // 2 - 1)) - mp.log(s)
+                      - mp.log(n ** (2 * k) + 2))
+        m, c = n, q(n)
+        for _ in range(4):  # raise c first, then keep it
+            if c < q(n + 4):
+                s, c = 2 * s + binomial(m, c), c + 1
+            else:
+                s = 2 * s - binomial(m, c - 1)
+            m += 1
+        n += 4
+        if n % 400 == 0:
+            assert s == binomial_tail_sum(n, q(n)), n
+    unit = mp.mpf(2) ** -bounds._RATE_BITS
+    for n, upper, beta, gamma, j in skips:
+        with mp.workprec(200):
+            for i in range(1, j + 1):
+                assert gap[n + 4 * i] < upper + (i * beta + gamma) * unit, (n, i)
 
 
 def test_find_d0_past_default_cap(monkeypatch):
@@ -380,7 +456,7 @@ def test_find_d0_past_default_cap(monkeypatch):
     assert (res.params.k, res.params.n, res.params.p) == (3, 263752, 128657)
     assert (res.walk_steps, res.full_evaluations) == (65937, 13)
     assert res.bound.passes and not res.previous_passes
-    assert len(calls) <= 7000  # 6,142, against one or two per step
+    assert len(calls) <= 300  # 283; 6,142 at the 2^Dq rate, one or two per step without
 
 
 def test_count_bound_log_verdict_is_certified(monkeypatch):

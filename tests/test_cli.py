@@ -689,6 +689,24 @@ def test_float_overflow_exit_2(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_shrinking_window_past_float_range_exit_1(capsys):
+    # c_phi = 0.001 at d = 100 gives k = 3016, whose window 4^6032 is far
+    # past a float: the chain records it by bit lengths, so plan refuses
+    # with the window message and bound prints its failing report
+    argv = ["--shrinking", "--d", "100", "--c-phi", "0.001"]
+    code, out, err = _run(capsys, ["plan", *argv])
+    assert code == 1 and out == ""
+    assert err == ("check failed: d below threshold d0: no admissible n: d=100 "
+                   "requires d > 4^6032\n")
+    code, out, err = _run(capsys, ["bound", *argv])
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["k"] == "3016" and doc["n"] is None and not doc["passes"]
+    window = doc["checks"][-1]
+    assert window == {"name": "dimension_window", "lhs": 7.0, "rhs": 12064.0,
+                      "passed": False}
+
+
 def test_planners_refuse_before_solving_a0(capsys, monkeypatch):
     # find-d0's cap (k >= 14 from the first grid point) and plan's empty
     # window are decided without a0; the radius check still comes first
