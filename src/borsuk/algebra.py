@@ -60,6 +60,11 @@ _PANEL = 32
 _PANEL_SAMPLE = _PANEL + 8
 _ROW_CHUNK = 1024
 
+# evaluation_matrix packs a row into one word of _WORD_BITS bits and takes
+# the popcounts of _EVAL_CHUNK rows against all at a time
+_WORD_BITS = 64
+_EVAL_CHUNK = 128
+
 # greedy families scan all of Sigma up to this size; past it they are
 # built inside seeded candidate pools of _FAMILY_POOL rows, which keeps
 # each scan short.  A scan settles up to _SCAN_BLOCK live rows per step,
@@ -281,27 +286,37 @@ def _sigma_rank(n: int, p: int, a: int) -> int:
 def evaluation_matrix(members: np.ndarray, p: int, a: int) -> np.ndarray:
     """M[i, j] = reduced polynomial of row i evaluated at row j, mod p.
 
-    Uses the evaluation identity through the Gram matrix, an independent
-    route from the coefficient expansion.  At a dot s the value is
+    Uses the evaluation identity on the pairs' dots, an independent route
+    from the coefficient expansion.  At a dot s the value is
     prod_{i != c} (i - s) mod p, c = excluded_residue(p, a): 0 unless
     s = c mod p, as some factor vanishes, and at s = c the factors run
     over every nonzero residue, so it is (p-1)! = -1 mod p by Wilson's
-    theorem.  The Gram is one float32 product, exact since every entry
-    is an integer of magnitude at most n < 2**24; shifted by n it indexes
-    those values for every dot in [-n, n].  The index and the result take
-    the narrowest unsigned dtypes that hold them (uint16 and uint8 for
-    certify), so no |F|^2 int64 array is formed.
+    theorem.  Each +-1 row packs into one uint64, bit j set where entry j
+    is +1.  Two rows differing in h coordinates have dot n - 2h, and h is
+    the popcount of their words' xor, so one take from the n+1 values at
+    h = 0..n, indexed by the popcounts, gives M.  The xor and popcount
+    run _EVAL_CHUNK rows at a time, so no |F|^2 word array is formed, and
+    M takes the narrowest unsigned dtype that holds p - 1 (uint8 for
+    certify).  Rows that are not +-1 or longer than the word raise
+    ValueError.
     """
-    X = np.asarray(members, dtype=np.float32)
-    n = X.shape[1]
-    if n >= _EXACT32:
-        raise ValueError("vector length %d too large for an exact float32 Gram" % n)
-    dots = np.arange(-n, n + 1)
-    values = np.where(dots % p == excluded_residue(p, a), p - 1, 0).astype(
+    X = np.asarray(members)
+    if X.ndim != 2 or not ((X == 1) | (X == -1)).all():
+        raise ValueError("rows must be +-1 vectors")
+    m, n = X.shape
+    if n > _WORD_BITS:
+        raise ValueError("vector length %d exceeds the %d-bit word" % (n, _WORD_BITS))
+    packed = np.zeros((m, _WORD_BITS // 8), dtype=np.uint8)
+    packed[:, :(n + 7) // 8] = np.packbits(X > 0, axis=1)
+    words = packed.view(np.uint64)[:, 0]
+    differ = np.arange(n + 1)
+    values = np.where((n - 2 * differ) % p == excluded_residue(p, a), p - 1, 0).astype(
         np.min_scalar_type(p - 1))
-    index = np.empty((X.shape[0], X.shape[0]), dtype=np.min_scalar_type(2 * n))
-    np.add(X @ X.T, n, out=index, casting="unsafe")
-    return values[index]
+    M = np.empty((m, m), dtype=values.dtype)
+    for lo in range(0, m, _EVAL_CHUNK):
+        np.take(values, np.bitwise_count(words[lo:lo + _EVAL_CHUNK, None] ^ words),
+                out=M[lo:lo + _EVAL_CHUNK])
+    return M
 
 
 def property_check_exhaustive(n: int, p: int, a: int) -> int:
@@ -415,7 +430,8 @@ def independence_verify(members: np.ndarray, p: int, a: int) -> bool:
     satisfies its own congruence, as n = -a mod p by construction) and
     off-diagonal entries zero (no other pair dot is congruent to -a, so
     in particular no pair attains -a).  Rank then equals the family size.
-    Returns False on any violation rather than raising.
+    Returns False on any violation rather than raising; rows that are not
+    +-1, or longer than evaluation_matrix's word, raise ValueError.
     """
     if members.shape[1] - 4 * p != -a:
         raise ValueError("construction relation violated: n - 4p != -a")

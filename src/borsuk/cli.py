@@ -149,9 +149,10 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise ValueError("--limit must be non-negative, got %d" % args.limit)
     ps = _resolve_params(args)
     geo = construction.geometry(ps)
-    rows = construction.sigma_matrix(ps.n)[: args.limit]
-    # refuse before any output exists, so a failed build writes nothing
+    # refuse before Sigma is built or any output exists, so a failed
+    # build enumerates and writes nothing
     construction.check_dimension(ps)
+    rows = construction.sigma_matrix(ps.n)[: args.limit]
     if args.out:
         with open(args.out, "w") as fh:
             construction.export_points(fh, ps, geo, rows)

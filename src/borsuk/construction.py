@@ -24,15 +24,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import IO
 
 import numpy as np
 
+from .exactnum import binomial
 from .params import ParamSet
 
 ENUMERATION_CAP = 24
 MATERIALIZE_CAP = 10 ** 6
+
+# sigma_matrix scans this many words at a time; Sigma(16)'s 2**15 in one
+_SIGMA_SCAN = 1 << 16
 
 # export_points writes this many coordinates at a time
 _EXPORT_FLOATS = 1 << 16
@@ -41,16 +44,32 @@ _EXPORT_FLOATS = 1 << 16
 def sigma_matrix(n: int) -> np.ndarray:
     """Sigma(n) stacked as an int8 matrix, rows ordered by +1 positions.
 
-    Its size is C(n-1, n/2-1); the one enumeration of Sigma.
+    Its size is C(n-1, n/2-1); the one enumeration of Sigma.  Entries 2..n
+    of a row are the bits of an (n-1)-bit word, entry 2 on the top bit and
+    1 for +1, so the rows are the words of weight n/2 - 1.  Of two such
+    words, the one holding the earlier first differing +1 position has
+    the higher first differing bit: descending words are the
+    lexicographic order of the +1 positions.  The words are scanned from
+    the top down, _SIGMA_SCAN at a time, and unpacked into the rows.
     """
     if n % 4 != 0 or n <= 0:
         raise ValueError("vector length must be a positive multiple of 4")
     if n > ENUMERATION_CAP:
         raise ValueError("enumeration too large: n=%d > %d" % (n, ENUMERATION_CAP))
-    plus = np.array(list(combinations(range(1, n), n // 2 - 1)), dtype=np.intp)
-    X = np.full((plus.shape[0], n), -1, dtype=np.int8)
+    free, weight = n - 1, n // 2 - 1
+    X = np.empty((binomial(free, weight), n), dtype=np.int8)
     X[:, 0] = 1
-    np.put_along_axis(X, plus, 1, axis=1)
+    row = 0
+    for top in range(1 << free, 0, -_SIGMA_SCAN):
+        words = np.arange(max(top - _SIGMA_SCAN, 0), top, dtype=np.uint32)[::-1]
+        words = words[np.bitwise_count(words) == weight]
+        # a big-endian word's four bytes unpack to its 32 bits, top first
+        bits = np.unpackbits(words.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
+        X[row:row + len(words), 1:] = bits[:, 32 - free:]
+        row += len(words)
+    signs = X[:, 1:]
+    signs *= 2
+    signs -= 1
     return X
 
 

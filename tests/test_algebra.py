@@ -359,20 +359,67 @@ _DESK = [(4, 2, 4), (4, 3, 8), (8, 3, 4), (8, 5, 12), (8, 7, 20), (12, 5, 8),
          (12, 7, 16), (12, 11, 32)]
 
 
-@pytest.mark.parametrize("n, p, a", _DESK)
-def test_evaluation_matrix_matches_int64_route(n, p, a):
-    # the narrow float32 Gram and dot-value table against the int64 Gram
-    # reduced mod p and looked up in the residue table, on all of Sigma(n)
-    # and on the greedy family certify builds first
-    X = sigma_matrix(n)
-    fam = greedy_avoiding_family(X, -a)
-    for rows in (X, fam):
-        X64 = rows.astype(np.int64)
-        want = residue_value_table(p, a)[(X64 @ X64.T) % p]
+def _int64_route(rows, p, a):
+    """The residue table looked up at the int64 Gram reduced mod p."""
+    X64 = rows.astype(np.int64)
+    return residue_value_table(p, a)[(X64 @ X64.T) % p]
+
+
+@pytest.mark.parametrize("n, p, a", _DESK + [(16, 5, 4), (20, 7, 8)])
+def test_evaluation_matrix_matches_int64_route(monkeypatch, n, p, a):
+    # the popcount table take against the int64 route on every family
+    # certify checks (20 greedy families of Sigma(16) at (16, 5, 4), 20
+    # of sampled Sigma(20) pools at (20, 7, 8), one for all where no pair
+    # attains -a) and on all of Sigma(n) at n <= 12
+    families = []
+    verify = algebra.independence_verify
+
+    def kept(fam, p, a):
+        families.append(fam)
+        return verify(fam, p, a)
+
+    monkeypatch.setattr(algebra, "independence_verify", kept)
+    certify_bound(n, p, a)
+    assert len(families) in (1, 20)
+    for rows in families + ([sigma_matrix(n)] if n <= 12 else []):
         got = evaluation_matrix(rows, p, a)
         assert got.dtype == np.uint8
-        assert np.array_equal(got, want)
-    assert independence_verify(fam, p, a) == (p != 2)
+        assert np.array_equal(got, _int64_route(rows, p, a))
+    assert [verify(fam, p, a) for fam in families] == [p != 2] * len(families)
+
+
+_EVAL_CHUNK = algebra._EVAL_CHUNK
+
+
+@pytest.mark.parametrize("size", [1, _EVAL_CHUNK - 1, _EVAL_CHUNK, _EVAL_CHUNK + 1,
+                                  2 * _EVAL_CHUNK + 3])
+def test_evaluation_matrix_at_chunk_edges(size):
+    # one row, one short of a chunk of rows, exactly one, one past it and
+    # reaching into a third, drawn from Sigma(16); certify's (5, 4) has
+    # -a = n mod p, and (3, 1) and (7, 3) do not
+    X = sigma_matrix(16)
+    rows = X[np.random.default_rng(size).choice(len(X), size, replace=False)]
+    for p, a in [(5, 4), (3, 1), (7, 3)]:
+        assert np.array_equal(evaluation_matrix(rows, p, a), _int64_route(rows, p, a))
+
+
+def test_evaluation_matrix_refuses_rows_it_cannot_pack():
+    # the word holds 64 signs: length 64 is exact, 68 is refused, and so
+    # is any entry other than +-1
+    rows = np.where(np.random.default_rng(64).random((40, 64)) < 0.5, -1, 1)
+    assert np.array_equal(evaluation_matrix(rows, 17, 5), _int64_route(rows, 17, 5))
+    with pytest.raises(ValueError, match="68 exceeds the 64-bit word"):
+        evaluation_matrix(np.ones((3, 68), dtype=np.int8), 17, 0)
+    X = sigma_matrix(12)[:5]
+    for bad in (0, 2, -3, 0.5):
+        Y = X.astype(np.float64)
+        Y[3, 7] = bad
+        with pytest.raises(ValueError, match="rows must be"):
+            evaluation_matrix(Y, 5, 8)
+        with pytest.raises(ValueError, match="rows must be"):
+            independence_verify(Y, 5, 8)
+    with pytest.raises(ValueError, match="rows must be"):
+        evaluation_matrix(X[0], 5, 8)
 
 
 def test_evaluation_certificate_rejects_forbidden_pair():

@@ -795,6 +795,20 @@ def test_failed_build_writes_nothing(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_build_refuses_dimension_before_sigma(capsys, monkeypatch):
+    # r = 0.9 at d = 590 plans n = 24, whose images need 24**2 + 24 + 1
+    # coordinates: refused before Sigma(24), 1.35 million rows, is built
+    from borsuk import construction
+
+    def no_build(*args):
+        raise AssertionError("Sigma built before the dimension check")
+
+    monkeypatch.setattr(construction, "sigma_matrix", no_build)
+    code, out, err = _run(capsys, ["build", "--r", "0.9", "--d", "590"])
+    assert code == 2 and out == ""
+    assert "ambient dimension insufficient: d=590 < 601" in err
+
+
 def test_build_negative_limit_is_a_usage_error(tmp_path, capsys):
     out_file = tmp_path / "points.txt"
     code, out, err = _run(capsys, ["build", "--r", "0.9", "--d", "256",

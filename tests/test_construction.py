@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,48 @@ def _brute_sigma(n):
 
 def _rows(n):
     return [tuple(row) for row in sigma_matrix(n).tolist()]
+
+
+def combinations_sigma_blocks(n, size):
+    """Sigma(n) in blocks of size rows, in order: the +1 positions past
+    coordinate 1 from itertools.combinations, placed with put_along_axis."""
+    positions = itertools.combinations(range(1, n), n // 2 - 1)
+    while True:
+        plus = np.array(list(itertools.islice(positions, size)), dtype=np.intp)
+        if not len(plus):
+            return
+        X = np.full((plus.shape[0], n), -1, dtype=np.int8)
+        X[:, 0] = 1
+        np.put_along_axis(X, plus, 1, axis=1)
+        yield X
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16, 20, 24])
+def test_sigma_matrix_matches_combinations_oracle(n):
+    # the same int8 bytes in the same order; blocks keep the oracle's
+    # tuples for Sigma(24) to 2**16 at a time
+    X = sigma_matrix(n)
+    assert X.dtype == np.int8 and X.flags.c_contiguous
+    assert X.shape == (binomial(n - 1, n // 2 - 1), n)
+    lo = 0
+    for block in combinations_sigma_blocks(n, 1 << 16):
+        assert X[lo:lo + len(block)].tobytes() == block.tobytes()
+        lo += len(block)
+    assert lo == len(X)
+
+
+def test_sigma_matrix_peak_memory():
+    # tracemalloc sees numpy's buffers: 33.4 MB, the 32.4 MB matrix and
+    # one scan's words; 347 MB through combinations' tuples and indices
+    sigma_matrix(8)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        X = sigma_matrix(24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.nbytes == 32449872
+    assert peak < 41_700_000
 
 
 def test_sign_vectors_against_brute_enumeration():
