@@ -221,11 +221,11 @@ def _enclose(terms: Sequence[float]) -> float:
     division are correctly rounded (relative error below u = 2^-53), as is
     an int converted to float (also in int * float), and math.fsum returns
     the exact sum of its inputs rounded once, and on one assumption about
-    the C library: math.log, math.log1p and math.expm1 are within 2^-50
-    relative error of the exact value, 4 ulps, where common libms document
-    1.  So math.log of an int m is within 2^-49 (ln m + 1): CPython rounds
-    m to float below 2^1024 and adds e ln 2 to the log of its mantissa
-    above (tests/test_exactnum.py samples all of it against mpmath).
+    the C library: math.log and math.log1p are within 2^-50 relative error
+    of the exact value, 4 ulps, where common libms document 1.  So
+    math.log of an int m is within 2^-49 (ln m + 1): CPython rounds m to
+    float below 2^1024 and adds e ln 2 to the log of its mantissa above
+    (tests/test_exactnum.py samples all of it against mpmath).
 
     Each term t' must be within 2^-48 * (|t| + 1) of its exact value t.
     With N terms and X = sum(|t'| + 1), that gives
@@ -278,46 +278,20 @@ def _robbins_terms(n: int, k: int, upper: bool) -> List[float]:
 def _tail_lower_terms(n: int, p: int) -> List[float]:
     """Floats whose exact sum is at most ln of S = sum of C(n, i) for i < p.
 
-    With top = min(p-1, n) and m = min(isqrt(n), top), S is at least its
-    m + 1 terms from C(n, top) down.  The step ratio C(n, i-1)/C(n, i) =
-    i/(n-i+1) falls as i falls, so over those terms it is at least
-    rho = a/b, a = top-m+1, b = n-top+m, and S >= C(n, top) * g with
-    g = sum_{j<=m} rho^j.  When rho >= 1, g >= m + 1.  Otherwise, with
-    c = b - a > 0, g = (1 - rho^(m+1))/(1 - rho), so
-        ln g = ln(-expm1((m+1) ln rho)) - ln(1 - rho),
-    where ln rho and ln(1 - rho) = ln(c/b) are taken as log and log1p of
-    whichever of a/b and c/b is at most 1/2.  As in _robbins_terms each
-    is then within 2^-49 of itself, and so is -ln(1 - rho).  The product
-    (m+1) ln rho adds 2u (one for m + 1 rounded to float above 2^53);
-    through q(y) = ln(-expm1(y)), whose relative condition
-    |y| e^y/(1 - e^y) is at most 1 for y < 0, that moves the first term
-    by at most 1.13 * 2^-49, expm1 by 1.01 * 2^-50 and log by 2^-50 of
-    itself: within 2^-48 (|t| + 1), as log(m + 1) is.  These terms follow
-    the lower _robbins_terms of ln C(n, top), so every term, and its
-    negation, meets _enclose's precondition.  top = 0 (S = 1) has none.
-
-    Taking rho at the bottom of the m + 1 terms costs about
-    (rho_top - rho)/(1 - rho) = O(1/sqrt(n)) nats when p - 1 < n/2: 0.21
-    at (572, 223), the count at d0(0.71), 0.04 at (11504, 4000).
+    With top = min(p-1, n), S = S(n, top + 1) = C(n, top) * g, and
+    _tail_ratio_lower at the integer corner (m, c) = (n, top + 1) proves
+    g >= gn/gd.  So ln S is at least the lower _robbins_terms of
+    ln C(n, top) plus ln gn - ln gd, and as math.log of an int m is within
+    2^-49 (ln m + 1) (see _enclose) every term, and its negation, meets
+    _enclose's precondition.  top = 0 (S = 1) has none.
     """
     if n < 0 or p < 1:
         raise ValueError("invalid binomial tail: n=%r p=%r" % (n, p))
     top = min(p - 1, n)
-    m = min(math.isqrt(n), top)
-    if m == 0:
-        return []
-    k = min(top, n - top)
-    terms = _robbins_terms(n, k, False)
-    a, b = top - m + 1, n - top + m
-    c = b - a
-    if c <= 0:
-        terms.append(math.log(m + 1))
-    else:
-        if 2 * a <= b:
-            ln_rho, ln_gap = math.log(a / b), math.log1p(-a / b)
-        else:
-            ln_rho, ln_gap = math.log1p(-c / b), math.log(c / b)
-        terms += [math.log(-math.expm1((m + 1) * ln_rho)), -ln_gap]
+    terms = _robbins_terms(n, min(top, n - top), False)
+    gn, gd = _tail_ratio_lower(top, n - top + 1, 1)
+    if (gn, gd) != (1, 1):
+        terms += [math.log(gn), -math.log(gd)]
     return terms
 
 
@@ -353,7 +327,9 @@ def _tail_ratio_lower(u: int, v: int, w: int) -> Tuple[int, int]:
     is u^3 + N W u^2 + C(N, 2) W^2 u + C(N, 3) W^3 and the bound is
     (v (Q - u^3) W^2 - w u (u + v) Q)/(Q W^3).
 
-    find_d0 takes it at a real corner (m, c): there it bounds g at every
+    At an integer corner, w = 1 with u = c - 1 and v = m - c + 2, it
+    bounds g at (m, c) itself; _tail_lower_terms takes it there.  find_d0's
+    block reject takes it at a real corner (m, c): there it bounds g at every
     integer point (m', c') with m' >= m and c'/m' >= c/m too, as each
     factor, (x m - 1 - t)/((1 - x) m + 2 + t) at x = c/m, grows with m and
     with x, and c' - 1 >= u > J.  Without 0 < u < v it gives the l = 0

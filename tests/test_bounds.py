@@ -21,7 +21,13 @@ from borsuk.bounds import (
     lower_bound,
     shrinking_radius_check,
 )
-from borsuk.exactnum import PRECISION_BITS, binomial, binomial_tail_sum
+from borsuk.exactnum import (
+    PRECISION_BITS,
+    binomial,
+    binomial_tail_sum,
+    log_binomial,
+    log_binomial_tail_sum,
+)
 from borsuk.params import (
     CheckFailed,
     choose_a,
@@ -183,15 +189,16 @@ def test_find_d0_smaller_radius_needs_more_dimensions():
 
 
 # the seven radii of the d0-table benchmark: r -> (d0, n at d0, walk steps,
-# full evaluations)
+# full evaluations); the full evaluations were (4, 2, 2, 1, 2, 2, 2) while
+# the tail's lower bound was a geometric run of its isqrt(n) + 1 top terms
 _D0_TABLE = {
-    0.59: (17514409198944257, 11504, 2875, 4),
-    0.61: (313547198365697, 4208, 1051, 2),
-    0.63: (30735937, 5544, 1385, 2),
+    0.59: (17514409198944257, 11504, 2875, 1),
+    0.61: (313547198365697, 4208, 1051, 1),
+    0.63: (30735937, 5544, 1385, 1),
     0.65: (1032257, 1016, 253, 1),
-    0.67: (138385, 372, 92, 2),
-    0.69: (33857, 184, 45, 2),
-    0.71: (327185, 572, 142, 2),
+    0.67: (138385, 372, 92, 1),
+    0.69: (33857, 184, 45, 1),
+    0.71: (327185, 572, 142, 1),
 }
 
 
@@ -222,22 +229,24 @@ def test_find_d0_every_table_radius(monkeypatch):
         assert res.bound.passes and not res.previous_passes
         assert res.previous_d == res.d0 - 1
     # the walk's counters are deterministic: a looser reject shows here as
-    # more full evaluations (211 with the old 120-bit point-value reject)
+    # more full evaluations (211 with the old 120-bit point-value reject,
+    # 15 with the geometric tail bound); each radius now evaluates only
+    # the step that passes
     assert sum(res.walk_steps for res in results.values()) == 5843
-    assert sum(res.full_evaluations for res in results.values()) == 15
+    assert sum(res.full_evaluations for res in results.values()) == 7
     # choose_a's prime scan runs only on the steps the least-prime reject
     # leaves and in fixed_params at d0 - 1; d0's ParamSet reuses the
     # walk's own p.  Scanning on every step made 5,865 choose_a and 33,319
-    # is_prime calls
-    assert (calls["choose_a"], calls["is_prime"]) == (82, 494)
+    # is_prime calls, and the geometric tail bound 82 and 494
+    assert (calls["choose_a"], calls["is_prime"]) == (43, 229)
     # the block reject skips most steps with no enclosure of their own:
-    # 287 at the tail's own growth rate, 1,366 at the 2^Dq rate, one or two
-    # on every step (5,918) without it; the full evaluations take none,
-    # they read the integer log
-    assert calls["enclose"] <= 300
+    # 199 at the tail's own growth rate (287 with the geometric tail
+    # bound), 1,366 at the 2^Dq rate, one or two on every step (5,918)
+    # without it; the full evaluations take none, they read the integer log
+    assert calls["enclose"] == 199
     # one integer log per full evaluation and per d0 - 1 re-check: the
     # printed bound at d0 is the verdict the walk took there
-    assert calls["verdict"] == 15 + 7
+    assert calls["verdict"] == 7 + 7
     # exact tail sums only for the printed bound at d0, at the six radii
     # with n <= 10^4: the d0 - 1 re-check prints nothing
     assert calls["binomial_tail_sum"] == 6
@@ -251,9 +260,10 @@ def test_find_d0_every_table_radius(monkeypatch):
 
 def test_find_d0_ln_factorial_calls(monkeypatch):
     # ln j! is reached only from _verdict, six calls each (three per
-    # log_binomial), and the walk's rejects take none: the four full
-    # evaluations and the d0 - 1 re-check make 30, as the printed bound
-    # at d0 is the last evaluation's verdict
+    # log_binomial), and the walk's rejects take none: the one full
+    # evaluation and the d0 - 1 re-check make 12, as the printed bound
+    # at d0 is that evaluation's verdict (30 with the geometric tail
+    # bound's four full evaluations)
     calls = []
     ln_factorial = exactnum._ln_factorial
 
@@ -263,8 +273,8 @@ def test_find_d0_ln_factorial_calls(monkeypatch):
 
     monkeypatch.setattr(exactnum, "_ln_factorial", counted)
     res = find_d0(0.59)
-    assert (res.walk_steps, res.full_evaluations) == (2875, 4)
-    assert len(calls) == 6 * (4 + 1)
+    assert (res.walk_steps, res.full_evaluations) == (2875, 1)
+    assert len(calls) == 6 * (1 + 1)
 
 
 def _exact_passes(n, p, threshold):
@@ -446,7 +456,8 @@ def test_block_rate_bound_in_exact_integers(monkeypatch, r):
 def test_find_d0_past_default_cap(monkeypatch):
     # r = 0.55 needs k = 3 and d0 ~ 3.4e32, above the 10^24 cap (the CLI
     # exits 1 there); with the cap raised the block reject reaches it
-    # with the same steps and full evaluations as the linear walk
+    # with the same steps and full evaluations as the linear walk (13 full
+    # evaluations and 283 enclosures with the geometric tail bound)
     monkeypatch.setattr(bounds, "_D0_SCAN_CAP", 10 ** 40)
     calls = []
     enclose = bounds._enclose
@@ -454,9 +465,36 @@ def test_find_d0_past_default_cap(monkeypatch):
     res = find_d0(0.55)
     assert res.d0 == 336646860847529776342789175640065
     assert (res.params.k, res.params.n, res.params.p) == (3, 263752, 128657)
-    assert (res.walk_steps, res.full_evaluations) == (65937, 13)
+    assert (res.walk_steps, res.full_evaluations) == (65937, 1)
     assert res.bound.passes and not res.previous_passes
-    assert len(calls) <= 300  # 283; 6,142 at the 2^Dq rate, one or two per step without
+    assert len(calls) == 58  # 6,142 at the 2^Dq rate, one or two per step without
+
+
+@pytest.mark.parametrize("r, want", [
+    (0.613, (63396310352401, 7962180, 1990544)),
+    (0.615, (132971081105, 364652, 91162)),
+])
+def test_find_d0_near_tensor_threshold(r, want):
+    # just past a radius where the planned tensor power changes, the walk
+    # runs close to the threshold for a long way: with the geometric tail
+    # bound, 0.17-0.21 nats loose, 6,806 and 269 steps reached a full
+    # evaluation here (~21 s and 0.3 s); now only the passing one does
+    res = find_d0(r)
+    assert (res.d0, res.params.n, res.walk_steps) == want
+    assert res.full_evaluations == 1
+    assert res.bound.passes and not res.previous_passes
+
+
+@pytest.mark.parametrize("n, c", [(184, 59), (572, 223), (1016, 389), (11504, 5273)])
+def test_gap_bound_tight_at_walk_points(n, c):
+    # the walk's (n, p) at d0(0.69), d0(0.71), d0(0.65) and d0(0.59): the
+    # proven upper bound on G is within 0.005 nats of the exact G (0.17 to
+    # 0.21 above it with the geometric tail bound)
+    threshold = 10 ** 6
+    exact = (log_binomial(n - 1, n // 2 - 1) - log_binomial_tail_sum(n, c)
+             - Fraction(bounds._ln(threshold, 1, PRECISION_BITS), 1 << PRECISION_BITS))
+    upper = bounds._gap_bound(n, c, threshold)
+    assert exact <= upper <= exact + Fraction(5, 1000)
 
 
 def test_count_bound_log_verdict_is_certified(monkeypatch):

@@ -222,7 +222,8 @@ def test_find_d0_output(capsys):
     doc = json.loads(out)
     assert doc["d0"] == "327185"
     assert doc["previous_passes"] is False
-    assert (doc["walk_steps"], doc["full_evaluations"]) == ("142", "2")
+    # one full evaluation, the passing step (two with the geometric tail bound)
+    assert (doc["walk_steps"], doc["full_evaluations"]) == ("142", "1")
 
 
 # printed 25-digit log ratios of the d0 table and the README counting
@@ -544,8 +545,10 @@ _STDOUT_SHA256 = {
     # when the seeded scan orders came to be hashed (family_sizes only)
     "certify --n 12 --p 5 --a 8":
         (0, "fca15d7cd30f2acedc63e6e2b0aad8fa704ba68de20d52d03e50d22cdf2ba5a6"),
+    # re-pinned when the tail's lower bound became _tail_ratio_lower's
+    # (full_evaluations 2 -> 1 only)
     "find-d0 --r 0.71":
-        (0, "bc7a958367fb31ea6c3eeed162307a7e90aa209dacb2c69b2da8a62b17506a9a"),
+        (0, "eebb859702850dee320e2ac3134dc49bc424d8557be169d2ec0dd51810729800"),
     "asymptotic --r 0.9 --d 1000000":
         (0, "2c05aaebef5cf6761077a5b84d62588f7a707fc278d7c83e1d8ffe42feb8bb87"),
     "upper --d-min 2 --d-max 12":

@@ -1,7 +1,8 @@
-"""src/ takes math.log, math.log1p and math.expm1 only in find_d0's rejects.
+"""src/ takes math.log and math.log1p only in find_d0's rejects, and
+math.expm1 nowhere.
 
-Those three functions carry the package's one assumption about the C
-library, that they are within 2^-50 relative error (bounds._enclose's
+Those functions carry the package's one assumption about the C library,
+that they are within 2^-50 relative error (bounds._enclose's
 docstring; tests/test_exactnum.py samples it).  Every count verdict reads
 integer logs, so the assumption may reach only the walk's float rejects,
 bounds._robbins_terms, _tail_lower_terms and _gap_bound.  (FixedLog.nstr
