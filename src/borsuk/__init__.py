@@ -10,7 +10,7 @@ beats d+1 once the ambient dimension is large enough.  Submodules:
     params        parameter solving for fixed and shrinking radii
     construction  point sets, geometry, embeddings and export
     algebra       the GF(p) independence bound and its certificates
-    bounds        lower bounds, the d0 walk and its float rejects, asymptotics
+    bounds        lower bounds, the d0 walk and its proven rejects, asymptotics
     upper         simplex partition upper bounds near radius 1/2
     optimality    extremality of the construction's polynomial
     cli           command line front end

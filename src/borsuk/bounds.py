@@ -10,24 +10,23 @@ The construction succeeds at dimension d once that ratio beats d+1 (d+2
 in the shrinking-radius regime).  Every count verdict is _verdict's, from
 the ratio's log in plain integers (within 2^-120) or exact integers where
 that is too close to call.  find_d0 walks to the first dimension where the
-ratio wins, rejecting steps by float64 upper bounds (_gap_bound and its
-terms, the only code that rests on the C library's logs) and skipping the
-steps after a reject by the tail's proven growth rate (_block_rate, in
-exact integers); the module also extracts the growth base and closes
-params.shrinking_chain.
+ratio wins, rejecting steps by a proven upper bound on the ratio's log
+(_gap_bound) and skipping the steps after a reject by the tail's proven
+growth rate (_block_rate), both in fixed-point integers of 2^-64; the
+module also extracts the growth base and closes params.shrinking_chain.
 """
 
 from __future__ import annotations
 
 import decimal
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .exactnum import (
     PRECISION_BITS,
     FixedLog,
+    _half_ln_2pi,
     _ln,
     binomial,
     binomial_tail_sum,
@@ -196,7 +195,7 @@ class D0Result:
     equal to lower_bound(params); previous_passes is _verdict at d0 - 1.
     walk_steps counts the grid points the walk passed, the ones a block
     reject skipped included (each is proven to fail, see find_d0), and
-    full_evaluations those that the float rejects could not settle.
+    full_evaluations those that the rejects could not settle.
     """
 
     r: float
@@ -209,103 +208,56 @@ class D0Result:
     full_evaluations: int
 
 
-# ln(2 pi)/2, rounded to the nearest float64
-_HALF_LN_2PI = 0.9189385332046727
+_RATE_BITS = 64  # fixed-point bits of find_d0's rejects and _block_rate's two logs
+_LN2 = _ln(2, 1, _RATE_BITS)
+_HALF_LN_2PI = _half_ln_2pi(_RATE_BITS)
 
 
-def _enclose(terms: Sequence[float]) -> float:
-    """An upper bound on the exact sum of the reals that terms approximate.
+def _gap_bound(n: int, c: int, k: int) -> int:
+    """M, an int in units of 2^-_RATE_BITS with M 2^-_RATE_BITS >= G =
+    ln C(n-1, n/2-1) - ln S - ln(n^(2k) + 2), S = sum_{i<c} C(n, i), for
+    even n >= 2 and c >= 1: find_d0's rejects.
 
-    The float error argument of every enclosure here.  It rests on IEEE
-    754 double arithmetic, where +, -, *, / and Python's int/int true
-    division are correctly rounded (relative error below u = 2^-53), as is
-    an int converted to float (also in int * float), and math.fsum returns
-    the exact sum of its inputs rounded once, and on one assumption about
-    the C library: math.log and math.log1p are within 2^-50 relative error
-    of the exact value, 4 ulps, where common libms document 1.  So
-    math.log of an int m is within 2^-49 (ln m + 1): CPython rounds m to
-    float below 2^1024 and adds e ln 2 to the log of its mantissa above
-    (tests/test_exactnum.py samples all of it against mpmath).
-
-    Each term t' must be within 2^-48 * (|t| + 1) of its exact value t.
-    With N terms and X = sum(|t'| + 1), that gives
-    |t| + 1 <= (1 + 2^-47)(|t'| + 1), so the terms are off by at most
-    2^-48 (1 + 2^-47) X in total, and fsum adds at most 2^-53 X: s is
-    within 2^-47 X of the exact sum.  The margin 2^-44 * (fsum(|t'|) + N)
-    is at least 8 * 2^-47 X (1 - 3u) after its own two roundings, and
-    rounding s - margin and s + margin moves them by at most
-    u (X + margin) < 2^-52 X, so s - margin <= sum t <= s + margin.  The
-    lower end is -_enclose of the negated terms, bit for bit, as negation
-    commutes with fsum and each rounding.
+    Robbins (Amer. Math. Monthly 62, 1955): for every integer t >= 1,
+    ln t! = (t + 1/2) ln t - t + ln(2 pi)/2 + theta_t with
+    1/(12t + 1) < theta_t < 1/(12t).  Three facts:
+      - C(n-1, h-1) = C(n, h)/2 with h = n/2, so ln C(n-1, h-1) =
+        n ln 2 - (ln n)/2 - ln(2 pi)/2 + theta_n - 2 theta_h, with no
+        cancellation, and theta_n - 2 theta_h < 1/(12n) - 2/(6n + 1).
+      - With top = min(c-1, n), j = min(top, n - top) and m = n - j,
+        S = C(n, j) g, and _tail_ratio_lower at the integer corner
+        (n, top + 1) proves g >= gn/gd.  So for j >= 1
+            ln S >= (n + 1/2) ln n - (j + 1/2) ln j - (m + 1/2) ln m
+                    - ln(2 pi)/2 + 1/(12n + 1) - 1/(12j) - 1/(12m) + ln(gn/gd),
+        and for j = 0 the binomial part, ln 1, is 0.
+      - ln(n^(2k) + 2) > 2k ln n.
+    For j >= 1 the two ln(2 pi)/2 cancel, so G is below
+        n ln 2 - (n + 1 + 2k) ln n + (j + 1/2) ln j + (m + 1/2) ln m
+        - ln(gn/gd) + 1/(12n) - 2/(6n + 1) - 1/(12n + 1) + 1/(12j) + 1/(12m),
+    and for j = 0 below n ln 2 - (1/2 + 2k) ln n - ln(2 pi)/2 - ln(gn/gd)
+    + 1/(12n) - 2/(6n + 1).  In units, each 1/x is rounded outward, and
+    ln 2, ln n, ln j, ln m and ln(gn/gd) are _ln's, within 1.5 units each,
+    and ln(2 pi)/2 is within 2.  Weighted by their coefficients those
+    errors add up to 4.5n + 3k + 4.5 units for j >= 1 and
+    1.5n + 3k + 4.25 for j = 0, less than the 5n + 3k + 9 that M adds.
+    Closed form: four _ln calls and no loop.
     """
-    s = math.fsum(terms)
-    return s + 2.0 ** -44 * (math.fsum(map(abs, terms)) + len(terms))
-
-
-def _robbins_terms(n: int, k: int, upper: bool) -> List[float]:
-    """Float terms of a bound on ln C(n, k), for k <= n/2, n < 2^1000.
-
-    Robbins (Amer. Math. Monthly 62, 1955): for j >= 1,
-    ln j! = (j + 1/2) ln j - j + ln(2 pi)/2 + theta_j with
-    1/(12j + 1) < theta_j < 1/(12j).  With m = n - k and x = k/n the
-    Stirling parts for j = n, k, m combine to
-        -k ln x - m ln(1 - x) - (ln k)/2 - ln(1 - x)/2 - ln(2 pi)/2,
-    whose terms share no cancellation, and theta_n - theta_k - theta_m
-    lies between 1/(12n + 1) - 1/(12k) - 1/(12m) and
-    1/(12n) - 1/(12k + 1) - 1/(12m + 1); upper picks the second.
-    Each term is within 2^-49 of its value in relative error, as
-    _enclose asks: the fractions are one correctly rounded division; x
-    is rounded once (u), and as x <= 1/2, ln x and ln(1 - x) are at least
-    ln 2 and x in size, so that rounding moves ln x by at most 1.01u/ln 2
-    and log1p(-x) by at most 2.02u of itself; add 2^-50 for the libm call,
-    u for k or m rounded to float (exact below 2^53) and u for the product:
-    2^-50 + 4.03u < 2^-49, and log(k) is within 2^-49 (ln k + 1).  k = 0
-    needs no terms.
-    """
-    if not k:
-        return []
-    if n >= 1 << 1000:  # keeps every conversion finite and every ratio normal
-        raise ValueError("float enclosure needs n < 2^1000: n=%d" % n)
-    m = n - k
-    x = k / n
-    ln_rest = math.log1p(-x)
-    e = 1 if upper else 0
-    return [-k * math.log(x), -m * ln_rest, -0.5 * math.log(k), -0.5 * ln_rest,
-            -_HALF_LN_2PI,
-            1 / (12 * n + 1 - e), -1 / (12 * k + e), -1 / (12 * m + e)]
-
-
-def _tail_lower_terms(n: int, p: int) -> List[float]:
-    """Floats whose exact sum is at most ln of S = sum of C(n, i) for i < p.
-
-    With top = min(p-1, n), S = S(n, top + 1) = C(n, top) * g, and
-    _tail_ratio_lower at the integer corner (m, c) = (n, top + 1) proves
-    g >= gn/gd.  So ln S is at least the lower _robbins_terms of
-    ln C(n, top) plus ln gn - ln gd, and as math.log of an int m is within
-    2^-49 (ln m + 1) (see _enclose) every term, and its negation, meets
-    _enclose's precondition.  top = 0 (S = 1) has none.
-    """
-    if n < 0 or p < 1:
-        raise ValueError("invalid binomial tail: n=%r p=%r" % (n, p))
-    top = min(p - 1, n)
-    terms = _robbins_terms(n, min(top, n - top), False)
+    one = 1 << _RATE_BITS
+    top = min(c - 1, n)
+    j = min(top, n - top)
+    m = n - j
     gn, gd = _tail_ratio_lower(top, n - top + 1, 1)
-    if (gn, gd) != (1, 1):
-        terms += [math.log(gn), -math.log(gd)]
-    return terms
-
-
-def _gap_bound(n: int, c: int, threshold: int) -> float:
-    """A proven upper bound on G = ln C(n-1, n/2-1) - ln S - ln(threshold),
-    S = sum_{i<c} C(n, i), for find_d0's rejects.
-
-    One _enclose sum of the upper _robbins_terms of ln C(n-1, n/2-1), the
-    negated _tail_lower_terms of ln S and -ln(threshold): each is within
-    2^-48 (|t| + 1) of its exact value (math.log of an int, see _enclose),
-    and the exact values sum to at least G.  Closed form: no loop.
-    """
-    terms = _robbins_terms(n - 1, n // 2 - 1, True) + [-t for t in _tail_lower_terms(n, c)]
-    return _enclose(terms + [-math.log(threshold)])
+    ln_n = _ln(n, 1, _RATE_BITS)
+    # twice the bound, in units: ceilings where 1/x adds, floors where it subtracts
+    twice = (2 * n * _LN2 - (1 + 4 * k) * ln_n - 2 * _ln(gn, gd, _RATE_BITS)
+             + 2 * (-(-one // (12 * n)) - 2 * one // (6 * n + 1) + 5 * n + 3 * k + 9))
+    if j:
+        twice += ((2 * j + 1) * _ln(j, 1, _RATE_BITS) + (2 * m + 1) * _ln(m, 1, _RATE_BITS)
+                  - (2 * n + 1) * ln_n
+                  + 2 * (-(-one // (12 * j)) - (-one // (12 * m)) - one // (12 * n + 1)))
+    else:
+        twice -= 2 * _HALF_LN_2PI
+    return -(-twice // 2)
 
 
 def _tail_ratio_lower(u: int, v: int, w: int) -> Tuple[int, int]:
@@ -328,7 +280,7 @@ def _tail_ratio_lower(u: int, v: int, w: int) -> Tuple[int, int]:
     (v (Q - u^3) W^2 - w u (u + v) Q)/(Q W^3).
 
     At an integer corner, w = 1 with u = c - 1 and v = m - c + 2, it
-    bounds g at (m, c) itself; _tail_lower_terms takes it there.  find_d0's
+    bounds g at (m, c) itself; _gap_bound takes it there.  find_d0's
     block reject takes it at a real corner (m, c): there it bounds g at every
     integer point (m', c') with m' >= m and c'/m' >= c/m too, as each
     factor, (x m - 1 - t)/((1 - x) m + 2 + t) at x = c/m, grows with m and
@@ -343,9 +295,6 @@ def _tail_ratio_lower(u: int, v: int, w: int) -> Tuple[int, int]:
     num = v * (big_q - cube) * gap * gap - w * u * (u + v) * big_q
     den = big_q * gap ** 3
     return (num, den) if num > den else (1, 1)
-
-
-_RATE_BITS = 64  # fixed-point bits of _block_rate's two logs
 
 
 def _block_rate(a0: Fraction, n: int) -> Optional[Tuple[int, int]]:
@@ -407,19 +356,19 @@ def find_d0(r: float) -> D0Result:
     is therefore the least passing d overall.  The profile (rsq, k, a0)
     depends on r alone, so it is solved once, as plan_fixed solves it.
 
-    Each step first takes M = _gap_bound(n, q(n), n^(2k) + 2), an upper
-    bound on G(n) = ln C(n-1, n/2-1) - ln S(n, q(n)) - ln(n^(2k) + 2),
+    Each step first takes M = _gap_bound(n, q(n), k), an upper bound, in
+    units of 2^-_RATE_BITS, on
+    G(n) = ln C(n-1, n/2-1) - ln S(n, q(n)) - ln(n^(2k) + 2),
     S(n, c) = sum_{i<c} C(n, i), at
     q(n) = (least_offset(a0, n) + n)/4, the least prime choose_a could
     return.  Its p is at least q and S(n, c) grows with c, so M <= 0
     proves the step fails at p.  A block reject then skips the next j
     steps too, by the tail's own growth rate: _block_rate proves
-    G(n + 4i) <= M + i beta + gamma for i >= 1 with beta > 0, so once
-    M + j beta + gamma <= 0 every step n + 4i with i <= j fails.  The walk
-    decides that in integers, with no further enclosure: j =
-    floor((-M - gamma)/beta), exact from M's integer ratio, and none when
-    that is negative or _block_rate gives None; it goes on at
-    n + 4(j + 1).  A rate taken at n holds for every later step and
+    G(n + 4i) <= M + i beta + gamma for i >= 1 with beta > 0, integers
+    in the same units, so once M + j beta + gamma <= 0 every step n + 4i
+    with i <= j fails.  The walk skips j = floor((-M - gamma)/beta)
+    steps, none when that is negative or _block_rate gives None, and goes
+    on at n + 4(j + 1).  A rate taken at n holds for every later step and
     tightens as n grows, so the walk retakes it when n has doubled: two
     _ln calls per octave of n.
 
@@ -448,21 +397,20 @@ def find_d0(r: float) -> D0Result:
         if d > _D0_SCAN_CAP:
             raise CheckFailed("no d0 found below cap %d" % _D0_SCAN_CAP)
         q = (least_offset(a0, n) + n) // 4
-        upper = _gap_bound(n, q, d + 1)
+        upper = _gap_bound(n, q, k)
         if upper <= 0:
             if n >= 2 * rate_n:
                 rate_n, rate = n, _block_rate(a0, n)
             j = 0
             if rate is not None:
                 beta, gamma = rate
-                num, den = (-upper).as_integer_ratio()
-                j = max(0, ((num << _RATE_BITS) - gamma * den) // (den * beta))
+                j = max(0, (-upper - gamma) // beta)
             steps += j + 1
             n += 4 * (j + 1)
             continue
         steps += 1
         p = choose_a(a0, n)[1]
-        if _gap_bound(n, p, d + 1) <= 0:
+        if _gap_bound(n, p, k) <= 0:
             n += 4
             continue
         evaluations += 1

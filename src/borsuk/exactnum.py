@@ -7,9 +7,9 @@ an exact dyadic fraction within 2^-120 of it: log_binomial and
 log_binomial_tail_sum.  They come from plain integers: a fixed-point ln
 (_ln) and ln j!, exact below a cutoff and from Stirling's series above it
 (_ln_factorial); FixedLog.nstr prints the 25 digits the CLI shows, as
-mpmath's nstr would.  The count verdicts read these logs.  Nothing here
-takes a float log: the float rejects of bounds.find_d0's walk, the only
-code that rests on the C library's logs, live in bounds beside it.
+mpmath's nstr would.  The count verdicts read these logs, and
+bounds.find_d0's rejects take _ln at 64 bits.  Nothing here takes a
+float log, so no verdict rests on the C library's logs.
 """
 
 from __future__ import annotations

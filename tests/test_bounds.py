@@ -12,7 +12,6 @@ from test_exactnum import as_mpf, interval_log_tail_sum
 
 from borsuk import bounds, exactnum
 from borsuk.bounds import (
-    _tail_lower_terms,
     asymptotic_base,
     binary_entropy,
     count_bound,
@@ -205,7 +204,7 @@ _D0_TABLE = {
 def test_find_d0_every_table_radius(monkeypatch):
     from borsuk import params
 
-    calls = {"choose_a": 0, "is_prime": 0, "enclose": 0, "binomial_tail_sum": 0,
+    calls = {"choose_a": 0, "is_prime": 0, "gap_bound": 0, "binomial_tail_sum": 0,
              "verdict": 0}
 
     def counted(name, fn):
@@ -218,7 +217,7 @@ def test_find_d0_every_table_radius(monkeypatch):
     monkeypatch.setattr(params, "choose_a", choose)
     monkeypatch.setattr(bounds, "choose_a", choose)
     monkeypatch.setattr(params, "is_prime", counted("is_prime", params.is_prime))
-    monkeypatch.setattr(bounds, "_enclose", counted("enclose", bounds._enclose))
+    monkeypatch.setattr(bounds, "_gap_bound", counted("gap_bound", bounds._gap_bound))
     monkeypatch.setattr(bounds, "binomial_tail_sum",
                         counted("binomial_tail_sum", bounds.binomial_tail_sum))
     monkeypatch.setattr(bounds, "_verdict", counted("verdict", bounds._verdict))
@@ -239,11 +238,11 @@ def test_find_d0_every_table_radius(monkeypatch):
     # walk's own p.  Scanning on every step made 5,865 choose_a and 33,319
     # is_prime calls, and the geometric tail bound 82 and 494
     assert (calls["choose_a"], calls["is_prime"]) == (43, 229)
-    # the block reject skips most steps with no enclosure of their own:
-    # 199 at the tail's own growth rate (287 with the geometric tail
-    # bound), 1,366 at the 2^Dq rate, one or two on every step (5,918)
-    # without it; the full evaluations take none, they read the integer log
-    assert calls["enclose"] == 199
+    # the block reject skips most steps with no bound of their own: 199
+    # at the tail's own growth rate (287 with the geometric tail bound),
+    # 1,366 at the 2^Dq rate, one or two on every step (5,918) without
+    # it; the full evaluations take none, they read the integer log
+    assert calls["gap_bound"] == 199
     # one integer log per full evaluation and per d0 - 1 re-check: the
     # printed bound at d0 is the verdict the walk took there
     assert calls["verdict"] == 7 + 7
@@ -298,13 +297,12 @@ def test_walk_reject_sound_in_exact_integers(r):
     at_q, at_p = set(), set()
     for n in range(8, 2001, 4):
         _, p = choose_a(a0, n)
-        threshold = n ** (2 * k) + 2
-        if bounds._gap_bound(n, (least_offset(a0, n) + n) // 4, threshold) <= 0:
+        if bounds._gap_bound(n, (least_offset(a0, n) + n) // 4, k) <= 0:
             at_q.add(n)
-        if bounds._gap_bound(n, p, threshold) <= 0:
+        if bounds._gap_bound(n, p, k) <= 0:
             at_p.add(n)
         if n in at_q or n in at_p:
-            assert not _exact_passes(n, p, threshold), n
+            assert not _exact_passes(n, p, n ** (2 * k) + 2), n
     assert {8, 12, 16} <= at_q  # the first steps never reach the prime scan
     # the oracle saw every reject the walk itself made at n <= 2000
     _, _, steps, evaluations = _D0_TABLE[r]
@@ -315,16 +313,17 @@ def test_walk_reject_sound_in_exact_integers(r):
 def test_block_reject_sound_in_exact_integers(monkeypatch, r):
     # every step the block reject skips at n <= 2000 really fails with
     # choose_a's p: C(n-1, n/2-1) <= (d+1) * sum_{i<p} C(n, i); the walk
-    # encloses every n it does not skip with the closed-form tail terms,
-    # so the spy sees all the others
+    # bounds the gap at every n it does not skip, so the spy sees all the
+    # others
     _, k, a0 = fixed_profile(r)
     seen = set()
+    gap_bound = bounds._gap_bound
 
-    def spy(n, cutoff):
+    def spy(n, cutoff, k_):
         seen.add(n)
-        return _tail_lower_terms(n, cutoff)
+        return gap_bound(n, cutoff, k_)
 
-    monkeypatch.setattr(bounds, "_tail_lower_terms", spy)
+    monkeypatch.setattr(bounds, "_gap_bound", spy)
     res = find_d0(r)
     skipped = set(range(8, res.params.n, 4)) - seen
     assert res.params.n in seen
@@ -389,13 +388,14 @@ def test_block_rate_growth_facts():
 def _walk_skips(monkeypatch, r):
     # (n, M, beta, gamma, j) for each block reject find_d0(r) makes: M the
     # reject at q(n), the rate in force (the last taken at or below n) and
-    # the j steps it skipped, up to the next step the walk encloses
+    # the j steps it skipped, up to the next step the walk bounds; M, beta
+    # and gamma in units of 2^-_RATE_BITS
     _, k, a0 = fixed_profile(r)
     gaps, rates = {}, {}
     gap_bound, block_rate = bounds._gap_bound, bounds._block_rate
 
-    def gap_spy(n, c, threshold):
-        upper = gap_bound(n, c, threshold)
+    def gap_spy(n, c, k_):
+        upper = gap_bound(n, c, k_)
         if c == (least_offset(a0, n) + n) // 4:
             gaps[n] = upper
         return upper
@@ -450,18 +450,18 @@ def test_block_rate_bound_in_exact_integers(monkeypatch, r):
     for n, upper, beta, gamma, j in skips:
         with mp.workprec(200):
             for i in range(1, j + 1):
-                assert gap[n + 4 * i] < upper + (i * beta + gamma) * unit, (n, i)
+                assert gap[n + 4 * i] < (upper + i * beta + gamma) * unit, (n, i)
 
 
 def test_find_d0_past_default_cap(monkeypatch):
     # r = 0.55 needs k = 3 and d0 ~ 3.4e32, above the 10^24 cap (the CLI
     # exits 1 there); with the cap raised the block reject reaches it
     # with the same steps and full evaluations as the linear walk (13 full
-    # evaluations and 283 enclosures with the geometric tail bound)
+    # evaluations and 283 gap bounds with the geometric tail bound)
     monkeypatch.setattr(bounds, "_D0_SCAN_CAP", 10 ** 40)
     calls = []
-    enclose = bounds._enclose
-    monkeypatch.setattr(bounds, "_enclose", lambda t: calls.append(1) or enclose(t))
+    gap_bound = bounds._gap_bound
+    monkeypatch.setattr(bounds, "_gap_bound", lambda *a: calls.append(1) or gap_bound(*a))
     res = find_d0(0.55)
     assert res.d0 == 336646860847529776342789175640065
     assert (res.params.k, res.params.n, res.params.p) == (3, 263752, 128657)
@@ -485,16 +485,29 @@ def test_find_d0_near_tensor_threshold(r, want):
     assert res.bound.passes and not res.previous_passes
 
 
-@pytest.mark.parametrize("n, c", [(184, 59), (572, 223), (1016, 389), (11504, 5273)])
-def test_gap_bound_tight_at_walk_points(n, c):
-    # the walk's (n, p) at d0(0.69), d0(0.71), d0(0.65) and d0(0.59): the
-    # proven upper bound on G is within 0.005 nats of the exact G (0.17 to
-    # 0.21 above it with the geometric tail bound)
-    threshold = 10 ** 6
+_WALK_POINTS = [
+    (184, 59, 1, Fraction(5, 1000)), (572, 223, 1, Fraction(5, 1000)),
+    (1016, 389, 1, Fraction(5, 1000)), (11504, 5273, 2, Fraction(5, 1000)),
+    (5912410408, 2955806027, 1, Fraction(3, 10000)),
+]
+
+
+@pytest.mark.parametrize("n, c, k, slack", _WALK_POINTS,
+                         ids=["%d-%d" % point[:2] for point in _WALK_POINTS])
+def test_gap_bound_tight_at_walk_points(n, c, k, slack):
+    # the walk's (n, p) at d0(0.69), d0(0.71), d0(0.65) and d0(0.59), and
+    # a step on the walk to d0(0.6124), at the walk's own threshold
+    # n^(2k) + 2: the proven upper bound on G is within 0.005 nats of the
+    # exact G (0.17 to 0.21 above it with the geometric tail bound); at
+    # the last it is within 3e-4 (7.15e-4 while the bound was a float sum
+    # with a relative margin, which did not reject the step)
+    threshold = n ** (2 * k) + 2
     exact = (log_binomial(n - 1, n // 2 - 1) - log_binomial_tail_sum(n, c)
              - Fraction(bounds._ln(threshold, 1, PRECISION_BITS), 1 << PRECISION_BITS))
-    upper = bounds._gap_bound(n, c, threshold)
-    assert exact <= upper <= exact + Fraction(5, 1000)
+    upper = Fraction(bounds._gap_bound(n, c, k), 1 << bounds._RATE_BITS)
+    assert exact <= upper <= exact + slack
+    if n == 5912410408:
+        assert upper < 0
 
 
 def test_count_bound_log_verdict_is_certified(monkeypatch):
@@ -525,17 +538,22 @@ def test_count_bound_log_verdict_is_certified(monkeypatch):
             assert bounds._verdict(n, p, threshold).passes == (sign > 0)
 
 
-def test_no_count_verdict_calls_libm(monkeypatch):
-    # the count verdicts read the integer log, so only find_d0's walk
-    # rejects rest on the C library's log accuracy
+def test_no_verdict_calls_libm(monkeypatch):
+    # the count verdicts and find_d0's rejects read integer logs, so no
+    # verdict rests on the C library's log accuracy
     def libm(*args):
         raise AssertionError("libm reached")
 
-    for name in ("log", "log1p", "expm1"):
+    for name in ("log", "log1p", "expm1", "fsum"):
         monkeypatch.setattr(math, name, libm)
     assert count_bound(572, 223, 327186).passes
     assert count_bound(31622776, 12229487, 10 ** 15 + 1).passes
     assert shrinking_radius_check(10 ** 18).passes
+    for r, (d0, n, steps, evaluations) in _D0_TABLE.items():
+        res = find_d0(r)
+        assert (res.d0, res.params.n, res.walk_steps, res.full_evaluations) == (
+            d0, n, steps, evaluations)
+    assert find_d0(0.613).d0 == 63396310352401
 
 
 def test_count_bound_refuses_threshold_below_1():
@@ -680,7 +698,8 @@ def test_interval_replay_agrees_with_exact_at_d0_steps():
         assert _log_gap_in(n, p, threshold, gap), n
         units = _log_gap(n, p, threshold)
         assert (units > 3 if want else units < -3), n
-        assert gap.b <= bounds._gap_bound(n, p, threshold), n
+        with mp.workprec(200):
+            assert gap.b <= mp.mpf(bounds._gap_bound(n, p, k)) / 2 ** bounds._RATE_BITS, n
         assert count_bound(n, p, threshold).passes == want
     assert want  # the last step is d0 itself
 

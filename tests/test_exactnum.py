@@ -8,13 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import iv, mp
 
-from borsuk import exactnum
-from borsuk.bounds import (
-    _enclose,
-    _robbins_terms,
-    _tail_lower_terms,
-    _tail_ratio_lower,
-)
+from borsuk import bounds, exactnum
+from borsuk.bounds import _tail_ratio_lower
 from borsuk.exactnum import (
     PRECISION_BITS,
     FixedLog,
@@ -31,24 +26,43 @@ def as_mpf(x):
     return mp.mpf(x.numerator) / x.denominator
 
 
-def enclose_lower(terms):
-    """The lower end of _enclose's enclosure: its upper end, negated, of
-    the negated terms."""
-    return -_enclose([-t for t in terms])
+def gap_upper_reference(n, c, k):
+    """Oracle: an upper bound on the gap
+    G = ln C(n-1, n/2-1) - ln S - ln(n^(2k) + 2), S = sum_{i<c} C(n, i),
+    that bounds._gap_bound bounds, as an mpmath float at the current
+    precision (at least 400 bits).
+
+    For n <= 3000 it is the upper end of an interval log of the exact
+    integers.  Above that it is log_binomial minus log_binomial_tail_sum,
+    whose errors add up to less than 2^-120, minus the threshold's log,
+    taken at a margin of 2^-119: within 2^-118 of G.  Where the tail
+    sum's loop would be long (c - 1 > 0.45n above n = 30000), ln S is
+    replaced by its lower bound ln C(n, top) + ln(gn/gd), (gn, gd) =
+    _tail_ratio_lower at the corner (n, top + 1), whose proof
+    test_block_rate_growth_facts checks against exact sums.
+    """
+    threshold = n ** (2 * k) + 2
+    if n <= 3000:
+        prec, iv.prec = iv.prec, 300
+        try:
+            gap = (iv.log(iv.mpf(binomial(n - 1, n // 2 - 1)))
+                   - iv.log(iv.mpf(binomial_tail_sum(n, c) * threshold)))
+        finally:
+            iv.prec = prec
+        return mp.mpf(gap.b)
+    top = min(c - 1, n)
+    if n <= 30000 or 20 * top <= 9 * n:
+        ln_s = as_mpf(log_binomial_tail_sum(n, c))
+    else:
+        gn, gd = _tail_ratio_lower(top, n - top + 1, 1)
+        ln_s = as_mpf(log_binomial(n, top)) + mp.log(mp.mpf(gn) / gd)
+    return (as_mpf(log_binomial(n - 1, n // 2 - 1)) - ln_s - mp.log(threshold)
+            + mp.mpf(2) ** -119)
 
 
-def log_binomial_tail_lower(n, p):
-    """Oracle: the float lower bound on ln sum_{i<p} C(n, i) whose terms
-    bounds.find_d0's reject sums, summed on their own."""
-    return enclose_lower(_tail_lower_terms(n, p))
-
-
-def robbins_bounds(n, k):
-    """Oracle: (lo, hi) around ln C(n, k) from the Robbins terms that
-    find_d0's rejects sum, each side summed on its own."""
-    k = min(k, n - k)
-    return (enclose_lower(_robbins_terms(n, k, False)),
-            _enclose(_robbins_terms(n, k, True)))
+def as_units(upper):
+    """_gap_bound's M, in units of 2^-_RATE_BITS, as an mpmath float."""
+    return mp.mpf(upper) / 2 ** bounds._RATE_BITS
 
 
 def interval_log_tail_sum(n, p):
@@ -321,42 +335,66 @@ def _binomial_args(draw):
     return n, draw(st.integers(1, n - 1))
 
 
+@st.composite
+def _tail_lower_args(draw):
+    # beyond 30000, p-1 <= 0.45n keeps the fixed-point oracle's loop short
+    n = draw(st.integers(0, 10 ** 9))
+    if n <= 30000:
+        return n, draw(st.integers(1, n + 2))
+    return n, draw(st.integers(1, int(0.45 * n)))
+
+
+def _top_at(args):
+    """(n, k) as the corner (n, c) of a tail whose top term is C(n, k)."""
+    return args[0], args[1] + 1
+
+
 @settings(max_examples=300, deadline=None)
-@given(_binomial_args())
-@example((2, 1))
-@example((10 ** 12, 1))
-@example((10 ** 12, 5 * 10 ** 11))
-@example((10 ** 12, 10 ** 12 - 1))
-@example((573, 286))  # the walk's numerator at d0(0.71)
-def test_log_binomial_bounds_enclose_log_binomial(args):
-    n, k = args
-    lo, hi = robbins_bounds(n, k)
-    assert lo <= log_binomial(n, k) <= hi
-    # Robbins' theta gap and the float margin only
-    assert hi - lo <= 2.0 ** -42 * (hi + math.log(n) + 10) + 1 / (48 * min(k, n - k) ** 2)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 3000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
-def test_log_binomial_bounds_enclose_exact(args):
-    n, k = args
-    lo, hi = robbins_bounds(n, k)
-    with mp.workprec(200):
-        assert lo <= mp.log(mp.mpf(binomial(n, k))) <= hi
+@given(st.one_of(_binomial_args().map(_top_at),
+                 st.integers(0, 3000).flatmap(
+                     lambda n: st.tuples(st.just(n), st.integers(0, n))).map(_top_at),
+                 _tail_lower_args()),
+       st.integers(1, 3))
+@example((0, 1), 1)  # S = 1 at the least even n, 2
+@example((2, 2), 1)
+@example((10 ** 12, 2), 1)
+@example((10 ** 12, 5 * 10 ** 11 + 1), 1)  # top = n/2
+@example((10 ** 12, 10 ** 12), 1)
+@example((3000, 1), 1)
+@example((3000, 2), 1)  # S = n + 1, bounded by its top term C(n, 1) = n
+@example((3000, 3001), 2)
+@example((3000, 2900), 1)  # top past n/2: the bound is C(n, top) alone
+@example((2999, 1500), 3)
+@example((573, 286), 1)  # the walk's numerator at d0(0.71)
+@example((11504, 5273), 2)  # the walk's denominator at d0(0.59)
+def test_gap_bound_above_exact_gap(args, k):
+    # find_d0's reject: M 2^-64 is at least the gap at every corner (n, c),
+    # n rounded up to the even n >= 2 the bound takes
+    n, c = args
+    n = max(2, n + n % 2)
+    upper = bounds._gap_bound(n, c, k)
+    assert isinstance(upper, int)
+    with mp.workprec(400):
+        assert gap_upper_reference(n, c, k) <= as_units(upper)
 
 
 def test_log_binomial_bounds_edges():
-    assert robbins_bounds(0, 0) == (0.0, 0.0)
-    assert robbins_bounds(7, 7) == (0.0, 0.0)
     for n, k in [(-1, 0), (3, -1), (3, 4)]:
         with pytest.raises(ValueError, match="invalid binomial"):
             log_binomial(n, k)
-    with pytest.raises(ValueError, match="2\\^1000"):
-        robbins_bounds(1 << 1000, 5)
-    with pytest.raises(ValueError, match="2\\^1000"):
-        log_binomial_tail_lower(1 << 1000, 5)
-    assert robbins_bounds(1 << 1000, 0) == (0.0, 0.0)
-    assert log_binomial_tail_lower(1 << 1000, 1) == 0.0
+    # c = 1 and c > n, where ln S's bound has no binomial part (j = 0)
+    # and g's bound is 1: ln S >= 0, exact at c = 1 (S = 1).  At the
+    # least even n and past any float, M is at least ln C(n-1, n/2-1) -
+    # ln(n^2 + 2) from loggamma, and above it by at most the theta gap at
+    # n, ln(n^2 + 2) - 2 ln n and the 10n + 26 units of its logs' errors
+    # and margin
+    for n in (2, 8, 1 << 1000):
+        with mp.workprec(1300):
+            want = (mp.loggamma(n) - mp.loggamma(n // 2) - mp.loggamma(n // 2 + 1)
+                    - mp.log(n * n + 2))
+            for c in (1, n + 1, n + 5):
+                got = as_units(bounds._gap_bound(n, c, 1))
+                assert want <= got <= want + mp.mpf(3) / n ** 2 + (10 * n + 26) * as_units(1)
 
 
 @st.composite
@@ -372,14 +410,26 @@ def _huge_binomial_args(draw):
 @example((99999999999999995, 49999999999999997))  # bound --r 0.9 --d 10^34
 @example((2 ** 200, 2 ** 199))
 def test_log_binomial_bounds_above_2_53(args):
-    # n, k and n - k no longer convert to float exactly; the reference
-    # is loggamma at 500 bits, accurate to ~2^-290 nats at n <= 2^200
+    # the bound's Robbins terms in integers, where n, k and n - k are no
+    # longer exact floats: at top = max(k, n - k) >= n/2, ln S is bounded
+    # by ln C(n, top) + ln(gn/gd) ((gn, gd) = (1, 1) but at top = n/2), so
+    # M is at least ln C(n-1, n/2-1) - ln C(n, top) - ln(gn/gd)
+    # - ln(n^2 + 2), from loggamma at 500 bits (~2^-290 nats at
+    # n <= 2^200), and above it by at most Robbins' theta gap,
+    # 1/(144 j^2) + 3/n^2 with j = n - top, and the 10n + 26 units of
+    # the logs' errors and the margin
     n, k = args
-    lo, hi = robbins_bounds(n, k)
+    n += n % 2
+    top = max(k, n - k)
+    j = n - top
+    gn, gd = _tail_ratio_lower(top, j + 1, 1)
+    got = bounds._gap_bound(n, top + 1, 1)
     with mp.workprec(500):
-        want = mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
-        assert lo <= want <= hi
-    assert hi - lo <= 2.0 ** -42 * (hi + math.log(n) + 10) + 1 / (48 * min(k, n - k) ** 2)
+        want = (mp.loggamma(n) - mp.loggamma(n // 2) - mp.loggamma(n // 2 + 1)
+                - mp.loggamma(n + 1) + mp.loggamma(top + 1) + mp.loggamma(j + 1)
+                - mp.log(mp.mpf(gn) / gd) - mp.log(n * n + 2))
+        slack = mp.mpf(1) / (144 * j * j) + mp.mpf(3) / n ** 2 + (10 * n + 26) * as_units(1)
+        assert want <= as_units(got) <= want + slack
 
 
 @settings(max_examples=300, deadline=None)
@@ -389,90 +439,16 @@ def test_log_binomial_bounds_above_2_53(args):
 @example(2 ** 1000 - 1, 1.0)
 @example(2 ** 1024 + 1, 1.0)  # past the float range
 def test_int_conversion_and_log_of_int(m, y):
-    # the enclosures take an int converted to float (also in int * float)
-    # to be rounded to nearest, and math.log of an int m >= 1 to be within
-    # 2^-49 (ln m + 1) of ln m, thresholds included; sample both
-    with mp.workprec(4100):
-        exact = mp.log(m)
-    assert abs(math.log(m) - exact) <= 2.0 ** -49 * (exact + 1)
-    if m < 2 ** 1000:
-        with mp.workprec(53):
-            nearest = float(mp.mpf(m))
-        assert float(m) == nearest
-        assert m * y == nearest * y
-
-
-@st.composite
-def _tail_lower_args(draw):
-    # beyond 30000, p-1 <= 0.45n keeps the fixed-point oracle's loop short
-    n = draw(st.integers(0, 10 ** 9))
-    if n <= 30000:
-        return n, draw(st.integers(1, n + 2))
-    return n, draw(st.integers(1, int(0.45 * n)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_tail_lower_args())
-@example((0, 1))
-@example((3000, 1))
-@example((3000, 2))  # S = n + 1, bounded by its top term C(n, 1) = n
-@example((3000, 3001))
-@example((3000, 2900))  # top past n/2: the bound is C(n, top) alone
-@example((2999, 1500))
-@example((11504, 5273))  # the walk's denominator at d0(0.59)
-def test_log_binomial_tail_lower_below_tail_sum(args):
-    n, p = args
-    assert log_binomial_tail_lower(n, p) <= log_binomial_tail_sum(n, p)
-
-
-def _robbins_reals(n, k, upper):
-    """The reals that _robbins_terms(n, k, upper) approximates, in mpmath
-    at the current precision."""
-    if not k:
-        return []
-    m, x, e = n - k, mp.mpf(k) / n, 1 if upper else 0
-    return [-k * mp.log(x), -m * mp.log1p(-x), -mp.log(k) / 2, -mp.log1p(-x) / 2,
-            -mp.log(2 * mp.pi) / 2,
-            mp.mpf(1) / (12 * n + 1 - e), -mp.mpf(1) / (12 * k + e),
-            -mp.mpf(1) / (12 * m + e)]
-
-
-def _tail_lower_reals(n, p):
-    """The reals that _tail_lower_terms(n, p) approximates, in mpmath: the
-    Robbins reals of ln C(n, top) and the logs of _tail_ratio_lower's
-    integer bound on S/C(n, top)."""
-    top = min(p - 1, n)
-    reals = _robbins_reals(n, min(top, n - top), False)
-    gn, gd = _tail_ratio_lower(top, n - top + 1, 1)
-    if (gn, gd) == (1, 1):
-        return reals
-    return reals + [mp.log(gn), -mp.log(gd)]
-
-
-@settings(max_examples=200, deadline=None)
-@given(_tail_lower_args())
-@example((0, 1))
-@example((3000, 2))
-@example((3000, 2900))
-@example((573, 286))  # the walk's numerator at d0(0.71)
-@example((11504, 5273))  # the walk's denominator at d0(0.59)
-def test_enclose_one_end_contract(args):
-    # _enclose returns the upper end only; the lower end is its negation
-    # on the negated terms, s - margin bit for bit.  Both ends hold the
-    # reals the Robbins and tail terms approximate (mpmath at 300 bits),
-    # and the floats' own exact sum (Fractions)
-    n, c = args
-    k = min(c, n - c) if c <= n else 0
+    # _gap_bound converts no int to float: it takes ln n, and ln(gn/gd)
+    # of two ints of a few times n's bit length, as _ln of the ints
+    # themselves, at any size.  At _RATE_BITS each is within the 1.5
+    # units its margin counts per log: ln m, and the ratio 1 + y/m in
+    # ints, (m q + p)/(m q) with p/q = y exactly, near 1 as gn/gd can be
+    p, q = Fraction(y).as_integer_ratio()
     with mp.workprec(300):
-        cases = [(_robbins_terms(n, k, upper), mp.fsum(_robbins_reals(n, k, upper)))
-                 for upper in (False, True)]
-        cases.append((_tail_lower_terms(n, c), mp.fsum(_tail_lower_reals(n, c))))
-    for terms, real in cases:
-        lo, hi = enclose_lower(terms), _enclose(terms)
-        margin = 2.0 ** -44 * (math.fsum(map(abs, terms)) + len(terms))
-        assert lo == math.fsum(terms) - margin
-        assert lo <= real <= hi
-        assert lo <= sum(map(Fraction, terms)) <= hi
+        for a, b in [(m, 1), (m * q + p, m * q)]:
+            want = mp.log(mp.mpf(a) / b) * mp.mpf(2) ** bounds._RATE_BITS
+            assert abs(exactnum._ln(a, b, bounds._RATE_BITS) - want) < 1.5
 
 
 @st.composite
@@ -515,16 +491,3 @@ def test_log_binomial_tail_sum_within_interval_replay(args):
         lo, hi = mp.mpf(want.a), mp.mpf(want.b)
         assert hi - lo < as_mpf(error) / 1000
         assert lo - as_mpf(error) <= as_mpf(got) <= hi + as_mpf(error)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=2.0 ** -60, max_value=2.0 ** 53),
-       st.floats(min_value=0.0, max_value=0.5))
-@example(1.0, 0.5)
-def test_libm_within_assumed_error(x, w):
-    # find_d0's walk rejects, the only float enclosures left, take
-    # math.log and log1p to be within 2^-50 relative error of the exact
-    # value; sample it against mpmath
-    with mp.workprec(200):
-        for got, want in [(math.log(x), mp.log(x)), (math.log1p(-w), mp.log1p(-w))]:
-            assert abs(got - want) <= mp.mpf(2) ** -50 * abs(want)

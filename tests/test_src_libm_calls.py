@@ -1,15 +1,12 @@
-"""src/ takes math.log and math.log1p only in find_d0's rejects, and
-math.expm1 nowhere.
+"""src/ takes math.log, math.log1p and math.expm1 nowhere.
 
-Those functions carry the package's one assumption about the C library,
-that they are within 2^-50 relative error (bounds._enclose's
-docstring; tests/test_exactnum.py samples it).  Every count verdict reads
-integer logs, so the assumption may reach only the walk's float rejects,
-bounds._robbins_terms, _tail_lower_terms and _gap_bound.  (FixedLog.nstr
-sizes its working bits with exactnum._LOG2_10, a float literal, not a
-call.)  The guard finds every use of those names in
-src/ (`math.log`, `from math import log`, or `math` imported under
-another name) and the top-level definition or assignment it sits in.
+Every verdict, the count verdicts and find_d0's walk rejects alike,
+reads integer logs (exactnum._ln), so nothing in the package rests on
+the C library's log accuracy.  (FixedLog.nstr sizes its working bits
+with exactnum._LOG2_10, a float literal, not a call.)  The guard finds
+every use of those names in src/ (`math.log`, `from math import log`, or
+`math` imported under another name) and the top-level definition or
+assignment it sits in.
 """
 
 import ast
@@ -19,8 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "borsuk"
 
 LIBM = {"log", "log1p", "expm1"}
 
-ALLOWED = {("bounds.py", "_robbins_terms"), ("bounds.py", "_tail_lower_terms"),
-           ("bounds.py", "_gap_bound")}
+ALLOWED = set()
 
 
 def _scope(stmt):
