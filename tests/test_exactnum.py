@@ -349,33 +349,127 @@ def _top_at(args):
     return args[0], args[1] + 1
 
 
+def robbins_reference(n, top, k):
+    """Oracle: (want, slack) with want <= M 2^-64 <= want + slack for
+    M = bounds._gap_bound(n, top + 1, k), even n >= 2, 0 <= top <= n.
+
+    want is ln C(n-1, n/2-1) - ln C(n, top) - ln(gn/gd) - ln(n^(2k) + 2)
+    from loggamma at the current precision, (gn, gd) = _tail_ratio_lower
+    at the corner (n, top + 1): ln S's lower bound, taken exactly.  slack
+    is Robbins' theta gap, 1/(144 j^2) with j = min(top, n - top) (none at
+    j = 0) plus 3/n^2 for the central theta and ln(n^(2k) + 2) - 2k ln n,
+    and the 10n + 6k + 20 units of the logs' errors, margin and rounding.
+    """
+    j = min(top, n - top)
+    gn, gd = _tail_ratio_lower(top, n - top + 1, 1)
+    want = (mp.loggamma(n) - mp.loggamma(n // 2) - mp.loggamma(n // 2 + 1)
+            - mp.loggamma(n + 1) + mp.loggamma(top + 1) + mp.loggamma(n - top + 1)
+            - mp.log(mp.mpf(gn) / gd) - mp.log(n ** (2 * k) + 2))
+    slack = mp.mpf(3) / n ** 2 + (10 * n + 6 * k + 20) * as_units(1)
+    if j:
+        slack += mp.mpf(1) / (144 * j * j)
+    return want, slack
+
+
+def gap_closed_form(n, c, k):
+    """Oracle: the real that _gap_bound's docstring bounds G by, before
+    any rounding (exact logs, exact 1/x terms), in mpmath at the current
+    precision."""
+    top = min(c - 1, n)
+    j = min(top, n - top)
+    m = n - j
+    gn, gd = _tail_ratio_lower(top, n - top + 1, 1)
+    form = (n * mp.log(2) - mp.log(mp.mpf(gn) / gd) + mp.mpf(1) / (12 * n)
+            - mp.mpf(2) / (6 * n + 1))
+    if not j:
+        return form - (mp.mpf(1) / 2 + 2 * k) * mp.log(n) - mp.log(2 * mp.pi) / 2
+    return (form - (n + 1 + 2 * k) * mp.log(n) + (j + mp.mpf(1) / 2) * mp.log(j)
+            + (m + mp.mpf(1) / 2) * mp.log(m) - mp.mpf(1) / (12 * n + 1)
+            + mp.mpf(1) / (12 * j) + mp.mpf(1) / (12 * m))
+
+
+def _even(n):
+    """n rounded up to the even n >= 2 that _gap_bound takes."""
+    return max(2, n + n % 2)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_binomial_args().map(_top_at),
-                 st.integers(0, 3000).flatmap(
-                     lambda n: st.tuples(st.just(n), st.integers(0, n))).map(_top_at),
-                 _tail_lower_args()),
+@given(_binomial_args(), st.integers(1, 3))
+@example((2, 1), 1)
+@example((10 ** 12, 1), 1)
+@example((10 ** 12, 5 * 10 ** 11), 1)  # top = n/2
+@example((10 ** 12, 10 ** 12 - 1), 2)
+@example((573, 286), 1)  # the walk's numerator at d0(0.71)
+def test_log_binomial_bounds_enclose_log_binomial(args, k):
+    # the integer bound at a tail whose top term is C(n, k), n <= 10^12:
+    # M 2^-64 is at least the gap (log_binomial and log_binomial_tail_sum,
+    # 2^-119 above), and within Robbins' theta gap and the logs' errors
+    # and margin above the gap with ln S at its proven lower bound
+    n, c = _top_at(args)
+    n = _even(n)
+    upper = bounds._gap_bound(n, c, k)
+    assert isinstance(upper, int)
+    with mp.workprec(400):
+        assert gap_upper_reference(n, c, k) <= as_units(upper)
+        want, slack = robbins_reference(n, c - 1, k)
+        assert want <= as_units(upper) <= want + slack
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
        st.integers(1, 3))
-@example((0, 1), 1)  # S = 1 at the least even n, 2
-@example((2, 2), 1)
-@example((10 ** 12, 2), 1)
-@example((10 ** 12, 5 * 10 ** 11 + 1), 1)  # top = n/2
-@example((10 ** 12, 10 ** 12), 1)
+@example((0, 0), 1)  # S = 1 at the least even n, 2
+@example((2999, 1499), 3)
+def test_log_binomial_bounds_enclose_exact(args, k):
+    # n <= 3000, top term C(n, k): M 2^-64 is at least the gap from exact
+    # integers (an interval log), and within the stated slack above it
+    n, c = _top_at(args)
+    n = _even(n)
+    upper = bounds._gap_bound(n, c, k)
+    with mp.workprec(400):
+        assert gap_upper_reference(n, c, k) <= as_units(upper)
+        want, slack = robbins_reference(n, min(c - 1, n), k)
+        assert want <= as_units(upper) <= want + slack
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tail_lower_args(), st.integers(1, 3))
+@example((0, 1), 1)
 @example((3000, 1), 1)
 @example((3000, 2), 1)  # S = n + 1, bounded by its top term C(n, 1) = n
 @example((3000, 3001), 2)
 @example((3000, 2900), 1)  # top past n/2: the bound is C(n, top) alone
 @example((2999, 1500), 3)
+@example((11504, 5273), 2)  # the walk's denominator at d0(0.59)
+def test_log_binomial_tail_lower_below_tail_sum(args, k):
+    # find_d0's reject at a corner (n, c): the bound's lower end on
+    # ln S is below the tail sum, so M 2^-64 is at least the gap
+    n, p = args
+    n = _even(n)
+    with mp.workprec(400):
+        assert gap_upper_reference(n, p, k) <= as_units(bounds._gap_bound(n, p, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tail_lower_args(), st.integers(1, 3))
+@example((0, 1), 1)
+@example((3000, 2), 1)
+@example((3000, 2900), 2)
 @example((573, 286), 1)  # the walk's numerator at d0(0.71)
 @example((11504, 5273), 2)  # the walk's denominator at d0(0.59)
-def test_gap_bound_above_exact_gap(args, k):
-    # find_d0's reject: M 2^-64 is at least the gap at every corner (n, c),
-    # n rounded up to the even n >= 2 the bound takes
+def test_enclose_one_end_contract(args, k):
+    # _gap_bound returns one end only, an int: the closed form of its
+    # docstring in reals (mpmath at 300 bits) rounded up by its margin,
+    # so M 2^-64 is at least that real and above it by less than the
+    # 5n + 3k + 9 units of margin, 4.5n + 3k + 4.5 of the logs' errors
+    # and the outward rounding of five 1/x terms and the final halving
     n, c = args
-    n = max(2, n + n % 2)
+    n = _even(n)
     upper = bounds._gap_bound(n, c, k)
     assert isinstance(upper, int)
-    with mp.workprec(400):
-        assert gap_upper_reference(n, c, k) <= as_units(upper)
+    with mp.workprec(300):
+        real = gap_closed_form(n, c, k)
+        assert real <= as_units(upper) <= real + (10 * n + 6 * k + 20) * as_units(1)
 
 
 def test_log_binomial_bounds_edges():
@@ -413,22 +507,14 @@ def test_log_binomial_bounds_above_2_53(args):
     # the bound's Robbins terms in integers, where n, k and n - k are no
     # longer exact floats: at top = max(k, n - k) >= n/2, ln S is bounded
     # by ln C(n, top) + ln(gn/gd) ((gn, gd) = (1, 1) but at top = n/2), so
-    # M is at least ln C(n-1, n/2-1) - ln C(n, top) - ln(gn/gd)
-    # - ln(n^2 + 2), from loggamma at 500 bits (~2^-290 nats at
-    # n <= 2^200), and above it by at most Robbins' theta gap,
-    # 1/(144 j^2) + 3/n^2 with j = n - top, and the 10n + 26 units of
-    # the logs' errors and the margin
+    # M is within robbins_reference's slack above its want, from
+    # loggamma at 500 bits (~2^-290 nats at n <= 2^200)
     n, k = args
     n += n % 2
     top = max(k, n - k)
-    j = n - top
-    gn, gd = _tail_ratio_lower(top, j + 1, 1)
     got = bounds._gap_bound(n, top + 1, 1)
     with mp.workprec(500):
-        want = (mp.loggamma(n) - mp.loggamma(n // 2) - mp.loggamma(n // 2 + 1)
-                - mp.loggamma(n + 1) + mp.loggamma(top + 1) + mp.loggamma(j + 1)
-                - mp.log(mp.mpf(gn) / gd) - mp.log(n * n + 2))
-        slack = mp.mpf(1) / (144 * j * j) + mp.mpf(3) / n ** 2 + (10 * n + 26) * as_units(1)
+        want, slack = robbins_reference(n, top, 1)
         assert want <= as_units(got) <= want + slack
 
 
