@@ -389,54 +389,45 @@ def find_d0(r: float) -> D0Result:
     if 6 * _fixed_power(r)[1] >= _D0_SCAN_CAP.bit_length():
         raise CheckFailed("no d0 found below cap %d" % _D0_SCAN_CAP)
     rsq, k, a0 = fixed_profile(r)
-    n = 8
-    steps = evaluations = 0
+    n, evaluations = 8, 0
     rate_n, rate = 0, None
     while True:
         d = n ** (2 * k) + 1
         if d > _D0_SCAN_CAP:
             raise CheckFailed("no d0 found below cap %d" % _D0_SCAN_CAP)
-        q = (least_offset(a0, n) + n) // 4
-        upper = _gap_bound(n, q, k)
+        upper = _gap_bound(n, (least_offset(a0, n) + n) // 4, k)
         if upper <= 0:
             if n >= 2 * rate_n:
                 rate_n, rate = n, _block_rate(a0, n)
-            j = 0
             if rate is not None:
-                beta, gamma = rate
-                j = max(0, (-upper - gamma) // beta)
-            steps += j + 1
-            n += 4 * (j + 1)
-            continue
-        steps += 1
-        p = choose_a(a0, n)[1]
-        if _gap_bound(n, p, k) <= 0:
-            n += 4
-            continue
-        evaluations += 1
-        bound = _verdict(n, p, d + 1)
-        if not bound.passes:
-            n += 4
-            continue
-        params = ParamSet(r=float(r), rsq=rsq, k=k, a0=a0, n=n, a=4 * p - n, p=p, d=d)
-        params.validate()
-        prev_passes = False
-        try:
-            prev_d = d - 1
-            prev = fixed_params(r, rsq, k, a0, d - 1)
-            prev_passes = _verdict(prev.n, prev.p, d).passes
-        except (CheckFailed, ValueError):
-            prev_d = None
-        return D0Result(
-            r=float(r),
-            d0=d,
-            params=params,
-            bound=_with_integers(bound, n, p),
-            previous_d=prev_d,
-            previous_passes=prev_passes,
-            walk_steps=steps,
-            full_evaluations=evaluations,
-        )
+                n += 4 * max(0, (-upper - rate[1]) // rate[0])
+        else:
+            p = choose_a(a0, n)[1]
+            if _gap_bound(n, p, k) > 0:
+                evaluations += 1
+                bound = _verdict(n, p, d + 1)
+                if bound.passes:
+                    break
+        n += 4
+    params = ParamSet(r=float(r), rsq=rsq, k=k, a0=a0, n=n, a=4 * p - n, p=p, d=d)
+    params.validate()
+    prev_passes = False
+    try:
+        prev_d = d - 1
+        prev = fixed_params(r, rsq, k, a0, d - 1)
+        prev_passes = _verdict(prev.n, prev.p, d).passes
+    except (CheckFailed, ValueError):
+        prev_d = None
+    return D0Result(
+        r=float(r),
+        d0=d,
+        params=params,
+        bound=_with_integers(bound, n, p),
+        previous_d=prev_d,
+        previous_passes=prev_passes,
+        walk_steps=(n - 8) // 4 + 1,
+        full_evaluations=evaluations,
+    )
 
 
 def shrinking_radius_check(d: int, c_phi: float = 6.0) -> ShrinkingRadiusReport:

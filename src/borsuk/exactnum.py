@@ -266,58 +266,43 @@ def log_binomial(n: int, k: int) -> FixedLog:
 def log_binomial_tail_sum(n: int, p: int) -> FixedLog:
     """ln S, S = sum of C(n, i) for i < p, within 2^-(PRECISION_BITS+1).
 
-    With top = min(p-1, n), S = C(n, top) * sum_i C(n, i)/C(n, top).  The
-    ratios are summed downward from i = top in plain integers with unit
+    With top = min(p-1, n) and mid = min(top, floor(n/2)), a term past n/2
+    is its mirror's, C(n, i) = C(n, n-i), so S = C(n, mid) * sum_i c_i
+    C(n, i)/C(n, mid) over i <= mid, where c_i = 2 if the mirror n-i lies
+    in (mid, top], i.e. n-top <= i < n-mid, and c_i = 1 otherwise.  The
+    ratios are summed downward from i = mid in plain integers with unit
     2^-b, b = PRECISION_BITS + 32 + 2*bitlen(n+2): t starts at 2^b, each
     step sets t = floor(t*i/(n-i+1)), the exact step ratio C(n, i-1)/C(n, i),
-    and adds t to total.  While the ratio exceeds 1 (only when p-1 > n/2)
-    t grows; once it reaches 2^(b+1), t and total are shifted right by the
-    same amount and the shift is kept.  The loop stops when t reaches 0.
-    Then S ~ C(n, top) * total * 2^(shift-b) from below.
+    and c_i t is added to total.  The loop stops when t reaches 0.
 
     Error bound: the computed sum is a lower bound on S with relative
-    error below (n+2)^2 * 2^-b <= 2^-(PRECISION_BITS+32).  Let
-    W_i = sum_{l<=i} C(n, l)/C(n, i), the share of the sum that one unit
-    of the term at i carries with it, and F = 2^shift * (total + t*(W_i-1))
-    with t the current term, at i.  Exact steps would keep F at its start,
-    2^b * S/C(n, top); each floor lowers it by less than one unit times
-    the weight of what it floors: flooring the new term at i loses less
-    than 2^shift * W_i, and a shift (1 for total, W_i - 1 for t) as much.
-    As total >= t, F >= 2^shift * t * W_i, so a loss of 2^shift * W_i is
-    at most F/t.  The ratio i/(n-i+1) falls as i falls, so the steps whose
-    ratio exceeds 1 come first:
-      - there t never drops below 2^b (the floor of t times a ratio above
-        1 is at least t, and a shift leaves at least 2^b), so each step
-        and each shift loses less than 2^-b of the starting F;
-      - after them i <= (n+1)/2, so C(n, l) <= C(n, i-1) for l < i and the
-        new term's W_{i-1} <= i <= n; total >= 2^b makes the final F at
-        least 2^(shift+b), so each step loses less than n * 2^-b of it.
-    Over at most n steps the loss is below (n^2 + 2n) * 2^-b of the start.
-    Once t is 0 it stays 0 with no further loss, so the dropped tail is
-    already counted, and at the end F = 2^shift * total, the computed
-    sum.
+    error below (n+2)^2 * 2^-b <= 2^-(PRECISION_BITS+32).  As i <= n/2,
+    every step ratio is at most 1, so by induction the term at i is below
+    its exact value by at most mid - i units: each floor loses less than
+    one, and a ratio at most 1 does not grow the deficit carried in.
+    Once t is 0 the later floors keep it 0, so the dropped terms are
+    those same floors.  Counted at most twice each, the terms lose at
+    most 2 * sum_{i<mid} (mid - i) = mid(mid+1) <= (n^2 + 2n)/4 units,
+    against a sum of at least 2^b (the term at mid).
 
-    ln S is log_binomial's ln C(n, top), within 2^-(PRECISION_BITS+2), plus
-    _ln of total 2^(shift-b) at PRECISION_BITS + 32 bits, within 1.5 units,
+    ln S is log_binomial's ln C(n, mid), within 2^-(PRECISION_BITS+2), plus
+    _ln of total 2^-b at PRECISION_BITS + 32 bits, within 1.5 units,
     which the sum's relative error below 2^-(PRECISION_BITS+32) moves by
     less than 1.01 more.
     """
     if n < 0 or p < 1:
         raise ValueError("invalid binomial tail: n=%r p=%r" % (n, p))
     top = min(p - 1, n)
+    mid = min(top, n // 2)
+    lo, hi = n - top, n - mid
     bits = PRECISION_BITS + 32 + 2 * (n + 2).bit_length()
-    t = total = 1 << bits
-    shift = 0
-    for i in range(top, 0, -1):
+    t, total = 1 << bits, 0
+    for i in range(mid, -1, -1):
+        total += t
+        if lo <= i < hi:
+            total += t
         t = t * i // (n - i + 1)
         if not t:
             break
-        total += t
-        excess = t.bit_length() - bits - 1
-        if excess > 0:
-            t >>= excess
-            total >>= excess
-            shift += excess
-    e, w = shift - bits, PRECISION_BITS + 32
-    rest = _ln(total << max(e, 0), 1 << max(-e, 0), w)
-    return FixedLog(log_binomial(n, top) + Fraction(rest, 1 << w))
+    w = PRECISION_BITS + 32
+    return FixedLog(log_binomial(n, mid) + Fraction(_ln(total, 1 << bits, w), 1 << w))

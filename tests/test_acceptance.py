@@ -6,8 +6,9 @@ the full shrinking-radius chain at d = 10^12 including the final count
 inequality; the recorded margin there is -26.54 nats, so that test is
 expected to fail until a construction with a stronger counting step
 exists.  Everything it can check structurally is checked first, and the
-log-space count verdict is replayed on exact integers, since it carries
-no error enclosure.  The margin at d = 10^18, where the chain closes,
+log-space count verdict, whose log is within a proven 2.5 units of
+2^-120 with an exact fallback inside, is replayed on exact integers as
+an independent check.  The margin at d = 10^18, where the chain closes,
 is printed as a measurement only: with k = ceil(1/phi) the chain fails
 again after each step up in k (see the README).
 """
@@ -224,8 +225,9 @@ def _chain_verdicts(d):
     rep = bounds.shrinking_radius_check(d, c_phi=6.0)
     status = {c.name: c.passed for c in rep.checks}
     count = next(c for c in rep.checks if c.name == "count_ratio")
-    # the log-space verdict is a 120-bit point value with no error
-    # enclosure, so the count ratio is replayed on exact integers:
+    # the log-space verdict has a proven error of 2.5 units of 2^-120 and
+    # falls back to exact integers inside it; the count ratio is replayed
+    # on exact integers all the same, as an independent check:
     # C(n-1, n/2-1) > (d+2) * sum_{i<p} C(n, i)
     n, p = rep.n, rep.p
     exact = binomial(n - 1, n // 2 - 1) > (d + 2) * binomial_tail_sum(n, p)

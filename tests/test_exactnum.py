@@ -183,8 +183,12 @@ def _tail_args(draw):
 @example((0, 1))
 @example((3000, 1))
 @example((3000, 3001))  # the whole row, 2^3000
-@example((3000, 2900))  # p-1 > n/2: terms grow as i falls, then shrink
-@example((2999, 1500))  # p-1 = (n-1)/2: the step ratio reaches 1
+@example((3000, 2900))  # p-1 > n/2: terms at i in [101, 1500) count twice
+@example((2999, 1500))  # p-1 = (n-1)/2: up to the middle, none counted twice
+@example((2999, 1501))  # p-1 = (n+1)/2: only the middle term counts twice
+@example((3000, 1502))  # p-1 = n/2 + 1: i = n/2 - 1 counts twice, n/2 once
+@example((3000, 3000))  # p-1 = n-1: i in [1, n/2) count twice
+@example((1, 2))  # n = 1: the one term, at i = 0, counts twice
 def test_log_binomial_tail_sum_matches_exact(args):
     n, p = args
     got = log_binomial_tail_sum(n, p)
@@ -194,9 +198,10 @@ def test_log_binomial_tail_sum_matches_exact(args):
 
 
 def test_log_binomial_tail_sum_renormalised():
-    # p-1 far above n/2: the term grows by ~2^10616 before it peaks at
-    # i = n/2, so the sum is shifted right many times.  The exact oracle
-    # is the complement, 2^n minus the short tail sum_{i <= n-p} C(n, i).
+    # p-1 far above n/2: C(n, p-1) is ~2^-10616 of the middle term, where
+    # the walk starts, and each i in [n-p+1, n/2) counts twice, for its
+    # mirror in (n/2, p-1].  The exact oracle is the complement, 2^n minus
+    # the short tail sum_{i <= n-p} C(n, i).
     n, p = 20000, 18000
     exact = (1 << n) - binomial_tail_sum(n, n - p + 1)
     got = log_binomial_tail_sum(n, p)
@@ -552,8 +557,12 @@ def _tail_replay_args(draw):
 @example((0, 1))
 @example((3000, 1))
 @example((3000, 3001))  # the whole row, 2^3000
-@example((3000, 2900))  # p-1 > n/2: the sum is shifted on the way
+@example((3000, 2900))  # p-1 > n/2: terms at i in [101, 1500) count twice
 @example((2999, 1500))
+@example((2999, 1501))  # p-1 = (n+1)/2: only the middle term counts twice
+@example((3000, 1502))  # p-1 = n/2 + 1: i = n/2 - 1 counts twice, n/2 once
+@example((3000, 3000))  # p-1 = n-1: i in [1, n/2) count twice
+@example((1, 2))  # n = 1: the one term, at i = 0, counts twice
 @example((11504, 5273))  # count_bound at d0(0.59)
 @example((31622776, 12229487))  # bound --r 0.71 --d 10^15
 @example((10 ** 17, 45 * 10 ** 15))

@@ -2,11 +2,12 @@
 
 Every verdict, the count verdicts and find_d0's walk rejects alike,
 reads integer logs (exactnum._ln), so nothing in the package rests on
-the C library's log accuracy.  (FixedLog.nstr sizes its working bits
-with exactnum._LOG2_10, a float literal, not a call.)  The guard finds
-every use of those names in src/ (`math.log`, `from math import log`, or
-`math` imported under another name) and the top-level definition or
-assignment it sits in.
+the C library's log accuracy: no scope of src/, a definition, an
+assignment or the module level, may call those three.  (FixedLog.nstr
+sizes its working bits with exactnum._LOG2_10, a float literal, not a
+call.)  The guard finds every use of those names in src/ (`math.log`,
+`from math import log`, or `math` imported under another name) and the
+top-level definition or assignment it sits in.
 """
 
 import ast
@@ -15,8 +16,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "borsuk"
 
 LIBM = {"log", "log1p", "expm1"}
-
-ALLOWED = set()
 
 
 def _scope(stmt):
@@ -52,9 +51,7 @@ def _libm_uses(source):
 def test_libm_only_in_walk_rejects():
     uses = {(path.name, scope, line) for path in sorted(SRC.glob("*.py"))
             for scope, line in _libm_uses(path.read_text(encoding="utf-8"))}
-    assert {u for u in uses if u[:2] not in ALLOWED} == set()
-    # every allowed scope still takes one, or the list has gone stale
-    assert {u[:2] for u in uses} == ALLOWED
+    assert uses == set()
 
 
 def test_guard_sees_uses():
