@@ -28,8 +28,7 @@ from .exactnum import (
     FixedLog,
     _half_ln_2pi,
     _ln,
-    binomial,
-    binomial_tail_sum,
+    _tail_pass,
     log_binomial,
     log_binomial_tail_sum,
 )
@@ -91,23 +90,26 @@ def _verdict(n: int, p: int, threshold: int) -> CountBound:
     add up to less.  In units of 2^-PRECISION_BITS it is within 1 of it and
     _ln(threshold) within 1.5 of ln threshold, so their gap is within 2.5
     of the real one: beyond 3 units its sign is the verdict.  Exact
-    integers decide inside.
+    integers decide inside: _tail_pass's S and C(n, n/2), whose half is
+    C(n-1, n/2-1).
     """
     ratio_log = FixedLog(log_binomial(n - 1, n // 2 - 1) - log_binomial_tail_sum(n, p))
     gap = ratio_log * (1 << PRECISION_BITS) - _ln(threshold, 1, PRECISION_BITS)
     if abs(gap) > 3:
         passes = gap > 0
     else:
-        passes = binomial(n - 1, n // 2 - 1) > binomial_tail_sum(n, p) * threshold
+        den, central = _tail_pass(n, p, n // 2)
+        passes = central // 2 > den * threshold
     return CountBound(None, None, ratio_log, threshold, passes)
 
 
 def _with_integers(cb: CountBound, n: int, p: int) -> CountBound:
-    """cb with the exact numerator and denominator it prints at n <= 10^4."""
+    """cb with the exact numerator C(n-1, n/2-1) = C(n, n/2)/2 and
+    denominator S it prints at n <= 10^4, both from one _tail_pass."""
     if n > _EXACT_N_CAP:
         return cb
-    return replace(cb, numerator=binomial(n - 1, n // 2 - 1),
-                   denominator=binomial_tail_sum(n, p))
+    den, central = _tail_pass(n, p, n // 2)
+    return replace(cb, numerator=central // 2, denominator=den)
 
 
 def lower_bound(ps: ParamSet) -> CountBound:

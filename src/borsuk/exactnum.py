@@ -34,13 +34,51 @@ def binomial_tail_sum(n: int, p: int) -> int:
     """Exact sum of C(n, i) for 0 <= i < p."""
     if n < 0 or p < 1:
         raise ValueError("invalid binomial tail: n=%r p=%r" % (n, p))
-    total = 1
-    term = 1
-    for i in range(1, min(p, n + 1)):
-        # C(n, i) = C(n, i-1) * (n - i + 1) / i, always divides exactly
-        term = term * (n - i + 1) // i
-        total += term
-    return total
+    return _tail_pass(n, p, 0)[0]
+
+
+_BLOCK = 64  # most terms one block of _tail_pass takes
+
+
+def _tail_pass(n: int, p: int, k: int) -> Tuple[int, int]:
+    """(S, C(n, k)), S = sum of C(n, i) for i < p, in one ascending pass,
+    for n >= 0, p >= 1 and 0 <= k <= n.
+
+    With top = min(p-1, n), the pass runs up to max(top, k) in blocks of
+    at most _BLOCK terms, and a block ends at top and at k, so that S is
+    complete after the block ending at top and C(n, k) is the running
+    term after the one ending at k.  A block after index i, ending at s,
+    takes the running term t = C(n, i) to C(n, s).  The step ratio
+    C(n, j)/C(n, j-1) is a_j/b_j with a_j = n - j + 1 and b_j = j, so with
+        A = prod a_j,  D = prod b_j  (i < j <= s),
+        N = sum_{i<j<=s} (prod_{i<l<=j} a_l) (prod_{j<l<=s} b_l),
+    each term of N/D is C(n, j)/C(n, i), and
+        C(n, s) = t A/D,  sum_{i<j<=s} C(n, j) = t N/D.
+    Both are integers, a binomial and a sum of binomials, so the floor
+    divisions t A // D and t N // D are exact.  N comes Horner-style from
+    N_i = 0, N_j = N_{j-1} b_j + prod_{i<l<=j} a_l, which is the sum above
+    cut at j; A, D and N have at most _BLOCK bitlen(n) bits, so each block
+    takes two products and two divisions of t by small integers instead
+    of one of each per term.  Blocks past top only move t.
+    """
+    top = min(p - 1, n)
+    total = term = central = 1
+    i = 0
+    while i < max(top, k):
+        s = min(i + _BLOCK, *(edge for edge in (top, k) if edge > i))
+        num = den = 1
+        folded = 0
+        for j in range(i + 1, s + 1):
+            num *= n - j + 1
+            den *= j
+            folded = folded * j + num
+        if s <= top:
+            total += term * folded // den
+        term = term * num // den
+        if s == k:
+            central = term
+        i = s
+    return total, central
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -65,7 +103,7 @@ def is_prime(m: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # This witness set is known to be exact for all m < 3.3 * 10**24.
+    # The prime bases 2..37 are exact for all m < 3.18 * 10**23 (OEIS A014233).
     for w in _SMALL_PRIMES:
         x = pow(w, d, m)
         if x in (1, m - 1):
@@ -87,7 +125,7 @@ _DIGITS = 25
 _LOG2_10 = 3.3219280948873626
 _NSTR_BITS = int((_DIGITS + 3) * _LOG2_10) + 10
 # steps of _ln's table: its atanh argument ends below 2^-_STEPS
-_STEPS = 8
+_STEPS = 12
 
 
 class FixedLog(Fraction):
@@ -171,25 +209,27 @@ def _ln(a: int, b: int, bits: int) -> int:
     """ln(a/b) times 2^bits, for positive ints a, b: within 1.5 units.
 
     With 2^e <= a/b < 2^(e+1), it works at w bits, bits + g rounded up to
-    a multiple of 64 (so that _constants repeats), g = bitlen(max(bits,
+    a multiple of 16 (so that _constants repeats), g = bitlen(max(bits,
     |e|)) + 7.  M = floor(a/b 2^(w-e)), in [2^w, 2^(w+1)), is within 2^-w
     of a/b 2^-e relative.  For j = 1.._STEPS, P += P >> j whenever that
     stays below 2^(w+1), taking ln(1 + 2^-j) off: each floor loses less
     than a unit and later steps grow the loss by less than
-    prod (1 + 2^-j) < 2.4, so P is within 19.2 units of M times the
-    factors, and a step not taken leaves P (1 + 2^-j) >= 2^(w+1) - 1, so
-    z = (2^(w+1) - P)/(2^(w+1) + P) < 2^-_STEPS.  Then
+    prod (1 + 2^-j) < 2.4, so P is within 12 * 2.4 = 28.8 units of M
+    times the factors, and a step not taken leaves P (1 + 2^-j) >=
+    2^(w+1) - 1, so z = (2^(w+1) - P)/(2^(w+1) + P) < 2^-_STEPS.  Then
         ln(a/b) = (e + 1) ln 2 - sum ln(1 + 2^-j) - 2 atanh(z).
-    In units of 2^-w: 1 (M), 19.2 (P), 1.01 |e + 1| (ln 2), 8.1 (the
-    table), 2.01 (z floored) and 4(T + 1) (_atanh, T <= w/16 + 2 passes),
-    below 0.25 w + 1.01 |e| + 44 < 2^(g-1) (as 2^(g-1) > 64 max(bits,
-    |e|) >= 64 bits and w <= bits + g + 63).  Floored to bits, >= g fewer,
+    _atanh's power falls by z^2 < 2^-24 a pass, so it reaches 0 after
+    T <= w/24 + 2 passes.  In units of 2^-w: 1 (M), 28.8 (P),
+    1.01 |e + 1| (ln 2), 12.12 (the table's 12 entries), 2.01 (z floored)
+    and 4(T + 1) <= w/6 + 12 (_atanh), below w/6 + 1.01 |e| + 57.  With
+    m = max(bits, |e|), w <= bits + g + 15 <= 2m + 22, so that is below
+    1.35 m + 61 < 64 (m + 1) <= 2^(g-1).  Floored to bits, >= g fewer,
     the result is within 1/2 + 1 units.
     """
     e = a.bit_length() - b.bit_length()
     if a << max(-e, 0) < b << max(e, 0):
         e -= 1
-    w = -(-(bits + max(bits, abs(e)).bit_length() + 7) // 64) * 64
+    w = -(-(bits + max(bits, abs(e)).bit_length() + 7) // 16) * 16
     ln2, table = _constants(w)
     p = (a << (w - e)) // b if e <= w else a // (b << (e - w))
     top = 1 << (w + 1)

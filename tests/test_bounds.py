@@ -204,7 +204,7 @@ _D0_TABLE = {
 def test_find_d0_every_table_radius(monkeypatch):
     from borsuk import params
 
-    calls = {"choose_a": 0, "is_prime": 0, "gap_bound": 0, "binomial_tail_sum": 0,
+    calls = {"choose_a": 0, "is_prime": 0, "gap_bound": 0, "tail_pass": 0,
              "verdict": 0}
 
     def counted(name, fn):
@@ -218,8 +218,7 @@ def test_find_d0_every_table_radius(monkeypatch):
     monkeypatch.setattr(bounds, "choose_a", choose)
     monkeypatch.setattr(params, "is_prime", counted("is_prime", params.is_prime))
     monkeypatch.setattr(bounds, "_gap_bound", counted("gap_bound", bounds._gap_bound))
-    monkeypatch.setattr(bounds, "binomial_tail_sum",
-                        counted("binomial_tail_sum", bounds.binomial_tail_sum))
+    monkeypatch.setattr(bounds, "_tail_pass", counted("tail_pass", bounds._tail_pass))
     monkeypatch.setattr(bounds, "_verdict", counted("verdict", bounds._verdict))
     results = {r: find_d0(r) for r in _D0_TABLE}
     for r, res in results.items():
@@ -246,9 +245,10 @@ def test_find_d0_every_table_radius(monkeypatch):
     # one integer log per full evaluation and per d0 - 1 re-check: the
     # printed bound at d0 is the verdict the walk took there
     assert calls["verdict"] == 7 + 7
-    # exact tail sums only for the printed bound at d0, at the six radii
-    # with n <= 10^4: the d0 - 1 re-check prints nothing
-    assert calls["binomial_tail_sum"] == 6
+    # exact integers only for the printed bound at d0, at the six radii
+    # with n <= 10^4, each one pass for S and C(n, n/2): the d0 - 1
+    # re-check prints nothing
+    assert calls["tail_pass"] == 6
     for r, res in results.items():
         # the printed bound and params are those planned independently at
         # d0, and the re-check's verdict is lower_bound's at d0 - 1
@@ -522,7 +522,7 @@ def test_count_bound_log_verdict_is_certified(monkeypatch):
         raise LookupError("exact integers reached")
 
     # count_bound takes it from the log, with no exact integers
-    monkeypatch.setattr(bounds, "binomial_tail_sum", exact)
+    monkeypatch.setattr(bounds, "_tail_pass", exact)
     assert count_bound(n, p, threshold).passes
     # a log within 3 units of ln(threshold) leaves the verdict to exact
     # integers; one further off decides it either way: _ln(threshold)
@@ -573,15 +573,15 @@ def test_count_bound_falls_back_to_integers(monkeypatch):
     want = {c: count_bound(*c) for c in cases}
     near = {c[2]: math.floor(w.ratio_log * (1 << PRECISION_BITS)) for c, w in want.items()}
     calls = []
-    tail_sum = bounds.binomial_tail_sum
+    tail_pass = bounds._tail_pass
     monkeypatch.setattr(bounds, "_ln", lambda a, b, bits: near[a])
-    monkeypatch.setattr(bounds, "binomial_tail_sum",
-                        lambda n, p: calls.append(n) or tail_sum(n, p))
+    monkeypatch.setattr(bounds, "_tail_pass",
+                        lambda n, p, k: calls.append(n) or tail_pass(n, p, k))
     for c in cases:
         got = count_bound(*c)
         assert got == want[c]
         assert got.passes == _exact_passes(*c)
-    # one fallback sum per case, after the printed denominator at n <= 10^4
+    # one fallback pass per case, after the printed integers at n <= 10^4
     assert calls == [11504, 11504, 10004, 572, 572]
 
 

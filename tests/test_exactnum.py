@@ -135,6 +135,10 @@ def test_is_prime_known_hard_cases():
     # Carmichael numbers and near-prime products
     for m in (561, 1105, 1729, 2465, 2821, 6601, 1000003 * 1000033):
         assert not is_prime(m)
+    # strong pseudoprimes to every prime base up to 19, and up to 31
+    # (OEIS A014233): only the later bases of the witness set expose them
+    for m in (341550071728321, 3825123056546413051):
+        assert not is_prime(m)
     assert is_prime(2 ** 61 - 1)
     assert is_prime(1000003)
     # odd and free of small factors, so the domain guard is what fires
@@ -152,6 +156,32 @@ def test_binomial_tail_sum_brute():
         binomial_tail_sum(8, 0)
     with pytest.raises(ValueError, match="invalid binomial tail"):
         binomial_tail_sum(-1, 2)
+
+
+def test_tail_pass_block_edges():
+    # S(n, p) and C(n, n/2) against math.comb at every n <= 200 and every
+    # p up to n + 2 (p - 1 past n/2 and past n included), so p - 1 and
+    # n/2 fall on and next to the block edges 63, 64, 65 and 128; the n
+    # from 255 to 260 put n/2 at 127..130
+    for n in list(range(201)) + list(range(255, 261)):
+        sums = [0]
+        for i in range(n + 1):
+            sums.append(sums[-1] + math.comb(n, i))
+        central = math.comb(n, n // 2)
+        ps = range(1, n + 3) if n <= 200 else (1, 63, 64, 65, 66, 128, 129, 130, n, n + 2)
+        for p in ps:
+            assert exactnum._tail_pass(n, p, n // 2) == (sums[min(p, n + 1)], central), (n, p)
+            assert binomial_tail_sum(n, p) == sums[min(p, n + 1)], (n, p)
+
+
+@pytest.mark.parametrize("n,p", [(572, 223), (4208, 1831), (11504, 5273)])
+def test_tail_pass_matches_term_loop(n, p):
+    # the per-term loop the pass replaced, at printed d0-table cases
+    total = term = 1
+    for i in range(1, p):
+        term = term * (n - i + 1) // i
+        total += term
+    assert exactnum._tail_pass(n, p, n // 2) == (total, math.comb(n, n // 2))
 
 
 @pytest.mark.parametrize("n,k", [(96, 48), (96, 13), (400, 100), (10 ** 6, 10 ** 5)])
@@ -197,7 +227,7 @@ def test_log_binomial_tail_sum_matches_exact(args):
         assert abs(as_mpf(got) - want) <= mp.mpf(2) ** -100 * max(1, abs(want))
 
 
-def test_log_binomial_tail_sum_renormalised():
+def test_log_binomial_tail_sum_mirrored_terms():
     # p-1 far above n/2: C(n, p-1) is ~2^-10616 of the middle term, where
     # the walk starts, and each i in [n-p+1, n/2) counts twice, for its
     # mirror in (n/2, p-1].  The exact oracle is the complement, 2^n minus

@@ -20,6 +20,7 @@ _ALLOWED = {
     "borsuk.exactnum", "borsuk.optimality", "borsuk.params", "borsuk.upper",
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
     "BENCH_pr27.json", "BENCH_pr28.json", "BENCH_pr29.json", "BENCH_pr30.json",
+    "BENCH_pr41.json",
     "pyproject.toml", "src",
     "ValueError", "repr",
     "mpmath.iv", "mpmath.nstr",
